@@ -1,7 +1,11 @@
 #include "core/arb_f2_counter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
+#include <string_view>
+#include <type_traits>
 
 #include "hash/kwise_bank.h"
 #include "hash/rng.h"
@@ -51,50 +55,118 @@ ArbF2FourCycleCounter::ArbF2FourCycleCounter(const Params& params)
     alpha_bank.SignAll(v, alpha_.data() + v * c);
     beta_bank.SignAll(v, beta_.data() + v * c);
   }
-  acc_a_.assign(n * c, 0.0);
-  acc_b_.assign(n * c, 0.0);
-  acc_c_.assign(n * c, 0.0);
+  int_.rows.assign(n * 3 * c, 0);
 }
 
-void ArbF2FourCycleCounter::Apply(const Edge& e, double sign) {
-  ApplyTo(e, sign, acc_a_.data(), acc_b_.data(), acc_c_.data());
+namespace {
+
+constexpr std::uint64_t kInt32SlotMax = 2147483647;  // 2^31 − 1
+
+// True when x is held exactly, bit pattern included, by an int32 slot
+// (so -0.0 and non-integers are not).
+bool FitsInt32Slot(double x) {
+  return std::fabs(x) <= static_cast<double>(kInt32SlotMax) &&
+         std::bit_cast<std::uint64_t>(
+             static_cast<double>(static_cast<std::int32_t>(x))) ==
+             std::bit_cast<std::uint64_t>(x);
 }
 
-void ArbF2FourCycleCounter::ApplyTo(const Edge& e, double sign, double* acc_a,
-                                    double* acc_b, double* acc_c) const {
-  const std::size_t c = num_copies_;
-  const signed char* au = alpha_.data() + static_cast<std::size_t>(e.u) * c;
-  const signed char* bu = beta_.data() + static_cast<std::size_t>(e.u) * c;
-  const signed char* av = alpha_.data() + static_cast<std::size_t>(e.v) * c;
-  const signed char* bv = beta_.data() + static_cast<std::size_t>(e.v) * c;
-  double* accA_u = acc_a + static_cast<std::size_t>(e.u) * c;
-  double* accB_u = acc_b + static_cast<std::size_t>(e.u) * c;
-  double* accC_u = acc_c + static_cast<std::size_t>(e.u) * c;
-  double* accA_v = acc_a + static_cast<std::size_t>(e.v) * c;
-  double* accB_v = acc_b + static_cast<std::size_t>(e.v) * c;
-  double* accC_v = acc_c + static_cast<std::size_t>(e.v) * c;
-  // A_u += α_v etc. (the wedge centered at u gains neighbor v); six
-  // contiguous sweeps over the copies.
-  for (std::size_t i = 0; i < c; ++i) {
-    accA_u[i] += sign * static_cast<double>(av[i]);
+// Adds edge e's deltas, weighted by sign, into the accumulator rows: A_u +=
+// α_v, B_u += β_v, C_u += α_v·β_v (the wedge centered at u gains neighbor
+// v), then the same for v; each is one unit-stride sweep over a 3C-slot row.
+// Row u is finished before row v, so even a self-loop adds into each slot
+// in the historical order.
+template <typename T>
+void ApplyEdge(T* rows, const signed char* alpha, const signed char* beta,
+               std::size_t c, const Edge& e, T sign) {
+  const auto sweep = [c, sign](T* __restrict row,
+                               const signed char* __restrict a,
+                               const signed char* __restrict b) {
+    for (std::size_t i = 0; i < c; ++i) {
+      const T ai = static_cast<T>(a[i]);
+      const T bi = static_cast<T>(b[i]);
+      row[i] += sign * ai;
+      row[c + i] += sign * bi;
+      row[2 * c + i] += sign * ai * bi;
+    }
+  };
+  const std::size_t u = e.u;
+  const std::size_t v = e.v;
+  sweep(rows + u * 3 * c, alpha + v * c, beta + v * c);
+  sweep(rows + v * 3 * c, alpha + u * c, beta + u * c);
+}
+
+// Row v (3C slots) of `slots` with any live shard scratch folded in, in
+// fixed shard order: the canonical row itself, or `scratch` holding the sum
+// (cold paths only).
+template <typename Slots, typename T>
+const T* MergedRow(const Slots& slots, std::size_t v, std::size_t c,
+                   std::vector<T>* scratch) {
+  const std::size_t width = 3 * c;
+  const T* row = slots.rows.data() + v * width;
+  if (slots.extras.empty()) return row;
+  scratch->assign(row, row + width);
+  for (const std::vector<T>& extra : slots.extras) {
+    for (std::size_t i = 0; i < width; ++i) {
+      (*scratch)[i] += extra[v * width + i];
+    }
   }
-  for (std::size_t i = 0; i < c; ++i) {
-    accB_u[i] += sign * static_cast<double>(bv[i]);
+  return scratch->data();
+}
+
+}  // namespace
+
+void ArbF2FourCycleCounter::ReserveUpdates(std::size_t updates) {
+  if (double_slots_) return;
+  if (updates > kInt32SlotMax - slot_bound_) {
+    SwitchToDoubleSlots();
+  } else {
+    slot_bound_ += updates;
   }
-  for (std::size_t i = 0; i < c; ++i) {
-    accC_u[i] +=
-        sign * static_cast<double>(av[i]) * static_cast<double>(bv[i]);
-  }
-  for (std::size_t i = 0; i < c; ++i) {
-    accA_v[i] += sign * static_cast<double>(au[i]);
-  }
-  for (std::size_t i = 0; i < c; ++i) {
-    accB_v[i] += sign * static_cast<double>(bu[i]);
-  }
-  for (std::size_t i = 0; i < c; ++i) {
-    accC_v[i] +=
-        sign * static_cast<double>(au[i]) * static_cast<double>(bu[i]);
-  }
+}
+
+void ArbF2FourCycleCounter::SwitchToDoubleSlots() {
+  if (double_slots_) return;
+  // Every slot is an exact integer, so the fold and the conversion are
+  // exact: the values, and hence the estimate and the snapshot bytes, do
+  // not change.
+  FoldShardExtras();
+  dbl_.rows.assign(int_.rows.begin(), int_.rows.end());
+  int_ = {};
+  double_slots_ = true;
+}
+
+void ArbF2FourCycleCounter::ApplyBlock(std::span<const Edge> edges,
+                                       const double* signs) {
+  ReserveUpdates(edges.size());
+  const std::size_t W = static_cast<std::size_t>(
+      std::max(params_.intra_shards, 1));
+  const bool sharded = params_.sketch_backend == SketchBackend::kBlock &&
+                       W > 1 && edges.size() >= 2 * W;
+  VisitSlots(*this, [&](auto& slots) {
+    using T = typename std::decay_t<decltype(slots.rows)>::value_type;
+    const auto apply = [&](T* rows, std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        ApplyEdge(rows, alpha_.data(), beta_.data(), num_copies_, edges[i],
+                  signs == nullptr ? T{1} : static_cast<T>(signs[i]));
+      }
+    };
+    if (!sharded) {
+      apply(slots.rows.data(), 0, edges.size());
+      return;
+    }
+    if (slots.extras.empty()) {
+      slots.extras.resize(W - 1);
+      for (std::vector<T>& extra : slots.extras) {
+        extra.assign(slots.rows.size(), T{0});
+      }
+    }
+    ParallelFor(W, [&](std::size_t s) {
+      const ShardSlice slice = MakeShardSlice(edges.size(), W, s);
+      apply(s == 0 ? slots.rows.data() : slots.extras[s - 1].data(),
+            slice.begin, slice.end);
+    });
+  });
 }
 
 void ArbF2FourCycleCounter::StartPass(int pass, std::size_t stream_length) {
@@ -114,105 +186,38 @@ void ArbF2FourCycleCounter::ProcessEdgeBlock(int pass,
                                              std::size_t base_position) {
   (void)pass;
   (void)base_position;
-  const std::size_t W = static_cast<std::size_t>(
-      std::max(params_.intra_shards, 1));
-  if (params_.sketch_backend != SketchBackend::kBlock || W <= 1 ||
-      edges.size() < 2 * W) {
-    for (const Edge& e : edges) Insert(e);
-    return;
-  }
-  if (shard_extras_.empty()) {
-    const std::size_t words = acc_a_.size();
-    shard_extras_.resize(W - 1);
-    for (ShardAccums& extra : shard_extras_) {
-      extra.a.assign(words, 0.0);
-      extra.b.assign(words, 0.0);
-      extra.c.assign(words, 0.0);
-    }
-  }
-  ParallelFor(W, [&](std::size_t s) {
-    const ShardSlice slice = MakeShardSlice(edges.size(), W, s);
-    double* a = s == 0 ? acc_a_.data() : shard_extras_[s - 1].a.data();
-    double* b = s == 0 ? acc_b_.data() : shard_extras_[s - 1].b.data();
-    double* c = s == 0 ? acc_c_.data() : shard_extras_[s - 1].c.data();
-    for (std::size_t i = slice.begin; i < slice.end; ++i) {
-      ApplyTo(edges[i], +1.0, a, b, c);
-    }
-  });
+  ApplyBlock(edges, nullptr);
 }
 
 void ArbF2FourCycleCounter::ProcessSignedEdgeBlock(
     std::span<const Edge> edges, std::span<const double> signs) {
   CHECK_EQ(edges.size(), signs.size());
-  const std::size_t W = static_cast<std::size_t>(
-      std::max(params_.intra_shards, 1));
-  if (params_.sketch_backend != SketchBackend::kBlock || W <= 1 ||
-      edges.size() < 2 * W) {
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      Apply(edges[i], signs[i]);
-    }
-    return;
-  }
-  if (shard_extras_.empty()) {
-    const std::size_t words = acc_a_.size();
-    shard_extras_.resize(W - 1);
-    for (ShardAccums& extra : shard_extras_) {
-      extra.a.assign(words, 0.0);
-      extra.b.assign(words, 0.0);
-      extra.c.assign(words, 0.0);
-    }
-  }
-  ParallelFor(W, [&](std::size_t s) {
-    const ShardSlice slice = MakeShardSlice(edges.size(), W, s);
-    double* a = s == 0 ? acc_a_.data() : shard_extras_[s - 1].a.data();
-    double* b = s == 0 ? acc_b_.data() : shard_extras_[s - 1].b.data();
-    double* c = s == 0 ? acc_c_.data() : shard_extras_[s - 1].c.data();
-    for (std::size_t i = slice.begin; i < slice.end; ++i) {
-      ApplyTo(edges[i], signs[i], a, b, c);
-    }
-  });
+  for (double s : signs) CHECK(s == 1.0 || s == -1.0) << "sign " << s;
+  ApplyBlock(edges, signs.data());
 }
 
 void ArbF2FourCycleCounter::Rescale(double factor) {
+  SwitchToDoubleSlots();
   FoldShardExtras();
-  for (double& x : acc_a_) x *= factor;
-  for (double& x : acc_b_) x *= factor;
-  for (double& x : acc_c_) x *= factor;
+  for (double& x : dbl_.rows) x *= factor;
 }
 
 void ArbF2FourCycleCounter::FoldShardExtras() {
   // Fixed shard order 1..W−1 per slot. Every accumulator slot is an exact
   // integer in every shard (sums of ±1 and ±1·±1 terms), so the fold is
   // exact addition and the result equals the per-edge accumulator bit for
-  // bit. Single pass over the canonical arrays: each slot reads its extras
+  // bit. Single pass over the canonical rows: each slot reads its extras
   // in shard order, which performs the identical additions as folding one
-  // whole shard at a time but touches acc_* memory only once.
-  for (std::size_t i = 0; i < acc_a_.size(); ++i) {
-    double a = acc_a_[i], b = acc_b_[i], c = acc_c_[i];
-    for (const ShardAccums& extra : shard_extras_) {
-      a += extra.a[i];
-      b += extra.b[i];
-      c += extra.c[i];
+  // whole shard at a time but touches the rows only once.
+  VisitSlots(*this, [](auto& slots) {
+    for (std::size_t i = 0; i < slots.rows.size(); ++i) {
+      auto x = slots.rows[i];
+      for (const auto& extra : slots.extras) x += extra[i];
+      slots.rows[i] = x;
     }
-    acc_a_[i] = a;
-    acc_b_[i] = b;
-    acc_c_[i] = c;
-  }
-  shard_extras_.clear();
-  shard_extras_.shrink_to_fit();
-}
-
-void ArbF2FourCycleCounter::MergedAccums(std::vector<double>* a,
-                                         std::vector<double>* b,
-                                         std::vector<double>* c) const {
-  *a = acc_a_;
-  *b = acc_b_;
-  *c = acc_c_;
-  for (const ShardAccums& extra : shard_extras_) {
-    for (std::size_t i = 0; i < a->size(); ++i) (*a)[i] += extra.a[i];
-    for (std::size_t i = 0; i < b->size(); ++i) (*b)[i] += extra.b[i];
-    for (std::size_t i = 0; i < c->size(); ++i) (*c)[i] += extra.c[i];
-  }
+    slots.extras.clear();
+    slots.extras.shrink_to_fit();
+  });
 }
 
 void ArbF2FourCycleCounter::EndPass(int pass) {
@@ -223,27 +228,25 @@ void ArbF2FourCycleCounter::EndPass(int pass) {
 double ArbF2FourCycleCounter::F2Estimate() const {
   const std::size_t n = params_.num_vertices;
   const std::size_t c = num_copies_;
-  const double* pa = acc_a_.data();
-  const double* pb = acc_b_.data();
-  const double* pc = acc_c_.data();
-  std::vector<double> ma, mb, mc;  // Only filled mid-pass with live shards.
-  if (!shard_extras_.empty()) {
-    MergedAccums(&ma, &mb, &mc);
-    pa = ma.data();
-    pb = mb.data();
-    pc = mc.data();
-  }
-  square_scratch_.resize(c);
-  for (std::size_t i = 0; i < c; ++i) {
-    double z = 0.0;
+  // One vertex-outer sweep over the rows. Copy i still sums its terms in
+  // vertex order 0..n−1, so z_i is bit-identical to a copy-outer walk.
+  std::vector<double>& z = square_scratch_;
+  z.assign(c, 0.0);
+  VisitSlots(*this, [&](const auto& slots) {
+    std::decay_t<decltype(slots.rows)> merged;
     for (std::size_t t = 0; t < n; ++t) {
-      z += (pa[t * c + i] * pb[t * c + i] - pc[t * c + i]) / 2.0;
+      const auto* row = MergedRow(slots, t, c, &merged);
+      for (std::size_t i = 0; i < c; ++i) {
+        z[i] += (static_cast<double>(row[i]) *
+                     static_cast<double>(row[c + i]) -
+                 static_cast<double>(row[2 * c + i])) /
+                2.0;
+      }
     }
-    // E[Z²] = F₂/2 (see AdjF2FourCycleCounter::EndPass): rescale by 2.
-    square_scratch_[i] = 2.0 * z * z;
-  }
-  return MedianOfMeans(square_scratch_,
-                       static_cast<std::size_t>(params_.groups));
+  });
+  // E[Z²] = F₂/2 (see AdjF2FourCycleCounter::EndPass): rescale by 2.
+  for (double& zi : z) zi = 2.0 * zi * zi;
+  return MedianOfMeans(z, static_cast<std::size_t>(params_.groups));
 }
 
 Estimate ArbF2FourCycleCounter::Result() const {
@@ -265,19 +268,26 @@ bool ArbF2FourCycleCounter::SaveState(StateWriter& w) const {
   w.Double(params_.base.epsilon);
   w.U64(params_.base.seed);
   w.Double(params_.f1_correction);
-  if (shard_extras_.empty()) {
-    w.Vec(acc_a_);
-    w.Vec(acc_b_);
-    w.Vec(acc_c_);
-  } else {
-    // Merge-then-save: the snapshot always carries the canonical (folded)
-    // accumulators, so it restores into any shard count — including 1.
-    std::vector<double> a, b, c;
-    MergedAccums(&a, &b, &c);
-    w.Vec(a);
-    w.Vec(b);
-    w.Vec(c);
-  }
+  // The arbf2/1 layout: the A, B and C arrays, each a StateWriter::Vec of
+  // n·C copy-minor doubles. Written one row segment at a time, with any
+  // live shard scratch folded in (merge-then-save: the snapshot restores
+  // into any shard count, including 1).
+  const std::size_t n = params_.num_vertices;
+  const std::size_t c = num_copies_;
+  VisitSlots(*this, [&](const auto& slots) {
+    std::decay_t<decltype(slots.rows)> merged;
+    std::vector<double> out(c);
+    for (std::size_t k = 0; k < 3; ++k) {
+      w.Size(n * c);
+      for (std::size_t v = 0; v < n; ++v) {
+        const auto* seg = MergedRow(slots, v, c, &merged) + k * c;
+        for (std::size_t i = 0; i < c; ++i) {
+          out[i] = static_cast<double>(seg[i]);
+        }
+        w.Bytes(out.data(), c * sizeof(double));
+      }
+    }
+  });
   return true;
 }
 
@@ -287,18 +297,53 @@ bool ArbF2FourCycleCounter::RestoreState(StateReader& r) {
       r.U64() != params_.base.seed || r.Double() != params_.f1_correction) {
     return r.Fail();
   }
-  std::vector<double> a, b, c;
-  if (!r.Vec(&a) || !r.Vec(&b) || !r.Vec(&c)) return false;
-  if (a.size() != acc_a_.size() || b.size() != acc_b_.size() ||
-      c.size() != acc_c_.size()) {
-    return r.Fail();
+  const std::size_t n = params_.num_vertices;
+  const std::size_t c = num_copies_;
+  std::string_view arrays[3];
+  for (std::string_view& bytes : arrays) {
+    if (r.Size() != n * c) return r.Fail();
+    bytes = r.Bytes(n * c * sizeof(double));
+    if (!r.ok()) return false;
   }
-  acc_a_ = std::move(a);
-  acc_b_ = std::move(b);
-  acc_c_ = std::move(c);
+  const auto slot = [&](std::size_t k, std::size_t j) {
+    double x;
+    std::memcpy(&x, arrays[k].data() + j * sizeof(double), sizeof(double));
+    return x;
+  };
+  // A non-finite slot can only come from corruption and would poison the
+  // estimate. The slots load as int32 when every one fits.
+  bool fits_int32 = true;
+  double max_abs = 0.0;
+  for (std::size_t k = 0; k < 3; ++k) {
+    for (std::size_t j = 0; j < n * c; ++j) {
+      const double x = slot(k, j);
+      if (!std::isfinite(x)) return r.Fail();
+      fits_int32 = fits_int32 && FitsInt32Slot(x);
+      max_abs = std::max(max_abs, std::fabs(x));
+    }
+  }
   // The snapshot is canonical (merged); any live shard scratch is stale.
-  shard_extras_.clear();
-  shard_extras_.shrink_to_fit();
+  int_.extras = {};
+  dbl_.extras = {};
+  if (fits_int32) {
+    dbl_.rows = {};
+  } else {
+    int_.rows = {};
+  }
+  double_slots_ = !fits_int32;
+  slot_bound_ = fits_int32 ? static_cast<std::uint64_t>(max_abs) : 0;
+  VisitSlots(*this, [&](auto& slots) {
+    using T = typename std::decay_t<decltype(slots.rows)>::value_type;
+    slots.rows.resize(n * 3 * c);
+    for (std::size_t k = 0; k < 3; ++k) {
+      for (std::size_t v = 0; v < n; ++v) {
+        T* seg = slots.rows.data() + v * 3 * c + k * c;
+        for (std::size_t i = 0; i < c; ++i) {
+          seg[i] = static_cast<T>(slot(k, v * c + i));
+        }
+      }
+    }
+  });
   return true;
 }
 
@@ -316,21 +361,30 @@ bool ArbF2FourCycleCounter::MergeFrom(const EdgeStreamAlgorithm& other) {
       rhs.params_.f1_correction != params_.f1_correction) {
     return false;
   }
-  // Fold both sides' live intra-process shard scratch first so the merge
-  // operates on canonical accumulators (same canonicalization SaveState
-  // performs; rhs is const, so its fold goes through MergedAccums copies).
+  // Fold this side's live intra-process shard scratch first so the merge
+  // operates on canonical rows; rhs is const, so its scratch is folded in
+  // row by row (the same canonicalization SaveState performs). The sum
+  // stays int32 only while both bounds together fit.
   FoldShardExtras();
-  if (rhs.shard_extras_.empty()) {
-    for (std::size_t i = 0; i < acc_a_.size(); ++i) acc_a_[i] += rhs.acc_a_[i];
-    for (std::size_t i = 0; i < acc_b_.size(); ++i) acc_b_[i] += rhs.acc_b_[i];
-    for (std::size_t i = 0; i < acc_c_.size(); ++i) acc_c_[i] += rhs.acc_c_[i];
+  if (rhs.double_slots_ || rhs.slot_bound_ > kInt32SlotMax - slot_bound_) {
+    SwitchToDoubleSlots();
   } else {
-    std::vector<double> a, b, c;
-    rhs.MergedAccums(&a, &b, &c);
-    for (std::size_t i = 0; i < acc_a_.size(); ++i) acc_a_[i] += a[i];
-    for (std::size_t i = 0; i < acc_b_.size(); ++i) acc_b_[i] += b[i];
-    for (std::size_t i = 0; i < acc_c_.size(); ++i) acc_c_[i] += c[i];
+    slot_bound_ += rhs.slot_bound_;
   }
+  const std::size_t width = 3 * num_copies_;
+  VisitSlots(*this, [&](auto& dst) {
+    using T = typename std::decay_t<decltype(dst.rows)>::value_type;
+    VisitSlots(rhs, [&](const auto& src) {
+      std::decay_t<decltype(src.rows)> merged;
+      for (std::size_t v = 0; v < params_.num_vertices; ++v) {
+        const auto* row = MergedRow(src, v, num_copies_, &merged);
+        T* out = dst.rows.data() + v * width;
+        for (std::size_t i = 0; i < width; ++i) {
+          out[i] += static_cast<T>(row[i]);
+        }
+      }
+    });
+  });
   return true;
 }
 

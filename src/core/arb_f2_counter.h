@@ -2,6 +2,7 @@
 #define CYCLESTREAM_CORE_ARB_F2_COUNTER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/config.h"
@@ -25,13 +26,17 @@ namespace cyclestream {
 /// the implementation therefore omits the F₁ correction (callers may
 /// subtract a known F₁ via `f1_correction` for out-of-regime studies).
 ///
-/// Memory layout: the estimator copies are stored structure-of-arrays,
-/// copy-minor — sign caches as alpha[v·C + c] and accumulators as
-/// accA[v·C + c] for C total copies — so the six updates an edge triggers
-/// are six contiguous C-length sweeps instead of C strided struct walks.
-/// Each accumulator slot receives exactly the same additions in the same
-/// order as the historical array-of-structs layout, so estimates are
-/// bit-identical.
+/// Memory layout: one row per vertex holding all three accumulators of all
+/// C copies, acc[v·3C + {0, C, 2C} + c] = {A_v, B_v, C_v} of copy c, so an
+/// edge touches two contiguous 3C-slot rows. The ±1 sign caches stay
+/// copy-minor (alpha[v·C + c]). Every slot is an exact integer (a sum of ±1
+/// and ±1·±1 terms), so slots are int32 while a bound on their magnitude
+/// (the largest restored or merged slot plus the updates applied since)
+/// stays below 2^31. They switch to `double` — the representation that
+/// holds any state — on the first Rescale, when that bound would reach
+/// 2^31, and when a restored snapshot holds a non-integral slot. The
+/// estimate and the snapshot bytes depend only on the slot values, which
+/// are the same in either representation (DESIGN.md §8).
 class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
  public:
   struct Params {
@@ -74,8 +79,9 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
                               std::span<const double> signs);
   /// Multiplies every accumulator by `factor` — the exponential-decay hook.
   /// Folds live shard scratch first (fixed order) so the scale covers the
-  /// whole state; with an exact power-of-two factor the multiply is a pure
-  /// exponent shift, lossless on every slot.
+  /// whole state, and switches the slots to `double`; with an exact
+  /// power-of-two factor the multiply is a pure exponent shift, lossless on
+  /// every slot.
   void Rescale(double factor);
   void EndPass(int pass) override;
   std::string_view CheckpointId() const override { return "arbf2/1"; }
@@ -85,9 +91,10 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   /// state is linear in the stream (every edge contributes fixed ±1 /
   /// ±1·±1 deltas), so merging shard-local counters over a partitioned
   /// stream reproduces the whole-stream counters exactly — every slot is
-  /// an exact integer far below 2^53, making the addition exact and
-  /// associative. False (no mutation) unless `other` is an
-  /// ArbF2FourCycleCounter with identical result-affecting configuration.
+  /// an exact integer, making the addition exact and associative (int32
+  /// adds while both sides' bounds sum below 2^31, `double` otherwise).
+  /// False (no mutation) unless `other` is an ArbF2FourCycleCounter with
+  /// identical result-affecting configuration.
   bool MergeFrom(const EdgeStreamAlgorithm& other) override;
 
   /// Computes the estimate from the current counters (may be called at any
@@ -96,22 +103,43 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
 
   double F2Estimate() const;
 
+  /// True once the slots are held as `double` (see the layout note above).
+  bool double_slots() const { return double_slots_; }
+
  private:
-  void Apply(const Edge& e, double sign);
+  /// Canonical accumulator rows plus the per-shard scratch of block
+  /// delivery: shard s > 0 writes extras[s-1] while shard 0 writes rows.
+  /// Scratch is lazily allocated on the first sharded block and folded
+  /// back at pass end; it is derived working memory — not serialized
+  /// (SaveState writes the folded, canonical form: merge-then-save) and
+  /// not counted in Result().
+  template <typename T>
+  struct Slots {
+    std::vector<T> rows;
+    std::vector<std::vector<T>> extras;
+  };
 
-  /// Apply into an explicit accumulator triple (shard scratch or the
-  /// canonical arrays). Same six sweeps as Apply.
-  void ApplyTo(const Edge& e, double sign, double* acc_a, double* acc_b,
-               double* acc_c) const;
+  /// Calls f with the live Slots<std::int32_t> or Slots<double>.
+  template <typename Self, typename F>
+  static decltype(auto) VisitSlots(Self& self, F&& f) {
+    return self.double_slots_ ? f(self.dbl_) : f(self.int_);
+  }
 
-  /// Folds live shard scratch into the canonical accumulators (fixed shard
-  /// order) and releases it. No-op when no scratch is live.
+  void Apply(const Edge& e, double sign) {
+    ApplyBlock(std::span<const Edge>(&e, 1), &sign);
+  }
+  /// Applies edges[i] with weight signs[i] (+1 for all when signs is null),
+  /// split across intra_shards slices for the kBlock backend.
+  void ApplyBlock(std::span<const Edge> edges, const double* signs);
+
+  /// Accounts for `updates` more ±1 updates, switching to `double` slots
+  /// first if they could carry an int32 slot past 2^31 − 1.
+  void ReserveUpdates(std::size_t updates);
+  void SwitchToDoubleSlots();
+
+  /// Folds live shard scratch into the canonical rows (fixed shard order)
+  /// and releases it. No-op when no scratch is live.
   void FoldShardExtras();
-
-  /// a/b/c receive the canonical accumulators with any live shard scratch
-  /// folded in (copies only when scratch is live — cold paths only).
-  void MergedAccums(std::vector<double>* a, std::vector<double>* b,
-                    std::vector<double>* c) const;
 
   Params params_;
   std::size_t num_copies_ = 0;
@@ -120,19 +148,13 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   // KWiseHashBank (the vertex universe is known up front).
   std::vector<signed char> alpha_;
   std::vector<signed char> beta_;
-  // Accumulators, copy-minor: acc{A,B,C}_[v·C + c].
-  std::vector<double> acc_a_;
-  std::vector<double> acc_b_;
-  std::vector<double> acc_c_;
-  // Per-shard accumulator scratch for block delivery: shard s > 0 writes
-  // shard_extras_[s-1] while shard 0 writes the canonical arrays above.
-  // Lazily allocated on the first sharded block, folded back at pass end.
-  // Derived working memory: not serialized (SaveState writes the folded,
-  // canonical form — merge-then-save) and not counted in Result().
-  struct ShardAccums {
-    std::vector<double> a, b, c;
-  };
-  std::vector<ShardAccums> shard_extras_;
+  // The accumulators; int_ is live until double_slots_, then dbl_.
+  Slots<std::int32_t> int_;
+  Slots<double> dbl_;
+  bool double_slots_ = false;
+  // Upper bound on |slot| (canonical plus scratch) while the slots are
+  // int32; kept at or below 2^31 − 1.
+  std::uint64_t slot_bound_ = 0;
   mutable std::vector<double> square_scratch_;
 };
 

@@ -167,17 +167,20 @@ void TurnstileF2TriangleCounter::EndPass(int pass) {
   FoldShardExtras();
 }
 
-Estimate TurnstileF2TriangleCounter::Result() const {
-  const std::size_t c = num_copies_;
-  cube_scratch_.resize(c);
-  for (std::size_t i = 0; i < c; ++i) {
-    double z = z_[i];
-    for (const std::vector<double>& extra : shard_extras_) z += extra[i];
-    cube_scratch_[i] = z * z * z / 6.0;
+std::vector<double> TurnstileF2TriangleCounter::MergedZ() const {
+  std::vector<double> z = z_;
+  for (const std::vector<double>& extra : shard_extras_) {
+    for (std::size_t i = 0; i < z.size(); ++i) z[i] += extra[i];
   }
+  return z;
+}
+
+Estimate TurnstileF2TriangleCounter::Result() const {
+  std::vector<double> cubes = MergedZ();
+  for (double& z : cubes) z = z * z * z / 6.0;
   Estimate result;
   result.value = std::max(
-      0.0, MedianOfMeans(cube_scratch_,
+      0.0, MedianOfMeans(cubes,
                          static_cast<std::size_t>(params_.groups)));
   // One Z word per copy plus the byte-packed ±1 sign cache.
   const std::size_t n = params_.num_vertices;
@@ -199,15 +202,7 @@ bool TurnstileF2TriangleCounter::SaveState(StateWriter& w) const {
   w.I64(params_.groups);
   w.Double(params_.base.epsilon);
   w.U64(params_.base.seed);
-  if (shard_extras_.empty()) {
-    w.Vec(z_);
-  } else {
-    std::vector<double> z = z_;
-    for (const std::vector<double>& extra : shard_extras_) {
-      for (std::size_t i = 0; i < z.size(); ++i) z[i] += extra[i];
-    }
-    w.Vec(z);
-  }
+  w.Vec(MergedZ());
   return true;
 }
 
@@ -220,6 +215,11 @@ bool TurnstileF2TriangleCounter::RestoreState(StateReader& r) {
   std::vector<double> z;
   if (!r.Vec(&z)) return false;
   if (z.size() != z_.size()) return r.Fail();
+  // A non-finite counter can only come from corruption and would poison
+  // the estimate.
+  for (double x : z) {
+    if (!std::isfinite(x)) return r.Fail();
+  }
   z_ = std::move(z);
   shard_extras_.clear();
   shard_extras_.shrink_to_fit();
@@ -238,15 +238,8 @@ bool TurnstileF2TriangleCounter::MergeFrom(
     return false;
   }
   FoldShardExtras();
-  if (rhs.shard_extras_.empty()) {
-    for (std::size_t i = 0; i < z_.size(); ++i) z_[i] += rhs.z_[i];
-  } else {
-    std::vector<double> z = rhs.z_;
-    for (const std::vector<double>& extra : rhs.shard_extras_) {
-      for (std::size_t i = 0; i < z.size(); ++i) z[i] += extra[i];
-    }
-    for (std::size_t i = 0; i < z_.size(); ++i) z_[i] += z[i];
-  }
+  const std::vector<double> z = rhs.MergedZ();
+  for (std::size_t i = 0; i < z_.size(); ++i) z_[i] += z[i];
   return true;
 }
 

@@ -98,6 +98,8 @@ class TurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
  private:
   void Apply(const Edge& e, double sign, double* z) const;
   void FoldShardExtras();
+  /// Z with any live shard scratch folded in (fixed shard order).
+  std::vector<double> MergedZ() const;
 
   Params params_;
   std::size_t num_copies_ = 0;
@@ -108,7 +110,6 @@ class TurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
   // Per-shard counter scratch for block delivery, mirroring the arb-f2
   // layout: shard s > 0 writes shard_extras_[s-1], folded in fixed order.
   std::vector<std::vector<double>> shard_extras_;
-  mutable std::vector<double> cube_scratch_;
 };
 
 }  // namespace cyclestream

@@ -98,8 +98,9 @@ class EdgeStreamAlgorithm {
   /// fields RestoreState fingerprints) and return false otherwise, leaving
   /// this instance untouched, and (b) be exact: for the sketches here every
   /// accumulator slot is an exact integer well under 2^53, so the fold is
-  /// integer addition in doubles — associative, and bit-identical to the
-  /// unsharded run at any shard count. Default: not mergeable.
+  /// integer addition (int32 or double slots) — associative, and
+  /// bit-identical to the unsharded run at any shard count. Default: not
+  /// mergeable.
   virtual bool MergeFrom(const EdgeStreamAlgorithm& other) {
     (void)other;
     return false;

@@ -88,6 +88,18 @@ class StateReader {
     if (n > 0) CopyOut(out->data(), n * sizeof(T));
     return ok_;
   }
+  /// Zero-copy view of the next `n` raw bytes (the read side of
+  /// StateWriter::Bytes); empty, with the fail state latched, if fewer
+  /// remain.
+  std::string_view Bytes(std::size_t n) {
+    if (!ok_ || n > Remaining()) {
+      Fail();
+      return {};
+    }
+    const std::string_view out = data_.substr(pos_, n);
+    pos_ += n;
+    return out;
+  }
   bool VecBool(std::vector<bool>* out,
                std::size_t max_elems = kDefaultMaxBytes) {
     const std::size_t n = Size();

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -556,6 +559,68 @@ TEST(CrashResumeTest, ShardedArbF2MidPassSnapshotRestoresIntoAnyShardCount) {
     }
     resumed.EndPass(0);
     EXPECT_EQ(resumed.Result().value, golden_value);
+  }
+}
+
+// A snapshot whose CRC is valid but whose state carries a NaN or ±inf
+// accumulator slot would silently poison every later estimate. Restore must
+// reject it — leaving the counter untouched — and the run must fall back to
+// a from-scratch execution that still produces the golden result.
+TEST(CrashResumeTest, NonFiniteArbF2SlotIsRejectedWithScratchFallback) {
+  Rng gen_rng(35);
+  const EdgeList graph = ErdosRenyiGnm(24, 60, gen_rng);
+  EdgeStream stream = graph.edges();
+  Rng order_rng(36);
+  order_rng.Shuffle(stream);
+  const auto params =
+      ArbF2Params(graph.num_vertices(), SketchBackend::kScalar, 1);
+
+  ArbF2FourCycleCounter golden(params);
+  RunEdgeStream(golden, stream);
+  const double golden_value = golden.Result().value;
+
+  const std::string dir = MakeTempDir("crash_resume_nonfinite_arbf2");
+  ArbF2FourCycleCounter victim(params);
+  CheckpointPolicy policy;
+  policy.directory = dir;
+  policy.every_elements = 1;
+  FaultPlan faults;
+  faults.KillAfterElements(stream.size() / 2);
+  RunOptions kill_options;
+  kill_options.checkpoint = &policy;
+  kill_options.faults = &faults;
+  const RunOutcome killed = RunEdgeStream(victim, stream, kill_options);
+  ASSERT_FALSE(killed.completed);
+  std::string error;
+  const std::optional<Snapshot> snap =
+      LoadSnapshot(killed.checkpoint_path, &error);
+  ASSERT_TRUE(snap.has_value()) << error;
+
+  // arbf2/1 blob: a 44-byte config header, then the A, B and C arrays,
+  // each a u64 length followed by n·C doubles.
+  const std::size_t array_bytes = (snap->state.size() - 44) / 3;
+  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (const double bad : kBad) {
+    for (std::size_t array = 0; array < 3; ++array) {
+      SCOPED_TRACE("value " + std::to_string(bad) + " in array " +
+                   std::to_string(array));
+      Snapshot poisoned = *snap;
+      std::memcpy(poisoned.state.data() + 44 + array * array_bytes + 8, &bad,
+                  sizeof(bad));
+      const std::string path = dir + "/poisoned.ckpt";
+      ASSERT_TRUE(SaveSnapshot(path, poisoned, &error)) << error;
+
+      ArbF2FourCycleCounter resumed(params);
+      RunOptions resume_options;
+      resume_options.resume_from = path;
+      const RunOutcome outcome =
+          RunEdgeStream(resumed, stream, resume_options);
+      EXPECT_TRUE(outcome.resume_rejected);
+      EXPECT_FALSE(outcome.resumed);
+      EXPECT_EQ(resumed.Result().value, golden_value);
+    }
   }
 }
 

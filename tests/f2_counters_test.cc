@@ -1,14 +1,26 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/adj_f2_counter.h"
 #include "core/adj_l2_counter.h"
 #include "core/arb_f2_counter.h"
+#include "core/turnstile_f2.h"
 #include "gen/generators.h"
 #include "graph/exact.h"
 #include "graph/graph.h"
+#include "hash/kwise_bank.h"
+#include "hash/rng.h"
+#include "sketch/median_of_means.h"
+#include "stream/dynamic/turnstile.h"
 #include "stream/order.h"
+#include "stream/window/window.h"
+#include "util/serialize.h"
 #include "util/stats.h"
 
 namespace cyclestream {
@@ -159,6 +171,255 @@ TEST(ArbF2CounterTest, EndToEndInRegime) {
   // T̂ = F2/4 carries the +F1(z)/4 structural bias; in this dense regime
   // F1 ≲ a few percent of 4T.
   EXPECT_NEAR(Summarize(estimates).median, exact, 0.2 * exact);
+}
+
+// Naive test-side reference for ArbF2FourCycleCounter: A, B and C as three
+// copy-minor double arrays (X[v·C + c]), updated with six separate sweeps,
+// estimated copy-outer, and saved in the arbf2/1 layout — the
+// representation the counter had before its int32 rows. Requires explicit
+// copies_per_group and groups so C needs no derivation.
+class ArbF2Oracle {
+ public:
+  explicit ArbF2Oracle(const ArbF2FourCycleCounter::Params& params)
+      : params_(params),
+        c_(static_cast<std::size_t>(params.copies_per_group * params.groups)),
+        n_(params.num_vertices) {
+    // The counter's seed chain: beta's seed comes off the splitmix chain
+    // before alpha's, copy by copy.
+    std::uint64_t seed = params.base.seed ^ 0x41524246ULL;
+    std::vector<std::uint64_t> alpha_seeds(c_), beta_seeds(c_);
+    for (std::size_t i = 0; i < c_; ++i) {
+      beta_seeds[i] = SplitMix64(seed);
+      alpha_seeds[i] = SplitMix64(seed);
+    }
+    const KWiseHashBank alpha_bank(4, alpha_seeds);
+    const KWiseHashBank beta_bank(4, beta_seeds);
+    alpha_.resize(n_ * c_);
+    beta_.resize(n_ * c_);
+    for (std::size_t v = 0; v < n_; ++v) {
+      alpha_bank.SignAll(v, alpha_.data() + v * c_);
+      beta_bank.SignAll(v, beta_.data() + v * c_);
+    }
+    a_.assign(n_ * c_, 0.0);
+    b_.assign(n_ * c_, 0.0);
+    cc_.assign(n_ * c_, 0.0);
+  }
+
+  std::size_t copies() const { return c_; }
+  double alpha(std::size_t v, std::size_t i) const {
+    return alpha_[v * c_ + i];
+  }
+  double& a(std::size_t v, std::size_t i) { return a_[v * c_ + i]; }
+
+  // Six separate C-length sweeps: A, B, C at u, then at v.
+  void Apply(const Edge& e, double sign) {
+    const auto sweeps = [&](std::size_t center, std::size_t neighbor) {
+      const std::size_t x = center * c_, y = neighbor * c_;
+      for (std::size_t i = 0; i < c_; ++i) a_[x + i] += sign * alpha_[y + i];
+      for (std::size_t i = 0; i < c_; ++i) b_[x + i] += sign * beta_[y + i];
+      for (std::size_t i = 0; i < c_; ++i) {
+        cc_[x + i] += sign * static_cast<double>(alpha_[y + i]) *
+                      static_cast<double>(beta_[y + i]);
+      }
+    };
+    sweeps(e.u, e.v);
+    sweeps(e.v, e.u);
+  }
+
+  void Rescale(double factor) {
+    for (std::vector<double>* x : {&a_, &b_, &cc_}) {
+      for (double& slot : *x) slot *= factor;
+    }
+  }
+
+  double F2Estimate() const {
+    std::vector<double> squares(c_);
+    for (std::size_t i = 0; i < c_; ++i) {
+      double z = 0.0;
+      for (std::size_t t = 0; t < n_; ++t) {
+        z += (a_[t * c_ + i] * b_[t * c_ + i] - cc_[t * c_ + i]) / 2.0;
+      }
+      squares[i] = 2.0 * z * z;
+    }
+    return MedianOfMeans(squares, static_cast<std::size_t>(params_.groups));
+  }
+
+  // The arbf2/1 wire layout, field by field.
+  std::string Save() const {
+    StateWriter w;
+    w.U32(params_.num_vertices);
+    w.Size(c_);
+    w.I64(params_.groups);
+    w.Double(params_.base.epsilon);
+    w.U64(params_.base.seed);
+    w.Double(params_.f1_correction);
+    w.Vec(a_);
+    w.Vec(b_);
+    w.Vec(cc_);
+    return w.Take();
+  }
+
+ private:
+  ArbF2FourCycleCounter::Params params_;
+  std::size_t c_;
+  std::size_t n_;
+  std::vector<signed char> alpha_, beta_;
+  std::vector<double> a_, b_, cc_;
+};
+
+ArbF2FourCycleCounter::Params SmallArbF2Params(VertexId n,
+                                               SketchBackend backend,
+                                               int shards) {
+  ArbF2FourCycleCounter::Params params;
+  params.base.epsilon = 0.3;
+  params.base.seed = 61;
+  params.num_vertices = n;
+  params.copies_per_group = 8;
+  params.groups = 3;
+  params.sketch_backend = backend;
+  params.intra_shards = shards;
+  return params;
+}
+
+std::string SaveBytes(const EdgeStreamAlgorithm& alg) {
+  StateWriter w;
+  EXPECT_TRUE(alg.SaveState(w));
+  return w.Take();
+}
+
+bool Restore(ArbF2FourCycleCounter& counter, const std::string& bytes) {
+  StateReader r(bytes);
+  return counter.RestoreState(r) && r.AtEnd();
+}
+
+// The arbf2/1 snapshot is three copy-minor double arrays whatever the
+// in-memory layout: pinned against the test-side encoding, both after a
+// finished pass and mid-pass with live shard scratch.
+TEST(ArbF2CounterTest, SnapshotWireLayoutIsPinned) {
+  Rng rng(62);
+  const EdgeList graph = ErdosRenyiGnm(30, 90, rng);
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto params =
+        SmallArbF2Params(30, SketchBackend::kBlock, shards);
+    ArbF2Oracle oracle(params);
+    ArbF2FourCycleCounter counter(params);
+    counter.StartPass(0, graph.num_edges());
+    counter.ProcessEdgeBlock(0, graph.edges(), 0);
+    for (const Edge& e : graph.edges()) oracle.Apply(e, +1.0);
+    EXPECT_EQ(SaveBytes(counter), oracle.Save()) << "mid-pass";
+    counter.EndPass(0);
+    EXPECT_EQ(SaveBytes(counter), oracle.Save()) << "after EndPass";
+    EXPECT_EQ(counter.F2Estimate(), oracle.F2Estimate());
+    EXPECT_FALSE(counter.double_slots());
+  }
+}
+
+// A slot at 2^31 − 2 still loads as int32; the updates that could carry it
+// past 2^31 − 1 switch the counter to double slots first, and the result
+// stays bit-identical to the double oracle — per edge and per sharded block.
+TEST(ArbF2CounterTest, SlotsSwitchToDoubleBeforeInt32Overflow) {
+  const VertexId n = 20;
+  Rng rng(63);
+  const EdgeList graph = ErdosRenyiGnm(n, 50, rng);
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto params = SmallArbF2Params(n, SketchBackend::kBlock, shards);
+    ArbF2Oracle oracle(params);
+    for (const Edge& e : graph.edges()) oracle.Apply(e, +1.0);
+    oracle.a(3, 5) = 2147483646.0;  // 2^31 − 2.
+    ArbF2FourCycleCounter counter(params);
+    ASSERT_TRUE(Restore(counter, oracle.Save()));
+    EXPECT_FALSE(counter.double_slots());
+    EXPECT_EQ(SaveBytes(counter), oracle.Save());
+
+    // Edges (3, v) with α_v = +1 in copy 5 each raise A_3 of copy 5 by one.
+    // Each vertex goes in twice, so the block is long enough to shard.
+    std::vector<Edge> raise;
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      for (VertexId v = 0; v < n; ++v) {
+        if (v != 3 && oracle.alpha(v, 5) > 0) raise.emplace_back(3, v);
+      }
+    }
+    ASSERT_GE(raise.size(), 10u);
+    counter.Insert(raise[0]);  // The bound reaches 2^31 − 1: still int32.
+    oracle.Apply(raise[0], +1.0);
+    EXPECT_FALSE(counter.double_slots());
+    counter.ProcessEdgeBlock(0, std::span<const Edge>(raise).subspan(1), 0);
+    for (std::size_t i = 1; i < raise.size(); ++i) oracle.Apply(raise[i], +1.0);
+    EXPECT_TRUE(counter.double_slots());
+    ASSERT_GT(oracle.a(3, 5), 2147483647.0);
+    counter.EndPass(0);
+    EXPECT_EQ(counter.F2Estimate(), oracle.F2Estimate());
+    EXPECT_EQ(SaveBytes(counter), oracle.Save());
+  }
+}
+
+// A decayed snapshot holds non-integral slots: it loads into double slots,
+// re-saves byte-identically and keeps tracking the oracle.
+TEST(ArbF2CounterTest, NonIntegralSnapshotLoadsAsDoubleSlots) {
+  const VertexId n = 25;
+  Rng rng(64);
+  const EdgeList graph = ErdosRenyiGnm(n, 80, rng);
+  const auto params = SmallArbF2Params(n, SketchBackend::kScalar, 1);
+  ArbF2Oracle oracle(params);
+  const std::size_t half = graph.num_edges() / 2;
+  for (std::size_t i = 0; i < half; ++i) oracle.Apply(graph.edges()[i], +1.0);
+  oracle.Rescale(0.125);
+  oracle.Apply(graph.edges()[half], +1.0);
+  const std::string snapshot = oracle.Save();
+
+  ArbF2FourCycleCounter counter(params);
+  ASSERT_TRUE(Restore(counter, snapshot));
+  EXPECT_TRUE(counter.double_slots());
+  EXPECT_EQ(SaveBytes(counter), snapshot);
+  EXPECT_EQ(counter.F2Estimate(), oracle.F2Estimate());
+  for (std::size_t i = half + 1; i < graph.num_edges(); ++i) {
+    counter.Delete(graph.edges()[i]);
+    oracle.Apply(graph.edges()[i], -1.0);
+  }
+  EXPECT_EQ(counter.F2Estimate(), oracle.F2Estimate());
+  EXPECT_EQ(SaveBytes(counter), oracle.Save());
+}
+
+// Decayed turnstile-f2-c4 across epoch boundaries: the first rescale moves
+// the counter to double slots, and at any shard count every estimate and
+// the final state equal the oracle's bit for bit.
+TEST(ArbF2CounterTest, DecayedTurnstileC4MatchesDoubleOracle) {
+  const VertexId n = 30;
+  Rng rng(65);
+  const EdgeList graph = ErdosRenyiGnm(n, 120, rng);
+  TurnstileStream stream = TurnstileFromEdges(graph.edges());
+  for (std::size_t i = 0; i < graph.num_edges(); i += 3) {
+    stream.emplace_back(graph.edges()[i], TurnstileOp::kDelete);
+  }
+  constexpr std::uint64_t kEpoch = 64;
+  constexpr std::uint32_t kLog2 = 2;
+  constexpr std::size_t kBlock = 24;
+  for (const int shards : {1, 4}) {
+    SCOPED_TRACE("intra_shards=" + std::to_string(shards));
+    const auto params = SmallArbF2Params(n, SketchBackend::kBlock, shards);
+    auto owned = std::make_unique<TurnstileF2FourCycleCounter>(params);
+    const TurnstileF2FourCycleCounter* c4 = owned.get();
+    DecayAlgorithm decayed(std::move(owned), kEpoch, kLog2);
+    ArbF2Oracle oracle(params);
+
+    decayed.StartPass(0, stream.size());
+    for (std::size_t pos = 0; pos < stream.size(); pos += kBlock) {
+      const std::size_t len = std::min(kBlock, stream.size() - pos);
+      decayed.ProcessUpdateBlock(
+          0, std::span<const TurnstileUpdate>(stream.data() + pos, len), pos);
+      for (std::size_t i = pos; i < pos + len; ++i) {
+        if (i > 0 && i % kEpoch == 0) oracle.Rescale(0.25);
+        oracle.Apply(stream[i].edge, TurnstileSign(stream[i].op));
+      }
+      EXPECT_EQ(c4->inner().double_slots(), pos + len > kEpoch);
+      EXPECT_EQ(c4->inner().F2Estimate(), oracle.F2Estimate())
+          << "after position " << pos + len;
+    }
+    decayed.EndPass(0);
+    EXPECT_EQ(SaveBytes(c4->inner()), oracle.Save());
+  }
 }
 
 TEST(AdjL2CounterTest, EndToEndOnDenseGraph) {

@@ -5,7 +5,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -19,6 +21,7 @@
 #include "gen/generators.h"
 #include "graph/binary_io.h"
 #include "hash/rng.h"
+#include "stream/checkpoint.h"
 #include "stream/driver.h"
 #include "stream/dynamic/turnstile.h"
 #include "stream/dynamic/turnstile_io.h"
@@ -501,6 +504,58 @@ TEST(WindowCheckpointTest, MismatchedWindowConfigRejectsResume) {
   EXPECT_TRUE(outcome.resume_rejected);
   EXPECT_FALSE(outcome.resumed);
   EXPECT_EQ(other.Result().value, golden.Result().value);
+}
+
+// A snapshot whose CRC is valid but whose Z counters hold a NaN or ±inf
+// would silently poison the estimate: restore must reject it and fall back
+// to a from-scratch run that matches the golden value.
+TEST(TurnstileCheckpointTest, NonFiniteTriangleCounterIsRejected) {
+  Rng gen_rng(45);
+  const EdgeList graph = ErdosRenyiGnm(30, 120, gen_rng);
+  const TurnstileStream stream = TurnstileFromEdges(graph.edges());
+  auto factory = TriangleFactory(graph.num_vertices(), 75);
+  std::unique_ptr<TurnstileStreamAlgorithm> golden = factory();
+  RunTurnstileStream(*golden, stream);
+
+  const std::string dir = MakeTempDir("turnstile_nonfinite");
+  CheckpointPolicy policy;
+  policy.directory = dir;
+  policy.every_elements = 1;
+  FaultPlan faults;
+  faults.KillAfterElements(stream.size() / 2);
+  RunOptions kill_options;
+  kill_options.checkpoint = &policy;
+  kill_options.faults = &faults;
+  std::unique_ptr<TurnstileStreamAlgorithm> victim = factory();
+  const RunOutcome killed = RunTurnstileStream(*victim, stream, kill_options);
+  ASSERT_FALSE(killed.completed);
+  std::string error;
+  const std::optional<Snapshot> snap =
+      LoadSnapshot(killed.checkpoint_path, &error);
+  ASSERT_TRUE(snap.has_value()) << error;
+
+  // turnstile-tri/1 blob: a 36-byte config header, a u64 length, then the
+  // per-copy Z doubles. Poison the first and the last.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (const std::size_t offset : {std::size_t{44}, snap->state.size() - 8}) {
+      SCOPED_TRACE("value " + std::to_string(bad) + " at byte " +
+                   std::to_string(offset));
+      Snapshot poisoned = *snap;
+      std::memcpy(poisoned.state.data() + offset, &bad, sizeof(bad));
+      const std::string path = dir + "/poisoned.ckpt";
+      ASSERT_TRUE(SaveSnapshot(path, poisoned, &error)) << error;
+
+      std::unique_ptr<TurnstileStreamAlgorithm> resumed = factory();
+      RunOptions options;
+      options.resume_from = path;
+      const RunOutcome outcome = RunTurnstileStream(*resumed, stream, options);
+      EXPECT_TRUE(outcome.resume_rejected);
+      EXPECT_FALSE(outcome.resumed);
+      EXPECT_EQ(resumed->Result().value, golden->Result().value);
+    }
+  }
 }
 
 // Decay must equal the hand-driven oracle: process an epoch, rescale by
