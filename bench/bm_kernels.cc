@@ -18,7 +18,6 @@
 
 #include "bench/bench_common.h"
 #include "core/turnstile_f2.h"
-#include "engine/broker.h"
 #include "engine/coordinator.h"
 #include "engine/query.h"
 #include "engine/shard.h"
@@ -30,11 +29,9 @@
 #include "graph/types.h"
 #include "hash/kwise.h"
 #include "hash/kwise_bank.h"
-#include "hash/kwise_kernels.h"
 #include "hash/rng.h"
 #include "sketch/ams_f2.h"
 #include "sketch/count_sketch.h"
-#include "sketch/sketch_backend.h"
 #include "stream/dynamic/turnstile.h"
 #include "stream/order.h"
 #include "stream/window/window.h"
@@ -109,16 +106,7 @@ void BM_KWiseBankAccumulateSigned(benchmark::State& state) {
 }
 BENCHMARK(BM_KWiseBankAccumulateSigned)->Arg(16)->Arg(128);
 
-// --- Block-update sketch kernels ------------------------------------------
-//
-// Arg(0) on the *Block benchmarks selects the kernel tier: 0 forces the
-// scalar twins, 1 is auto-dispatch (best SIMD tier the host supports). The
-// per-edge benchmarks alongside are the baselines the ISSUE's speedup
-// criteria are measured against.
-
-SketchSimdMode TierFromArg(std::int64_t arg) {
-  return arg == 0 ? SketchSimdMode::kScalar : SketchSimdMode::kAuto;
-}
+// --- Per-edge sketch updates ----------------------------------------------
 
 std::vector<std::uint64_t> BlockKeys(std::size_t count) {
   std::vector<std::uint64_t> keys(count);
@@ -126,24 +114,6 @@ std::vector<std::uint64_t> BlockKeys(std::size_t count) {
   for (auto& k : keys) k = SplitMix64(s);
   return keys;
 }
-
-void BM_HashBlock(benchmark::State& state) {
-  // 96 degree-3 polynomials over a 4096-key block (the broker block size):
-  // the kernel behind AmsF2::UpdateBlock and CountSketch::UpdateBlock.
-  SetSketchSimdMode(TierFromArg(state.range(0)));
-  const std::size_t n = 96;
-  const KWiseHashBank bank(4, BankSeeds(n));
-  const auto keys = BlockKeys(4096);
-  std::vector<std::uint64_t> out(n * keys.size());
-  for (auto _ : state) {
-    bank.EvalBlock(keys, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n * keys.size()));
-  SetSketchSimdMode(SketchSimdMode::kAuto);
-}
-BENCHMARK(BM_HashBlock)->Arg(0)->Arg(1);
 
 void BM_AmsF2UpdatePerEdge(benchmark::State& state) {
   // Per-edge baseline: 9 groups x 128 copies = 1152 counters per update.
@@ -158,20 +128,6 @@ void BM_AmsF2UpdatePerEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_AmsF2UpdatePerEdge);
 
-void BM_AmsF2UpdateBlock(benchmark::State& state) {
-  SetSketchSimdMode(TierFromArg(state.range(0)));
-  AmsF2 sketch(9, 128, 1);
-  const auto keys = BlockKeys(4096);
-  for (auto _ : state) {
-    sketch.UpdateBlock(keys, 1.0);
-    benchmark::DoNotOptimize(sketch);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(keys.size()));
-  SetSketchSimdMode(SketchSimdMode::kAuto);
-}
-BENCHMARK(BM_AmsF2UpdateBlock)->Arg(0)->Arg(1);
-
 void BM_CountSketchUpdatePerEdge(benchmark::State& state) {
   // Per-edge baseline: depth 5, width 512.
   CountSketch sketch(5, 512, 7);
@@ -185,60 +141,10 @@ void BM_CountSketchUpdatePerEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_CountSketchUpdatePerEdge);
 
-void BM_CountSketchUpdateBlock(benchmark::State& state) {
-  SetSketchSimdMode(TierFromArg(state.range(0)));
-  CountSketch sketch(5, 512, 7);
-  const auto keys = BlockKeys(4096);
-  for (auto _ : state) {
-    sketch.UpdateBlock(keys, 1.0);
-    benchmark::DoNotOptimize(sketch);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(keys.size()));
-  SetSketchSimdMode(SketchSimdMode::kAuto);
-}
-BENCHMARK(BM_CountSketchUpdateBlock)->Arg(0)->Arg(1);
-
-void BM_BrokerIntraQueryScaling(benchmark::State& state) {
-  // One arb-f2 query through the broker with the block backend and
-  // Arg(0) intra-query shards. Thread budget = hardware concurrency: on a
-  // multi-core host this measures real wall-clock scaling; on a single-core
-  // host ParallelFor runs the shards inline, so the numbers degrade to the
-  // sharding bookkeeping overhead rather than oversubscription noise.
-  SetDefaultThreads(0);
-  Rng gen(41);
-  const EdgeList graph = ErdosRenyiGnm(3000, 60000, gen);
-  Rng order(42);
-  const EdgeStream stream = MakeRandomOrderStream(graph, order);
-  engine::QuerySpec spec;
-  spec.name = "arb-f2";
-  spec.kind = engine::QueryKind::kArbF2;
-  spec.base.epsilon = 0.3;
-  spec.base.t_guess = 1000.0;
-  spec.base.seed = 99;
-  spec.num_vertices = graph.num_vertices();
-  spec.sketch_backend = SketchBackend::kBlock;
-  spec.intra_shards = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    engine::StreamBroker broker;  // One-shot: rebuilt per iteration.
-    broker.AddQuery(spec);
-    benchmark::DoNotOptimize(broker.RunEdgeQueries(stream));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(stream.size()));
-  SetDefaultThreads(0);
-}
-BENCHMARK(BM_BrokerIntraQueryScaling)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
 // --- Turnstile & windowing (src/stream/dynamic, src/stream/window) --------
 
 // A mixed insert/delete stream: every third edge of a G(n,m) graph is
-// deleted again, so the signed update path (TurnstileSign multiplied into
-// the block kernels) is exercised on both signs.
+// deleted again, so the signed update path is exercised on both signs.
 TurnstileStream BenchTurnstileStream(VertexId* num_vertices) {
   Rng gen(47);
   const EdgeList graph = ErdosRenyiGnm(3000, 60000, gen);
@@ -250,18 +156,13 @@ TurnstileStream BenchTurnstileStream(VertexId* num_vertices) {
   return stream;
 }
 
-// Signed update throughput of the turnstile triangle sketch. Arg(0) = 0
-// runs the scalar per-update path, 1 the batched block path (edge span +
-// ±1 sign span through the sharded kernels) — the turnstile twin of
-// BM_AmsF2UpdatePerEdge/UpdateBlock.
+// Signed update throughput of the turnstile triangle sketch.
 void BM_TurnstileUpdate(benchmark::State& state) {
   TurnstileF2TriangleCounter::Params p;
   p.base.epsilon = 0.3;
   p.base.t_guess = 1000.0;
   p.base.seed = 77;
   TurnstileStream stream = BenchTurnstileStream(&p.num_vertices);
-  p.sketch_backend =
-      state.range(0) == 0 ? SketchBackend::kScalar : SketchBackend::kBlock;
   for (auto _ : state) {
     TurnstileF2TriangleCounter alg(p);
     alg.StartPass(0, stream.size());
@@ -272,7 +173,7 @@ void BM_TurnstileUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(stream.size()));
 }
-BENCHMARK(BM_TurnstileUpdate)->Arg(0)->Arg(1);
+BENCHMARK(BM_TurnstileUpdate);
 
 // Cost of a sliding-window Result(): a fresh factory instance plus
 // MergeFrom folds of the live buckets (oldest -> newest). Arg = bucket
@@ -312,7 +213,6 @@ std::vector<engine::QuerySpec> ShardBenchSpecs(std::size_t count,
     spec.base.t_guess = 1000.0;
     spec.base.seed = 500 + i;
     spec.num_vertices = num_vertices;
-    spec.sketch_backend = SketchBackend::kBlock;
   }
   return specs;
 }

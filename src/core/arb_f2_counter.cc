@@ -10,9 +10,7 @@
 #include "hash/kwise_bank.h"
 #include "hash/rng.h"
 #include "sketch/median_of_means.h"
-#include "sketch/sharded.h"
 #include "util/check.h"
-#include "util/parallel.h"
 #include "util/serialize.h"
 
 namespace cyclestream {
@@ -55,7 +53,7 @@ ArbF2FourCycleCounter::ArbF2FourCycleCounter(const Params& params)
     alpha_bank.SignAll(v, alpha_.data() + v * c);
     beta_bank.SignAll(v, beta_.data() + v * c);
   }
-  int_.rows.assign(n * 3 * c, 0);
+  int_rows_.assign(n * 3 * c, 0);
 }
 
 namespace {
@@ -96,24 +94,6 @@ void ApplyEdge(T* rows, const signed char* alpha, const signed char* beta,
   sweep(rows + v * 3 * c, alpha + u * c, beta + u * c);
 }
 
-// Row v (3C slots) of `slots` with any live shard scratch folded in, in
-// fixed shard order: the canonical row itself, or `scratch` holding the sum
-// (cold paths only).
-template <typename Slots, typename T>
-const T* MergedRow(const Slots& slots, std::size_t v, std::size_t c,
-                   std::vector<T>* scratch) {
-  const std::size_t width = 3 * c;
-  const T* row = slots.rows.data() + v * width;
-  if (slots.extras.empty()) return row;
-  scratch->assign(row, row + width);
-  for (const std::vector<T>& extra : slots.extras) {
-    for (std::size_t i = 0; i < width; ++i) {
-      (*scratch)[i] += extra[v * width + i];
-    }
-  }
-  return scratch->data();
-}
-
 }  // namespace
 
 void ArbF2FourCycleCounter::ReserveUpdates(std::size_t updates) {
@@ -127,45 +107,22 @@ void ArbF2FourCycleCounter::ReserveUpdates(std::size_t updates) {
 
 void ArbF2FourCycleCounter::SwitchToDoubleSlots() {
   if (double_slots_) return;
-  // Every slot is an exact integer, so the fold and the conversion are
-  // exact: the values, and hence the estimate and the snapshot bytes, do
-  // not change.
-  FoldShardExtras();
-  dbl_.rows.assign(int_.rows.begin(), int_.rows.end());
-  int_ = {};
+  // Every slot is an exact integer, so the conversion is exact: the
+  // values, and hence the estimate and the snapshot bytes, do not change.
+  dbl_rows_.assign(int_rows_.begin(), int_rows_.end());
+  int_rows_ = std::vector<std::int32_t>();
   double_slots_ = true;
 }
 
 void ArbF2FourCycleCounter::ApplyBlock(std::span<const Edge> edges,
                                        const double* signs) {
   ReserveUpdates(edges.size());
-  const std::size_t W = static_cast<std::size_t>(
-      std::max(params_.intra_shards, 1));
-  const bool sharded = params_.sketch_backend == SketchBackend::kBlock &&
-                       W > 1 && edges.size() >= 2 * W;
-  VisitSlots(*this, [&](auto& slots) {
-    using T = typename std::decay_t<decltype(slots.rows)>::value_type;
-    const auto apply = [&](T* rows, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        ApplyEdge(rows, alpha_.data(), beta_.data(), num_copies_, edges[i],
-                  signs == nullptr ? T{1} : static_cast<T>(signs[i]));
-      }
-    };
-    if (!sharded) {
-      apply(slots.rows.data(), 0, edges.size());
-      return;
+  VisitSlots(*this, [&](auto& rows) {
+    using T = typename std::decay_t<decltype(rows)>::value_type;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      ApplyEdge(rows.data(), alpha_.data(), beta_.data(), num_copies_,
+                edges[i], signs == nullptr ? T{1} : static_cast<T>(signs[i]));
     }
-    if (slots.extras.empty()) {
-      slots.extras.resize(W - 1);
-      for (std::vector<T>& extra : slots.extras) {
-        extra.assign(slots.rows.size(), T{0});
-      }
-    }
-    ParallelFor(W, [&](std::size_t s) {
-      const ShardSlice slice = MakeShardSlice(edges.size(), W, s);
-      apply(s == 0 ? slots.rows.data() : slots.extras[s - 1].data(),
-            slice.begin, slice.end);
-    });
   });
 }
 
@@ -198,32 +155,10 @@ void ArbF2FourCycleCounter::ProcessSignedEdgeBlock(
 
 void ArbF2FourCycleCounter::Rescale(double factor) {
   SwitchToDoubleSlots();
-  FoldShardExtras();
-  for (double& x : dbl_.rows) x *= factor;
+  for (double& x : dbl_rows_) x *= factor;
 }
 
-void ArbF2FourCycleCounter::FoldShardExtras() {
-  // Fixed shard order 1..W−1 per slot. Every accumulator slot is an exact
-  // integer in every shard (sums of ±1 and ±1·±1 terms), so the fold is
-  // exact addition and the result equals the per-edge accumulator bit for
-  // bit. Single pass over the canonical rows: each slot reads its extras
-  // in shard order, which performs the identical additions as folding one
-  // whole shard at a time but touches the rows only once.
-  VisitSlots(*this, [](auto& slots) {
-    for (std::size_t i = 0; i < slots.rows.size(); ++i) {
-      auto x = slots.rows[i];
-      for (const auto& extra : slots.extras) x += extra[i];
-      slots.rows[i] = x;
-    }
-    slots.extras.clear();
-    slots.extras.shrink_to_fit();
-  });
-}
-
-void ArbF2FourCycleCounter::EndPass(int pass) {
-  (void)pass;
-  FoldShardExtras();
-}
+void ArbF2FourCycleCounter::EndPass(int pass) { (void)pass; }
 
 double ArbF2FourCycleCounter::F2Estimate() const {
   const std::size_t n = params_.num_vertices;
@@ -232,10 +167,9 @@ double ArbF2FourCycleCounter::F2Estimate() const {
   // vertex order 0..n−1, so z_i is bit-identical to a copy-outer walk.
   std::vector<double>& z = square_scratch_;
   z.assign(c, 0.0);
-  VisitSlots(*this, [&](const auto& slots) {
-    std::decay_t<decltype(slots.rows)> merged;
+  VisitSlots(*this, [&](const auto& rows) {
     for (std::size_t t = 0; t < n; ++t) {
-      const auto* row = MergedRow(slots, t, c, &merged);
+      const auto* row = rows.data() + t * 3 * c;
       for (std::size_t i = 0; i < c; ++i) {
         z[i] += (static_cast<double>(row[i]) *
                      static_cast<double>(row[c + i]) -
@@ -269,18 +203,15 @@ bool ArbF2FourCycleCounter::SaveState(StateWriter& w) const {
   w.U64(params_.base.seed);
   w.Double(params_.f1_correction);
   // The arbf2/1 layout: the A, B and C arrays, each a StateWriter::Vec of
-  // n·C copy-minor doubles. Written one row segment at a time, with any
-  // live shard scratch folded in (merge-then-save: the snapshot restores
-  // into any shard count, including 1).
+  // n·C copy-minor doubles, written one row segment at a time.
   const std::size_t n = params_.num_vertices;
   const std::size_t c = num_copies_;
-  VisitSlots(*this, [&](const auto& slots) {
-    std::decay_t<decltype(slots.rows)> merged;
+  VisitSlots(*this, [&](const auto& rows) {
     std::vector<double> out(c);
     for (std::size_t k = 0; k < 3; ++k) {
       w.Size(n * c);
       for (std::size_t v = 0; v < n; ++v) {
-        const auto* seg = MergedRow(slots, v, c, &merged) + k * c;
+        const auto* seg = rows.data() + v * 3 * c + k * c;
         for (std::size_t i = 0; i < c; ++i) {
           out[i] = static_cast<double>(seg[i]);
         }
@@ -322,22 +253,19 @@ bool ArbF2FourCycleCounter::RestoreState(StateReader& r) {
       max_abs = std::max(max_abs, std::fabs(x));
     }
   }
-  // The snapshot is canonical (merged); any live shard scratch is stale.
-  int_.extras = {};
-  dbl_.extras = {};
   if (fits_int32) {
-    dbl_.rows = {};
+    dbl_rows_ = std::vector<double>();
   } else {
-    int_.rows = {};
+    int_rows_ = std::vector<std::int32_t>();
   }
   double_slots_ = !fits_int32;
   slot_bound_ = fits_int32 ? static_cast<std::uint64_t>(max_abs) : 0;
-  VisitSlots(*this, [&](auto& slots) {
-    using T = typename std::decay_t<decltype(slots.rows)>::value_type;
-    slots.rows.resize(n * 3 * c);
+  VisitSlots(*this, [&](auto& rows) {
+    using T = typename std::decay_t<decltype(rows)>::value_type;
+    rows.resize(n * 3 * c);
     for (std::size_t k = 0; k < 3; ++k) {
       for (std::size_t v = 0; v < n; ++v) {
-        T* seg = slots.rows.data() + v * 3 * c + k * c;
+        T* seg = rows.data() + v * 3 * c + k * c;
         for (std::size_t i = 0; i < c; ++i) {
           seg[i] = static_cast<T>(slot(k, v * c + i));
         }
@@ -361,27 +289,17 @@ bool ArbF2FourCycleCounter::MergeFrom(const EdgeStreamAlgorithm& other) {
       rhs.params_.f1_correction != params_.f1_correction) {
     return false;
   }
-  // Fold this side's live intra-process shard scratch first so the merge
-  // operates on canonical rows; rhs is const, so its scratch is folded in
-  // row by row (the same canonicalization SaveState performs). The sum
-  // stays int32 only while both bounds together fit.
-  FoldShardExtras();
+  // The sum stays int32 only while both bounds together fit.
   if (rhs.double_slots_ || rhs.slot_bound_ > kInt32SlotMax - slot_bound_) {
     SwitchToDoubleSlots();
   } else {
     slot_bound_ += rhs.slot_bound_;
   }
-  const std::size_t width = 3 * num_copies_;
   VisitSlots(*this, [&](auto& dst) {
-    using T = typename std::decay_t<decltype(dst.rows)>::value_type;
+    using T = typename std::decay_t<decltype(dst)>::value_type;
     VisitSlots(rhs, [&](const auto& src) {
-      std::decay_t<decltype(src.rows)> merged;
-      for (std::size_t v = 0; v < params_.num_vertices; ++v) {
-        const auto* row = MergedRow(src, v, num_copies_, &merged);
-        T* out = dst.rows.data() + v * width;
-        for (std::size_t i = 0; i < width; ++i) {
-          out[i] += static_cast<T>(row[i]);
-        }
+      for (std::size_t i = 0; i < dst.size(); ++i) {
+        dst[i] += static_cast<T>(src[i]);
       }
     });
   });

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/config.h"
-#include "sketch/sketch_backend.h"
 #include "stream/driver.h"
 
 namespace cyclestream {
@@ -45,12 +44,6 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
     int copies_per_group = -1;  // <= 0 derives ⌈2/ε²⌉ capped at 512.
     int groups = 9;
     double f1_correction = 0.0;  // Optional known F₁(z) to subtract.
-    /// kBlock opts into batched ProcessEdgeBlock delivery with per-thread
-    /// accumulator shards; kScalar keeps the historical per-edge path.
-    /// Either way the estimate is bit-identical (DESIGN.md §13) — these are
-    /// throughput knobs, never recorded in deterministic manifests.
-    SketchBackend sketch_backend = SketchBackend::kScalar;
-    int intra_shards = 1;  // Worker shards per block; <=1 disables sharding.
   };
 
   explicit ArbF2FourCycleCounter(const Params& params);
@@ -63,25 +56,18 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   int NumPasses() const override { return 1; }
   void StartPass(int pass, std::size_t stream_length) override;
   void ProcessEdge(int pass, const Edge& e, std::size_t position) override;
-  /// Batched delivery. With Params{kBlock, intra_shards > 1} the block is
-  /// split into contiguous slices, each applied by a pool worker into its
-  /// own accumulator shard; EndPass folds the shards back in fixed order.
-  /// Every edge delta is an exact small integer, so the fold is exact and
-  /// the final accumulators are bit-identical to the per-edge path at any
-  /// shard count (the ShardedSketch determinism contract).
+  /// Batched delivery: the same updates, in the same order, as ProcessEdge
+  /// per edge.
   void ProcessEdgeBlock(int pass, std::span<const Edge> edges,
                         std::size_t base_position) override;
   /// Signed batched delivery (the turnstile path): edges[i] enters with
-  /// weight signs[i] ∈ {+1, −1}. Same kBlock/intra_shards gating and shard
-  /// slicing as ProcessEdgeBlock, and the same contract: bit-identical to
-  /// applying Insert/Delete per update at any shard count.
+  /// weight signs[i] ∈ {+1, −1}: the same updates as Insert/Delete per
+  /// edge.
   void ProcessSignedEdgeBlock(std::span<const Edge> edges,
                               std::span<const double> signs);
   /// Multiplies every accumulator by `factor` — the exponential-decay hook.
-  /// Folds live shard scratch first (fixed order) so the scale covers the
-  /// whole state, and switches the slots to `double`; with an exact
-  /// power-of-two factor the multiply is a pure exponent shift, lossless on
-  /// every slot.
+  /// Switches the slots to `double` first; with an exact power-of-two
+  /// factor the multiply is a pure exponent shift, lossless on every slot.
   void Rescale(double factor);
   void EndPass(int pass) override;
   std::string_view CheckpointId() const override { return "arbf2/1"; }
@@ -107,39 +93,22 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   bool double_slots() const { return double_slots_; }
 
  private:
-  /// Canonical accumulator rows plus the per-shard scratch of block
-  /// delivery: shard s > 0 writes extras[s-1] while shard 0 writes rows.
-  /// Scratch is lazily allocated on the first sharded block and folded
-  /// back at pass end; it is derived working memory — not serialized
-  /// (SaveState writes the folded, canonical form: merge-then-save) and
-  /// not counted in Result().
-  template <typename T>
-  struct Slots {
-    std::vector<T> rows;
-    std::vector<std::vector<T>> extras;
-  };
-
-  /// Calls f with the live Slots<std::int32_t> or Slots<double>.
+  /// Calls f with the live rows: int_rows_ or dbl_rows_.
   template <typename Self, typename F>
   static decltype(auto) VisitSlots(Self& self, F&& f) {
-    return self.double_slots_ ? f(self.dbl_) : f(self.int_);
+    return self.double_slots_ ? f(self.dbl_rows_) : f(self.int_rows_);
   }
 
   void Apply(const Edge& e, double sign) {
     ApplyBlock(std::span<const Edge>(&e, 1), &sign);
   }
-  /// Applies edges[i] with weight signs[i] (+1 for all when signs is null),
-  /// split across intra_shards slices for the kBlock backend.
+  /// Applies edges[i] with weight signs[i] (+1 for all when signs is null).
   void ApplyBlock(std::span<const Edge> edges, const double* signs);
 
   /// Accounts for `updates` more ±1 updates, switching to `double` slots
   /// first if they could carry an int32 slot past 2^31 − 1.
   void ReserveUpdates(std::size_t updates);
   void SwitchToDoubleSlots();
-
-  /// Folds live shard scratch into the canonical rows (fixed shard order)
-  /// and releases it. No-op when no scratch is live.
-  void FoldShardExtras();
 
   Params params_;
   std::size_t num_copies_ = 0;
@@ -148,12 +117,13 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   // KWiseHashBank (the vertex universe is known up front).
   std::vector<signed char> alpha_;
   std::vector<signed char> beta_;
-  // The accumulators; int_ is live until double_slots_, then dbl_.
-  Slots<std::int32_t> int_;
-  Slots<double> dbl_;
+  // The accumulator rows; int_rows_ is live until double_slots_, then
+  // dbl_rows_.
+  std::vector<std::int32_t> int_rows_;
+  std::vector<double> dbl_rows_;
   bool double_slots_ = false;
-  // Upper bound on |slot| (canonical plus scratch) while the slots are
-  // int32; kept at or below 2^31 − 1.
+  // Upper bound on |slot| while the slots are int32; kept at or below
+  // 2^31 − 1.
   std::uint64_t slot_bound_ = 0;
   mutable std::vector<double> square_scratch_;
 };

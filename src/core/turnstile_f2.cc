@@ -6,9 +6,7 @@
 #include "hash/kwise_bank.h"
 #include "hash/rng.h"
 #include "sketch/median_of_means.h"
-#include "sketch/sharded.h"
 #include "util/check.h"
-#include "util/parallel.h"
 #include "util/serialize.h"
 
 namespace cyclestream {
@@ -100,13 +98,12 @@ TurnstileF2TriangleCounter::TurnstileF2TriangleCounter(const Params& params)
   z_.assign(c, 0.0);
 }
 
-void TurnstileF2TriangleCounter::Apply(const Edge& e, double sign,
-                                       double* z) const {
+void TurnstileF2TriangleCounter::Apply(const Edge& e, double sign) {
   const std::size_t c = num_copies_;
   const signed char* su = sigma_.data() + static_cast<std::size_t>(e.u) * c;
   const signed char* sv = sigma_.data() + static_cast<std::size_t>(e.v) * c;
   for (std::size_t i = 0; i < c; ++i) {
-    z[i] += sign * static_cast<double>(su[i]) * static_cast<double>(sv[i]);
+    z_[i] += sign * static_cast<double>(su[i]) * static_cast<double>(sv[i]);
   }
 }
 
@@ -121,62 +118,13 @@ void TurnstileF2TriangleCounter::ProcessUpdate(int pass,
                                                std::size_t position) {
   (void)pass;
   (void)position;
-  Apply(u.edge, TurnstileSign(u.op), z_.data());
+  Apply(u.edge, TurnstileSign(u.op));
 }
 
-void TurnstileF2TriangleCounter::ProcessUpdateBlock(
-    int pass, std::span<const TurnstileUpdate> updates,
-    std::size_t base_position) {
-  (void)pass;
-  (void)base_position;
-  const std::size_t W = static_cast<std::size_t>(
-      std::max(params_.intra_shards, 1));
-  if (params_.sketch_backend != SketchBackend::kBlock || W <= 1 ||
-      updates.size() < 2 * W) {
-    for (const TurnstileUpdate& u : updates) {
-      Apply(u.edge, TurnstileSign(u.op), z_.data());
-    }
-    return;
-  }
-  if (shard_extras_.empty()) {
-    shard_extras_.assign(W - 1, std::vector<double>(num_copies_, 0.0));
-  }
-  ParallelFor(W, [&](std::size_t s) {
-    const ShardSlice slice = MakeShardSlice(updates.size(), W, s);
-    double* z = s == 0 ? z_.data() : shard_extras_[s - 1].data();
-    for (std::size_t i = slice.begin; i < slice.end; ++i) {
-      Apply(updates[i].edge, TurnstileSign(updates[i].op), z);
-    }
-  });
-}
-
-void TurnstileF2TriangleCounter::FoldShardExtras() {
-  // Fixed shard order per slot; every Z_c is an exact integer in every
-  // shard, so the fold is exact addition (see the arb-f2 fold).
-  for (std::size_t i = 0; i < z_.size(); ++i) {
-    double z = z_[i];
-    for (const std::vector<double>& extra : shard_extras_) z += extra[i];
-    z_[i] = z;
-  }
-  shard_extras_.clear();
-  shard_extras_.shrink_to_fit();
-}
-
-void TurnstileF2TriangleCounter::EndPass(int pass) {
-  (void)pass;
-  FoldShardExtras();
-}
-
-std::vector<double> TurnstileF2TriangleCounter::MergedZ() const {
-  std::vector<double> z = z_;
-  for (const std::vector<double>& extra : shard_extras_) {
-    for (std::size_t i = 0; i < z.size(); ++i) z[i] += extra[i];
-  }
-  return z;
-}
+void TurnstileF2TriangleCounter::EndPass(int pass) { (void)pass; }
 
 Estimate TurnstileF2TriangleCounter::Result() const {
-  std::vector<double> cubes = MergedZ();
+  std::vector<double> cubes = z_;
   for (double& z : cubes) z = z * z * z / 6.0;
   Estimate result;
   result.value = std::max(
@@ -189,7 +137,6 @@ Estimate TurnstileF2TriangleCounter::Result() const {
 }
 
 bool TurnstileF2TriangleCounter::Rescale(double factor) {
-  FoldShardExtras();
   for (double& z : z_) z *= factor;
   return true;
 }
@@ -202,7 +149,7 @@ bool TurnstileF2TriangleCounter::SaveState(StateWriter& w) const {
   w.I64(params_.groups);
   w.Double(params_.base.epsilon);
   w.U64(params_.base.seed);
-  w.Vec(MergedZ());
+  w.Vec(z_);
   return true;
 }
 
@@ -221,8 +168,6 @@ bool TurnstileF2TriangleCounter::RestoreState(StateReader& r) {
     if (!std::isfinite(x)) return r.Fail();
   }
   z_ = std::move(z);
-  shard_extras_.clear();
-  shard_extras_.shrink_to_fit();
   return true;
 }
 
@@ -237,9 +182,7 @@ bool TurnstileF2TriangleCounter::MergeFrom(
       rhs.params_.base.seed != params_.base.seed) {
     return false;
   }
-  FoldShardExtras();
-  const std::vector<double> z = rhs.MergedZ();
-  for (std::size_t i = 0; i < z_.size(); ++i) z_[i] += z[i];
+  for (std::size_t i = 0; i < z_.size(); ++i) z_[i] += rhs.z_[i];
   return true;
 }
 

@@ -6,7 +6,6 @@
 
 #include "core/arb_f2_counter.h"
 #include "core/config.h"
-#include "sketch/sketch_backend.h"
 #include "stream/dynamic/turnstile.h"
 
 namespace cyclestream {
@@ -35,8 +34,7 @@ class TurnstileF2FourCycleCounter : public TurnstileStreamAlgorithm {
   void ProcessUpdate(int pass, const TurnstileUpdate& u,
                      std::size_t position) override;
   /// Batched delivery: splits the block into an edge span plus a ±1 sign
-  /// span and feeds the counter's signed sharded path, preserving the
-  /// scalar≡block bit-identity contract at any intra_shards count.
+  /// span and feeds the counter's signed block path.
   void ProcessUpdateBlock(int pass, std::span<const TurnstileUpdate> updates,
                           std::size_t base_position) override;
   void EndPass(int pass) override;
@@ -74,10 +72,6 @@ class TurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
     VertexId num_vertices = 0;
     int copies_per_group = -1;  // <= 0 derives ⌈2/ε²⌉ capped at 512.
     int groups = 9;
-    /// Same block/shard throughput knobs (and the same bit-identity
-    /// contract) as ArbF2FourCycleCounter::Params.
-    SketchBackend sketch_backend = SketchBackend::kScalar;
-    int intra_shards = 1;
   };
 
   explicit TurnstileF2TriangleCounter(const Params& params);
@@ -85,8 +79,6 @@ class TurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
   void StartPass(int pass, std::size_t stream_length) override;
   void ProcessUpdate(int pass, const TurnstileUpdate& u,
                      std::size_t position) override;
-  void ProcessUpdateBlock(int pass, std::span<const TurnstileUpdate> updates,
-                          std::size_t base_position) override;
   void EndPass(int pass) override;
   Estimate Result() const override;
   bool Rescale(double factor) override;
@@ -96,10 +88,7 @@ class TurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
   bool MergeFrom(const TurnstileStreamAlgorithm& other) override;
 
  private:
-  void Apply(const Edge& e, double sign, double* z) const;
-  void FoldShardExtras();
-  /// Z with any live shard scratch folded in (fixed shard order).
-  std::vector<double> MergedZ() const;
+  void Apply(const Edge& e, double sign);
 
   Params params_;
   std::size_t num_copies_ = 0;
@@ -107,9 +96,6 @@ class TurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
   std::vector<signed char> sigma_;
   // Per-copy counters Z_c (exact integers while |Z| < 2^53).
   std::vector<double> z_;
-  // Per-shard counter scratch for block delivery, mirroring the arb-f2
-  // layout: shard s > 0 writes shard_extras_[s-1], folded in fixed order.
-  std::vector<std::vector<double>> shard_extras_;
 };
 
 }  // namespace cyclestream

@@ -135,9 +135,7 @@ void RunWave(Source& source, const BrokerOptions& options,
     // per-query call sequence is the exact standalone sequence — the block
     // barrier only bounds how far queries can drift apart in the stream.
     // With a single active query the outer ParallelFor is bypassed entirely
-    // (not even a 1-wide region): util/parallel.h runs nested ParallelFor
-    // calls serially inline, so the bypass is what lets a lone query's own
-    // intra-query shards (ProcessEdgeBlock) actually use the pool.
+    // (not even a 1-wide region).
     ++stats.physical_passes;
     const std::size_t shards =
         std::min(active.size(), static_cast<std::size_t>(DefaultThreads()));
@@ -368,8 +366,7 @@ void ExportToManifest(const std::vector<QueryOutcome>& outcomes,
     q.SetInt("budget_words",
              static_cast<std::int64_t>(out.spec.space_budget_words));
     // Window/decay knobs change results, so they belong in the
-    // deterministic section (unlike the sketch_backend/intra_shards
-    // throughput knobs, which are deliberately absent).
+    // deterministic section.
     if (out.spec.window_edges > 0) {
       q.SetInt("window", static_cast<std::int64_t>(out.spec.window_edges));
       q.SetInt("window_buckets",

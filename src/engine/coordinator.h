@@ -23,8 +23,7 @@ namespace cyclestream::engine {
 /// Determinism contract: every query's merged state — and therefore every
 /// estimate, space audit, and deterministic manifest field — is
 /// bit-identical to the single-process StreamBroker run of the same specs
-/// over the same stream, at any W. The argument is the ShardedSketch one,
-/// crossed over the process boundary: shard states are sums of exact
+/// over the same stream, at any W. Shard states are sums of exact
 /// integer deltas (each well under 2^53, held in doubles), the stream
 /// partition is contiguous and exhaustive, and the fold visits shards in
 /// fixed order 0..W−1 — so the merged accumulators receive exactly the

@@ -189,8 +189,6 @@ EdgeQuery MakeEdgeQuery(const QuerySpec& spec) {
       ArbF2FourCycleCounter::Params p;
       p.base = spec.base;
       p.num_vertices = spec.num_vertices;
-      p.sketch_backend = spec.sketch_backend;
-      p.intra_shards = spec.intra_shards;
       return WrapEdge(std::make_unique<ArbF2FourCycleCounter>(p));
     }
     case QueryKind::kArbThreePass: {
@@ -257,8 +255,6 @@ TurnstileQuery MakeTurnstileQuery(const QuerySpec& spec) {
       TurnstileF2TriangleCounter::Params p;
       p.base = spec.base;
       p.num_vertices = spec.num_vertices;
-      p.sketch_backend = spec.sketch_backend;
-      p.intra_shards = spec.intra_shards;
       factory = [p] { return std::make_unique<TurnstileF2TriangleCounter>(p); };
       break;
     }
@@ -266,8 +262,6 @@ TurnstileQuery MakeTurnstileQuery(const QuerySpec& spec) {
       TurnstileF2FourCycleCounter::Params p;
       p.base = spec.base;
       p.num_vertices = spec.num_vertices;
-      p.sketch_backend = spec.sketch_backend;
-      p.intra_shards = spec.intra_shards;
       factory = [p] { return std::make_unique<TurnstileF2FourCycleCounter>(p); };
       break;
     }

@@ -10,7 +10,6 @@
 
 #include "core/config.h"
 #include "graph/types.h"
-#include "sketch/sketch_backend.h"
 #include "stream/driver.h"
 #include "stream/dynamic/turnstile.h"
 
@@ -83,13 +82,6 @@ struct QuerySpec {
   /// against the aggregate budget. 0 = unbudgeted (admitted only when no
   /// aggregate budget is configured).
   std::size_t space_budget_words = 0;
-  /// Update-path knobs for sketch-backed kinds (currently arb-f2): kBlock
-  /// routes the broker's blocks through the batched kernels, intra_shards
-  /// splits each block across that many pool workers. Pure throughput knobs
-  /// — estimates and space audits are bit-identical at any setting, so
-  /// neither is exported to the deterministic manifest.
-  SketchBackend sketch_backend = SketchBackend::kScalar;
-  int intra_shards = 1;
   /// Time-decay knobs (turnstile kinds only; window and decay are mutually
   /// exclusive — ValidateSpecWindowing enforces the constraints). All four
   /// change results, so they are spec-fingerprinted and exported to the

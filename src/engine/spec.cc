@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/check.h"
+#include "util/io.h"
 #include "util/serialize.h"
 
 namespace cyclestream::engine {
@@ -147,19 +148,6 @@ bool ParseSpecStream(std::istream& in, const std::string& label,
                       "got '" + value + "'");
         }
         spec.decay_log2 = static_cast<std::uint32_t>(u);
-      } else if (key == "sketch_backend") {
-        const auto backend = ParseSketchBackend(value);
-        if (!backend.has_value()) {
-          return fail("sketch_backend must be scalar or block, got '" +
-                      value + "'");
-        }
-        spec.sketch_backend = *backend;
-      } else if (key == "intra_shards") {
-        if (!ParseU64Strict(value, &u) || u == 0 || u > 4096) {
-          return fail("key 'intra_shards' expects an integer in [1, 4096], "
-                      "got '" + value + "'");
-        }
-        spec.intra_shards = static_cast<int>(u);
       } else {
         return fail("unknown key '" + key + "'");
       }
@@ -207,27 +195,16 @@ std::string FormatSpecLine(const QuerySpec& spec) {
   out += " window_buckets=" + std::to_string(spec.window_buckets);
   out += " decay_epoch=" + std::to_string(spec.decay_epoch_edges);
   out += " decay_log2=" + std::to_string(spec.decay_log2);
-  out += " sketch_backend=" + std::string(SketchBackendName(spec.sketch_backend));
-  out += " intra_shards=" + std::to_string(spec.intra_shards);
   return out;
 }
 
 bool WriteSpecFile(const std::string& path,
                    const std::vector<QuerySpec>& specs, std::string* error) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open spec file " + path;
-    return false;
-  }
-  out << "# resolved query specs (engine/spec.cc); parsed by serve and the\n"
-         "# shard workers.\n";
-  for (const QuerySpec& spec : specs) out << FormatSpecLine(spec) << "\n";
-  out.flush();
-  if (!out) {
-    if (error != nullptr) *error = "write failed for spec file " + path;
-    return false;
-  }
-  return true;
+  std::string out =
+      "# resolved query specs (engine/spec.cc); parsed by serve and the\n"
+      "# shard workers.\n";
+  for (const QuerySpec& spec : specs) out += FormatSpecLine(spec) + "\n";
+  return io::WriteFileAtomic(path, out, error);
 }
 
 std::uint64_t FingerprintSpecs(const std::vector<QuerySpec>& specs) {

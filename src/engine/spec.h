@@ -18,13 +18,13 @@ namespace cyclestream::engine {
 /// precision and re-parse to the identical bits).
 ///
 /// Keys: name, kind, seed, budget, epsilon, c, t_guess, level_rate,
-/// prefix_rate, reservoir, sketch_backend, intra_shards, num_vertices,
-/// window, window_buckets, decay_epoch, decay_log2.
+/// prefix_rate, reservoir, num_vertices, window, window_buckets,
+/// decay_epoch, decay_log2.
 ///
 /// Parsing is strict: every numeric value must be fully consumed (a
 /// trailing-garbage token like `seed=5x` is an error, not 5), and the
-/// unsigned keys (seed, budget, reservoir, num_vertices, intra_shards)
-/// reject a leading `-` instead of wrapping through the unsigned parse.
+/// unsigned keys (seed, budget, reservoir, num_vertices) reject a leading
+/// `-` instead of wrapping through the unsigned parse.
 /// Any malformation fails the whole file with a `<label>:<line>:` error.
 
 /// Parses `in`, appending one QuerySpec per non-empty line. `label` names
@@ -43,16 +43,14 @@ bool ParseSpecFile(const std::string& path, const QuerySpec& defaults,
 /// One spec as a parseable line (every key explicit, doubles exact).
 std::string FormatSpecLine(const QuerySpec& spec);
 
-/// Writes `specs` as a spec file (one FormatSpecLine per query). False with
-/// `*error` set on I/O failure.
+/// Writes `specs` as a spec file (one FormatSpecLine per query) through
+/// io::WriteFileAtomic. False with `*error` set on I/O failure.
 bool WriteSpecFile(const std::string& path,
                    const std::vector<QuerySpec>& specs, std::string* error);
 
 /// Order-sensitive fingerprint over every spec field that changes results.
 /// Binds shard state files and epoch checkpoints to the exact query set
-/// that produced them; excludes the sketch_backend/intra_shards throughput
-/// knobs (they never change results, matching the deterministic-manifest
-/// rule).
+/// that produced them.
 std::uint64_t FingerprintSpecs(const std::vector<QuerySpec>& specs);
 
 }  // namespace cyclestream::engine

@@ -14,6 +14,7 @@
 
 #include "util/check.h"
 #include "util/crc32.h"
+#include "util/io.h"
 #include "util/logging.h"
 
 namespace cyclestream {
@@ -70,13 +71,9 @@ bool WriteBinaryEdgeStream(const Edge* edges, std::size_t count,
   PutU32(header + 24, Crc32(std::string_view(payload, payload_size)));
   PutU32(header + 28, 0);
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Fail(error, "cannot open for writing: " + path);
-  out.write(header, sizeof(header));
-  out.write(payload, static_cast<std::streamsize>(payload_size));
-  out.flush();
-  if (!out) return Fail(error, "write failed: " + path);
-  return true;
+  std::string bytes(header, sizeof(header));
+  bytes.append(payload, payload_size);
+  return io::WriteFileAtomic(path, bytes, error);
 }
 
 bool WriteBinaryEdgeStream(const EdgeList& edges, const std::string& path,

@@ -51,8 +51,8 @@ std::uint32_t SniffBinaryFormatVersion(const std::string& path);
 
 /// Writes `count` edges (order preserved) as a binary edge stream. Edges
 /// must already be canonical (u < v < num_vertices); a violation is a
-/// programming error and aborts. Returns false and sets `*error` on I/O
-/// failure.
+/// programming error and aborts. The file is written durably through
+/// io::WriteFileAtomic. Returns false and sets `*error` on I/O failure.
 bool WriteBinaryEdgeStream(const Edge* edges, std::size_t count,
                            VertexId num_vertices, const std::string& path,
                            std::string* error = nullptr);

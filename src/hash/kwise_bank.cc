@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "hash/kwise_kernels.h"
 #include "hash/mersenne.h"
 #include "hash/rng.h"
 #include "util/check.h"
@@ -163,42 +162,6 @@ void KWiseHashBank::AccumulateSigned(std::uint64_t x, double delta,
   }
 }
 
-void KWiseHashBank::EnsureBlockTables() const {
-  if (!split_lo_.empty() || coeffs_.empty()) return;
-  split_lo_.resize(coeffs_.size());
-  split_hi_.resize(coeffs_.size());
-  for (std::size_t i = 0; i < coeffs_.size(); ++i) {
-    split_lo_[i] = coeffs_[i] & ((1ULL << 31) - 1);
-    split_hi_[i] = coeffs_[i] >> 31;
-  }
-}
-
-internal::SketchBankView KWiseHashBank::BlockView() const {
-  EnsureBlockTables();
-  internal::SketchBankView view;
-  view.k = k_;
-  view.n = n_;
-  view.coeffs = coeffs_.data();
-  view.lo31 = split_lo_.empty() ? nullptr : split_lo_.data();
-  view.hi31 = split_hi_.empty() ? nullptr : split_hi_.data();
-  return view;
-}
-
-void KWiseHashBank::AccumulateSignedBlock(std::span<const std::uint64_t> keys,
-                                          double delta,
-                                          double* counters) const {
-  if (keys.empty() || n_ == 0) return;
-  internal::PickSketchKernels().accumulate_signed_block(
-      BlockView(), keys.data(), keys.size(), delta, counters);
-}
-
-void KWiseHashBank::EvalBlock(std::span<const std::uint64_t> keys,
-                              std::uint64_t* out) const {
-  if (keys.empty() || n_ == 0) return;
-  internal::PickSketchKernels().eval_block(BlockView(), keys.data(),
-                                           keys.size(), out);
-}
-
 std::uint64_t KWiseHashBank::Eval(std::size_t i, std::uint64_t x) const {
   const std::uint64_t xm = ReduceMod61(x);
   std::uint64_t acc = 0;
@@ -229,9 +192,6 @@ bool KWiseHashBank::RestoreState(StateReader& r) {
   k_ = k;
   n_ = n;
   coeffs_ = std::move(coeffs);
-  // Derived split tables are a cache over coeffs_ — drop any stale copy.
-  split_lo_.clear();
-  split_hi_.clear();
   return true;
 }
 

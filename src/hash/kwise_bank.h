@@ -12,10 +12,6 @@ namespace cyclestream {
 class StateWriter;
 class StateReader;
 
-namespace internal {
-struct SketchBankView;
-}  // namespace internal
-
 /// A bank of N independent k-wise hashes evaluated together.
 ///
 /// Every sketch in this library runs many independent copies of the same
@@ -60,18 +56,6 @@ class KWiseHashBank {
   /// The Horner tiles feed the counters directly; no scratch needed.
   void AccumulateSigned(std::uint64_t x, double delta, double* counters) const;
 
-  /// Block form of AccumulateSigned over keys[0..count): counters[i]
-  /// += delta · sign_i(keys[b]) for every b, applied in key order so each
-  /// counter sees the identical IEEE addition sequence the per-key loop
-  /// would issue. Routed through the active SIMD tier (SetSketchSimdMode);
-  /// every tier is bit-identical to the scalar path.
-  void AccumulateSignedBlock(std::span<const std::uint64_t> keys, double delta,
-                             double* counters) const;
-
-  /// Block form of EvalAll: out[b·size() + i] = h_i(keys[b]) ∈ [0, p).
-  /// `out` must hold keys.size() · size() entries.
-  void EvalBlock(std::span<const std::uint64_t> keys, std::uint64_t* out) const;
-
   /// Scalar evaluation of a single member (for cold paths like query-time
   /// re-derivation of one copy's randomness). Identical value to EvalAll[i].
   std::uint64_t Eval(std::size_t i, std::uint64_t x) const;
@@ -92,21 +76,9 @@ class KWiseHashBank {
   bool RestoreState(StateReader& r);
 
  private:
-  /// Builds the view handed to the block kernels, materializing the derived
-  /// power-basis split tables on first use. The tables are a cache over
-  /// coeffs_ (split_lo_[j·n+i] = c & (2³¹−1), split_hi_ = c >> 31): they are
-  /// not counted by SpaceWords and not serialized — a restored bank rebuilds
-  /// them lazily. Lazy build mutates the mutable members, so like the sketch
-  /// scratch buffers the first block call is not thread-safe; shard workers
-  /// share a bank only after it is warm (ShardedSketch merges serially).
-  internal::SketchBankView BlockView() const;
-  void EnsureBlockTables() const;
-
   int k_ = 0;
   std::size_t n_ = 0;
   std::vector<std::uint64_t> coeffs_;  // coeffs_[j * n_ + i] = c_j of hash i.
-  mutable std::vector<std::uint64_t> split_lo_;  // Derived, lazy; see above.
-  mutable std::vector<std::uint64_t> split_hi_;
 };
 
 }  // namespace cyclestream

@@ -23,18 +23,6 @@ void AmsF2::Update(std::uint64_t key, double delta) {
   signs_.AccumulateSigned(key, delta, counters_.data());
 }
 
-void AmsF2::UpdateBlock(std::span<const std::uint64_t> keys, double delta) {
-  signs_.AccumulateSignedBlock(keys, delta, counters_.data());
-}
-
-void AmsF2::MergeFrom(const AmsF2& other) {
-  CHECK_EQ(groups_, other.groups_);
-  CHECK_EQ(counters_.size(), other.counters_.size());
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += other.counters_[i];
-  }
-}
-
 double AmsF2::Estimate() const {
   square_scratch_.resize(counters_.size());
   for (std::size_t i = 0; i < counters_.size(); ++i) {

@@ -2,7 +2,6 @@
 #define CYCLESTREAM_SKETCH_AMS_F2_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "hash/kwise_bank.h"
@@ -33,18 +32,6 @@ class AmsF2 {
 
   /// x[key] += delta.
   void Update(std::uint64_t key, double delta);
-
-  /// x[keys[b]] += delta for every key of the block, in key order. Routed
-  /// through the block kernels (hash/kwise_kernels.h); bit-identical to
-  /// calling Update per key regardless of the active SIMD tier.
-  void UpdateBlock(std::span<const std::uint64_t> keys, double delta);
-
-  /// Adds `other`'s counters into this sketch. Both must share (groups,
-  /// per_group, seed): a sketch fed the union of two disjoint update
-  /// sequences equals the merge of two sketches fed the halves, because
-  /// integer-valued signed sums commute exactly in doubles (the ShardedSketch
-  /// determinism contract — DESIGN.md §13).
-  void MergeFrom(const AmsF2& other);
 
   /// Median-of-means estimate of F₂(x).
   double Estimate() const;

@@ -1,7 +1,6 @@
 #include "sketch/count_sketch.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "hash/rng.h"
 #include "util/check.h"
@@ -47,53 +46,6 @@ void CountSketch::Update(std::uint64_t key, double delta) {
   for (std::size_t r = 0; r < depth_; ++r) {
     table_[r * width_ + bucket_scratch_[r]] +=
         (sign_scratch_[r] & 1ULL) ? delta : -delta;
-  }
-}
-
-void CountSketch::UpdateBlock(std::span<const std::uint64_t> keys,
-                              double delta) {
-  // Bound the hash scratch to a fixed chunk of keys so a 4096-edge broker
-  // block with depth 5 stays within ~2×40 KiB regardless of block size.
-  constexpr std::size_t kChunk = 1024;
-  while (!keys.empty()) {
-    const std::size_t n = std::min(kChunk, keys.size());
-    const std::span<const std::uint64_t> chunk = keys.first(n);
-    block_bucket_scratch_.resize(n * depth_);
-    block_sign_scratch_.resize(n * depth_);
-    bucket_hashes_.EvalBlock(chunk, block_bucket_scratch_.data());
-    sign_hashes_.EvalBlock(chunk, block_sign_scratch_.data());
-    // Branchless sign select: the sign bits are random, so a `? delta :
-    // -delta` ternary mispredicts half the time; flipping the IEEE sign bit
-    // directly produces the identical double without a branch.
-    const std::uint64_t delta_bits = std::bit_cast<std::uint64_t>(delta);
-    for (std::size_t b = 0; b < n; ++b) {
-      const std::uint64_t* buckets = block_bucket_scratch_.data() + b * depth_;
-      const std::uint64_t* signs = block_sign_scratch_.data() + b * depth_;
-      if (mask_ != 0) {
-        for (std::size_t r = 0; r < depth_; ++r) {
-          const std::uint64_t bucket = buckets[r] & mask_;
-          const double signed_delta = std::bit_cast<double>(
-              delta_bits ^ (((signs[r] & 1ULL) ^ 1ULL) << 63));
-          table_[r * width_ + bucket] += signed_delta;
-        }
-      } else {
-        for (std::size_t r = 0; r < depth_; ++r) {
-          const std::uint64_t bucket = buckets[r] % width_;
-          const double signed_delta = std::bit_cast<double>(
-              delta_bits ^ (((signs[r] & 1ULL) ^ 1ULL) << 63));
-          table_[r * width_ + bucket] += signed_delta;
-        }
-      }
-    }
-    keys = keys.subspan(n);
-  }
-}
-
-void CountSketch::MergeFrom(const CountSketch& other) {
-  CHECK_EQ(depth_, other.depth_);
-  CHECK_EQ(width_, other.width_);
-  for (std::size_t i = 0; i < table_.size(); ++i) {
-    table_[i] += other.table_[i];
   }
 }
 

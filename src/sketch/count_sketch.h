@@ -2,7 +2,6 @@
 #define CYCLESTREAM_SKETCH_COUNT_SKETCH_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "hash/kwise_bank.h"
@@ -29,16 +28,6 @@ class CountSketch {
 
   /// x[key] += delta.
   void Update(std::uint64_t key, double delta);
-
-  /// x[keys[b]] += delta for every key of the block, in key order. Hashes
-  /// the whole block through both banks at once (chunked to bound scratch),
-  /// then applies the bucket updates scalar, row-ascending per key — the
-  /// exact IEEE addition sequence the per-key loop issues.
-  void UpdateBlock(std::span<const std::uint64_t> keys, double delta);
-
-  /// Adds `other`'s table into this sketch. Both must share (depth, width,
-  /// seed); see AmsF2::MergeFrom for the determinism contract.
-  void MergeFrom(const CountSketch& other);
 
   /// Median-over-rows point estimate of x[key].
   double Query(std::uint64_t key) const;
@@ -78,9 +67,6 @@ class CountSketch {
   mutable std::vector<std::uint64_t> bucket_scratch_;
   mutable std::vector<std::uint64_t> sign_scratch_;
   mutable std::vector<double> row_scratch_;
-  // Block scratch: one chunk of hashed buckets/signs (UpdateBlock).
-  mutable std::vector<std::uint64_t> block_bucket_scratch_;
-  mutable std::vector<std::uint64_t> block_sign_scratch_;
 };
 
 }  // namespace cyclestream

@@ -56,38 +56,6 @@ void L2Sampler::Update(std::uint64_t key, double delta) {
   }
 }
 
-void L2Sampler::UpdateBlock(std::span<const std::uint64_t> keys,
-                            double delta) {
-  f2_.UpdateBlock(keys, delta);
-  constexpr std::size_t kChunk = 256;
-  const std::size_t copies = copies_.size();
-  while (!keys.empty()) {
-    const std::size_t n = std::min(kChunk, keys.size());
-    block_unit_scratch_.resize(n * copies);
-    u_bank_.EvalBlock(keys.first(n), block_unit_scratch_.data());
-    for (std::size_t b = 0; b < n; ++b) {
-      const std::uint64_t key = keys[b];
-      const std::uint64_t* units = block_unit_scratch_.data() + b * copies;
-      for (std::size_t c = 0; c < copies; ++c) {
-        Copy& copy = copies_[c];
-        // units[c] is canonical, so dividing by p gives the same double
-        // ToUnitAll produces.
-        const double u = static_cast<double>(units[c]) /
-                         static_cast<double>(KWiseHashBank::kPrime);
-        const double scale = ClampedScale(u);
-        const double z =
-            std::abs(copy.sketch.UpdateAndQuery(key, delta * scale));
-        if (!copy.has_candidate || z > copy.best_z || key == copy.best_key) {
-          copy.best_key = key;
-          copy.best_z = z;
-          copy.has_candidate = true;
-        }
-      }
-    }
-    keys = keys.subspan(n);
-  }
-}
-
 std::vector<L2Sampler::Sample> L2Sampler::DrawAll() const {
   std::vector<Sample> samples;
   const double f2 = std::max(EstimateF2(), 0.0);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "hash/kwise_bank.h"
@@ -51,15 +50,6 @@ class L2Sampler {
   /// x[key] += delta.
   void Update(std::uint64_t key, double delta);
 
-  /// x[keys[b]] += delta for every key of the block. Batches the F₂ sketch
-  /// and the scaling-hash evaluations through the block kernels; the
-  /// per-copy CountSketch touches stay sequential per key because each
-  /// UpdateAndQuery reads state the previous key wrote. Final sampler state
-  /// (and thus SaveState bytes) is identical to per-key Update calls. Note
-  /// the candidate bookkeeping makes the sampler order-dependent, so it is
-  /// NOT mergeable — no MergeFrom, and ShardedSketch must not wrap it.
-  void UpdateBlock(std::span<const std::uint64_t> keys, double delta);
-
   struct Sample {
     std::uint64_t key = 0;
     double value_estimate = 0.0;  // Estimate of x[key].
@@ -101,7 +91,6 @@ class L2Sampler {
   std::vector<Copy> copies_;
   AmsF2 f2_;
   std::vector<double> unit_scratch_;  // Per-update u values, all copies.
-  mutable std::vector<std::uint64_t> block_unit_scratch_;  // UpdateBlock.
 };
 
 }  // namespace cyclestream

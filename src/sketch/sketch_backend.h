@@ -1,32 +1,6 @@
 #ifndef CYCLESTREAM_SKETCH_SKETCH_BACKEND_H_
 #define CYCLESTREAM_SKETCH_SKETCH_BACKEND_H_
 
-#include <optional>
-#include <string_view>
-
-namespace cyclestream {
-
-/// Which update path a sketch-backed query drives.
-///
-/// kScalar is the historical per-edge path: each stream element calls
-/// Update(key, delta) as it arrives. kBlock batches the broker's edge
-/// blocks through the UpdateBlock entry points (hash/kwise_kernels block
-/// evaluation plus optional per-thread shards — see sketch/sharded.h).
-/// Both backends produce bit-identical sketch state; the choice is purely
-/// a throughput knob, which is why it is never recorded in deterministic
-/// manifests.
-enum class SketchBackend { kScalar, kBlock };
-
-inline const char* SketchBackendName(SketchBackend b) {
-  return b == SketchBackend::kBlock ? "block" : "scalar";
-}
-
-inline std::optional<SketchBackend> ParseSketchBackend(std::string_view s) {
-  if (s == "scalar") return SketchBackend::kScalar;
-  if (s == "block") return SketchBackend::kBlock;
-  return std::nullopt;
-}
-
-}  // namespace cyclestream
+// Intentionally empty: cyclebench/harness.cc still includes this header.
 
 #endif  // CYCLESTREAM_SKETCH_SKETCH_BACKEND_H_

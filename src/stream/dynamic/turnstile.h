@@ -28,7 +28,7 @@ enum class TurnstileOp : std::uint8_t { kInsert = 0, kDelete = 1 };
 
 /// ±1.0 update sign: every accumulator delta is sign · (±1 term), an exact
 /// small integer, which is what makes cancellation, sharding, and merges
-/// bit-exact (the ShardedSketch determinism contract).
+/// bit-exact.
 inline double TurnstileSign(TurnstileOp op) {
   return op == TurnstileOp::kInsert ? +1.0 : -1.0;
 }

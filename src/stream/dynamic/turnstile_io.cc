@@ -7,7 +7,6 @@
 
 #include <bit>
 #include <cstring>
-#include <fstream>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -15,6 +14,7 @@
 #include "graph/binary_io.h"
 #include "util/check.h"
 #include "util/crc32.h"
+#include "util/io.h"
 
 namespace cyclestream {
 namespace {
@@ -72,13 +72,8 @@ bool WriteTurnstileStream(const TurnstileUpdate* updates, std::size_t count,
   PutU32(header + 24, Crc32(std::string_view(payload)));
   PutU32(header + 28, 0);
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Fail(error, "cannot open for writing: " + path);
-  out.write(header, sizeof(header));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.flush();
-  if (!out) return Fail(error, "write failed: " + path);
-  return true;
+  payload.insert(0, header, sizeof(header));
+  return io::WriteFileAtomic(path, payload, error);
 }
 
 bool TurnstileBinaryReader::Open(const std::string& path, std::string* error) {

@@ -40,7 +40,8 @@ inline constexpr std::size_t kTurnstileRecordSize = 9;
 
 /// Writes `count` updates (order preserved) as a v2 turnstile stream.
 /// Edges must be canonical (u < v < num_vertices); a violation aborts.
-/// Returns false and sets `*error` on I/O failure.
+/// The file is written durably through io::WriteFileAtomic. Returns false
+/// and sets `*error` on I/O failure.
 bool WriteTurnstileStream(const TurnstileUpdate* updates, std::size_t count,
                           VertexId num_vertices, const std::string& path,
                           std::string* error = nullptr);

@@ -157,8 +157,7 @@ void RunManifest::WriteImpl(std::ostream& os, bool deterministic_only) const {
         (name == "threads" || name == "checkpoint_dir" ||
          name == "checkpoint_every" || name == "resume" ||
          name == "kill_after" || name == "json_out" ||
-         name == "json_det_out" || name == "sketch_backend" ||
-         name == "intra_threads" ||
+         name == "json_det_out" ||
          // Shard execution policy (DESIGN.md §14): the worker count, the
          // launch mechanics, and fault injection are required to be
          // result-invariant — a W-shard manifest must compare equal to the

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -8,7 +7,6 @@
 #include <fstream>
 #include <limits>
 #include <optional>
-#include <span>
 #include <string>
 
 #include "baselines/triest.h"
@@ -454,39 +452,32 @@ TEST(CrashResumeTest, MismatchedResumeIsRejected) {
   }
 }
 
-ArbF2FourCycleCounter::Params ArbF2Params(VertexId n, SketchBackend backend,
-                                          int shards) {
+ArbF2FourCycleCounter::Params ArbF2Params(VertexId n) {
   ArbF2FourCycleCounter::Params params;
   params.base.epsilon = 0.5;
   params.base.t_guess = 64.0;
   params.base.seed = 29;
   params.num_vertices = n;
-  params.sketch_backend = backend;
-  params.intra_shards = shards;
   return params;
 }
 
-// Kill-point sweep for a *sharded* query spec: the checkpointing driver path
-// is strictly per-edge, so a block+sharded configuration must checkpoint and
-// resume exactly like the scalar one — and every resumed estimate must match
-// the scalar golden run bit for bit.
-TEST(CrashResumeTest, EveryKillPointResumesBitIdenticalShardedArbF2) {
+// Kill-point sweep for arb-f2: every resumed estimate must match the
+// uninterrupted golden run bit for bit.
+TEST(CrashResumeTest, EveryKillPointResumesBitIdenticalArbF2) {
   Rng gen_rng(19);
   const EdgeList graph = ErdosRenyiGnm(24, 60, gen_rng);
   EdgeStream stream = graph.edges();
   Rng order_rng(20);
   order_rng.Shuffle(stream);
 
-  ArbF2FourCycleCounter golden(
-      ArbF2Params(graph.num_vertices(), SketchBackend::kScalar, 1));
+  ArbF2FourCycleCounter golden(ArbF2Params(graph.num_vertices()));
   RunEdgeStream(golden, stream);
   const double golden_value = golden.Result().value;
   const std::size_t golden_space = golden.Result().space_words;
 
   const std::string dir = MakeTempDir("crash_resume_sharded_arbf2");
   for (std::uint64_t kill = 1; kill < stream.size(); ++kill) {
-    ArbF2FourCycleCounter victim(
-        ArbF2Params(graph.num_vertices(), SketchBackend::kBlock, 4));
+    ArbF2FourCycleCounter victim(ArbF2Params(graph.num_vertices()));
     CheckpointPolicy policy;
     policy.directory = dir;
     policy.every_elements = 1;
@@ -499,11 +490,7 @@ TEST(CrashResumeTest, EveryKillPointResumesBitIdenticalShardedArbF2) {
     ASSERT_FALSE(killed.completed);
     ASSERT_FALSE(killed.checkpoint_path.empty());
 
-    // Resume into a *different* shard count: snapshots are canonical
-    // (merge-then-save), so the shard count is free to change across the
-    // crash.
-    ArbF2FourCycleCounter resumed(
-        ArbF2Params(graph.num_vertices(), SketchBackend::kBlock, 8));
+    ArbF2FourCycleCounter resumed(ArbF2Params(graph.num_vertices()));
     RunOptions resume_options;
     resume_options.resume_from = killed.checkpoint_path;
     const RunOutcome outcome = RunEdgeStream(resumed, stream, resume_options);
@@ -512,53 +499,6 @@ TEST(CrashResumeTest, EveryKillPointResumesBitIdenticalShardedArbF2) {
     EXPECT_EQ(resumed.Result().value, golden_value) << "kill point " << kill;
     EXPECT_EQ(resumed.Result().space_words, golden_space)
         << "kill point " << kill;
-  }
-}
-
-// Mid-pass snapshot of a sharded counter with *live* (unfolded) shard
-// scratch: SaveState must write the canonical merged form, and that snapshot
-// must restore into any shard count and finish to the golden result.
-TEST(CrashResumeTest, ShardedArbF2MidPassSnapshotRestoresIntoAnyShardCount) {
-  Rng gen_rng(33);
-  const EdgeList graph = ErdosRenyiGnm(40, 160, gen_rng);
-  EdgeStream stream = graph.edges();
-  Rng order_rng(34);
-  order_rng.Shuffle(stream);
-  const std::size_t half = stream.size() / 2;
-
-  ArbF2FourCycleCounter golden(
-      ArbF2Params(graph.num_vertices(), SketchBackend::kScalar, 1));
-  RunEdgeStream(golden, stream);
-  const double golden_value = golden.Result().value;
-
-  // Feed the first half in blocks through a 4-shard counter and snapshot
-  // while the per-shard scratch is still live (no EndPass yet).
-  ArbF2FourCycleCounter source(
-      ArbF2Params(graph.num_vertices(), SketchBackend::kBlock, 4));
-  source.StartPass(0, stream.size());
-  constexpr std::size_t kBlock = 32;
-  for (std::size_t i = 0; i < half; i += kBlock) {
-    const std::size_t n = std::min(kBlock, half - i);
-    source.ProcessEdgeBlock(0, std::span<const Edge>(stream.data() + i, n), i);
-  }
-  StateWriter w;
-  ASSERT_TRUE(source.SaveState(w));
-  const std::string snapshot = w.str();
-
-  for (const int shards : {1, 4, 8}) {
-    SCOPED_TRACE("restore shards=" + std::to_string(shards));
-    ArbF2FourCycleCounter resumed(
-        ArbF2Params(graph.num_vertices(), SketchBackend::kBlock, shards));
-    resumed.StartPass(0, stream.size());
-    StateReader r(snapshot);
-    ASSERT_TRUE(resumed.RestoreState(r));
-    for (std::size_t i = half; i < stream.size(); i += kBlock) {
-      const std::size_t n = std::min(kBlock, stream.size() - i);
-      resumed.ProcessEdgeBlock(0, std::span<const Edge>(stream.data() + i, n),
-                               i);
-    }
-    resumed.EndPass(0);
-    EXPECT_EQ(resumed.Result().value, golden_value);
   }
 }
 
@@ -572,8 +512,7 @@ TEST(CrashResumeTest, NonFiniteArbF2SlotIsRejectedWithScratchFallback) {
   EdgeStream stream = graph.edges();
   Rng order_rng(36);
   order_rng.Shuffle(stream);
-  const auto params =
-      ArbF2Params(graph.num_vertices(), SketchBackend::kScalar, 1);
+  const auto params = ArbF2Params(graph.num_vertices());
 
   ArbF2FourCycleCounter golden(params);
   RunEdgeStream(golden, stream);

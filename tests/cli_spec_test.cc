@@ -78,9 +78,16 @@ TEST(SpecParseTest, RejectsNegativesOnUnsignedKeys) {
 TEST(SpecParseTest, RejectsMalformedDoublesAndUnknownKeys) {
   EXPECT_NE(ParseError("name=q0 kind=arb-f2 epsilon=abc\n"), "");
   EXPECT_NE(ParseError("name=q0 kind=arb-f2 epsilon=0.5junk\n"), "");
-  EXPECT_NE(ParseError("name=q0 kind=arb-f2 wibble=3\n"), "");
   EXPECT_NE(ParseError("name=q0 kind=arb-f2 epsilon\n"), "");
   EXPECT_NE(ParseError("name=q0 kind=not-a-kind\n"), "");
+  // The removed update-path knobs are unknown keys like any other.
+  for (const char* line : {"name=q0 kind=arb-f2 wibble=3\n",
+                           "name=q0 kind=arb-f2 sketch_backend=block\n",
+                           "name=q0 kind=arb-f2 intra_shards=4\n"}) {
+    const std::string error = ParseError(line);
+    EXPECT_NE(error.find("<spec>:1: unknown key"), std::string::npos)
+        << "'" << line << "' -> " << error;
+  }
 }
 
 TEST(SpecParseTest, RequiresNameAndKind) {
@@ -116,7 +123,6 @@ TEST(SpecParseTest, WriteThenParseIsLossless) {
   spec.level_rate = 0.1;  // 0.1 is inexact in binary.
   spec.prefix_rate = -1.0;
   spec.reservoir_capacity = 31337;
-  spec.intra_shards = 4;
   specs.push_back(spec);
   QuerySpec other = spec;
   other.name = "plain";
@@ -146,7 +152,6 @@ TEST(SpecParseTest, WriteThenParseIsLossless) {
     EXPECT_EQ(parsed[i].level_rate, specs[i].level_rate);
     EXPECT_EQ(parsed[i].prefix_rate, specs[i].prefix_rate);
     EXPECT_EQ(parsed[i].reservoir_capacity, specs[i].reservoir_capacity);
-    EXPECT_EQ(parsed[i].intra_shards, specs[i].intra_shards);
   }
   EXPECT_EQ(FingerprintSpecs(parsed), FingerprintSpecs(specs));
 }
@@ -159,11 +164,6 @@ TEST(SpecFingerprintTest, BindsResultAffectingFieldsOnly) {
   spec.base.seed = 3;
   specs.push_back(spec);
   const std::uint64_t base_fp = FingerprintSpecs(specs);
-
-  // Throughput knobs don't change results, so they don't change the
-  // fingerprint (a worker may legitimately run a different backend).
-  specs[0].intra_shards = 8;
-  EXPECT_EQ(FingerprintSpecs(specs), base_fp);
 
   specs[0].base.seed = 4;
   EXPECT_NE(FingerprintSpecs(specs), base_fp);

@@ -287,72 +287,32 @@ TEST(EngineTest, VectorEdgeSourceZeroMaxEdgesIsEmptyAndDoesNotAdvance) {
   EXPECT_EQ(total, stream.size());
 }
 
-TEST(EngineTest, ShardedBlockBackendBitIdenticalToStandaloneScalar) {
-  // The tentpole determinism contract end-to-end: an arb-f2 query using the
-  // batched SIMD kernels and intra-query shards through the broker must
-  // reproduce, bit for bit, the estimate of the same spec run standalone
-  // through the plain per-edge driver with the scalar backend.
+TEST(EngineTest, LoneArbF2QueryBitIdenticalToStandalone) {
+  // A lone query skips the broker's per-query ParallelFor; its blocks must
+  // still reproduce, bit for bit, the plain per-edge driver's estimate.
   EdgeList graph;
   const EdgeStream stream = MixedSweepStream(&graph);
 
   QuerySpec spec;
-  spec.name = "arb-f2-sharded";
+  spec.name = "arb-f2-lone";
   spec.kind = QueryKind::kArbF2;
   spec.base.epsilon = 0.4;
   spec.base.t_guess = 120.0;
   spec.base.seed = 777;
   spec.num_vertices = graph.num_vertices();
 
-  EdgeQuery standalone = MakeEdgeQuery(spec);  // Default: scalar, 1 shard.
+  EdgeQuery standalone = MakeEdgeQuery(spec);
   RunEdgeStream(*standalone.algorithm, stream);
   const Estimate reference = standalone.result();
 
   ScopedThreads scoped(8);
-  for (const int shards : {1, 4, 8}) {
-    SCOPED_TRACE("intra_shards=" + std::to_string(shards));
-    QuerySpec sharded = spec;
-    sharded.sketch_backend = SketchBackend::kBlock;
-    sharded.intra_shards = shards;
-    StreamBroker broker;
-    broker.AddQuery(sharded);
-    const auto outcomes = broker.RunEdgeQueries(stream);
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_EQ(outcomes[0].admission, AdmissionOutcome::kAdmitted);
-    EXPECT_EQ(outcomes[0].estimate.value, reference.value);
-    EXPECT_EQ(outcomes[0].estimate.space_words, reference.space_words);
-  }
-}
-
-TEST(EngineTest, ShardedBlockBackendManifestMatchesScalarBackend) {
-  // Deterministic manifests must not leak the backend/shard choice: a block
-  // +sharded run and a scalar run of the same specs export identical JSON.
-  EdgeList graph;
-  const EdgeStream stream = MixedSweepStream(&graph);
-
-  auto run = [&](SketchBackend backend, int shards) {
-    ScopedThreads scoped(backend == SketchBackend::kBlock ? 8 : 1);
-    StreamBroker broker;
-    for (int i = 0; i < 3; ++i) {
-      QuerySpec spec;
-      spec.name = "arb-f2-" + std::to_string(i);
-      spec.kind = QueryKind::kArbF2;
-      spec.base.epsilon = 0.5;
-      spec.base.t_guess = 120.0;
-      spec.base.seed = 40 + static_cast<std::uint64_t>(i);
-      spec.num_vertices = graph.num_vertices();
-      spec.sketch_backend = backend;
-      spec.intra_shards = shards;
-      broker.AddQuery(std::move(spec));
-    }
-    const auto outcomes = broker.RunEdgeQueries(stream);
-    RunManifest manifest("engine_test");
-    ExportToManifest(outcomes, broker.stats(), manifest);
-    return manifest.DeterministicJson();
-  };
-
-  const std::string scalar = run(SketchBackend::kScalar, 1);
-  EXPECT_EQ(scalar, run(SketchBackend::kBlock, 1));
-  EXPECT_EQ(scalar, run(SketchBackend::kBlock, 8));
+  StreamBroker broker;
+  broker.AddQuery(spec);
+  const auto outcomes = broker.RunEdgeQueries(stream);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_EQ(outcomes[0].admission, AdmissionOutcome::kAdmitted);
+  EXPECT_EQ(outcomes[0].estimate.value, reference.value);
+  EXPECT_EQ(outcomes[0].estimate.space_words, reference.space_words);
 }
 
 TEST(EngineTest, ManifestExportIsThreadCountInvariant) {

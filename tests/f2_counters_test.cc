@@ -267,17 +267,13 @@ class ArbF2Oracle {
   std::vector<double> a_, b_, cc_;
 };
 
-ArbF2FourCycleCounter::Params SmallArbF2Params(VertexId n,
-                                               SketchBackend backend,
-                                               int shards) {
+ArbF2FourCycleCounter::Params SmallArbF2Params(VertexId n) {
   ArbF2FourCycleCounter::Params params;
   params.base.epsilon = 0.3;
   params.base.seed = 61;
   params.num_vertices = n;
   params.copies_per_group = 8;
   params.groups = 3;
-  params.sketch_backend = backend;
-  params.intra_shards = shards;
   return params;
 }
 
@@ -294,65 +290,58 @@ bool Restore(ArbF2FourCycleCounter& counter, const std::string& bytes) {
 
 // The arbf2/1 snapshot is three copy-minor double arrays whatever the
 // in-memory layout: pinned against the test-side encoding, both after a
-// finished pass and mid-pass with live shard scratch.
+// finished pass and mid-pass.
 TEST(ArbF2CounterTest, SnapshotWireLayoutIsPinned) {
   Rng rng(62);
   const EdgeList graph = ErdosRenyiGnm(30, 90, rng);
-  for (const int shards : {1, 4}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const auto params =
-        SmallArbF2Params(30, SketchBackend::kBlock, shards);
-    ArbF2Oracle oracle(params);
-    ArbF2FourCycleCounter counter(params);
-    counter.StartPass(0, graph.num_edges());
-    counter.ProcessEdgeBlock(0, graph.edges(), 0);
-    for (const Edge& e : graph.edges()) oracle.Apply(e, +1.0);
-    EXPECT_EQ(SaveBytes(counter), oracle.Save()) << "mid-pass";
-    counter.EndPass(0);
-    EXPECT_EQ(SaveBytes(counter), oracle.Save()) << "after EndPass";
-    EXPECT_EQ(counter.F2Estimate(), oracle.F2Estimate());
-    EXPECT_FALSE(counter.double_slots());
-  }
+  const auto params = SmallArbF2Params(30);
+  ArbF2Oracle oracle(params);
+  ArbF2FourCycleCounter counter(params);
+  counter.StartPass(0, graph.num_edges());
+  counter.ProcessEdgeBlock(0, graph.edges(), 0);
+  for (const Edge& e : graph.edges()) oracle.Apply(e, +1.0);
+  EXPECT_EQ(SaveBytes(counter), oracle.Save()) << "mid-pass";
+  counter.EndPass(0);
+  EXPECT_EQ(SaveBytes(counter), oracle.Save()) << "after EndPass";
+  EXPECT_EQ(counter.F2Estimate(), oracle.F2Estimate());
+  EXPECT_FALSE(counter.double_slots());
 }
 
 // A slot at 2^31 − 2 still loads as int32; the updates that could carry it
 // past 2^31 − 1 switch the counter to double slots first, and the result
-// stays bit-identical to the double oracle — per edge and per sharded block.
+// stays bit-identical to the double oracle — per edge and per block.
 TEST(ArbF2CounterTest, SlotsSwitchToDoubleBeforeInt32Overflow) {
   const VertexId n = 20;
   Rng rng(63);
   const EdgeList graph = ErdosRenyiGnm(n, 50, rng);
-  for (const int shards : {1, 4}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const auto params = SmallArbF2Params(n, SketchBackend::kBlock, shards);
-    ArbF2Oracle oracle(params);
-    for (const Edge& e : graph.edges()) oracle.Apply(e, +1.0);
-    oracle.a(3, 5) = 2147483646.0;  // 2^31 − 2.
-    ArbF2FourCycleCounter counter(params);
-    ASSERT_TRUE(Restore(counter, oracle.Save()));
-    EXPECT_FALSE(counter.double_slots());
-    EXPECT_EQ(SaveBytes(counter), oracle.Save());
+  const auto params = SmallArbF2Params(n);
+  ArbF2Oracle oracle(params);
+  for (const Edge& e : graph.edges()) oracle.Apply(e, +1.0);
+  oracle.a(3, 5) = 2147483646.0;  // 2^31 − 2.
+  ArbF2FourCycleCounter counter(params);
+  ASSERT_TRUE(Restore(counter, oracle.Save()));
+  EXPECT_FALSE(counter.double_slots());
+  EXPECT_EQ(SaveBytes(counter), oracle.Save());
 
-    // Edges (3, v) with α_v = +1 in copy 5 each raise A_3 of copy 5 by one.
-    // Each vertex goes in twice, so the block is long enough to shard.
-    std::vector<Edge> raise;
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      for (VertexId v = 0; v < n; ++v) {
-        if (v != 3 && oracle.alpha(v, 5) > 0) raise.emplace_back(3, v);
-      }
+  // Edges (3, v) with α_v = +1 in copy 5 each raise A_3 of copy 5 by one.
+  // Each vertex goes in twice.
+  std::vector<Edge> raise;
+  for (int repeat = 0; repeat < 2; ++repeat) {
+    for (VertexId v = 0; v < n; ++v) {
+      if (v != 3 && oracle.alpha(v, 5) > 0) raise.emplace_back(3, v);
     }
-    ASSERT_GE(raise.size(), 10u);
-    counter.Insert(raise[0]);  // The bound reaches 2^31 − 1: still int32.
-    oracle.Apply(raise[0], +1.0);
-    EXPECT_FALSE(counter.double_slots());
-    counter.ProcessEdgeBlock(0, std::span<const Edge>(raise).subspan(1), 0);
-    for (std::size_t i = 1; i < raise.size(); ++i) oracle.Apply(raise[i], +1.0);
-    EXPECT_TRUE(counter.double_slots());
-    ASSERT_GT(oracle.a(3, 5), 2147483647.0);
-    counter.EndPass(0);
-    EXPECT_EQ(counter.F2Estimate(), oracle.F2Estimate());
-    EXPECT_EQ(SaveBytes(counter), oracle.Save());
   }
+  ASSERT_GE(raise.size(), 10u);
+  counter.Insert(raise[0]);  // The bound reaches 2^31 − 1: still int32.
+  oracle.Apply(raise[0], +1.0);
+  EXPECT_FALSE(counter.double_slots());
+  counter.ProcessEdgeBlock(0, std::span<const Edge>(raise).subspan(1), 0);
+  for (std::size_t i = 1; i < raise.size(); ++i) oracle.Apply(raise[i], +1.0);
+  EXPECT_TRUE(counter.double_slots());
+  ASSERT_GT(oracle.a(3, 5), 2147483647.0);
+  counter.EndPass(0);
+  EXPECT_EQ(counter.F2Estimate(), oracle.F2Estimate());
+  EXPECT_EQ(SaveBytes(counter), oracle.Save());
 }
 
 // A decayed snapshot holds non-integral slots: it loads into double slots,
@@ -361,7 +350,7 @@ TEST(ArbF2CounterTest, NonIntegralSnapshotLoadsAsDoubleSlots) {
   const VertexId n = 25;
   Rng rng(64);
   const EdgeList graph = ErdosRenyiGnm(n, 80, rng);
-  const auto params = SmallArbF2Params(n, SketchBackend::kScalar, 1);
+  const auto params = SmallArbF2Params(n);
   ArbF2Oracle oracle(params);
   const std::size_t half = graph.num_edges() / 2;
   for (std::size_t i = 0; i < half; ++i) oracle.Apply(graph.edges()[i], +1.0);
@@ -383,8 +372,8 @@ TEST(ArbF2CounterTest, NonIntegralSnapshotLoadsAsDoubleSlots) {
 }
 
 // Decayed turnstile-f2-c4 across epoch boundaries: the first rescale moves
-// the counter to double slots, and at any shard count every estimate and
-// the final state equal the oracle's bit for bit.
+// the counter to double slots, and every estimate and the final state
+// equal the oracle's bit for bit.
 TEST(ArbF2CounterTest, DecayedTurnstileC4MatchesDoubleOracle) {
   const VertexId n = 30;
   Rng rng(65);
@@ -396,30 +385,27 @@ TEST(ArbF2CounterTest, DecayedTurnstileC4MatchesDoubleOracle) {
   constexpr std::uint64_t kEpoch = 64;
   constexpr std::uint32_t kLog2 = 2;
   constexpr std::size_t kBlock = 24;
-  for (const int shards : {1, 4}) {
-    SCOPED_TRACE("intra_shards=" + std::to_string(shards));
-    const auto params = SmallArbF2Params(n, SketchBackend::kBlock, shards);
-    auto owned = std::make_unique<TurnstileF2FourCycleCounter>(params);
-    const TurnstileF2FourCycleCounter* c4 = owned.get();
-    DecayAlgorithm decayed(std::move(owned), kEpoch, kLog2);
-    ArbF2Oracle oracle(params);
+  const auto params = SmallArbF2Params(n);
+  auto owned = std::make_unique<TurnstileF2FourCycleCounter>(params);
+  const TurnstileF2FourCycleCounter* c4 = owned.get();
+  DecayAlgorithm decayed(std::move(owned), kEpoch, kLog2);
+  ArbF2Oracle oracle(params);
 
-    decayed.StartPass(0, stream.size());
-    for (std::size_t pos = 0; pos < stream.size(); pos += kBlock) {
-      const std::size_t len = std::min(kBlock, stream.size() - pos);
-      decayed.ProcessUpdateBlock(
-          0, std::span<const TurnstileUpdate>(stream.data() + pos, len), pos);
-      for (std::size_t i = pos; i < pos + len; ++i) {
-        if (i > 0 && i % kEpoch == 0) oracle.Rescale(0.25);
-        oracle.Apply(stream[i].edge, TurnstileSign(stream[i].op));
-      }
-      EXPECT_EQ(c4->inner().double_slots(), pos + len > kEpoch);
-      EXPECT_EQ(c4->inner().F2Estimate(), oracle.F2Estimate())
-          << "after position " << pos + len;
+  decayed.StartPass(0, stream.size());
+  for (std::size_t pos = 0; pos < stream.size(); pos += kBlock) {
+    const std::size_t len = std::min(kBlock, stream.size() - pos);
+    decayed.ProcessUpdateBlock(
+        0, std::span<const TurnstileUpdate>(stream.data() + pos, len), pos);
+    for (std::size_t i = pos; i < pos + len; ++i) {
+      if (i > 0 && i % kEpoch == 0) oracle.Rescale(0.25);
+      oracle.Apply(stream[i].edge, TurnstileSign(stream[i].op));
     }
-    decayed.EndPass(0);
-    EXPECT_EQ(SaveBytes(c4->inner()), oracle.Save());
+    EXPECT_EQ(c4->inner().double_slots(), pos + len > kEpoch);
+    EXPECT_EQ(c4->inner().F2Estimate(), oracle.F2Estimate())
+        << "after position " << pos + len;
   }
+  decayed.EndPass(0);
+  EXPECT_EQ(SaveBytes(c4->inner()), oracle.Save());
 }
 
 TEST(AdjL2CounterTest, EndToEndOnDenseGraph) {

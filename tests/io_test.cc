@@ -2,18 +2,22 @@
 // under injected EINTR storms and short transfers, the durable atomic
 // write's tmp+fsync+rename+dir-fsync sequence (the parent-directory fsync
 // is the regression target — rename is atomic but not durable without
-// it), and the append path heartbeats ride on.
+// it) and the writers built on it, and the append path heartbeats ride on.
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <cstddef>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "engine/spec.h"
+#include "graph/binary_io.h"
 #include "gtest/gtest.h"
 #include "stream/checkpoint.h"
+#include "stream/dynamic/turnstile_io.h"
 #include "util/io.h"
 
 namespace cyclestream::io {
@@ -136,6 +140,45 @@ TEST(IoTest, WriteFileAtomicFsyncsFileThenParentDirectory) {
   ASSERT_EQ(faults.fsynced.size(), 2u);
   EXPECT_EQ(faults.fsynced[0], path + ".tmp");
   EXPECT_EQ(faults.fsynced[1], dir);
+}
+
+// The v1 edge stream, v2 turnstile stream and spec file writers go through
+// WriteFileAtomic too: the same [file, dir] fsync order.
+TEST(IoTest, StreamAndSpecWritersFsyncFileThenParentDirectory) {
+  const std::string dir = TestDir("writers");
+  const auto fsyncs = [](const std::function<bool(std::string*)>& write) {
+    SyscallFaults faults;
+    ScopedFaults scoped(&faults);
+    std::string error;
+    EXPECT_TRUE(write(&error)) << error;
+    return faults.fsynced;
+  };
+  using Synced = std::vector<std::string>;
+
+  const std::vector<cyclestream::Edge> edges = {{0, 1}, {1, 2}, {0, 2}};
+  const std::string v1 = dir + "/edges.bin";
+  EXPECT_EQ(fsyncs([&](std::string* error) {
+              return cyclestream::WriteBinaryEdgeStream(
+                  edges.data(), edges.size(), 3, v1, error);
+            }),
+            (Synced{v1 + ".tmp", dir}));
+
+  cyclestream::TurnstileStream updates = cyclestream::TurnstileFromEdges(edges);
+  updates.emplace_back(edges[1], cyclestream::TurnstileOp::kDelete);
+  const std::string v2 = dir + "/updates.bin";
+  EXPECT_EQ(fsyncs([&](std::string* error) {
+              return cyclestream::WriteTurnstileStream(updates, 3, v2, error);
+            }),
+            (Synced{v2 + ".tmp", dir}));
+
+  cyclestream::engine::QuerySpec spec;
+  spec.name = "q";
+  spec.kind = cyclestream::engine::QueryKind::kArbF2;
+  const std::string specs = dir + "/queries.specs";
+  EXPECT_EQ(fsyncs([&](std::string* error) {
+              return cyclestream::engine::WriteSpecFile(specs, {spec}, error);
+            }),
+            (Synced{specs + ".tmp", dir}));
 }
 
 TEST(IoTest, WriteFileAtomicSurvivesFaultsAndReplacesAtomically) {

@@ -13,7 +13,6 @@
 
 #include "hash/kwise.h"
 #include "hash/kwise_bank.h"
-#include "hash/kwise_kernels.h"
 #include "hash/rng.h"
 #include "sketch/ams_f2.h"
 #include "sketch/count_sketch.h"
@@ -145,127 +144,22 @@ TEST(KWiseHashBankTest, CoefficientDerivationMatchesScalarSpace) {
   EXPECT_EQ(bank.k(), 5);
 }
 
-// ---------------------------------------------------------------------------
-// Block-kernel equivalence matrix: every SIMD tier × block size × bank shape
-// must be bit-identical to the per-key reference paths. SketchSimdMode is
-// process-global, so each test restores kAuto on exit.
-
-class ScopedSimdMode {
- public:
-  explicit ScopedSimdMode(SketchSimdMode mode) : saved_(GetSketchSimdMode()) {
-    SetSketchSimdMode(mode);
-  }
-  ~ScopedSimdMode() { SetSketchSimdMode(saved_); }
-
- private:
-  SketchSimdMode saved_;
-};
-
-const std::vector<SketchSimdMode>& TierMatrix() {
-  // kAvx2 / kAuto silently fall back to scalar on machines without the ISA,
-  // so the matrix is safe (if redundant) everywhere.
-  static const std::vector<SketchSimdMode> kModes = {
-      SketchSimdMode::kScalar, SketchSimdMode::kAvx2, SketchSimdMode::kAuto};
-  return kModes;
-}
-
-std::vector<std::uint64_t> BlockKeys(std::size_t count, std::uint64_t seed) {
-  std::vector<std::uint64_t> keys = ProbeKeys();
-  std::uint64_t s = seed;
-  while (keys.size() < count) keys.push_back(SplitMix64(s));
-  keys.resize(count);
-  return keys;
-}
-
-TEST(KWiseBankBlockTest, EvalBlockBitIdenticalAcrossTiersAndShapes) {
-  for (SketchSimdMode mode : TierMatrix()) {
-    ScopedSimdMode scoped(mode);
-    for (int k : {1, 2, 3, 4, 6}) {
-      for (std::size_t n : {std::size_t{5}, std::size_t{16}, std::size_t{129}}) {
-        const auto seeds = MakeSeeds(n, 0xB10CULL + 17 * k + n);
-        const KWiseHashBank bank(k, seeds);
-        for (std::size_t block : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{8}, std::size_t{4096}}) {
-          const auto keys = BlockKeys(block, 0xC0FFEEULL + block);
-          std::vector<std::uint64_t> got(block * n, ~0ULL);
-          bank.EvalBlock(keys, got.data());
-          std::vector<std::uint64_t> want(n);
-          for (std::size_t b = 0; b < block; ++b) {
-            bank.EvalAll(keys[b], want.data());
-            for (std::size_t i = 0; i < n; ++i) {
-              ASSERT_EQ(got[b * n + i], want[i])
-                  << "tier=" << ActiveSketchKernels() << " k=" << k
-                  << " n=" << n << " block=" << block << " b=" << b
-                  << " i=" << i;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(KWiseBankBlockTest, AccumulateSignedBlockBitIdenticalAcrossTiers) {
-  for (SketchSimdMode mode : TierMatrix()) {
-    ScopedSimdMode scoped(mode);
-    for (int k : {2, 4, 6}) {
-      for (std::size_t n : {std::size_t{5}, std::size_t{16}, std::size_t{129},
-                            std::size_t{1152}}) {
-        const auto seeds = MakeSeeds(n, 0xACC0ULL + 5 * k + n);
-        const KWiseHashBank bank(k, seeds);
-        for (std::size_t block : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{8}, std::size_t{4096}}) {
-          const auto keys = BlockKeys(block, 0xFEEDULL + block);
-          std::vector<double> got(n, 0.0), want(n, 0.0);
-          const double delta = (block % 2) ? 1.0 : -0.75;
-          bank.AccumulateSignedBlock(keys, delta, got.data());
-          for (std::uint64_t key : keys) {
-            bank.AccumulateSigned(key, delta, want.data());
-          }
-          for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(got[i], want[i])
-                << "tier=" << ActiveSketchKernels() << " k=" << k << " n=" << n
-                << " block=" << block << " i=" << i;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(KWiseBankBlockTest, EmptyBlocksAreNoOps) {
-  const auto seeds = MakeSeeds(9, 0xE117ULL);
-  const KWiseHashBank bank(4, seeds);
-  std::vector<double> counters(9, 3.5);
-  bank.AccumulateSignedBlock({}, 2.0, counters.data());
-  for (double c : counters) EXPECT_EQ(c, 3.5);
-  bank.EvalBlock({}, nullptr);  // Must not touch the null output.
-  const KWiseHashBank empty;
-  std::vector<std::uint64_t> keys = {1, 2, 3};
-  empty.AccumulateSignedBlock(keys, 1.0, counters.data());
-  empty.EvalBlock(keys, nullptr);
-  for (double c : counters) EXPECT_EQ(c, 3.5);
-}
-
-TEST(KWiseBankBlockTest, RestoredBankBlockPathsMatchConstructed) {
-  // A bank adopted via RestoreState must rebuild its derived split tables:
-  // block results have to match the originally constructed bank even when
-  // the tables were warm before restore.
+TEST(KWiseHashBankTest, RestoredBankMatchesConstructed) {
+  // A default-constructed bank adopts the snapshot's coefficients and then
+  // hashes exactly like the bank that wrote it.
   const auto seeds = MakeSeeds(16, 0x2E57ULL);
   const KWiseHashBank bank(4, seeds);
-  const auto keys = BlockKeys(64, 0x2E58ULL);
-  std::vector<double> want(16, 0.0);
-  bank.AccumulateSignedBlock(keys, 1.0, want.data());
-
   StateWriter w;
   bank.SaveState(w);
-
   KWiseHashBank restored;
-  StateReader r1(w.str());
-  ASSERT_TRUE(restored.RestoreState(r1));
-  std::vector<double> got(16, 0.0);
-  restored.AccumulateSignedBlock(keys, 1.0, got.data());
-  for (std::size_t i = 0; i < 16; ++i) ASSERT_EQ(got[i], want[i]);
+  StateReader r(w.str());
+  ASSERT_TRUE(restored.RestoreState(r));
+  std::vector<std::uint64_t> want(16), got(16);
+  for (std::uint64_t key : ProbeKeys()) {
+    bank.EvalAll(key, want.data());
+    restored.EvalAll(key, got.data());
+    ASSERT_EQ(got, want) << "key=" << key;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,40 +4,17 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <span>
-#include <string>
 #include <vector>
 
-#include "hash/kwise_kernels.h"
 #include "hash/rng.h"
 #include "sketch/ams_f2.h"
 #include "sketch/count_sketch.h"
 #include "sketch/l2_sampler.h"
 #include "sketch/median_of_means.h"
 #include "sketch/reservoir.h"
-#include "sketch/sharded.h"
-#include "sketch/sketch_backend.h"
-#include "util/parallel.h"
-#include "util/serialize.h"
 
 namespace cyclestream {
 namespace {
-
-// Serialized state bytes — the strongest equality on a sketch: identical
-// bytes mean identical counters bit for bit.
-template <typename Sketch>
-std::string StateBytes(const Sketch& sketch) {
-  StateWriter w;
-  sketch.SaveState(w);
-  return w.str();
-}
-
-std::vector<std::uint64_t> UpdateKeys(std::size_t count, std::uint64_t seed) {
-  std::vector<std::uint64_t> keys(count);
-  std::uint64_t s = seed;
-  for (auto& k : keys) k = SplitMix64(s) % 997;  // Repeated keys.
-  return keys;
-}
 
 TEST(MedianOfMeansTest, SingleGroupIsMean) {
   EXPECT_DOUBLE_EQ(MedianOfMeans({1.0, 2.0, 3.0, 4.0}, 1), 2.5);
@@ -201,180 +178,6 @@ TEST(L2SamplerTest, SamplingDistributionTracksSquaredMass) {
   const double ratio = static_cast<double>(count_a) / count_b;
   EXPECT_GT(ratio, 1.8);
   EXPECT_LT(ratio, 9.0);
-}
-
-// ---------------------------------------------------------------------------
-// Block-update equivalence: UpdateBlock must leave the sketch in a state that
-// is bit-identical (serialized bytes) to the same keys fed one at a time.
-// ---------------------------------------------------------------------------
-
-TEST(SketchBlockTest, AmsF2UpdateBlockMatchesPerKey) {
-  for (std::size_t block : {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                            std::size_t{1000}}) {
-    const auto keys = UpdateKeys(2048, 0xB10C + block);
-    AmsF2 per_key(7, 96, 21);
-    AmsF2 blocked(7, 96, 21);
-    for (std::uint64_t k : keys) per_key.Update(k, 1.0);
-    std::span<const std::uint64_t> rest(keys);
-    while (!rest.empty()) {
-      const std::size_t n = std::min(block, rest.size());
-      blocked.UpdateBlock(rest.subspan(0, n), 1.0);
-      rest = rest.subspan(n);
-    }
-    EXPECT_EQ(StateBytes(per_key), StateBytes(blocked)) << "block=" << block;
-    EXPECT_EQ(per_key.Estimate(), blocked.Estimate()) << "block=" << block;
-  }
-}
-
-TEST(SketchBlockTest, CountSketchUpdateBlockMatchesPerKey) {
-  // Both a power-of-two width (mask path) and a non-power width (mod path).
-  for (std::size_t width : {std::size_t{512}, std::size_t{100}}) {
-    for (double delta : {1.0, -3.0}) {
-      const auto keys = UpdateKeys(1536, 0xC5 + width);
-      CountSketch per_key(5, width, 33);
-      CountSketch blocked(5, width, 33);
-      for (std::uint64_t k : keys) per_key.Update(k, delta);
-      // Deliberately ragged block sizes (not divisible by any lane width).
-      std::span<const std::uint64_t> rest(keys);
-      std::size_t step = 1;
-      while (!rest.empty()) {
-        const std::size_t n = std::min(step, rest.size());
-        blocked.UpdateBlock(rest.subspan(0, n), delta);
-        rest = rest.subspan(n);
-        step = step * 2 + 1;  // 1, 3, 7, 15, ...
-      }
-      EXPECT_EQ(StateBytes(per_key), StateBytes(blocked))
-          << "width=" << width << " delta=" << delta;
-      EXPECT_EQ(per_key.Query(keys[0]), blocked.Query(keys[0]));
-    }
-  }
-}
-
-TEST(SketchBlockTest, L2SamplerUpdateBlockMatchesPerKey) {
-  L2Sampler::Config config;
-  config.copies = 8;
-  config.sketch_width = 128;
-  const auto keys = UpdateKeys(800, 0x12);
-  L2Sampler per_key(config, 44);
-  L2Sampler blocked(config, 44);
-  for (std::uint64_t k : keys) per_key.Update(k, 1.0);
-  std::span<const std::uint64_t> rest(keys);
-  while (!rest.empty()) {
-    const std::size_t n = std::min<std::size_t>(37, rest.size());
-    blocked.UpdateBlock(rest.subspan(0, n), 1.0);
-    rest = rest.subspan(n);
-  }
-  EXPECT_EQ(StateBytes(per_key), StateBytes(blocked));
-  EXPECT_EQ(per_key.EstimateF2(), blocked.EstimateF2());
-  const auto a = per_key.Draw();
-  const auto b = blocked.Draw();
-  ASSERT_EQ(a.has_value(), b.has_value());
-  if (a.has_value()) {
-    EXPECT_EQ(a->key, b->key);
-    EXPECT_EQ(a->value_estimate, b->value_estimate);
-  }
-}
-
-TEST(SketchBlockTest, EmptyBlockIsANoOp) {
-  AmsF2 ams(5, 40, 1);
-  CountSketch cs(5, 128, 2);
-  L2Sampler::Config config;
-  L2Sampler sampler(config, 3);
-  const std::string ams_before = StateBytes(ams);
-  const std::string cs_before = StateBytes(cs);
-  const std::string sampler_before = StateBytes(sampler);
-  ams.UpdateBlock({}, 1.0);
-  cs.UpdateBlock({}, 1.0);
-  sampler.UpdateBlock({}, 1.0);
-  EXPECT_EQ(StateBytes(ams), ams_before);
-  EXPECT_EQ(StateBytes(cs), cs_before);
-  EXPECT_EQ(StateBytes(sampler), sampler_before);
-}
-
-TEST(SketchBlockTest, BlockPathBitIdenticalAcrossSimdTiers) {
-  // Same key sequence through the forced-scalar kernels and through the
-  // auto-dispatched (AVX2/AVX-512 when available) kernels: serialized sketch
-  // state must agree byte for byte.
-  const auto keys = UpdateKeys(4096, 0x51D);
-  const SketchSimdMode saved = GetSketchSimdMode();
-  SetSketchSimdMode(SketchSimdMode::kScalar);
-  AmsF2 scalar_ams(7, 96, 5);
-  CountSketch scalar_cs(5, 100, 6);
-  scalar_ams.UpdateBlock(keys, 1.0);
-  scalar_cs.UpdateBlock(keys, -2.0);
-  SetSketchSimdMode(SketchSimdMode::kAuto);
-  AmsF2 auto_ams(7, 96, 5);
-  CountSketch auto_cs(5, 100, 6);
-  auto_ams.UpdateBlock(keys, 1.0);
-  auto_cs.UpdateBlock(keys, -2.0);
-  SetSketchSimdMode(saved);
-  EXPECT_EQ(StateBytes(scalar_ams), StateBytes(auto_ams));
-  EXPECT_EQ(StateBytes(scalar_cs), StateBytes(auto_cs));
-}
-
-// ---------------------------------------------------------------------------
-// ShardedSketch: merged state must match the unsharded sketch bit for bit at
-// every shard count, and checkpoints must restore across shard counts.
-// ---------------------------------------------------------------------------
-
-TEST(ShardedSketchTest, MergedStateMatchesUnshardedAcrossShardCounts) {
-  SetDefaultThreads(8);
-  const auto keys = UpdateKeys(3000, 0x5A4D);
-  AmsF2 ref_ams(7, 96, 77);
-  CountSketch ref_cs(5, 512, 78);
-  std::span<const std::uint64_t> rest(keys);
-  while (!rest.empty()) {
-    const std::size_t n = std::min<std::size_t>(512, rest.size());
-    ref_ams.UpdateBlock(rest.subspan(0, n), 1.0);
-    ref_cs.UpdateBlock(rest.subspan(0, n), 1.0);
-    rest = rest.subspan(n);
-  }
-  for (int shards : {1, 4, 8}) {
-    ShardedSketch<AmsF2> sharded_ams([] { return AmsF2(7, 96, 77); }, shards);
-    ShardedSketch<CountSketch> sharded_cs(
-        [] { return CountSketch(5, 512, 78); }, shards);
-    std::span<const std::uint64_t> r2(keys);
-    while (!r2.empty()) {
-      const std::size_t n = std::min<std::size_t>(512, r2.size());
-      sharded_ams.UpdateBlock(r2.subspan(0, n), 1.0);
-      sharded_cs.UpdateBlock(r2.subspan(0, n), 1.0);
-      r2 = r2.subspan(n);
-    }
-    EXPECT_EQ(StateBytes(ref_ams), StateBytes(sharded_ams.Merged()))
-        << "shards=" << shards;
-    EXPECT_EQ(StateBytes(ref_cs), StateBytes(sharded_cs.Merged()))
-        << "shards=" << shards;
-    // The wrapper's own SaveState is the canonical merged form.
-    StateWriter w;
-    sharded_ams.SaveState(w);
-    EXPECT_EQ(StateBytes(ref_ams), w.str()) << "shards=" << shards;
-  }
-}
-
-TEST(ShardedSketchTest, CheckpointRestoresIntoAnyShardCount) {
-  SetDefaultThreads(8);
-  const auto head = UpdateKeys(1200, 0xAA);
-  const auto tail = UpdateKeys(1300, 0xBB);
-  // Reference: all keys through a single unsharded sketch.
-  AmsF2 ref(7, 96, 91);
-  ref.UpdateBlock(head, 1.0);
-  ref.UpdateBlock(tail, 1.0);
-  // Checkpoint a 4-shard sketch mid-stream with live (unmerged) shards.
-  auto factory = [] { return AmsF2(7, 96, 91); };
-  ShardedSketch<AmsF2> source(factory, 4);
-  source.UpdateBlock(head, 1.0);
-  StateWriter w;
-  source.SaveState(w);
-  const std::string snapshot = w.str();
-  // Restore into different shard counts and finish the stream in each.
-  for (int shards : {1, 4, 8}) {
-    ShardedSketch<AmsF2> resumed(factory, shards);
-    StateReader r(snapshot);
-    ASSERT_TRUE(resumed.RestoreState(r)) << "shards=" << shards;
-    resumed.UpdateBlock(tail, 1.0);
-    EXPECT_EQ(StateBytes(ref), StateBytes(resumed.Merged()))
-        << "shards=" << shards;
-  }
 }
 
 }  // namespace

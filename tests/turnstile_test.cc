@@ -252,9 +252,8 @@ TEST(TurnstileEquivalenceTest, InsertOnlyC4MatchesArbF2) {
 
 // The headline cancellation contract: inserting A then B, then deleting B
 // again, leaves estimates bit-identical to inserting A alone — for both
-// turnstile kinds, at every thread x intra-shard combination (the signed
-// block kernels must preserve it too).
-TEST(TurnstileCancellationTest, DeletesCancelExactlyAtAnyThreadShardCount) {
+// turnstile kinds, at every thread count.
+TEST(TurnstileCancellationTest, DeletesCancelExactlyAtAnyThreadCount) {
   Rng gen_rng(3);
   const EdgeList graph = ErdosRenyiGnm(50, 260, gen_rng);
   EdgeStream edges = graph.edges();
@@ -272,31 +271,25 @@ TEST(TurnstileCancellationTest, DeletesCancelExactlyAtAnyThreadShardCount) {
   const int saved_threads = DefaultThreads();
   for (int threads : {1, 8}) {
     SetDefaultThreads(threads);
-    for (int shards : {1, 4}) {
-      TurnstileF2TriangleCounter::Params tp;
-      tp.base = TestBase(77);
-      tp.num_vertices = graph.num_vertices();
-      tp.sketch_backend = SketchBackend::kBlock;
-      tp.intra_shards = shards;
-      TurnstileF2TriangleCounter tri_cancelled(tp);
-      RunTurnstileStream(tri_cancelled, cancelled);
-      TurnstileF2TriangleCounter tri_inserts(tp);
-      RunTurnstileStream(tri_inserts, insert_only);
-      EXPECT_EQ(tri_cancelled.Result().value, tri_inserts.Result().value)
-          << "triangle kind, threads=" << threads << " shards=" << shards;
+    TurnstileF2TriangleCounter::Params tp;
+    tp.base = TestBase(77);
+    tp.num_vertices = graph.num_vertices();
+    TurnstileF2TriangleCounter tri_cancelled(tp);
+    RunTurnstileStream(tri_cancelled, cancelled);
+    TurnstileF2TriangleCounter tri_inserts(tp);
+    RunTurnstileStream(tri_inserts, insert_only);
+    EXPECT_EQ(tri_cancelled.Result().value, tri_inserts.Result().value)
+        << "triangle kind, threads=" << threads;
 
-      TurnstileF2FourCycleCounter::Params cp;
-      cp.base = TestBase(78);
-      cp.num_vertices = graph.num_vertices();
-      cp.sketch_backend = SketchBackend::kBlock;
-      cp.intra_shards = shards;
-      TurnstileF2FourCycleCounter c4_cancelled(cp);
-      RunTurnstileStream(c4_cancelled, cancelled);
-      TurnstileF2FourCycleCounter c4_inserts(cp);
-      RunTurnstileStream(c4_inserts, insert_only);
-      EXPECT_EQ(c4_cancelled.Result().value, c4_inserts.Result().value)
-          << "c4 kind, threads=" << threads << " shards=" << shards;
-    }
+    TurnstileF2FourCycleCounter::Params cp;
+    cp.base = TestBase(78);
+    cp.num_vertices = graph.num_vertices();
+    TurnstileF2FourCycleCounter c4_cancelled(cp);
+    RunTurnstileStream(c4_cancelled, cancelled);
+    TurnstileF2FourCycleCounter c4_inserts(cp);
+    RunTurnstileStream(c4_inserts, insert_only);
+    EXPECT_EQ(c4_cancelled.Result().value, c4_inserts.Result().value)
+        << "c4 kind, threads=" << threads;
   }
   SetDefaultThreads(saved_threads);
 }
@@ -314,31 +307,6 @@ TEST(TurnstileCancellationTest, FullCancellationYieldsEmptyGraphEstimate) {
   TurnstileF2TriangleCounter alg(p);
   RunTurnstileStream(alg, stream);
   EXPECT_EQ(alg.Result().value, 0.0);
-}
-
-// Block vs scalar delivery of the same signed stream must agree bitwise
-// (the DESIGN.md §13 contract extended to the turnstile update path).
-TEST(TurnstileBlockTest, BlockAndScalarBackendsAreBitIdentical) {
-  Rng gen_rng(13);
-  const EdgeList graph = ErdosRenyiGnm(40, 200, gen_rng);
-  TurnstileStream stream = TurnstileFromEdges(graph.edges());
-  for (std::size_t i = 0; i < graph.edges().size(); i += 3) {
-    stream.emplace_back(graph.edges()[i], TurnstileOp::kDelete);
-  }
-
-  TurnstileF2TriangleCounter::Params p;
-  p.base = TestBase(31);
-  p.num_vertices = graph.num_vertices();
-  p.sketch_backend = SketchBackend::kScalar;
-  TurnstileF2TriangleCounter scalar(p);
-  RunTurnstileStream(scalar, stream);
-
-  p.sketch_backend = SketchBackend::kBlock;
-  p.intra_shards = 4;
-  TurnstileF2TriangleCounter block(p);
-  RunTurnstileStream(block, stream);
-
-  EXPECT_EQ(scalar.Result().value, block.Result().value);
 }
 
 TurnstileAlgorithmFactory TriangleFactory(VertexId n, std::uint64_t seed) {

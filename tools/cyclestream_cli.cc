@@ -93,10 +93,6 @@ int Usage() {
       "           [--order shuffled|file] [--epsilon E] [--t-guess T]\n"
       "           [--seed S] [--budget-words W] [--per-query-budget W]\n"
       "           [--aggregate-budget W] [--block-edges B] [--no-exact]\n"
-      "           [--sketch_backend scalar|block] [--intra_threads N]\n"
-      "           block backend batches sketch updates through the SIMD\n"
-      "           kernels; N>1 splits each block across per-thread shards\n"
-      "           (bit-identical estimates either way)\n"
       "           one shared stream read serves all N queries per pass;\n"
       "           kinds: random-order triest cormode-jowhari arb-f2\n"
       "                  arb-three-pass bera-chakrabarti (edge family)\n"
@@ -113,8 +109,8 @@ int Usage() {
       "  serve    --graph FILE --spec FILE   QuerySpecs from key=value lines\n"
       "           (name= kind= [seed=] [budget=] [epsilon=] [c=] [t_guess=]\n"
       "            [level_rate=] [prefix_rate=] [reservoir=]\n"
-      "            [num_vertices=] [sketch_backend=] [intra_shards=]\n"
-      "            [window=] [window_buckets=] [decay_epoch=] [decay_log2=])\n"
+      "            [num_vertices=] [window=] [window_buckets=]\n"
+      "            [decay_epoch=] [decay_log2=])\n"
       "           --daemon   supervised always-on mode over the sharded\n"
       "           engine (takes the `shard` flags, plus):\n"
       "           [--max-retries N] [--backoff-ms B] [--backoff-cap-ms C]\n"
@@ -142,22 +138,6 @@ int Usage() {
       "           [--kill_after N]   snapshot/resume (see DESIGN.md §10)\n"
       "           .bin graphs (tools/edge2bin) mmap in zero-copy\n";
   return 2;
-}
-
-// Reads the shared sketch-update knobs into `spec`. Returns false (after
-// printing an error) on a bad --sketch_backend value.
-bool ApplySketchBackendFlags(FlagParser& flags, engine::QuerySpec* spec) {
-  const std::string backend = flags.GetString("sketch_backend", "scalar");
-  const auto parsed = ParseSketchBackend(backend);
-  if (!parsed.has_value()) {
-    std::cerr << "error: --sketch_backend must be scalar or block, got '"
-              << backend << "'\n";
-    return false;
-  }
-  spec->sketch_backend = *parsed;
-  spec->intra_shards =
-      std::max(1, static_cast<int>(flags.GetInt("intra_threads", 1)));
-  return true;
 }
 
 bool IsBinaryGraphPath(const std::string& path) {
@@ -819,7 +799,6 @@ int RunSweep(FlagParser& flags, RunManifest& manifest) {
   base.prefix_rate = flags.GetDouble("prefix-rate", -1.0);
   base.space_budget_words =
       static_cast<std::size_t>(flags.GetCount("budget-words", 0));
-  if (!ApplySketchBackendFlags(flags, &base)) return Usage();
   base.window_edges = flags.GetCount("window", 0);
   base.window_buckets = flags.GetCount("window-buckets", 8);
   base.decay_epoch_edges = flags.GetCount("decay-epoch", 0);
@@ -854,7 +833,6 @@ bool LoadSpecFile(FlagParser& flags, const std::string& spec_path,
   defaults.base.c = flags.GetDouble("c", 2.0);
   defaults.base.t_guess = flags.GetDouble("t-guess", 0.0);
   defaults.base.seed = flags.GetCount("seed", 1);
-  if (!ApplySketchBackendFlags(flags, &defaults)) return false;
   std::string error;
   if (!engine::ParseSpecFile(spec_path, defaults, specs, &error)) {
     std::cerr << "error: " << error << "\n";
@@ -931,7 +909,6 @@ int PrepareShardRun(FlagParser& flags, ShardSetup* setup) {
     base.base.t_guess = flags.GetDouble("t-guess", 0.0);
     base.space_budget_words =
         static_cast<std::size_t>(flags.GetCount("budget-words", 0));
-    if (!ApplySketchBackendFlags(flags, &base)) return Usage();
     const std::uint64_t seed = flags.GetCount("seed", 1);
     const std::string algos = flags.GetString("algorithms", "arb-f2");
     std::vector<engine::QueryKind> kinds;
