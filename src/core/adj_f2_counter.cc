@@ -50,10 +50,8 @@ AdjF2FourCycleCounter::AdjF2FourCycleCounter(const Params& params)
   const KWiseHashBank beta_bank(/*k=*/4, beta_seeds);
   alpha_.resize(nv * c);
   beta_.resize(nv * c);
-  for (std::size_t v = 0; v < nv; ++v) {
-    alpha_bank.SignAll(v, alpha_.data() + v * c);
-    beta_bank.SignAll(v, beta_.data() + v * c);
-  }
+  alpha_bank.SignTable(nv, alpha_.data());
+  beta_bank.SignTable(nv, beta_.data());
   acc_a_.assign(c, 0.0);
   acc_b_.assign(c, 0.0);
   acc_c_.assign(c, 0.0);

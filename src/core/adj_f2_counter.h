@@ -89,9 +89,9 @@ class AdjF2FourCycleCounter : public AdjacencyStreamAlgorithm {
   double pair_rate_ = 1.0;
 
   std::size_t num_copies_ = 0;
-  // 4-wise ±1 sign caches, copy-minor (alpha_[v·C + c]), evaluated once per
-  // vertex at construction through a KWiseHashBank (see
-  // ArbF2FourCycleCounter for the space-accounting rationale).
+  // 4-wise ±1 sign caches, copy-minor (alpha_[v·C + c]), filled at
+  // construction over the whole vertex universe by
+  // KWiseHashBank::SignTable.
   std::vector<signed char> alpha_;
   std::vector<signed char> beta_;
   std::vector<double> acc_a_;  // Current-list A per copy.

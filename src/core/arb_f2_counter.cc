@@ -49,10 +49,8 @@ ArbF2FourCycleCounter::ArbF2FourCycleCounter(const Params& params)
   const KWiseHashBank beta_bank(/*k=*/4, beta_seeds);
   alpha_.resize(n * c);
   beta_.resize(n * c);
-  for (std::size_t v = 0; v < n; ++v) {
-    alpha_bank.SignAll(v, alpha_.data() + v * c);
-    beta_bank.SignAll(v, beta_.data() + v * c);
-  }
+  alpha_bank.SignTable(n, alpha_.data());
+  beta_bank.SignTable(n, beta_.data());
   int_rows_.assign(n * 3 * c, 0);
 }
 

@@ -112,9 +112,9 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
 
   Params params_;
   std::size_t num_copies_ = 0;
-  // ±1 sign caches, copy-minor: alpha_[v·C + c] for vertex v, copy c. The
-  // 4-wise hashes are evaluated once per vertex at construction through a
-  // KWiseHashBank (the vertex universe is known up front).
+  // ±1 sign caches, copy-minor: alpha_[v·C + c] for vertex v, copy c.
+  // Filled at construction over the whole vertex universe, which is known
+  // up front, by KWiseHashBank::SignTable's forward-difference walk.
   std::vector<signed char> alpha_;
   std::vector<signed char> beta_;
   // The accumulator rows; int_rows_ is live until double_slots_, then

@@ -92,9 +92,7 @@ TurnstileF2TriangleCounter::TurnstileF2TriangleCounter(const Params& params)
   for (std::size_t i = 0; i < c; ++i) seeds[i] = SplitMix64(seed);
   const KWiseHashBank bank(/*k=*/6, seeds);
   sigma_.resize(n * c);
-  for (std::size_t v = 0; v < n; ++v) {
-    bank.SignAll(v, sigma_.data() + v * c);
-  }
+  bank.SignTable(n, sigma_.data());
   z_.assign(c, 0.0);
 }
 

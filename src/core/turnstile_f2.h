@@ -2,6 +2,7 @@
 #define CYCLESTREAM_CORE_TURNSTILE_F2_H_
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/arb_f2_counter.h"
@@ -40,7 +41,8 @@ class TurnstileF2FourCycleCounter : public TurnstileStreamAlgorithm {
   void EndPass(int pass) override;
   Estimate Result() const override { return inner_.Result(); }
   bool Rescale(double factor) override;
-  std::string_view CheckpointId() const override { return "turnstile-c4/1"; }
+  static constexpr std::string_view kCheckpointId = "turnstile-c4/1";
+  std::string_view CheckpointId() const override { return kCheckpointId; }
   bool SaveState(StateWriter& w) const override;
   bool RestoreState(StateReader& r) override;
   bool MergeFrom(const TurnstileStreamAlgorithm& other) override;
@@ -82,7 +84,8 @@ class TurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
   void EndPass(int pass) override;
   Estimate Result() const override;
   bool Rescale(double factor) override;
-  std::string_view CheckpointId() const override { return "turnstile-tri/1"; }
+  static constexpr std::string_view kCheckpointId = "turnstile-tri/1";
+  std::string_view CheckpointId() const override { return kCheckpointId; }
   bool SaveState(StateWriter& w) const override;
   bool RestoreState(StateReader& r) override;
   bool MergeFrom(const TurnstileStreamAlgorithm& other) override;
@@ -92,7 +95,8 @@ class TurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
 
   Params params_;
   std::size_t num_copies_ = 0;
-  // ±1 sign cache, copy-minor: sigma_[v·C + c] for vertex v, copy c.
+  // 6-wise ±1 sign cache, copy-minor: sigma_[v·C + c] for vertex v, copy
+  // c, filled at construction by KWiseHashBank::SignTable.
   std::vector<signed char> sigma_;
   // Per-copy counters Z_c (exact integers while |Z| < 2^53).
   std::vector<double> z_;

@@ -1,5 +1,6 @@
 #include "engine/query.h"
 
+#include <string_view>
 #include <utility>
 
 #include "baselines/bera_chakrabarti.h"
@@ -250,12 +251,14 @@ TurnstileQuery MakeTurnstileQuery(const QuerySpec& spec) {
   // result-affecting configuration — called once for an unwindowed query,
   // once per bucket (plus once per Result()) for a windowed one.
   TurnstileAlgorithmFactory factory;
+  std::string_view inner_id;
   switch (spec.kind) {
     case QueryKind::kTurnstileF2Triangle: {
       TurnstileF2TriangleCounter::Params p;
       p.base = spec.base;
       p.num_vertices = spec.num_vertices;
       factory = [p] { return std::make_unique<TurnstileF2TriangleCounter>(p); };
+      inner_id = TurnstileF2TriangleCounter::kCheckpointId;
       break;
     }
     case QueryKind::kTurnstileF2C4: {
@@ -263,6 +266,7 @@ TurnstileQuery MakeTurnstileQuery(const QuerySpec& spec) {
       p.base = spec.base;
       p.num_vertices = spec.num_vertices;
       factory = [p] { return std::make_unique<TurnstileF2FourCycleCounter>(p); };
+      inner_id = TurnstileF2FourCycleCounter::kCheckpointId;
       break;
     }
     default:
@@ -271,10 +275,8 @@ TurnstileQuery MakeTurnstileQuery(const QuerySpec& spec) {
 
   std::unique_ptr<TurnstileStreamAlgorithm> alg;
   if (spec.window_edges > 0) {
-    std::unique_ptr<TurnstileStreamAlgorithm> probe = factory();
     alg = std::make_unique<SlidingWindowAlgorithm>(
-        factory, probe->CheckpointId(), spec.window_edges,
-        spec.window_buckets);
+        factory, inner_id, spec.window_edges, spec.window_buckets);
   } else if (spec.decay_epoch_edges > 0) {
     alg = std::make_unique<DecayAlgorithm>(factory(), spec.decay_epoch_edges,
                                            spec.decay_log2);

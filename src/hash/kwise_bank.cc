@@ -53,29 +53,40 @@ void KWiseHashBank::EvalAll(std::uint64_t x, std::uint64_t* out) const {
   for (std::size_t i = 0; i < n; ++i) out[i] = CanonicalizeMod61(out[i]);
 }
 
-void KWiseHashBank::SignAll(std::uint64_t x, signed char* out) const {
-  const std::uint64_t xm = ReduceMod61(x);
+// Forward differences (DESIGN.md §8): for h of degree k−1, row j of the
+// table holds Δ^j h(x), where Δf(x) = f(x+1) − f(x), and Δ^{k−1} h is
+// constant. Stepping x → x+1 is row_j += row_{j+1} for j = 0..k−2 in
+// ascending order, so each row adds the next row's value at x before that
+// row is stepped. Every entry stays a canonical residue, so row 0 is
+// exactly h(x) and its low bit is the Horner sign.
+void KWiseHashBank::SignTable(std::uint64_t count, signed char* out) const {
+  CHECK_LE(count, kPrime);
   const std::size_t n = n_;
-  // Same recurrence as EvalAll but with a small fixed-size tile of
-  // accumulators so no heap scratch is needed.
-  constexpr std::size_t kTile = 64;
-  std::uint64_t acc[kTile];
-  for (std::size_t base = 0; base < n; base += kTile) {
-    const std::size_t len = std::min(kTile, n - base);
-    const std::uint64_t* top =
-        coeffs_.data() + static_cast<std::size_t>(k_ - 1) * n + base;
-    for (std::size_t i = 0; i < len; ++i) acc[i] = top[i];
-    for (int j = k_ - 2; j >= 0; --j) {
-      const std::uint64_t* row =
-          coeffs_.data() + static_cast<std::size_t>(j) * n + base;
-      for (std::size_t i = 0; i < len; ++i) {
-        acc[i] = HornerStepLazy61(acc[i], xm, row[i]);
+  const std::size_t k = static_cast<std::size_t>(k_);
+  std::vector<std::uint64_t> diff(k * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Row j = Δ^j h(0): h(0..k−1), then k−1 rounds of in-place backward
+    // differences (round r leaves Δ^r h(0) in row r).
+    for (std::size_t j = 0; j < k; ++j) diff[j * n + i] = Eval(i, j);
+    for (std::size_t r = 1; r < k; ++r) {
+      for (std::size_t j = k - 1; j >= r; --j) {
+        diff[j * n + i] = SubMod61(diff[j * n + i], diff[(j - 1) * n + i]);
       }
     }
-    for (std::size_t i = 0; i < len; ++i) {
-      // Parity needs the canonical value: p is odd, so a lazy representative
-      // off by a multiple of p has flipped low bit.
-      out[base + i] = (CanonicalizeMod61(acc[i]) & 1ULL) ? 1 : -1;
+  }
+  for (std::uint64_t x = 0; x < count; ++x) {
+    signed char* row_out = out + x * n;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Arithmetic, not a ternary, so the loop vectorizes.
+      row_out[i] =
+          static_cast<signed char>(2 * static_cast<int>(diff[i] & 1ULL) - 1);
+    }
+    for (std::size_t j = 0; j + 1 < k; ++j) {
+      std::uint64_t* row = diff.data() + j * n;
+      const std::uint64_t* next = row + n;
+      for (std::size_t i = 0; i < n; ++i) {
+        row[i] = AddMod61Branchless(row[i], next[i]);
+      }
     }
   }
 }

@@ -45,9 +45,11 @@ class KWiseHashBank {
   /// out[i] = h_i(x) ∈ [0, p) for all i. `out` must hold size() entries.
   void EvalAll(std::uint64_t x, std::uint64_t* out) const;
 
-  /// out[i] = ±1 from the low bit of h_i(x) (odd → +1), matching
-  /// KWiseHash::Sign.
-  void SignAll(std::uint64_t x, signed char* out) const;
+  /// out[x·size() + i] = ±1 from the low bit of h_i(x) (odd → +1),
+  /// matching KWiseHash::Sign, for every x in [0, count). Walks x by
+  /// forward differences (DESIGN.md §8): k−1 modular adds per entry and
+  /// no multiplies, exact in GF(p). Requires count <= p.
+  void SignTable(std::uint64_t count, signed char* out) const;
 
   /// out[i] = h_i(x) / p ∈ [0, 1), matching KWiseHash::ToUnit.
   void ToUnitAll(std::uint64_t x, double* out) const;

@@ -29,6 +29,21 @@ inline std::uint64_t AddMod61(std::uint64_t a, std::uint64_t b) {
   return sum;
 }
 
+/// a − b mod p. Requires a, b < p.
+inline std::uint64_t SubMod61(std::uint64_t a, std::uint64_t b) {
+  return a >= b ? a - b : a + kMersennePrime61 - b;
+}
+
+/// a + b mod p without a compare, for sweeps the compiler should vectorize
+/// (baseline SSE2 has no unsigned 64-bit compare): a + b − p wraps below
+/// zero exactly when a + b < p, which sets its top bit, and then p is added
+/// back. Requires a, b < p; the result is the canonical residue.
+inline std::uint64_t AddMod61Branchless(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t sum = a + b - kMersennePrime61;
+  sum += kMersennePrime61 & (0 - (sum >> 63));
+  return sum;
+}
+
 /// Canonical residue of an arbitrary 64-bit value: x = hi·2^61 + lo with
 /// 2^61 ≡ 1 folds to hi + lo < 2p, so one conditional subtract finishes.
 /// Equals x % p for every x, without the division.

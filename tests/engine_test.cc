@@ -315,6 +315,24 @@ TEST(EngineTest, LoneArbF2QueryBitIdenticalToStandalone) {
   EXPECT_EQ(outcomes[0].estimate.space_words, reference.space_words);
 }
 
+// A windowed turnstile query's id names the window layer and the hosted
+// estimator. Snapshots are matched against it, so it must not drift.
+TEST(EngineTest, WindowedTurnstileCheckpointIdsArePinned) {
+  QuerySpec spec;
+  spec.name = "windowed";
+  spec.base.epsilon = 0.4;
+  spec.base.seed = 31;
+  spec.num_vertices = 50;
+  spec.window_edges = 8;
+  spec.window_buckets = 2;
+  spec.kind = QueryKind::kTurnstileF2C4;
+  EXPECT_EQ(MakeTurnstileQuery(spec).algorithm->CheckpointId(),
+            "window/1+turnstile-c4/1");
+  spec.kind = QueryKind::kTurnstileF2Triangle;
+  EXPECT_EQ(MakeTurnstileQuery(spec).algorithm->CheckpointId(),
+            "window/1+turnstile-tri/1");
+}
+
 TEST(EngineTest, ManifestExportIsThreadCountInvariant) {
   EdgeList graph;
   const EdgeStream stream = MixedSweepStream(&graph);

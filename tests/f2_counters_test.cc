@@ -14,7 +14,7 @@
 #include "gen/generators.h"
 #include "graph/exact.h"
 #include "graph/graph.h"
-#include "hash/kwise_bank.h"
+#include "hash/kwise.h"
 #include "hash/rng.h"
 #include "sketch/median_of_means.h"
 #include "stream/dynamic/turnstile.h"
@@ -192,13 +192,17 @@ class ArbF2Oracle {
       beta_seeds[i] = SplitMix64(seed);
       alpha_seeds[i] = SplitMix64(seed);
     }
-    const KWiseHashBank alpha_bank(4, alpha_seeds);
-    const KWiseHashBank beta_bank(4, beta_seeds);
+    // Signs straight from the scalar reference hash, one per (vertex,
+    // copy), independent of the bank's sign tables.
     alpha_.resize(n_ * c_);
     beta_.resize(n_ * c_);
-    for (std::size_t v = 0; v < n_; ++v) {
-      alpha_bank.SignAll(v, alpha_.data() + v * c_);
-      beta_bank.SignAll(v, beta_.data() + v * c_);
+    for (std::size_t i = 0; i < c_; ++i) {
+      const KWiseHash alpha_hash(4, alpha_seeds[i]);
+      const KWiseHash beta_hash(4, beta_seeds[i]);
+      for (std::size_t v = 0; v < n_; ++v) {
+        alpha_[v * c_ + i] = static_cast<signed char>(alpha_hash.Sign(v));
+        beta_[v * c_ + i] = static_cast<signed char>(beta_hash.Sign(v));
+      }
     }
     a_.assign(n_ * c_, 0.0);
     b_.assign(n_ * c_, 0.0);
@@ -406,6 +410,72 @@ TEST(ArbF2CounterTest, DecayedTurnstileC4MatchesDoubleOracle) {
   }
   decayed.EndPass(0);
   EXPECT_EQ(SaveBytes(c4->inner()), oracle.Save());
+}
+
+// The seed-fixed estimates of the four sign-sketch kinds on one small
+// graph, pinned as exact doubles (recorded when the α/β/σ sign caches were
+// still filled by per-vertex Horner evaluation). Each kind builds its sign
+// caches once per counter over the whole vertex universe, so a change in
+// how the caches are computed that moves a single sign moves these values:
+// one group, so each value is the mean over every copy.
+TEST(F2SignStreamTest, SeedFixedEstimatesArePinned) {
+  constexpr VertexId kN = 150;
+  Rng graph_rng(71);
+  const Graph g(ErdosRenyiGnm(kN, 1100, graph_rng));
+  TurnstileStream churn = TurnstileFromEdges(g.edges());
+  for (std::size_t i = 0; i < g.num_edges(); i += 4) {
+    churn.emplace_back(g.edges()[i], TurnstileOp::kDelete);
+  }
+
+  ArbF2FourCycleCounter::Params arb;
+  arb.base.epsilon = 0.3;
+  arb.base.seed = 72;
+  arb.num_vertices = kN;
+  arb.copies_per_group = 16;
+  arb.groups = 1;
+  const double arb_f2 = CountFourCyclesArbF2(g.edges(), arb).value;
+  EXPECT_EQ(arb_f2, 0x1.4b38p+12) << std::hexfloat << arb_f2;
+
+  AdjF2FourCycleCounter::Params adj;
+  adj.base.epsilon = 0.3;
+  adj.base.t_guess = 2000.0;
+  adj.base.seed = 73;
+  adj.num_vertices = kN;
+  adj.copies_per_group = 16;
+  adj.groups = 1;
+  Rng adj_rng(74);
+  const double adj_f2 =
+      CountFourCyclesAdjF2(MakeAdjacencyStream(g, adj_rng), adj).value;
+  EXPECT_EQ(adj_f2, 0x1.64ccp+10) << std::hexfloat << adj_f2;
+
+  arb.base.seed = 75;
+  TurnstileF2FourCycleCounter c4(arb);
+  RunTurnstileStream(c4, churn);
+  const double c4_value = c4.Result().value;
+  EXPECT_EQ(c4_value, 0x1.205ep+11) << std::hexfloat << c4_value;
+
+  // The triangle sketch needs T to dominate the spread of Z³: a churned
+  // 45-clique on every third vertex id, so the high ids' signs take part.
+  std::vector<Edge> clique;
+  for (VertexId i = 0; i < 45; ++i) {
+    for (VertexId j = i + 1; j < 45; ++j) {
+      clique.emplace_back(3 * i + 1, 3 * j + 1);
+    }
+  }
+  TurnstileStream clique_churn = TurnstileFromEdges(clique);
+  for (std::size_t i = 0; i < clique.size(); i += 4) {
+    clique_churn.emplace_back(clique[i], TurnstileOp::kDelete);
+  }
+  TurnstileF2TriangleCounter::Params tri;
+  tri.base.epsilon = 0.3;
+  tri.base.seed = 76;
+  tri.num_vertices = kN;
+  tri.copies_per_group = 96;
+  tri.groups = 1;
+  TurnstileF2TriangleCounter triangles(tri);
+  RunTurnstileStream(triangles, clique_churn);
+  const double tri_value = triangles.Result().value;
+  EXPECT_EQ(tri_value, 0x1.649eaaaaaaaabp+11) << std::hexfloat << tri_value;
 }
 
 TEST(AdjL2CounterTest, EndToEndOnDenseGraph) {

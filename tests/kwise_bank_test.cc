@@ -65,21 +65,31 @@ TEST(KWiseHashBankTest, EvalAllBitIdenticalToScalar) {
   }
 }
 
-TEST(KWiseHashBankTest, SignAllBitIdenticalToScalar) {
-  const auto keys = ProbeKeys();
-  for (int k : {2, 4}) {
-    for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{128}}) {
+// The forward-difference walk against scalar Horner signs, at counts that
+// stop before, at and just past the k seed points, and over a long walk.
+TEST(KWiseHashBankTest, SignTableBitIdenticalToScalar) {
+  for (int k : {1, 2, 4, 6, 8}) {
+    const auto uk = static_cast<std::uint64_t>(k);
+    for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{128},
+                          std::size_t{450}}) {
       const auto seeds = MakeSeeds(n, 0x5151ULL + 31 * k + n);
       const KWiseHashBank bank(k, seeds);
       std::vector<KWiseHash> scalar;
       for (std::size_t i = 0; i < n; ++i) scalar.emplace_back(k, seeds[i]);
 
-      std::vector<signed char> signs(n);
-      for (std::uint64_t x : keys) {
-        bank.SignAll(x, signs.data());
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(static_cast<int>(signs[i]), scalar[i].Sign(x))
-              << "k=" << k << " n=" << n << " i=" << i << " x=" << x;
+      for (std::uint64_t count :
+           {std::uint64_t{0}, std::uint64_t{1}, uk - 1, uk, uk + 1,
+            std::uint64_t{1000}}) {
+        // One guard entry past the end catches an overrun.
+        std::vector<signed char> table(count * n + 1, 0);
+        bank.SignTable(count, table.data());
+        ASSERT_EQ(table.back(), 0) << "k=" << k << " n=" << n;
+        for (std::uint64_t x = 0; x < count; ++x) {
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(static_cast<int>(table[x * n + i]), scalar[i].Sign(x))
+                << "k=" << k << " n=" << n << " count=" << count
+                << " i=" << i << " x=" << x;
+          }
         }
       }
     }
