@@ -7,220 +7,53 @@
 #include "stream/driver.h"
 #include "util/check.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 
 namespace cyclestream::engine {
 namespace {
 
-// Per-stream-kind plumbing for the shared wave loop (mirrors the Kind
-// structs in stream/driver.cc).
-struct EdgeTraits {
-  using Query = EdgeQuery;
-  static Query Make(const QuerySpec& spec) { return MakeEdgeQuery(spec); }
-  static void ProcessBlock(EdgeStreamAlgorithm& alg, int pass,
-                           const Edge* items, std::size_t n,
-                           std::size_t base_position) {
-    alg.ProcessEdgeBlock(pass, std::span<const Edge>(items, n),
-                         base_position);
-  }
-  static void Credit(ExternalRunStats& credit, std::uint64_t delivered) {
-    credit.edges_processed += delivered;
-  }
-};
-
-struct AdjacencyTraits {
-  using Query = AdjacencyQuery;
-  static Query Make(const QuerySpec& spec) { return MakeAdjacencyQuery(spec); }
-  static void ProcessBlock(AdjacencyStreamAlgorithm& alg, int pass,
-                           const AdjacencyList* items, std::size_t n,
-                           std::size_t base_position) {
-    for (std::size_t i = 0; i < n; ++i) {
-      alg.ProcessList(pass, items[i], base_position + i);
-    }
-  }
-  static void Credit(ExternalRunStats& credit, std::uint64_t delivered) {
-    credit.lists_processed += delivered;
-  }
-};
-
-struct TurnstileTraits {
-  using Query = TurnstileQuery;
-  static Query Make(const QuerySpec& spec) {
-    return MakeTurnstileQuery(spec);
-  }
-  static void ProcessBlock(TurnstileStreamAlgorithm& alg, int pass,
-                           const TurnstileUpdate* items, std::size_t n,
-                           std::size_t base_position) {
-    alg.ProcessUpdateBlock(pass, std::span<const TurnstileUpdate>(items, n),
-                           base_position);
-  }
-  static void Credit(ExternalRunStats& credit, std::uint64_t delivered) {
-    credit.updates_processed += delivered;
-  }
-};
-
-// Block view over an in-memory adjacency stream, so the adjacency path
-// shares the edge path's wave loop. (Adjacency lists are only ever
-// in-memory; there is no binary adjacency format.)
-class AdjacencyBlockSource {
- public:
-  explicit AdjacencyBlockSource(const AdjacencyStream& stream)
-      : stream_(stream) {}
-
-  std::size_t size() const { return stream_.size(); }
-  void Reset() { pos_ = 0; }
-  const AdjacencyList* NextBlock(std::size_t max_items, std::size_t* count) {
-    const std::size_t n = std::min(max_items, stream_.size() - pos_);
-    *count = n;
-    if (n == 0) return nullptr;
-    const AdjacencyList* block = stream_.data() + pos_;
-    pos_ += n;
-    return block;
-  }
-
- private:
-  const AdjacencyStream& stream_;
-  std::size_t pos_ = 0;
-};
-
-// The driver's audit cross-check (stream/driver.cc MaybeAuditSpace),
-// replicated because the engine drives passes itself: after the final
-// pass the state walk must agree exactly with the self-reported tracker.
-// Returns true iff an audit actually ran (and passed — mismatches abort).
-template <typename Alg>
-bool MaybeAuditSpace(const Alg& alg) {
-  if (!SpaceAuditEnabled()) return false;
-  const SpaceTracker* tracker = alg.space_tracker();
-  const std::size_t walked = alg.AuditSpace();
-  if (tracker == nullptr || walked == kNoSpaceAudit) return false;
-  CHECK_EQ(walked, tracker->Current())
-      << "space audit failed: the state walk disagrees with the "
-         "self-reported footprint (accounting bug)";
-  CHECK_LE(walked, tracker->Peak())
-      << "space audit failed: current footprint exceeds the recorded peak";
-  return true;
-}
-
-// Runs one wave: constructs the admitted queries, drives every logical
-// pass with a single physical read of `source`, and fills the outcomes.
-template <typename Traits, typename Source>
-void RunWave(Source& source, const BrokerOptions& options,
-             const std::vector<QuerySpec>& specs,
+// Runs one wave: constructs the admitted queries, runs every logical pass
+// through the one pass loop (a single physical read of `stream` per pass),
+// and fills the outcomes. The loop audits and credits each query; the
+// read counters follow from the pass counts.
+template <typename Item, typename Make>
+void RunWave(std::span<const Item> stream, Make make,
+             const BrokerOptions& options, const std::vector<QuerySpec>& specs,
              const std::vector<std::size_t>& slots, int wave,
              std::vector<QueryOutcome>& outcomes, EngineStats& stats) {
-  using Query = typename Traits::Query;
+  using Query = decltype(make(specs[0]));
+  using Alg = typename decltype(Query::algorithm)::element_type;
   std::vector<Query> queries;
+  std::vector<Alg*> algs;
   queries.reserve(slots.size());
-  for (std::size_t slot : slots) queries.push_back(Traits::Make(specs[slot]));
-
-  int max_passes = 0;
-  for (const Query& q : queries) {
-    max_passes = std::max(max_passes, q.algorithm->NumPasses());
+  for (std::size_t slot : slots) {
+    queries.push_back(make(specs[slot]));
+    algs.push_back(queries.back().algorithm.get());
   }
-  const std::size_t stream_length = source.size();
-  std::vector<std::uint64_t> delivered(slots.size(), 0);
-
-  for (int pass = 0; pass < max_passes; ++pass) {
-    // Queries with fewer passes drop out of later physical reads.
-    std::vector<std::size_t> active;  // Indices into `queries`.
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (pass < queries[i].algorithm->NumPasses()) active.push_back(i);
-    }
-    for (std::size_t i : active) {
-      queries[i].algorithm->StartPass(pass, stream_length);
-    }
-
-    // One physical read serves every active query. Fan-out is sharded by
-    // query (slot qi → shard qi mod shards, each shard serial), so the
-    // per-query call sequence is the exact standalone sequence — the block
-    // barrier only bounds how far queries can drift apart in the stream.
-    // With a single active query the outer ParallelFor is bypassed entirely
-    // (not even a 1-wide region).
-    ++stats.physical_passes;
-    const std::size_t shards =
-        std::min(active.size(), static_cast<std::size_t>(DefaultThreads()));
-    source.Reset();
-    std::size_t base = 0;
-    std::size_t n = 0;
-    for (const auto* block = source.NextBlock(options.block_size, &n);
-         block != nullptr; block = source.NextBlock(options.block_size, &n)) {
-      stats.source_items_read += n;
-      if (shards <= 1) {
-        for (std::size_t qi = 0; qi < active.size(); ++qi) {
-          Traits::ProcessBlock(*queries[active[qi]].algorithm, pass, block, n,
-                               base);
-          delivered[active[qi]] += n;
-        }
-      } else {
-        ParallelFor(shards, [&](std::size_t shard) {
-          for (std::size_t qi = shard; qi < active.size(); qi += shards) {
-            Traits::ProcessBlock(*queries[active[qi]].algorithm, pass, block,
-                                 n, base);
-            delivered[active[qi]] += n;
-          }
-        });
-      }
-      stats.items_delivered += static_cast<std::uint64_t>(n) * active.size();
-      base += n;
-    }
-    CHECK_EQ(base, stream_length)
-        << "EdgeSource delivered a different stream length than size()";
-
-    for (std::size_t i : active) queries[i].algorithm->EndPass(pass);
-  }
+  RunPasses(std::span<Alg* const>(algs), stream, options.block_size);
 
   // Finalize in registration order on the caller thread.
-  ExternalRunStats credit;
+  int max_passes = 0;
   for (std::size_t i = 0; i < slots.size(); ++i) {
     Query& q = queries[i];
     QueryOutcome& out = outcomes[slots[i]];
-    if (MaybeAuditSpace(*q.algorithm)) ++credit.audits_passed;
     out.admission = AdmissionOutcome::kAdmitted;
     out.wave = wave;
     out.estimate = q.result();
     out.passes = q.algorithm->NumPasses();
-    out.items_delivered = delivered[i];
+    out.items_delivered =
+        static_cast<std::uint64_t>(out.passes) * stream.size();
     if (const SpaceTracker* tracker = q.algorithm->space_tracker()) {
       out.space_peak_components = tracker->PeakComponents();
     }
-    ++credit.runs;
-    credit.passes += static_cast<std::uint64_t>(out.passes);
-    Traits::Credit(credit, delivered[i]);
+    max_passes = std::max(max_passes, out.passes);
+    stats.items_delivered += out.items_delivered;
   }
-  AddExternalRunStats(credit);
+  stats.physical_passes += static_cast<std::uint64_t>(max_passes);
+  stats.source_items_read +=
+      static_cast<std::uint64_t>(max_passes) * stream.size();
 }
 
 }  // namespace
-
-const Edge* VectorEdgeSource::NextBlock(std::size_t max_edges,
-                                        std::size_t* count) {
-  const std::size_t n = std::min(max_edges, stream_.size() - pos_);
-  *count = n;
-  if (n == 0) return nullptr;
-  const Edge* block = stream_.data() + pos_;
-  pos_ += n;
-  return block;
-}
-
-const Edge* BinaryEdgeSource::NextBlock(std::size_t max_edges,
-                                        std::size_t* count) {
-  const std::size_t n = std::min(max_edges, reader_.num_edges() - pos_);
-  *count = n;
-  if (n == 0) return nullptr;
-  const Edge* block = reader_.edges() + pos_;
-  pos_ += n;
-  return block;
-}
-
-const TurnstileUpdate* VectorTurnstileSource::NextBlock(
-    std::size_t max_updates, std::size_t* count) {
-  const std::size_t n = std::min(max_updates, stream_.size() - pos_);
-  *count = n;
-  if (n == 0) return nullptr;
-  const TurnstileUpdate* block = stream_.data() + pos_;
-  pos_ += n;
-  return block;
-}
 
 StreamBroker::StreamBroker(const BrokerOptions& options) : options_(options) {
   CHECK_GT(options_.block_size, 0u) << "BrokerOptions::block_size must be > 0";
@@ -237,8 +70,9 @@ std::size_t StreamBroker::AddQuery(QuerySpec spec) {
   return specs_.size() - 1;
 }
 
-template <typename Traits, typename Source>
-std::vector<QueryOutcome> StreamBroker::RunBatch(Source& source) {
+template <typename Item, typename Make>
+std::vector<QueryOutcome> StreamBroker::RunBatch(std::span<const Item> stream,
+                                                 Make make) {
   CHECK(!ran_) << "StreamBroker is one-shot; construct a new broker";
   ran_ = true;
 
@@ -281,8 +115,8 @@ std::vector<QueryOutcome> StreamBroker::RunBatch(Source& source) {
       break;
     }
     ++stats_.waves;
-    RunWave<Traits>(source, options_, specs_, admitted, wave, outcomes,
-                    stats_);
+    RunWave(stream, make, options_, specs_, admitted, wave, outcomes,
+            stats_);
     for (std::size_t slot : admitted) {
       controller.Release(specs_[slot].space_budget_words);
       ++stats_.queries_admitted;
@@ -294,46 +128,34 @@ std::vector<QueryOutcome> StreamBroker::RunBatch(Source& source) {
   return outcomes;
 }
 
-std::vector<QueryOutcome> StreamBroker::RunEdgeQueries(EdgeSource& source) {
+std::vector<QueryOutcome> StreamBroker::RunEdgeQueries(
+    std::span<const Edge> stream) {
   for (const QuerySpec& spec : specs_) {
     CHECK(IsEdgeKind(spec.kind))
         << "RunEdgeQueries: query '" << spec.name << "' has adjacency kind "
         << QueryKindName(spec.kind);
   }
-  return RunBatch<EdgeTraits>(source);
-}
-
-std::vector<QueryOutcome> StreamBroker::RunEdgeQueries(
-    const EdgeStream& stream) {
-  VectorEdgeSource source(stream);
-  return RunEdgeQueries(source);
+  return RunBatch(stream, MakeEdgeQuery);
 }
 
 std::vector<QueryOutcome> StreamBroker::RunAdjacencyQueries(
-    const AdjacencyStream& stream) {
+    std::span<const AdjacencyList> stream) {
   for (const QuerySpec& spec : specs_) {
     CHECK(!IsEdgeKind(spec.kind))
         << "RunAdjacencyQueries: query '" << spec.name << "' has edge kind "
         << QueryKindName(spec.kind);
   }
-  AdjacencyBlockSource source(stream);
-  return RunBatch<AdjacencyTraits>(source);
+  return RunBatch(stream, MakeAdjacencyQuery);
 }
 
 std::vector<QueryOutcome> StreamBroker::RunTurnstileQueries(
-    TurnstileSource& source) {
+    std::span<const TurnstileUpdate> stream) {
   for (const QuerySpec& spec : specs_) {
     CHECK(IsTurnstileKind(spec.kind))
         << "RunTurnstileQueries: query '" << spec.name
         << "' has non-turnstile kind " << QueryKindName(spec.kind);
   }
-  return RunBatch<TurnstileTraits>(source);
-}
-
-std::vector<QueryOutcome> StreamBroker::RunTurnstileQueries(
-    const TurnstileStream& stream) {
-  VectorTurnstileSource source(stream);
-  return RunTurnstileQueries(source);
+  return RunBatch(stream, MakeTurnstileQuery);
 }
 
 void ExportToManifest(const std::vector<QueryOutcome>& outcomes,

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,102 +20,28 @@ class RunManifest;
 
 namespace cyclestream::engine {
 
-/// Abstract block-oriented edge supplier for the broker's shared pass. One
-/// Reset() + NextBlock() drain is one physical read of the stream; the
-/// broker counts those reads so tests can assert "N queries, one read per
-/// logical pass". Blocks are zero-copy views — valid until the next
-/// NextBlock()/Reset() on the same source.
-class EdgeSource {
- public:
-  virtual ~EdgeSource() = default;
-
-  /// Total stream length (edges per full pass). Known up front: every
-  /// algorithm's StartPass takes the stream length.
-  virtual std::size_t size() const = 0;
-
-  /// Rewinds to the beginning of the stream (start of a physical pass).
-  virtual void Reset() = 0;
-
-  /// Returns a pointer to the next block of at most `max_edges` edges and
-  /// stores the block's length in `*count`. Returns nullptr (count 0) at
-  /// end of stream.
-  virtual const Edge* NextBlock(std::size_t max_edges, std::size_t* count) = 0;
-};
-
-/// EdgeSource over an in-memory stream (EdgeStream is vector<Edge>).
-/// Borrows the vector — it must outlive the source.
-class VectorEdgeSource : public EdgeSource {
- public:
-  explicit VectorEdgeSource(const EdgeStream& stream) : stream_(stream) {}
-
-  std::size_t size() const override { return stream_.size(); }
-  void Reset() override { pos_ = 0; }
-  const Edge* NextBlock(std::size_t max_edges, std::size_t* count) override;
-
- private:
-  const EdgeStream& stream_;
-  std::size_t pos_ = 0;
-};
-
-/// EdgeSource over a validated mmap'd binary edge stream (zero-copy ingest:
-/// blocks point straight into the mapping). Borrows the reader.
-class BinaryEdgeSource : public EdgeSource {
+/// Zero-copy view of a validated mmap'd binary edge stream: converts to
+/// the span RunEdgeQueries takes, so blocks point straight into the
+/// mapping. Borrows the reader.
+class BinaryEdgeSource {
  public:
   explicit BinaryEdgeSource(const BinaryEdgeReader& reader)
       : reader_(reader) {}
 
-  std::size_t size() const override { return reader_.num_edges(); }
-  void Reset() override { pos_ = 0; }
-  const Edge* NextBlock(std::size_t max_edges, std::size_t* count) override;
+  operator std::span<const Edge>() const {
+    return {reader_.edges(), reader_.num_edges()};
+  }
 
  private:
   const BinaryEdgeReader& reader_;
-  std::size_t pos_ = 0;
-};
-
-/// Abstract block-oriented turnstile-update supplier — the EdgeSource shape
-/// over insert/delete records. Turnstile algorithms are single-pass, but the
-/// source keeps Reset() so it slots into the same wave loop.
-class TurnstileSource {
- public:
-  virtual ~TurnstileSource() = default;
-
-  /// Total stream length (updates per pass).
-  virtual std::size_t size() const = 0;
-
-  /// Rewinds to the beginning of the stream.
-  virtual void Reset() = 0;
-
-  /// Returns a pointer to the next block of at most `max_updates` updates
-  /// and stores the block's length in `*count`. Returns nullptr (count 0)
-  /// at end of stream.
-  virtual const TurnstileUpdate* NextBlock(std::size_t max_updates,
-                                           std::size_t* count) = 0;
-};
-
-/// TurnstileSource over an in-memory stream (the shape TurnstileBinaryReader
-/// decodes into). Borrows the vector — it must outlive the source.
-class VectorTurnstileSource : public TurnstileSource {
- public:
-  explicit VectorTurnstileSource(const TurnstileStream& stream)
-      : stream_(stream) {}
-
-  std::size_t size() const override { return stream_.size(); }
-  void Reset() override { pos_ = 0; }
-  const TurnstileUpdate* NextBlock(std::size_t max_updates,
-                                   std::size_t* count) override;
-
- private:
-  const TurnstileStream& stream_;
-  std::size_t pos_ = 0;
 };
 
 /// Broker tuning.
 struct BrokerOptions {
-  /// Edges (or adjacency lists) per fan-out block. Blocks amortize the
-  /// per-dispatch synchronization without affecting results: per-query
-  /// delivery order is the stream order regardless of block size.
-  std::size_t block_size = 4096;
+  /// Edges (or adjacency lists, or updates) per fan-out block. Blocks
+  /// amortize the per-dispatch synchronization without affecting results:
+  /// per-query delivery order is the stream order regardless of block size.
+  std::size_t block_size = kDefaultBlockSize;
   /// Admission policy; default (zeros) admits everything in one wave.
   BudgetPolicy budget;
 };
@@ -132,7 +59,7 @@ struct QueryOutcome {
   /// The estimator's result; zero-initialized for rejected queries.
   Estimate estimate;
   int passes = 0;  // The algorithm's own NumPasses().
-  std::uint64_t items_delivered = 0;  // ProcessEdge/ProcessList calls.
+  std::uint64_t items_delivered = 0;  // passes × stream length.
   /// Peak-space component breakdown (empty if the algorithm lacks a
   /// tracker or was rejected).
   std::map<std::string, std::size_t, std::less<>> space_peak_components;
@@ -160,7 +87,8 @@ struct EngineStats {
 
 /// Multi-query stream engine: registers N QuerySpecs, then makes a single
 /// physical pass (per logical pass number, per wave) over the stream and
-/// fans each block out to every admitted query.
+/// fans each block out to every admitted query. Each wave is one RunPasses
+/// call (stream/driver.h), the same pass loop a standalone run uses.
 ///
 /// Determinism contract: each query's state is private and its edges arrive
 /// in stream order with the same positions RunEdgeStream would use, so each
@@ -185,34 +113,30 @@ class StreamBroker {
   /// key the manifest sections); duplicates abort.
   std::size_t AddQuery(QuerySpec spec);
 
-  /// Runs every registered edge-kind query over `source`. Aborts if any
-  /// registered spec has an adjacency kind. Outcomes are in registration
-  /// order.
-  std::vector<QueryOutcome> RunEdgeQueries(EdgeSource& source);
-
-  /// Convenience overload over an in-memory stream.
-  std::vector<QueryOutcome> RunEdgeQueries(const EdgeStream& stream);
+  /// Runs every registered edge-kind query over `stream` (a vector, or a
+  /// BinaryEdgeSource over the mmap). Aborts if any registered spec has an
+  /// adjacency kind. Outcomes are in registration order.
+  std::vector<QueryOutcome> RunEdgeQueries(std::span<const Edge> stream);
 
   /// Runs every registered adjacency-kind query over `stream`. Aborts if
   /// any registered spec has an edge kind.
-  std::vector<QueryOutcome> RunAdjacencyQueries(const AdjacencyStream& stream);
+  std::vector<QueryOutcome> RunAdjacencyQueries(
+      std::span<const AdjacencyList> stream);
 
-  /// Runs every registered turnstile-kind query over `source`. Aborts if
+  /// Runs every registered turnstile-kind query over `stream`. Aborts if
   /// any registered spec has a non-turnstile kind. The same determinism
   /// contract as the edge path: each query sees the updates in stream order
   /// at the standalone positions, so windowed/decayed estimates are
   /// bit-identical at any thread count and block size.
-  std::vector<QueryOutcome> RunTurnstileQueries(TurnstileSource& source);
-
-  /// Convenience overload over an in-memory turnstile stream.
-  std::vector<QueryOutcome> RunTurnstileQueries(const TurnstileStream& stream);
+  std::vector<QueryOutcome> RunTurnstileQueries(
+      std::span<const TurnstileUpdate> stream);
 
   /// Valid after a Run*Queries call.
   const EngineStats& stats() const { return stats_; }
 
  private:
-  template <typename Traits, typename Source>
-  std::vector<QueryOutcome> RunBatch(Source& source);
+  template <typename Item, typename Make>
+  std::vector<QueryOutcome> RunBatch(std::span<const Item> stream, Make make);
 
   BrokerOptions options_;
   std::vector<QuerySpec> specs_;

@@ -25,19 +25,6 @@ std::string DirName(const std::string& path) {
   return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
 }
 
-// The broker's audit cross-check, applied to a merged query (the merged
-// state IS the single-process end-of-run state, so the same invariant must
-// hold). Returns true iff an audit ran.
-bool MaybeAuditMerged(const EdgeStreamAlgorithm& alg) {
-  if (!SpaceAuditEnabled()) return false;
-  const SpaceTracker* tracker = alg.space_tracker();
-  const std::size_t walked = alg.AuditSpace();
-  if (tracker == nullptr || walked == kNoSpaceAudit) return false;
-  CHECK_EQ(walked, tracker->Current())
-      << "space audit failed on merged shard state";
-  return true;
-}
-
 // Runs one worker in-process; returns completed.
 bool LaunchInProcess(const WorkerLaunch& launch) {
   std::string error;
@@ -279,16 +266,17 @@ void FinalizeShardWave(const std::vector<std::size_t>& admitted, int wave,
                        EngineStats& stats) {
   // One logical pass (mergeable kinds are single-pass, CHECKed in the
   // worker), read once across the workers collectively — the same counters
-  // the broker's wave loop would produce.
+  // a broker wave would produce.
   ++stats.physical_passes;
   stats.source_items_read += stream_length;
   stats.items_delivered +=
       static_cast<std::uint64_t>(stream_length) * admitted.size();
 
-  ExternalRunStats credit;
   for (std::size_t i = 0; i < admitted.size(); ++i) {
     QueryOutcome& out = outcomes[admitted[i]];
-    if (MaybeAuditMerged(*merged[i].algorithm)) ++credit.audits_passed;
+    // The merged state IS the single-process end-of-run state, so the
+    // pass loop's audit and credit apply to it unchanged.
+    AuditAndCreditRun(*merged[i].algorithm, stream_length);
     out.admission = AdmissionOutcome::kAdmitted;
     out.wave = wave;
     out.estimate = merged[i].result();
@@ -297,11 +285,7 @@ void FinalizeShardWave(const std::vector<std::size_t>& admitted, int wave,
     if (const SpaceTracker* tracker = merged[i].algorithm->space_tracker()) {
       out.space_peak_components = tracker->PeakComponents();
     }
-    ++credit.runs;
-    credit.passes += static_cast<std::uint64_t>(out.passes);
-    credit.edges_processed += stream_length;
   }
-  AddExternalRunStats(credit);
 }
 
 void CheckShardableSpecs(const std::vector<QuerySpec>& specs) {

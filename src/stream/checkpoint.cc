@@ -140,10 +140,6 @@ std::optional<Snapshot> LoadSnapshot(const std::string& path,
   return DecodeSnapshot(encoded, error);
 }
 
-std::uint64_t FingerprintEdgeStream(const EdgeStream& stream) {
-  return FingerprintEdgeStream(std::span<const Edge>(stream));
-}
-
 std::uint64_t FingerprintEdgeStream(std::span<const Edge> edges) {
   std::uint64_t h = Mix64(0x45444745u ^ edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
@@ -153,10 +149,11 @@ std::uint64_t FingerprintEdgeStream(std::span<const Edge> edges) {
   return h;
 }
 
-std::uint64_t FingerprintAdjacencyStream(const AdjacencyStream& stream) {
-  std::uint64_t h = Mix64(0x41444a59u ^ stream.size());
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const AdjacencyList& list = stream[i];
+std::uint64_t FingerprintAdjacencyStream(
+    std::span<const AdjacencyList> lists) {
+  std::uint64_t h = Mix64(0x41444a59u ^ lists.size());
+  for (std::size_t i = 0; i < lists.size(); ++i) {
+    const AdjacencyList& list = lists[i];
     h = Mix64(h ^ static_cast<std::uint64_t>(list.vertex));
     h = Mix64(h ^ list.neighbors.size());
     for (VertexId v : list.neighbors) {

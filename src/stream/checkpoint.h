@@ -82,14 +82,11 @@ std::optional<Snapshot> LoadSnapshot(const std::string& path,
                                      std::string* error);
 
 /// Order-sensitive fingerprints binding a snapshot to one exact stream.
-std::uint64_t FingerprintEdgeStream(const EdgeStream& stream);
-std::uint64_t FingerprintAdjacencyStream(const AdjacencyStream& stream);
-
-/// Span overload producing the identical fingerprint to the EdgeStream one,
-/// so mmap'd binary streams (BinaryEdgeReader::edges()) fingerprint without
-/// a copy into a vector. The shard coordinator binds worker state files and
-/// epoch checkpoints to the stream through this.
+/// Spans, so mmap'd binary streams (BinaryEdgeReader::edges()) fingerprint
+/// without a copy into a vector; the shard coordinator binds worker state
+/// files and epoch checkpoints to the stream this way.
 std::uint64_t FingerprintEdgeStream(std::span<const Edge> edges);
+std::uint64_t FingerprintAdjacencyStream(std::span<const AdjacencyList> lists);
 
 }  // namespace cyclestream
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <string>
 #include <system_error>
+#include <vector>
 
 #include "stream/checkpoint.h"
 #include "stream/dynamic/turnstile.h"
@@ -68,21 +69,29 @@ GlobalCheckpointState& GlobalCkpt() {
   return state;
 }
 
-// Cross-checks the algorithm's self-reported footprint against a fresh
-// walk of its stored state. Called after the final pass, when every
-// algorithm's tracker is current.
+// The end of one completed run: the audit cross-check of the
+// self-reported footprint against a fresh walk of the stored state (after
+// the final pass every tracker is current), then the run's credit. The
+// totals are the full-run ones, so a resumed run credits the same as an
+// uninterrupted one and a killed run credits nothing.
 template <typename Alg>
-void MaybeAuditSpace(const Alg& alg) {
-  if (!SpaceAuditEnabled()) return;
+void FinishRun(const Alg& alg, std::uint64_t stream_length,
+               std::atomic<std::uint64_t>& processed) {
   const SpaceTracker* tracker = alg.space_tracker();
-  const std::size_t walked = alg.AuditSpace();
-  if (tracker == nullptr || walked == kNoSpaceAudit) return;
-  CHECK_EQ(walked, tracker->Current())
-      << "space audit failed: the state walk disagrees with the "
-         "self-reported footprint (accounting bug)";
-  CHECK_LE(walked, tracker->Peak())
-      << "space audit failed: current footprint exceeds the recorded peak";
-  Stats().audits_passed.fetch_add(1, kRelaxed);
+  const std::size_t walked =
+      SpaceAuditEnabled() ? alg.AuditSpace() : kNoSpaceAudit;
+  if (tracker != nullptr && walked != kNoSpaceAudit) {
+    CHECK_EQ(walked, tracker->Current())
+        << "space audit failed: the state walk disagrees with the "
+           "self-reported footprint (accounting bug)";
+    CHECK_LE(walked, tracker->Peak())
+        << "space audit failed: current footprint exceeds the recorded peak";
+    Stats().audits_passed.fetch_add(1, kRelaxed);
+  }
+  const auto passes = static_cast<std::uint64_t>(alg.NumPasses());
+  Stats().runs.fetch_add(1, kRelaxed);
+  Stats().passes.fetch_add(passes, kRelaxed);
+  processed.fetch_add(passes * stream_length, kRelaxed);
 }
 
 void AddPassTime(int pass, std::chrono::steady_clock::time_point start) {
@@ -94,63 +103,55 @@ void AddPassTime(int pass, std::chrono::steady_clock::time_point start) {
                                      kRelaxed);
 }
 
-// Per-stream-kind plumbing for the shared run loop.
+// Per-stream-kind plumbing for the pass loop.
 struct EdgeKind {
   static constexpr std::uint8_t kTag = 0;
   using Alg = EdgeStreamAlgorithm;
-  using Stream = EdgeStream;
-  static std::uint64_t Fingerprint(const Stream& s) {
+  using Item = Edge;
+  static std::uint64_t Fingerprint(std::span<const Item> s) {
     return FingerprintEdgeStream(s);
   }
-  static void Process(Alg& alg, int pass, const Stream& s, std::size_t i) {
-    alg.ProcessEdge(pass, s[i], i);
+  static void ProcessBlock(Alg& alg, int pass, std::span<const Item> block,
+                           std::size_t base) {
+    alg.ProcessEdgeBlock(pass, block, base);
   }
-  static void ProcessBlock(Alg& alg, int pass, const Stream& s, std::size_t i,
-                           std::size_t n) {
-    alg.ProcessEdgeBlock(pass, std::span<const Edge>(s.data() + i, n), i);
-  }
-  static void AddProcessed(std::uint64_t n) {
-    Stats().edges_processed.fetch_add(n, kRelaxed);
+  static std::atomic<std::uint64_t>& Processed() {
+    return Stats().edges_processed;
   }
 };
 
 struct AdjacencyKind {
   static constexpr std::uint8_t kTag = 1;
   using Alg = AdjacencyStreamAlgorithm;
-  using Stream = AdjacencyStream;
-  static std::uint64_t Fingerprint(const Stream& s) {
+  using Item = AdjacencyList;
+  static std::uint64_t Fingerprint(std::span<const Item> s) {
     return FingerprintAdjacencyStream(s);
   }
-  static void Process(Alg& alg, int pass, const Stream& s, std::size_t i) {
-    alg.ProcessList(pass, s[i], i);
-  }
-  static void ProcessBlock(Alg& alg, int pass, const Stream& s, std::size_t i,
-                           std::size_t n) {
+  static void ProcessBlock(Alg& alg, int pass, std::span<const Item> block,
+                           std::size_t base) {
     // Adjacency algorithms have no batched entry point; deliver per list.
-    for (std::size_t j = 0; j < n; ++j) alg.ProcessList(pass, s[i + j], i + j);
+    for (std::size_t j = 0; j < block.size(); ++j) {
+      alg.ProcessList(pass, block[j], base + j);
+    }
   }
-  static void AddProcessed(std::uint64_t n) {
-    Stats().lists_processed.fetch_add(n, kRelaxed);
+  static std::atomic<std::uint64_t>& Processed() {
+    return Stats().lists_processed;
   }
 };
 
 struct TurnstileKind {
   static constexpr std::uint8_t kTag = 2;
   using Alg = TurnstileStreamAlgorithm;
-  using Stream = TurnstileStream;
-  static std::uint64_t Fingerprint(const Stream& s) {
+  using Item = TurnstileUpdate;
+  static std::uint64_t Fingerprint(std::span<const Item> s) {
     return FingerprintTurnstileStream(s);
   }
-  static void Process(Alg& alg, int pass, const Stream& s, std::size_t i) {
-    alg.ProcessUpdate(pass, s[i], i);
+  static void ProcessBlock(Alg& alg, int pass, std::span<const Item> block,
+                           std::size_t base) {
+    alg.ProcessUpdateBlock(pass, block, base);
   }
-  static void ProcessBlock(Alg& alg, int pass, const Stream& s, std::size_t i,
-                           std::size_t n) {
-    alg.ProcessUpdateBlock(
-        pass, std::span<const TurnstileUpdate>(s.data() + i, n), i);
-  }
-  static void AddProcessed(std::uint64_t n) {
-    Stats().updates_processed.fetch_add(n, kRelaxed);
+  static std::atomic<std::uint64_t>& Processed() {
+    return Stats().updates_processed;
   }
 };
 
@@ -158,11 +159,11 @@ struct TurnstileKind {
 // a deliberately damaged one — corruption faults must be caught on load,
 // not hidden at write time); false on (possibly simulated) I/O failure.
 template <typename Kind>
-bool WriteCheckpoint(typename Kind::Alg& alg, const RunOptions& options,
-                     const std::string& path, std::uint64_t fingerprint,
-                     std::uint64_t stream_length, std::uint64_t pass,
-                     std::uint64_t position, std::uint64_t elements_done,
-                     RunOutcome* out) {
+bool WriteCheckpoint(const typename Kind::Alg& alg,
+                     const RunOptions& options, const std::string& path,
+                     std::uint64_t fingerprint, std::uint64_t stream_length,
+                     std::uint64_t pass, std::uint64_t position,
+                     std::uint64_t elements_done, RunOutcome* out) {
   Snapshot snap;
   snap.algorithm_id = std::string(alg.CheckpointId());
   snap.stream_kind = Kind::kTag;
@@ -195,11 +196,10 @@ bool WriteCheckpoint(typename Kind::Alg& alg, const RunOptions& options,
 // resume point; on any validation failure logs why and leaves the
 // algorithm untouched (restart from scratch).
 template <typename Kind>
-void TryResume(typename Kind::Alg& alg, const typename Kind::Stream& stream,
-               const RunOptions& options, int num_passes,
-               std::uint64_t fingerprint, std::uint64_t* start_pass,
-               std::uint64_t* start_pos, std::uint64_t* elements_done,
-               RunOutcome* out) {
+void TryResume(typename Kind::Alg& alg, std::size_t stream_length,
+               const RunOptions& options, std::uint64_t fingerprint,
+               std::uint64_t* start_pass, std::uint64_t* start_pos,
+               std::uint64_t* elements_done, RunOutcome* out) {
   std::string error;
   std::optional<Snapshot> snap = LoadSnapshot(options.resume_from, &error);
   bool ok = false;
@@ -209,11 +209,11 @@ void TryResume(typename Kind::Alg& alg, const typename Kind::Stream& stream,
               "', expected '" + std::string(alg.CheckpointId()) + "'";
     } else if (snap->stream_kind != Kind::kTag) {
       error = "snapshot stream kind mismatch";
-    } else if (snap->stream_length != stream.size() ||
+    } else if (snap->stream_length != stream_length ||
                snap->stream_fingerprint != fingerprint) {
       error = "snapshot was taken against a different stream";
-    } else if (snap->pass >= static_cast<std::uint64_t>(num_passes) ||
-               snap->position > stream.size()) {
+    } else if (snap->pass >= static_cast<std::uint64_t>(alg.NumPasses()) ||
+               snap->position > stream_length) {
       error = "snapshot resume point out of range";
     } else {
       StateReader r(snap->state);
@@ -238,134 +238,153 @@ void TryResume(typename Kind::Alg& alg, const typename Kind::Stream& stream,
   }
 }
 
-// The shared options-aware run loop. Completion stats are added only when
-// the run finishes, and always as the full-run totals — a killed run
-// contributes nothing and a resumed run contributes the same totals as an
-// uninterrupted one, keeping the manifest's deterministic section
-// identical across the two.
+// The one pass loop (RunPasses in driver.h).
 template <typename Kind>
-RunOutcome RunWithOptions(typename Kind::Alg& alg,
-                          const typename Kind::Stream& stream,
-                          const RunOptions& options) {
+RunOutcome RunPassLoop(std::span<typename Kind::Alg* const> algs,
+                       std::span<const typename Kind::Item> stream,
+                       std::size_t block_size, const RunOptions& options) {
+  using Alg = typename Kind::Alg;
+  CHECK_GT(block_size, 0u) << "block size must be > 0";
+  CHECK(algs.size() == 1 || (options.checkpoint == nullptr &&
+                             options.faults == nullptr &&
+                             options.resume_from.empty()))
+      << "checkpoint, resume and fault options need exactly one algorithm "
+         "(a snapshot holds one state)";
   RunOutcome out;
-  const int num_passes = alg.NumPasses();
-  const bool can_checkpoint = !alg.CheckpointId().empty();
+  int num_passes = 0;
+  for (const Alg* alg : algs) {
+    num_passes = std::max(num_passes, alg->NumPasses());
+  }
+
+  // Snapshot state: set only for a lone algorithm that can checkpoint.
+  Alg* const lone = algs.size() == 1 && !algs[0]->CheckpointId().empty()
+                        ? algs[0]
+                        : nullptr;
   const CheckpointPolicy* policy =
-      can_checkpoint ? options.checkpoint : nullptr;
-
-  std::uint64_t fingerprint = 0;
-  if (policy != nullptr ||
-      (can_checkpoint && !options.resume_from.empty())) {
-    fingerprint = Kind::Fingerprint(stream);
-  }
-
-  std::uint64_t start_pass = 0;
-  std::uint64_t start_pos = 0;
-  std::uint64_t elements_done = 0;
-  if (can_checkpoint && !options.resume_from.empty()) {
-    TryResume<Kind>(alg, stream, options, num_passes, fingerprint,
-                    &start_pass, &start_pos, &elements_done, &out);
-  }
-
+      lone != nullptr ? options.checkpoint : nullptr;
+  const bool resume = lone != nullptr && !options.resume_from.empty();
+  const std::uint64_t fingerprint =
+      policy != nullptr || resume ? Kind::Fingerprint(stream) : 0;
+  const std::uint64_t every = policy != nullptr ? policy->every_elements : 0;
   std::string path;
   if (policy != nullptr) {
     path = policy->directory + "/" + policy->file_stem + ".ckpt";
   }
+  std::uint64_t start_pass = 0;
+  std::uint64_t start_pos = 0;
+  std::uint64_t elements_done = 0;
+  if (resume) {
+    TryResume<Kind>(*lone, stream.size(), options, fingerprint, &start_pass,
+                      &start_pos, &elements_done, &out);
+  }
 
-  GlobalCheckpointState& global = GlobalCkpt();
-  const std::uint64_t global_kill =
-      global.active.load(kRelaxed) ? global.opts.kill_after : 0;
-
+  std::vector<Alg*> active;
   for (int pass = static_cast<int>(start_pass); pass < num_passes; ++pass) {
     const auto start = std::chrono::steady_clock::now();
     const std::size_t begin =
         pass == static_cast<int>(start_pass)
             ? static_cast<std::size_t>(start_pos)
             : 0;
+    // Algorithms with fewer passes drop out of later passes.
+    active.clear();
+    for (Alg* alg : algs) {
+      if (pass < alg->NumPasses()) active.push_back(alg);
+    }
     // A mid-pass resume skips StartPass: it already ran before the
     // snapshot was taken and its effects are part of the restored state.
-    if (begin == 0) alg.StartPass(pass, stream.size());
-    for (std::size_t i = begin; i < stream.size(); ++i) {
-      Kind::Process(alg, pass, stream, i);
-      ++elements_done;
-      if (policy != nullptr && policy->every_elements > 0 &&
-          elements_done % policy->every_elements == 0) {
-        WriteCheckpoint<Kind>(alg, options, path, fingerprint, stream.size(),
-                              static_cast<std::uint64_t>(pass), i + 1,
-                              elements_done, &out);
+    if (begin == 0) {
+      for (Alg* alg : active) alg->StartPass(pass, stream.size());
+    }
+    // Slot s on shard s mod shards, each shard serial: every algorithm's
+    // call sequence is its lone-run sequence, so the barrier per block only
+    // bounds how far the algorithms drift apart in the stream.
+    const std::size_t shards = std::min(
+        active.size(), static_cast<std::size_t>(DefaultThreads()));
+    for (std::size_t i = begin; i < stream.size();) {
+      std::size_t n = std::min(block_size, stream.size() - i);
+      if (every > 0) {
+        n = std::min<std::uint64_t>(n, every - elements_done % every);
       }
-      if (options.faults != nullptr &&
-          options.faults->OnElementProcessed()) {
+      if (options.faults != nullptr) {
+        n = std::min<std::uint64_t>(n, options.faults->ElementsBeforeKill());
+      }
+      const auto block = stream.subspan(i, n);
+      if (shards <= 1) {
+        for (Alg* alg : active) Kind::ProcessBlock(*alg, pass, block, i);
+      } else {
+        ParallelFor(shards, [&](std::size_t shard) {
+          for (std::size_t s = shard; s < active.size(); s += shards) {
+            Kind::ProcessBlock(*active[s], pass, block, i);
+          }
+        });
+      }
+      i += n;
+      elements_done += n;
+      if (every > 0 && elements_done % every == 0) {
+        WriteCheckpoint<Kind>(*lone, options, path, fingerprint,
+                                stream.size(),
+                                static_cast<std::uint64_t>(pass), i,
+                                elements_done, &out);
+      }
+      if (options.faults != nullptr && options.faults->OnElementsProcessed(n)) {
         out.completed = false;
         AddPassTime(pass, start);
         return out;
       }
-      if (global_kill > 0 &&
-          global.elements.fetch_add(1, kRelaxed) + 1 >= global_kill) {
-        // Simulated crash: no cleanup, no further output. The checkpoint
-        // for this element (if due) is already on disk.
-        std::_Exit(kKilledExitCode);
-      }
     }
-    alg.EndPass(pass);
+    for (Alg* alg : active) alg->EndPass(pass);
     AddPassTime(pass, start);
-    if (policy != nullptr && policy->at_pass_end && pass + 1 < num_passes) {
-      WriteCheckpoint<Kind>(alg, options, path, fingerprint, stream.size(),
-                            static_cast<std::uint64_t>(pass) + 1, 0,
-                            elements_done, &out);
+    if (policy != nullptr && pass + 1 < num_passes) {
+      WriteCheckpoint<Kind>(*lone, options, path, fingerprint, stream.size(),
+                              static_cast<std::uint64_t>(pass) + 1, 0,
+                              elements_done, &out);
     }
   }
-  MaybeAuditSpace(alg);
-  Stats().runs.fetch_add(1, kRelaxed);
-  Stats().passes.fetch_add(static_cast<std::uint64_t>(num_passes), kRelaxed);
-  Kind::AddProcessed(static_cast<std::uint64_t>(num_passes) * stream.size());
+  for (const Alg* alg : algs) {
+    FinishRun(*alg, stream.size(), Kind::Processed());
+  }
   return out;
 }
 
-// The plain overloads route through the options loop only when the
-// process-wide checkpoint configuration is active; otherwise they run the
-// original tight loop with zero per-element overhead.
+// A plain Run*Stream call. When the process-wide checkpoint configuration
+// is active, the run snapshots to the file named by its sequence number,
+// resumes from it if present, and carries the remaining --kill_after
+// budget as a FaultPlan kill point: a killed run ends the process right
+// after the loop returns (the snapshot due at that element is already on
+// disk).
 template <typename Kind>
-void RunPlain(typename Kind::Alg& alg, const typename Kind::Stream& stream) {
+void RunLone(typename Kind::Alg& alg,
+             std::span<const typename Kind::Item> stream) {
+  typename Kind::Alg* const algs[] = {&alg};
   GlobalCheckpointState& global = GlobalCkpt();
-  if (global.active.load(kRelaxed)) {
-    const std::uint64_t seq = global.run_seq.fetch_add(1, kRelaxed);
-    CheckpointPolicy policy;
-    policy.directory = global.opts.directory;
-    policy.every_elements = global.opts.every_elements;
-    policy.at_pass_end = true;
-    policy.file_stem = "run-" + std::to_string(seq);
-    RunOptions options;
-    options.checkpoint = &policy;
-    if (global.opts.resume) {
-      const std::string path =
-          policy.directory + "/" + policy.file_stem + ".ckpt";
-      std::ifstream probe(path, std::ios::binary);
-      if (probe.good()) options.resume_from = path;
-    }
-    RunWithOptions<Kind>(alg, stream, options);
+  if (!global.active.load(kRelaxed)) {
+    RunPassLoop<Kind>(algs, stream, kDefaultBlockSize, RunOptions{});
     return;
   }
-
-  const int num_passes = alg.NumPasses();
-  for (int pass = 0; pass < num_passes; ++pass) {
-    const auto start = std::chrono::steady_clock::now();
-    alg.StartPass(pass, stream.size());
-    // Block delivery (same width as the engine broker): algorithms that
-    // override ProcessEdgeBlock get batches; the default forwards per
-    // element, keeping this loop equivalent to the historical one.
-    constexpr std::size_t kBlock = 4096;
-    for (std::size_t i = 0; i < stream.size(); i += kBlock) {
-      const std::size_t n = std::min(kBlock, stream.size() - i);
-      Kind::ProcessBlock(alg, pass, stream, i, n);
-    }
-    alg.EndPass(pass);
-    AddPassTime(pass, start);
+  const std::uint64_t seq = global.run_seq.fetch_add(1, kRelaxed);
+  CheckpointPolicy policy;
+  policy.directory = global.opts.directory;
+  policy.every_elements = global.opts.every_elements;
+  policy.file_stem = "run-" + std::to_string(seq);
+  RunOptions options;
+  options.checkpoint = &policy;
+  if (global.opts.resume) {
+    const std::string path =
+        policy.directory + "/" + policy.file_stem + ".ckpt";
+    std::ifstream probe(path, std::ios::binary);
+    if (probe.good()) options.resume_from = path;
   }
-  MaybeAuditSpace(alg);
-  Stats().runs.fetch_add(1, kRelaxed);
-  Stats().passes.fetch_add(static_cast<std::uint64_t>(num_passes), kRelaxed);
-  Kind::AddProcessed(static_cast<std::uint64_t>(num_passes) * stream.size());
+  FaultPlan kill;
+  if (global.opts.kill_after > 0) {
+    kill.KillAfterElements(global.opts.kill_after -
+                           global.elements.load(kRelaxed));
+    options.faults = &kill;
+  }
+  const RunOutcome out =
+      RunPassLoop<Kind>(algs, stream, kDefaultBlockSize, options);
+  // Simulated crash: no cleanup, no further output.
+  if (!out.completed) std::_Exit(kKilledExitCode);
+  global.elements.fetch_add(kill.elements_seen(), kRelaxed);
 }
 
 }  // namespace
@@ -455,45 +474,61 @@ void ResetStreamStats() {
   for (auto& nanos : stats.pass_nanos) nanos.store(0, kRelaxed);
 }
 
-void AddExternalRunStats(const ExternalRunStats& s) {
-  AtomicStreamStats& stats = Stats();
-  stats.runs.fetch_add(s.runs, kRelaxed);
-  stats.passes.fetch_add(s.passes, kRelaxed);
-  stats.edges_processed.fetch_add(s.edges_processed, kRelaxed);
-  stats.lists_processed.fetch_add(s.lists_processed, kRelaxed);
-  stats.updates_processed.fetch_add(s.updates_processed, kRelaxed);
-  stats.audits_passed.fetch_add(s.audits_passed, kRelaxed);
+void AuditAndCreditRun(const EdgeStreamAlgorithm& alg,
+                       std::size_t stream_length) {
+  FinishRun(alg, stream_length, EdgeKind::Processed());
+}
+
+RunOutcome RunPasses(std::span<EdgeStreamAlgorithm* const> algs,
+                     std::span<const Edge> stream, std::size_t block_size,
+                     const RunOptions& options) {
+  return RunPassLoop<EdgeKind>(algs, stream, block_size, options);
+}
+
+RunOutcome RunPasses(std::span<AdjacencyStreamAlgorithm* const> algs,
+                     std::span<const AdjacencyList> stream,
+                     std::size_t block_size, const RunOptions& options) {
+  return RunPassLoop<AdjacencyKind>(algs, stream, block_size, options);
+}
+
+RunOutcome RunPasses(std::span<TurnstileStreamAlgorithm* const> algs,
+                     std::span<const TurnstileUpdate> stream,
+                     std::size_t block_size, const RunOptions& options) {
+  return RunPassLoop<TurnstileKind>(algs, stream, block_size, options);
 }
 
 void RunEdgeStream(EdgeStreamAlgorithm& alg, const EdgeStream& stream) {
-  RunPlain<EdgeKind>(alg, stream);
+  RunLone<EdgeKind>(alg, stream);
 }
 
 void RunAdjacencyStream(AdjacencyStreamAlgorithm& alg,
                         const AdjacencyStream& stream) {
-  RunPlain<AdjacencyKind>(alg, stream);
+  RunLone<AdjacencyKind>(alg, stream);
+}
+
+void RunTurnstileStream(TurnstileStreamAlgorithm& alg,
+                        const TurnstileStream& stream) {
+  RunLone<TurnstileKind>(alg, stream);
 }
 
 RunOutcome RunEdgeStream(EdgeStreamAlgorithm& alg, const EdgeStream& stream,
                          const RunOptions& options) {
-  return RunWithOptions<EdgeKind>(alg, stream, options);
+  EdgeStreamAlgorithm* const algs[] = {&alg};
+  return RunPasses(algs, stream, kDefaultBlockSize, options);
 }
 
 RunOutcome RunAdjacencyStream(AdjacencyStreamAlgorithm& alg,
                               const AdjacencyStream& stream,
                               const RunOptions& options) {
-  return RunWithOptions<AdjacencyKind>(alg, stream, options);
-}
-
-void RunTurnstileStream(TurnstileStreamAlgorithm& alg,
-                        const TurnstileStream& stream) {
-  RunPlain<TurnstileKind>(alg, stream);
+  AdjacencyStreamAlgorithm* const algs[] = {&alg};
+  return RunPasses(algs, stream, kDefaultBlockSize, options);
 }
 
 RunOutcome RunTurnstileStream(TurnstileStreamAlgorithm& alg,
                               const TurnstileStream& stream,
                               const RunOptions& options) {
-  return RunWithOptions<TurnstileKind>(alg, stream, options);
+  TurnstileStreamAlgorithm* const algs[] = {&alg};
+  return RunPasses(algs, stream, kDefaultBlockSize, options);
 }
 
 }  // namespace cyclestream

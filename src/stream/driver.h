@@ -38,10 +38,10 @@ class EdgeStreamAlgorithm {
   /// base_position + i. The default forwards to ProcessEdge one element at
   /// a time, so overriding is purely an optimization hook — any override
   /// must leave the algorithm in exactly the state the per-edge loop would
-  /// (the block/scalar bit-identity contract; see DESIGN.md §13). The
-  /// driver's tight loop and the engine broker deliver through this entry
-  /// point; the checkpointing driver path stays strictly per-edge so
-  /// snapshot positions remain element-granular.
+  /// (the block/scalar bit-identity contract; see DESIGN.md §13). The pass
+  /// loop (RunPasses) delivers every edge through this entry point; with
+  /// checkpoints or faults on, it cuts blocks at the snapshot and kill
+  /// points, so snapshot positions stay exact to one element.
   virtual void ProcessEdgeBlock(int pass, std::span<const Edge> edges,
                                 std::size_t base_position) {
     for (std::size_t i = 0; i < edges.size(); ++i) {
@@ -145,10 +145,9 @@ class AdjacencyStreamAlgorithm {
 struct CheckpointPolicy {
   std::string directory;  // Must exist; files are `<directory>/<stem>.ckpt`.
   /// Snapshot after every k processed elements (counted across passes).
-  /// 0 disables the element trigger.
+  /// 0 disables the element trigger. A snapshot is also written at each
+  /// pass boundary (recorded as pass+1, position 0).
   std::uint64_t every_elements = 0;
-  /// Snapshot at each pass boundary (recorded as pass+1, position 0).
-  bool at_pass_end = true;
   std::string file_stem = "run";
 };
 
@@ -172,20 +171,48 @@ struct RunOutcome {
   std::uint64_t checkpoint_failures = 0;
 };
 
-/// Runs all passes of `alg` over `stream`.
+/// Items (edges, adjacency lists or turnstile updates) per delivered block:
+/// the block size of the single-algorithm Run*Stream wrappers and the
+/// default of the engine's BrokerOptions::block_size. Results never depend
+/// on it (the Process*Block contract).
+inline constexpr std::size_t kDefaultBlockSize = 4096;
+
+/// The one pass loop behind every Run*Stream call and every engine broker
+/// wave. For each pass p < max NumPasses() over `algs`: StartPass(p) on the
+/// algorithms with more than p passes (the others have dropped out), then
+/// the stream in blocks of at most `block_size` items, then EndPass(p).
+/// With two or more active algorithms and DefaultThreads() > 1, each block
+/// fans out over a ParallelFor of min(active, threads) shards, slot s on
+/// shard s mod shards; every algorithm still sees its own stream order.
+/// After the final pass each algorithm is audited and credited
+/// (AuditAndCreditRun).
+///
+/// Checkpoint, resume and fault options need exactly one algorithm (a
+/// Snapshot holds one state; CHECKed). Blocks are then also cut at every
+/// snapshot point and at the FaultPlan's kill point. Resume semantics: the
+/// restored snapshot records (pass, position) of the first unprocessed
+/// element; the loop skips StartPass for a mid-pass resume (it already ran
+/// before the snapshot) and replays the stream from the recorded position.
+/// A resumed run that completes is bit-identical to an uninterrupted run of
+/// a freshly constructed algorithm with the same Params over the same
+/// stream.
+RunOutcome RunPasses(std::span<EdgeStreamAlgorithm* const> algs,
+                     std::span<const Edge> stream, std::size_t block_size,
+                     const RunOptions& options = {});
+RunOutcome RunPasses(std::span<AdjacencyStreamAlgorithm* const> algs,
+                     std::span<const AdjacencyList> stream,
+                     std::size_t block_size, const RunOptions& options = {});
+
+/// Runs all passes of `alg` over `stream` (RunPasses with one algorithm and
+/// kDefaultBlockSize, checkpointed per the process-wide configuration).
 void RunEdgeStream(EdgeStreamAlgorithm& alg, const EdgeStream& stream);
 
 /// Runs all passes of `alg` over the adjacency stream.
 void RunAdjacencyStream(AdjacencyStreamAlgorithm& alg,
                         const AdjacencyStream& stream);
 
-/// As above, with checkpoint/resume/fault-injection control. Resume
-/// semantics: the restored snapshot records (pass, position) of the first
-/// unprocessed element; the driver skips StartPass for a mid-pass resume
-/// (it already ran before the snapshot) and replays the stream from the
-/// recorded position. A resumed run that completes is bit-identical to an
-/// uninterrupted run of a freshly constructed algorithm with the same
-/// Params over the same stream.
+/// As above, with checkpoint/resume/fault-injection control (RunPasses'
+/// resume semantics).
 RunOutcome RunEdgeStream(EdgeStreamAlgorithm& alg, const EdgeStream& stream,
                          const RunOptions& options);
 RunOutcome RunAdjacencyStream(AdjacencyStreamAlgorithm& alg,
@@ -200,7 +227,9 @@ RunOutcome RunAdjacencyStream(AdjacencyStreamAlgorithm& alg,
 /// `<directory>/run-<N>.ckpt` and, when `resume` is set, restores from
 /// that file if present. `kill_after` > 0 terminates the process with
 /// _Exit(kKilledExitCode) once that many elements have been processed
-/// across all runs — the crash half of the crash/resume tests.
+/// across all runs — the crash half of the crash/resume tests. Each run
+/// gets the remaining count as a FaultPlan kill point. Engine broker waves
+/// (several algorithms) do not read this configuration.
 struct GlobalCheckpointOptions {
   std::string directory;
   std::uint64_t every_elements = 0;
@@ -224,10 +253,12 @@ class FlagParser;
 /// checkpointing is active the process is forced to serial execution and
 /// `*threads` is rewritten to 1. Creates the checkpoint directory if
 /// missing. Returns true when checkpointing is active for this process.
+/// Called by `cyclestream_cli count` and the experiment binaries, whose
+/// runs all go through the single-algorithm Run*Stream wrappers.
 bool ApplyCheckpointFlags(FlagParser& flags, int* threads);
 
-/// Enables the space audit: after the final pass of every Run*Stream, the
-/// driver cross-checks AuditSpace() against the algorithm's SpaceTracker
+/// Enables the space audit: after the final pass of every run, the pass
+/// loop cross-checks AuditSpace() against the algorithm's SpaceTracker
 /// and aborts on any mismatch. The walk is O(state), so this is meant for
 /// Debug / CI smoke runs (`--audit` on the experiment binaries), not
 /// benchmarking. Also enabled by the environment variable
@@ -237,17 +268,18 @@ void SetSpaceAudit(bool enabled);
 /// Whether the space audit is active (flag or environment).
 bool SpaceAuditEnabled();
 
-/// Process-wide driver counters, aggregated across every Run*Stream call
-/// on any thread. Totals are sums of per-run values, so they are
-/// deterministic at any thread count (per the util/parallel.h contract the
-/// set of runs is scheduling-independent); only the timing fields are
-/// wall-clock and excluded from deterministic manifest comparisons.
+/// Process-wide driver counters, aggregated across every RunPasses call
+/// (and every merged shard query) on any thread. Totals are sums of
+/// per-run values, so they are deterministic at any thread count (per the
+/// util/parallel.h contract the set of runs is scheduling-independent);
+/// only the timing fields are wall-clock and excluded from deterministic
+/// manifest comparisons.
 struct StreamStats {
-  std::uint64_t runs = 0;             // Completed Run*Stream calls.
+  std::uint64_t runs = 0;             // Completed algorithm runs.
   std::uint64_t passes = 0;           // Passes executed.
-  std::uint64_t edges_processed = 0;  // ProcessEdge calls.
+  std::uint64_t edges_processed = 0;  // Edges delivered.
   std::uint64_t lists_processed = 0;  // ProcessList calls.
-  std::uint64_t updates_processed = 0;  // Turnstile ProcessUpdate calls.
+  std::uint64_t updates_processed = 0;  // Turnstile updates delivered.
   std::uint64_t audits_passed = 0;    // Successful audit cross-checks.
   // Checkpoint/restore counters. Execution-dependent (they differ between a
   // killed+resumed process pair and an uninterrupted one), so the manifest
@@ -267,23 +299,14 @@ StreamStats GlobalStreamStats();
 /// Zeroes the process-wide counters (tests; experiment startup).
 void ResetStreamStats();
 
-/// Credit for algorithm runs driven *outside* Run*Stream — the engine's
-/// shared-pass broker makes the Start/Process/End calls itself (one stream
-/// read fans out to many algorithms), so it reports the equivalent per-run
-/// totals here and GlobalStreamStats() stays the one process-wide ledger.
-/// Only the deterministic fields exist: external drivers own their stream
-/// I/O and checkpointing.
-struct ExternalRunStats {
-  std::uint64_t runs = 0;
-  std::uint64_t passes = 0;
-  std::uint64_t edges_processed = 0;
-  std::uint64_t lists_processed = 0;
-  std::uint64_t updates_processed = 0;
-  std::uint64_t audits_passed = 0;
-};
-
-/// Adds `stats` into the process-wide counters.
-void AddExternalRunStats(const ExternalRunStats& stats);
+/// The end of one completed run of `alg` over `stream_length` items per
+/// pass: the space audit (when enabled; a mismatch aborts) and the credit
+/// of one run, NumPasses() passes and NumPasses() × stream_length edges to
+/// GlobalStreamStats(). RunPasses calls it for every algorithm it
+/// finishes; the shard coordinator calls it for each merged query, whose
+/// state is the single-process end-of-run state.
+void AuditAndCreditRun(const EdgeStreamAlgorithm& alg,
+                       std::size_t stream_length);
 
 }  // namespace cyclestream
 

@@ -21,11 +21,6 @@ std::uint64_t FingerprintTurnstileStream(
   return h;
 }
 
-std::uint64_t FingerprintTurnstileStream(const TurnstileStream& stream) {
-  return FingerprintTurnstileStream(
-      std::span<const TurnstileUpdate>(stream.data(), stream.size()));
-}
-
 TurnstileStream TurnstileFromEdges(std::span<const Edge> edges) {
   TurnstileStream out;
   out.reserve(edges.size());

@@ -50,12 +50,13 @@ using TurnstileStream = std::vector<TurnstileUpdate>;
 
 /// Interface for algorithms over turnstile streams. Deliberately mirrors
 /// EdgeStreamAlgorithm method-for-method (NumPasses/StartPass/Process*/
-/// EndPass plus the checkpoint and merge hooks) so the stream driver's
-/// checkpoint loop and the engine broker's wave loop host all three stream
-/// families through one template. Turnstile algorithms are single-pass by
-/// construction: their state is a linear sketch of the signed stream, so
-/// one pass is all the model ever needs (and a deletion-bearing stream has
-/// no meaningful "replay for pass 2" semantics for sampling algorithms).
+/// EndPass plus the checkpoint and merge hooks) so the one pass loop
+/// (RunPasses, which serves both the standalone driver and the engine
+/// broker's waves) hosts all three stream families through one template.
+/// Turnstile algorithms are single-pass by construction: their state is a
+/// linear sketch of the signed stream, so one pass is all the model ever
+/// needs (and a deletion-bearing stream has no meaningful "replay for
+/// pass 2" semantics for sampling algorithms).
 class TurnstileStreamAlgorithm {
  public:
   virtual ~TurnstileStreamAlgorithm() = default;
@@ -122,8 +123,14 @@ class TurnstileStreamAlgorithm {
   }
 };
 
-/// Runs the single pass of `alg` over `stream` (block delivery, same block
-/// width as the engine broker).
+/// The turnstile family's RunPasses (stream/driver.h): the same pass loop,
+/// block cuts and checkpoint semantics, with snapshots tagged stream kind 2.
+RunOutcome RunPasses(std::span<TurnstileStreamAlgorithm* const> algs,
+                     std::span<const TurnstileUpdate> stream,
+                     std::size_t block_size, const RunOptions& options = {});
+
+/// Runs the single pass of `alg` over `stream` (RunPasses with one
+/// algorithm and kDefaultBlockSize).
 void RunTurnstileStream(TurnstileStreamAlgorithm& alg,
                         const TurnstileStream& stream);
 
@@ -137,8 +144,8 @@ RunOutcome RunTurnstileStream(TurnstileStreamAlgorithm& alg,
 
 /// Order-sensitive fingerprint binding a snapshot to one exact turnstile
 /// stream (edges *and* ops; mirrors FingerprintEdgeStream).
-std::uint64_t FingerprintTurnstileStream(const TurnstileStream& stream);
-std::uint64_t FingerprintTurnstileStream(std::span<const TurnstileUpdate> updates);
+std::uint64_t FingerprintTurnstileStream(
+    std::span<const TurnstileUpdate> updates);
 
 /// Wraps an insert-only edge stream as a turnstile stream (every element
 /// kInsert, order preserved) — how v1/text graphs enter turnstile batches.

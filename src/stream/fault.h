@@ -2,6 +2,7 @@
 #define CYCLESTREAM_STREAM_FAULT_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "stream/checkpoint.h"
@@ -16,9 +17,11 @@ namespace cyclestream {
 /// a killed-and-resumed run is bit-identical to an uninterrupted one, and
 /// a damaged snapshot is always rejected.
 ///
-/// The driver calls OnElementProcessed() after every processed element and
-/// stops the run (returning RunOutcome{completed = false}) when it returns
-/// true; NextWriteFault() is consumed once per checkpoint write.
+/// The pass loop cuts its blocks at ElementsBeforeKill(), calls
+/// OnElementsProcessed(n) after every delivered block and stops the run
+/// (returning RunOutcome{completed = false}) when it returns true, so the
+/// kill lands exactly after the Nth element; NextWriteFault() is consumed
+/// once per checkpoint write.
 class FaultPlan {
  public:
   /// Stop the run after `n` elements have been processed (counted across
@@ -49,10 +52,18 @@ class FaultPlan {
 
   // --- Driver hooks ---
 
-  /// Advances the element counter; true once the kill point is reached.
-  bool OnElementProcessed() {
-    if (kill_after_ == 0) return false;
-    return ++elements_seen_ >= kill_after_;
+  /// Elements the loop may still deliver before the kill point
+  /// (UINT64_MAX when no kill is set).
+  std::uint64_t ElementsBeforeKill() const {
+    return kill_after_ == 0 ? std::numeric_limits<std::uint64_t>::max()
+                            : kill_after_ - elements_seen_;
+  }
+
+  /// Advances the element counter by one delivered block of `n` elements;
+  /// true once the kill point is reached.
+  bool OnElementsProcessed(std::uint64_t n) {
+    elements_seen_ += n;
+    return kill_after_ != 0 && elements_seen_ >= kill_after_;
   }
 
   /// The fault (if any) to apply to the next checkpoint write.

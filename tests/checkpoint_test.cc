@@ -3,22 +3,27 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "baselines/triest.h"
 #include "core/arb_f2_counter.h"
 #include "core/arb_three_pass.h"
 #include "core/diamond_counter.h"
+#include "engine/query.h"
 #include "gen/generators.h"
 #include "graph/graph.h"
 #include "hash/rng.h"
 #include "sketch/reservoir.h"
 #include "stream/checkpoint.h"
 #include "stream/driver.h"
+#include "stream/dynamic/turnstile.h"
 #include "stream/fault.h"
 #include "stream/order.h"
 #include "tests/test_util.h"
@@ -264,7 +269,7 @@ TEST(CrashResumeTest, EveryKillPointResumesBitIdenticalArbThreePass) {
     const RunOutcome killed = RunEdgeStream(victim, stream, kill_options);
     ASSERT_FALSE(killed.completed);
     // every_elements=1 writes one snapshot per element, plus one extra at
-    // each pass boundary crossed (at_pass_end defaults on).
+    // each pass boundary crossed.
     ASSERT_GE(killed.checkpoints_written, kill);
     ASSERT_FALSE(killed.checkpoint_path.empty());
 
@@ -591,6 +596,112 @@ TEST(CrashResumeTest, CheckpointWriteFailureDoesNotDisturbRun) {
   EXPECT_EQ(outcome.checkpoint_failures, 1u);
   EXPECT_GT(outcome.checkpoints_written, 0u);
   EXPECT_EQ(counter.Result().value, golden.Result().value);
+}
+
+// Kill points for the block-cut sweeps: both sides of the first two block
+// edges (kDefaultBlockSize = 4096), then seeded ones up to 16 in total.
+std::vector<std::uint64_t> BlockCutKillPoints(std::uint64_t total) {
+  std::vector<std::uint64_t> kills = {4095, 4096, 4097, 8191, 8192, 8193};
+  for (std::uint64_t seed = 1; kills.size() < 16; ++seed) {
+    kills.push_back(FaultPlan::PickKillPoint(seed, total));
+  }
+  return kills;
+}
+
+// The pass loop cuts its blocks at snapshot and kill points. With a
+// snapshot period that does not divide the block size, every cut lands
+// inside a block, yet the resumed estimate must equal the uninterrupted
+// one bit for bit, and the snapshot must sit exactly at the last period
+// multiple at or before the kill.
+template <typename Query, typename Item>
+void ExpectBlockCutKillPointsResumeBitIdentical(
+    const std::function<Query()>& make, std::span<const Item> stream,
+    const std::string& dir) {
+  using Alg = typename decltype(Query::algorithm)::element_type;
+  constexpr std::uint64_t kPeriod = 2999;
+  ASSERT_GT(stream.size(), 2 * kDefaultBlockSize + 1);
+  auto run = [&](Query& q, const RunOptions& options) {
+    Alg* const algs[] = {q.algorithm.get()};
+    return RunPasses(algs, stream, kDefaultBlockSize, options);
+  };
+  Query golden = make();
+  run(golden, RunOptions{});
+  const double golden_value = golden.result().value;
+
+  for (const std::uint64_t kill : BlockCutKillPoints(stream.size())) {
+    SCOPED_TRACE("kill point " + std::to_string(kill));
+    CheckpointPolicy policy;
+    policy.directory = dir;
+    policy.every_elements = kPeriod;
+    FaultPlan faults;
+    faults.KillAfterElements(kill);
+    RunOptions kill_options;
+    kill_options.checkpoint = &policy;
+    kill_options.faults = &faults;
+    Query victim = make();
+    const RunOutcome killed = run(victim, kill_options);
+    ASSERT_FALSE(killed.completed);
+    EXPECT_EQ(faults.elements_seen(), kill);
+
+    const std::uint64_t snapshot_at = kill / kPeriod * kPeriod;
+    RunOptions resume_options;
+    if (snapshot_at == 0) {
+      EXPECT_TRUE(killed.checkpoint_path.empty());
+    } else {
+      std::string error;
+      const std::optional<Snapshot> snap =
+          LoadSnapshot(killed.checkpoint_path, &error);
+      ASSERT_TRUE(snap.has_value()) << error;
+      EXPECT_EQ(snap->pass, 0u);
+      EXPECT_EQ(snap->position, snapshot_at);
+      EXPECT_EQ(snap->elements_processed, snapshot_at);
+      resume_options.resume_from = killed.checkpoint_path;
+    }
+    Query resumed = make();
+    const RunOutcome outcome = run(resumed, resume_options);
+    ASSERT_TRUE(outcome.completed);
+    EXPECT_EQ(outcome.resumed, snapshot_at > 0);
+    EXPECT_EQ(resumed.result().value, golden_value);
+  }
+}
+
+// arb-f2 overrides ProcessEdgeBlock.
+TEST(CrashResumeTest, BlockCutKillPointsResumeBitIdenticalArbF2) {
+  Rng gen_rng(51);
+  const EdgeList graph = ErdosRenyiGnm(200, 10000, gen_rng);
+  EdgeStream stream = graph.edges();
+  Rng order_rng(52);
+  order_rng.Shuffle(stream);
+  engine::QuerySpec spec;
+  spec.name = "arb-f2";
+  spec.kind = engine::QueryKind::kArbF2;
+  spec.base = ArbF2Params(graph.num_vertices()).base;
+  spec.num_vertices = graph.num_vertices();
+  ExpectBlockCutKillPointsResumeBitIdentical<engine::EdgeQuery, Edge>(
+      [&] { return engine::MakeEdgeQuery(spec); }, stream,
+      MakeTempDir("block_cut_arbf2"));
+}
+
+// The windowed turnstile-f2-c4 query overrides ProcessUpdateBlock and
+// splits blocks again at its bucket edges (every 750 updates).
+TEST(CrashResumeTest, BlockCutKillPointsResumeBitIdenticalWindowedTurnstile) {
+  Rng gen_rng(53);
+  const EdgeList graph = ErdosRenyiGnm(200, 8000, gen_rng);
+  TurnstileStream stream = TurnstileFromEdges(graph.edges());
+  for (std::size_t i = 0; i < graph.num_edges(); i += 4) {
+    stream.emplace_back(graph.edges()[i], TurnstileOp::kDelete);
+  }
+  engine::QuerySpec spec;
+  spec.name = "turnstile-f2-c4";
+  spec.kind = engine::QueryKind::kTurnstileF2C4;
+  spec.base = ArbF2Params(graph.num_vertices()).base;
+  spec.num_vertices = graph.num_vertices();
+  spec.window_edges = 3000;
+  spec.window_buckets = 4;
+  ExpectBlockCutKillPointsResumeBitIdentical<engine::TurnstileQuery,
+                                             TurnstileUpdate>(
+      [&] { return engine::MakeTurnstileQuery(spec); }, stream,
+      MakeTempDir("block_cut_window"));
 }
 
 }  // namespace

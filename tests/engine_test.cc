@@ -269,24 +269,6 @@ TEST(EngineTest, QueuedQueryRunsInLaterWaveWithIdenticalResult) {
   EXPECT_EQ(stats.source_items_read, 2 * stream.size());
 }
 
-TEST(EngineTest, VectorEdgeSourceZeroMaxEdgesIsEmptyAndDoesNotAdvance) {
-  // Degenerate batch request: NextBlock(0) must report an empty block
-  // without consuming anything, so a later sane-sized request still sees
-  // the whole stream.
-  EdgeList graph;
-  const EdgeStream stream = MixedSweepStream(&graph);
-  VectorEdgeSource source(stream);
-  std::size_t count = 123;
-  EXPECT_EQ(source.NextBlock(0, &count), nullptr);
-  EXPECT_EQ(count, 0u);
-  std::size_t total = 0;
-  for (const Edge* block = source.NextBlock(4096, &count); block != nullptr;
-       block = source.NextBlock(4096, &count)) {
-    total += count;
-  }
-  EXPECT_EQ(total, stream.size());
-}
-
 TEST(EngineTest, LoneArbF2QueryBitIdenticalToStandalone) {
   // A lone query skips the broker's per-query ParallelFor; its blocks must
   // still reproduce, bit for bit, the plain per-edge driver's estimate.

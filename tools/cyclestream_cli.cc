@@ -87,6 +87,8 @@ int Usage() {
       "  count    --graph FILE --target triangles|c4 [--algorithm NAME]\n"
       "           [--epsilon E] [--t-guess T] [--seed S] [--no-exact]\n"
       "           [--delta D]   amplify: median of ~2*ln(1/D) parallel copies\n"
+      "           [--checkpoint_dir DIR --checkpoint_every K [--resume]\n"
+      "            [--kill_after N]]   snapshot/resume (see DESIGN.md §10)\n"
       "  generate --model er|gnp|ba|chung-lu|ws|grid --n N\n"
       "           [--m M | --p P | --deg D] [--seed S] --out FILE\n"
       "  sweep    --graph FILE --algorithms a,b,... --queries N\n"
@@ -134,8 +136,6 @@ int Usage() {
       "  common:  --threads N   worker threads (0 = all cores, 1 = serial)\n"
       "           --json_out FILE   write a structured run manifest\n"
       "           --json_det_out FILE   write the deterministic manifest\n"
-      "           --checkpoint_dir DIR --checkpoint_every K [--resume]\n"
-      "           [--kill_after N]   snapshot/resume (see DESIGN.md §10)\n"
       "           .bin graphs (tools/edge2bin) mmap in zero-copy\n";
   return 2;
 }
@@ -660,8 +660,8 @@ int RunTurnstileBatch(FlagParser& flags, RunManifest& manifest,
   ExactCache exact(g);
 
   engine::BrokerOptions options;
-  options.block_size =
-      static_cast<std::size_t>(flags.GetCount("block-edges", 4096));
+  options.block_size = static_cast<std::size_t>(
+      flags.GetCount("block-edges", kDefaultBlockSize));
   options.budget.per_query_words =
       static_cast<std::size_t>(flags.GetCount("per-query-budget", 0));
   options.budget.aggregate_words =
@@ -724,8 +724,8 @@ int RunEngineBatch(FlagParser& flags, RunManifest& manifest,
   ExactCache exact(g);
 
   engine::BrokerOptions options;
-  options.block_size =
-      static_cast<std::size_t>(flags.GetCount("block-edges", 4096));
+  options.block_size = static_cast<std::size_t>(
+      flags.GetCount("block-edges", kDefaultBlockSize));
   options.budget.per_query_words =
       static_cast<std::size_t>(flags.GetCount("per-query-budget", 0));
   options.budget.aggregate_words =
@@ -1224,6 +1224,25 @@ int RunGenerate(FlagParser& flags, RunManifest& manifest) {
   return 0;
 }
 
+// The snapshot flags drive the single-algorithm runs of `count`; every
+// other subcommand would ignore them (the broker's waves hold several
+// states, the sharded engine has its own durable epochs). Returns false,
+// after a pointed error, if any of them is set.
+bool RejectCheckpointFlags(const FlagParser& flags,
+                           const std::string& command) {
+  for (const char* name :
+       {"checkpoint_dir", "checkpoint_every", "kill_after"}) {
+    if (flags.values().count(name) == 0) continue;
+    std::cerr << "error: --" << name << " applies only to `count` (and the "
+              << "experiment binaries); `" << command
+              << "` does not take it. `shard` and `serve --daemon` "
+                 "checkpoint with --epoch-edges K and inject crashes with "
+                 "--kill-shard I --kill-edges E.\n";
+    return false;
+  }
+  return true;
+}
+
 int Main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   if (flags.positional().empty()) return Usage();
@@ -1233,9 +1252,14 @@ int Main(int argc, char** argv) {
     return RunShardWorkerCommand(flags);
   }
   int threads = ApplyThreadsFlag(flags);
-  const bool checkpointing = ApplyCheckpointFlags(flags, &threads);
-  ApplyExactBackendFlag(flags);
   const std::string command = flags.positional()[0];
+  bool checkpointing = false;
+  if (command == "count") {
+    checkpointing = ApplyCheckpointFlags(flags, &threads);
+  } else if (!RejectCheckpointFlags(flags, command)) {
+    return 2;
+  }
+  ApplyExactBackendFlag(flags);
   const std::string json_out = flags.GetString("json_out", "");
   const std::string json_det_out = flags.GetString("json_det_out", "");
   RunManifest manifest("cli." + command);
