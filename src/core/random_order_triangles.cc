@@ -2,75 +2,121 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 #include <utility>
 
 #include "hash/rng.h"
 #include "util/check.h"
+#include "util/crc32.h"
 #include "util/serialize.h"
 
 namespace cyclestream {
-namespace {
 
-using AdjMap = std::unordered_map<VertexId, std::vector<VertexId>>;
-
-void WriteAdjMap(StateWriter& w, const AdjMap& adj) {
-  WriteUnordered(w, adj, [](StateWriter& sw, const auto& kv) {
-    sw.U32(kv.first);
-    sw.Vec(kv.second);
-  });
+void RandomOrderTriangleCounter::SampledGraph::Link(const Edge& e) {
+  // row_of_ stores index + 1, so a fresh (zero) entry means a new row.
+  auto append = [this](VertexId a, VertexId b) {
+    std::uint32_t& index = row_of_[a];
+    if (index == 0) {
+      rows_.push_back(Row{a, {}});
+      index = static_cast<std::uint32_t>(rows_.size());
+    }
+    rows_[index - 1].neighbors.push_back(b);
+  };
+  append(e.u, e.v);
+  append(e.v, e.u);
 }
 
-bool ReadAdjMap(StateReader& r, AdjMap* adj) {
-  std::size_t buckets = 0;
-  std::vector<std::pair<VertexId, std::vector<VertexId>>> elems;
-  if (!ReadUnordered(r, &buckets, &elems, [](StateReader& sr) {
-        const VertexId key = sr.U32();
-        std::vector<VertexId> neighbors;
-        sr.Vec(&neighbors);
-        return std::make_pair(key, std::move(neighbors));
-      })) {
-    return false;
-  }
-  RestoreUnorderedOrder(*adj, buckets, elems,
-                        [](auto& c, const auto& kv) { c.insert(kv); });
-  return true;
+std::size_t RandomOrderTriangleCounter::SampledGraph::links() const {
+  std::size_t entries = 0;
+  for (const Row& row : rows_) entries += row.neighbors.size();
+  return entries / 2;
 }
 
-// Common-neighbor walk over hash-map adjacency: iterates the smaller
-// endpoint list and membership-tests the closing edge.
-template <typename Adj, typename HasEdgeFn, typename Visit>
-void ForEachCommonNeighbor(const Adj& adj, const Edge& e, HasEdgeFn has_edge,
-                           Visit visit) {
-  auto iu = adj.find(e.u);
-  auto iv = adj.find(e.v);
-  if (iu == adj.end() || iv == adj.end()) return;
-  const bool u_smaller = iu->second.size() <= iv->second.size();
-  const VertexId base = u_smaller ? e.u : e.v;
+const std::vector<VertexId>*
+RandomOrderTriangleCounter::SampledGraph::Neighbors(VertexId v) const {
+  const std::uint32_t* index = row_of_.find(v);
+  return index == nullptr ? nullptr : &rows_[*index - 1].neighbors;
+}
+
+template <typename Visit>
+void RandomOrderTriangleCounter::SampledGraph::ForEachCommonNeighbor(
+    const Edge& e, Visit visit) const {
+  const std::vector<VertexId>* nu = Neighbors(e.u);
+  const std::vector<VertexId>* nv = Neighbors(e.v);
+  if (nu == nullptr || nv == nullptr) return;
+  const bool u_smaller = nu->size() <= nv->size();
   const VertexId other = u_smaller ? e.v : e.u;
-  (void)base;
-  const auto& list = u_smaller ? iu->second : iv->second;
-  for (VertexId w : list) {
+  for (const VertexId w : u_smaller ? *nu : *nv) {
     if (w == e.u || w == e.v) continue;
-    if (has_edge(Edge(other, w))) visit(w);
+    if (edges_.contains(Edge(other, w).Key()) && !visit(w)) return;
   }
 }
 
-}  // namespace
-
-void RandomOrderTriangleCounter::Level::AddEdge(const Edge& e) {
-  if (edges.insert(e.Key()).second) {
-    adj[e.u].push_back(e.v);
-    adj[e.v].push_back(e.u);
-  }
-}
-
-bool RandomOrderTriangleCounter::Level::ClosesTriangle(const Edge& e) const {
+bool RandomOrderTriangleCounter::SampledGraph::ClosesTriangle(
+    const Edge& e) const {
   bool found = false;
-  ForEachCommonNeighbor(
-      adj, e,
-      [this](const Edge& f) { return edges.count(f.Key()) > 0; },
-      [&found](VertexId) { found = true; });
+  ForEachCommonNeighbor(e, [&found](VertexId) {
+    found = true;
+    return false;
+  });
   return found;
+}
+
+template <typename Visit>
+void RandomOrderTriangleCounter::SampledGraph::ForEachEdge(Visit visit) const {
+  for (const Row& row : rows_) {
+    for (const VertexId w : row.neighbors) {
+      if (row.vertex < w) visit(Edge(row.vertex, w));
+    }
+  }
+}
+
+void RandomOrderTriangleCounter::SampledGraph::Save(StateWriter& w) const {
+  w.Size(rows_.size());
+  for (const Row& row : rows_) {
+    w.U32(row.vertex);
+    w.Vec(row.neighbors);
+  }
+}
+
+bool RandomOrderTriangleCounter::SampledGraph::Restore(StateReader& r,
+                                                       VertexId num_vertices,
+                                                       bool unique_links) {
+  SampledGraph g;
+  // Each edge key gains 1 from its lower endpoint's row and loses 1 from
+  // its upper one's, so a zero balance everywhere means every edge is
+  // listed from both ends equally often.
+  FlatMap64<std::int64_t> balance;
+  const std::size_t num_rows = r.Size();
+  if (!r.ok() || num_rows > num_vertices || num_rows > r.Remaining()) {
+    return r.Fail();
+  }
+  g.rows_.reserve(num_rows);
+  for (std::size_t i = 0; i < num_rows; ++i) {
+    Row row;
+    row.vertex = r.U32();
+    if (!r.Vec(&row.neighbors) || row.vertex >= num_vertices ||
+        row.neighbors.empty() || g.row_of_.contains(row.vertex)) {
+      return r.Fail();
+    }
+    for (const VertexId w : row.neighbors) {
+      if (w >= num_vertices || w == row.vertex) return r.Fail();
+      const Edge e(row.vertex, w);
+      if (row.vertex < w) {
+        if (!g.edges_.insert(e.Key()) && unique_links) return r.Fail();
+        ++balance[e.Key()];
+      } else {
+        --balance[e.Key()];
+      }
+    }
+    g.row_of_[row.vertex] = static_cast<std::uint32_t>(g.rows_.size() + 1);
+    g.rows_.push_back(std::move(row));
+  }
+  for (const auto& [key, count] : balance) {
+    if (count != 0) return r.Fail();
+  }
+  *this = std::move(g);
+  return true;
 }
 
 RandomOrderTriangleCounter::RandomOrderTriangleCounter(const Params& params)
@@ -107,13 +153,17 @@ RandomOrderTriangleCounter::RandomOrderTriangleCounter(const Params& params)
 
   // Hash coefficients (8 per level) live for the whole run.
   space_.SetBaseline(static_cast<std::size_t>(num_levels_) * 8);
+  SetSpace();
 }
 
-void RandomOrderTriangleCounter::UpdateSpace() {
+// Space (words): 2 per stored edge of the levels, S, C and P, plus the
+// hash-coefficient baseline. Every component only grows, so the peak is
+// the current total and its breakdown the current one.
+void RandomOrderTriangleCounter::SetSpace() {
   std::size_t level_words = 0;
-  for (const Level& level : levels_) level_words += 2 * level.edges.size();
+  for (const Level& level : levels_) level_words += 2 * level.graph.links();
   space_.SetComponent("levels", level_words);
-  space_.SetComponent("rough_s", 2 * s_edges_.size());
+  space_.SetComponent("rough_s", 2 * s_graph_.links());
   space_.SetComponent("rough_c", 2 * c_edges_.size());
   space_.SetComponent("candidates_p", 2 * p_edges_.size());
 }
@@ -122,14 +172,13 @@ std::size_t RandomOrderTriangleCounter::AuditSpace() const {
   // Walk of the real containers, mirroring the accounting contract: 2 words
   // per stored edge plus the hash-coefficient baseline.
   std::size_t words = static_cast<std::size_t>(num_levels_) * 8;
-  for (const Level& level : levels_) words += 2 * level.edges.size();
-  words += 2 * s_edges_.size() + 2 * c_edges_.size() + 2 * p_edges_.size();
+  for (const Level& level : levels_) words += 2 * level.graph.links();
+  words += 2 * s_graph_.links() + 2 * c_edges_.size() + 2 * p_edges_.size();
   return words;
 }
 
-void RandomOrderTriangleCounter::StartPass(int pass,
-                                           std::size_t stream_length) {
-  CHECK_EQ(pass, 0);
+void RandomOrderTriangleCounter::SetPrefixes(std::size_t stream_length) {
+  stream_length_ = stream_length;
   for (Level& level : levels_) {
     level.prefix_edges = static_cast<std::size_t>(
         std::ceil(level.q * static_cast<double>(stream_length)));
@@ -138,17 +187,27 @@ void RandomOrderTriangleCounter::StartPass(int pass,
       std::ceil(r_ * static_cast<double>(stream_length)));
 }
 
+void RandomOrderTriangleCounter::StartPass(int pass,
+                                           std::size_t stream_length) {
+  CHECK_EQ(pass, 0);
+  SetPrefixes(stream_length);
+}
+
 void RandomOrderTriangleCounter::ProcessEdge(int pass, const Edge& e,
                                              std::size_t position) {
   (void)pass;
   // Level structures: grow E_i inside the prefix, test P-membership after.
-  bool in_p = p_set_.count(e.Key()) > 0;
+  bool in_p = p_set_.contains(e.Key());
   for (Level& level : levels_) {
     if (position < level.prefix_edges) {
-      if (level.InVi(e.u) || level.InVi(e.v)) level.AddEdge(e);
-    } else if (!in_p && level.ClosesTriangle(e)) {
+      if ((level.InVi(e.u) || level.InVi(e.v)) && level.graph.Insert(e)) {
+        level.graph.Link(e);
+        space_.Charge("levels", 2);
+      }
+    } else if (!in_p && level.graph.ClosesTriangle(e)) {
       p_set_.insert(e.Key());
       p_edges_.push_back(e);
+      space_.Charge("candidates_p", 2);
       in_p = true;
     }
   }
@@ -156,45 +215,24 @@ void RandomOrderTriangleCounter::ProcessEdge(int pass, const Edge& e,
   // Rough estimator: store the S prefix; later edges enter C if they close a
   // wedge of S (S is complete once position >= s_prefix_edges_).
   if (position < s_prefix_edges_) {
-    s_edges_.push_back(e);
-    s_adj_[e.u].push_back(e.v);
-    s_adj_[e.v].push_back(e.u);
-  } else {
-    bool closes = false;
-    ForEachCommonNeighbor(
-        s_adj_, e,
-        [this](const Edge& f) {
-          auto it = s_adj_.find(f.u);
-          if (it == s_adj_.end()) return false;
-          const auto& lst = it->second;
-          return std::find(lst.begin(), lst.end(), f.v) != lst.end();
-        },
-        [&closes](VertexId) { closes = true; });
-    if (closes && c_set_.insert(e.Key()).second) c_edges_.push_back(e);
+    s_graph_.Insert(e);
+    s_graph_.Link(e);
+    space_.Charge("rough_s", 2);
+  } else if (s_graph_.ClosesTriangle(e) && c_set_.insert(e.Key())) {
+    c_edges_.push_back(e);
+    space_.Charge("rough_c", 2);
   }
-
-  // Space accounting (words): level edges (2 words each), S, C, P, plus the
-  // hash-coefficient baseline charged at construction.
-  UpdateSpace();
-}
-
-std::vector<VertexId> RandomOrderTriangleCounter::OracleCommonNeighbors(
-    const Edge& e) const {
-  const Level& oracle = levels_.back();
-  std::vector<VertexId> common;
-  ForEachCommonNeighbor(
-      oracle.adj, e,
-      [&oracle](const Edge& f) { return oracle.edges.count(f.Key()) > 0; },
-      [&common](VertexId w) { common.push_back(w); });
-  return common;
 }
 
 std::uint64_t RandomOrderTriangleCounter::OracleTriangleCount(
     const Edge& e) const {
-  auto it = oracle_cache_.find(e.Key());
-  if (it != oracle_cache_.end()) return it->second;
-  const std::uint64_t count = OracleCommonNeighbors(e).size();
-  oracle_cache_.emplace(e.Key(), count);
+  if (const std::uint64_t* hit = oracle_cache_.find(e.Key())) return *hit;
+  std::uint64_t count = 0;
+  levels_.back().graph.ForEachCommonNeighbor(e, [&count](VertexId) {
+    ++count;
+    return true;
+  });
+  oracle_cache_[e.Key()] = count;
   return count;
 }
 
@@ -206,16 +244,11 @@ double RandomOrderTriangleCounter::TermLight() const {
   // (1/3r²)·Σ_{e ∈ C, light} t_e^{S_L}: for each light C edge, count common
   // S-neighbors reachable through two *light* S edges.
   double sum = 0.0;
-  auto s_has_edge = [this](const Edge& f) {
-    auto it = s_adj_.find(f.u);
-    if (it == s_adj_.end()) return false;
-    const auto& lst = it->second;
-    return std::find(lst.begin(), lst.end(), f.v) != lst.end();
-  };
   for (const Edge& e : c_edges_) {
     if (IsHeavy(e)) continue;
-    ForEachCommonNeighbor(s_adj_, e, s_has_edge, [&](VertexId w) {
+    s_graph_.ForEachCommonNeighbor(e, [&](VertexId w) {
       if (!IsHeavy(Edge(e.u, w)) && !IsHeavy(Edge(e.v, w))) sum += 1.0;
+      return true;
     });
   }
   return sum / (3.0 * r_ * r_);
@@ -223,16 +256,18 @@ double RandomOrderTriangleCounter::TermLight() const {
 
 double RandomOrderTriangleCounter::TermHeavy() {
   // (1/p)·Σ_{e ∈ P, heavy} Σ over oracle triangles of e, weighted by
-  // 1/(1 + #heavy among the other two edges).
+  // 1/(1 + #heavy among the other two edges). P in stream order, oracle
+  // neighbours in row order: the summation order is part of the result.
   double sum = 0.0;
   for (const Edge& e : p_edges_) {
     if (!IsHeavy(e)) continue;
     ++diagnostics_.oracle_heavy_in_p;
-    for (VertexId w : OracleCommonNeighbors(e)) {
+    levels_.back().graph.ForEachCommonNeighbor(e, [&](VertexId w) {
       const int other_heavy =
           (IsHeavy(Edge(e.u, w)) ? 1 : 0) + (IsHeavy(Edge(e.v, w)) ? 1 : 0);
       sum += 1.0 / (1.0 + other_heavy);
-    }
+      return true;
+    });
   }
   return sum / p_oracle_;
 }
@@ -242,86 +277,98 @@ void RandomOrderTriangleCounter::EndPass(int pass) {
   // Complete C with the S-internal candidates: any S edge closing a wedge of
   // S belongs in C (its t_e^S counts triangles regardless of arrival order
   // inside the prefix).
-  auto s_has_edge = [this](const Edge& f) {
-    auto it = s_adj_.find(f.u);
-    if (it == s_adj_.end()) return false;
-    const auto& lst = it->second;
-    return std::find(lst.begin(), lst.end(), f.v) != lst.end();
-  };
-  for (const Edge& e : s_edges_) {
-    bool closes = false;
-    ForEachCommonNeighbor(s_adj_, e, s_has_edge,
-                          [&closes](VertexId) { closes = true; });
-    if (closes && c_set_.insert(e.Key()).second) c_edges_.push_back(e);
-  }
+  s_graph_.ForEachEdge([this](const Edge& e) {
+    if (s_graph_.ClosesTriangle(e) && c_set_.insert(e.Key())) {
+      c_edges_.push_back(e);
+      space_.Charge("rough_c", 2);
+    }
+  });
 
   diagnostics_.candidate_heavy_edges = p_edges_.size();
   diagnostics_.rough_set_size = c_edges_.size();
   diagnostics_.light_term = TermLight();
   diagnostics_.heavy_term = TermHeavy();
 
-  UpdateSpace();
-
   result_.value = diagnostics_.light_term + diagnostics_.heavy_term;
   result_.space_words = space_.Peak();
-  finished_ = true;
 }
 
+// randtri/2: the config fingerprint, the stream length, each level's rows,
+// S's rows, C and P in arrival order — length-prefixed and followed by its
+// CRC-32, so that damage the structural checks cannot see (a flipped
+// stream length, a vertex flipped to another valid one) is refused too.
+// Edge sets, prefixes and space are rebuilt from these on restore.
 bool RandomOrderTriangleCounter::SaveState(StateWriter& w) const {
-  w.U32(params_.num_vertices);
-  w.I64(num_levels_);
-  w.Double(p_oracle_);
-  w.Double(heavy_cut_);
-  w.Double(r_);
-  w.Double(params_.level_rate);
-  w.Double(params_.prefix_rate);
-  w.Double(params_.base.epsilon);
-  w.Double(params_.base.c);
-  w.Double(params_.base.t_guess);
-  w.U64(params_.base.seed);
+  StateWriter body;
+  body.U32(params_.num_vertices);
+  body.I64(num_levels_);
+  body.Double(p_oracle_);
+  body.Double(heavy_cut_);
+  body.Double(r_);
+  body.Double(params_.level_rate);
+  body.Double(params_.prefix_rate);
+  body.Double(params_.base.epsilon);
+  body.Double(params_.base.c);
+  body.Double(params_.base.t_guess);
+  body.U64(params_.base.seed);
 
-  w.Size(s_prefix_edges_);
-  for (const Level& level : levels_) {
-    w.Double(level.p);
-    w.Double(level.q);
-    w.Size(level.prefix_edges);
-    WriteU64Set(w, level.edges);
-    WriteAdjMap(w, level.adj);
-  }
-  w.Vec(s_edges_);
-  WriteAdjMap(w, s_adj_);
-  WriteU64Set(w, c_set_);
-  w.Vec(c_edges_);
-  WriteU64Set(w, p_set_);
-  w.Vec(p_edges_);
-  space_.SaveState(w);
+  body.Size(stream_length_);
+  for (const Level& level : levels_) level.graph.Save(body);
+  s_graph_.Save(body);
+  body.Vec(c_edges_);
+  body.Vec(p_edges_);
+  w.Str(body.str());
+  w.U32(Crc32(body.str()));
   return true;
 }
 
 bool RandomOrderTriangleCounter::RestoreState(StateReader& r) {
-  if (r.U32() != params_.num_vertices || r.I64() != num_levels_ ||
-      r.Double() != p_oracle_ || r.Double() != heavy_cut_ ||
-      r.Double() != r_ || r.Double() != params_.level_rate ||
-      r.Double() != params_.prefix_rate ||
-      r.Double() != params_.base.epsilon || r.Double() != params_.base.c ||
-      r.Double() != params_.base.t_guess || r.U64() != params_.base.seed) {
+  const std::string_view blob = r.Bytes(r.Size());
+  if (r.U32() != Crc32(blob) || !r.ok()) return r.Fail();
+  StateReader b(blob);
+  if (b.U32() != params_.num_vertices || b.I64() != num_levels_ ||
+      b.Double() != p_oracle_ || b.Double() != heavy_cut_ ||
+      b.Double() != r_ || b.Double() != params_.level_rate ||
+      b.Double() != params_.prefix_rate ||
+      b.Double() != params_.base.epsilon || b.Double() != params_.base.c ||
+      b.Double() != params_.base.t_guess || b.U64() != params_.base.seed) {
     return r.Fail();
   }
-  s_prefix_edges_ = r.Size();
-  for (Level& level : levels_) {
-    if (r.Double() != level.p || r.Double() != level.q) return r.Fail();
-    level.prefix_edges = r.Size();
-    if (!r.ok() || !ReadU64Set(r, &level.edges) ||
-        !ReadAdjMap(r, &level.adj)) {
-      return false;
+  const std::size_t stream_length = b.Size();
+  const VertexId n = params_.num_vertices;
+  std::vector<SampledGraph> level_graphs(levels_.size());
+  for (SampledGraph& g : level_graphs) {
+    if (!g.Restore(b, n, /*unique_links=*/true)) return r.Fail();
+  }
+  SampledGraph s_graph;
+  std::vector<Edge> c_edges, p_edges;
+  if (!s_graph.Restore(b, n, /*unique_links=*/false) || !b.Vec(&c_edges) ||
+      !b.Vec(&p_edges) || !b.AtEnd()) {
+    return r.Fail();
+  }
+  // C and P hold canonical edges, each once.
+  auto key_set = [n](const std::vector<Edge>& edges, FlatSet64* set) {
+    for (const Edge& e : edges) {
+      if (e.u >= e.v || e.v >= n || !set->insert(e.Key())) return false;
     }
+    return true;
+  };
+  FlatSet64 c_set, p_set;
+  if (!key_set(c_edges, &c_set) || !key_set(p_edges, &p_set)) {
+    return r.Fail();
   }
-  if (!r.Vec(&s_edges_) || !ReadAdjMap(r, &s_adj_) ||
-      !ReadU64Set(r, &c_set_) || !r.Vec(&c_edges_) ||
-      !ReadU64Set(r, &p_set_) || !r.Vec(&p_edges_)) {
-    return false;
+
+  SetPrefixes(stream_length);
+  for (std::size_t i = 0; i < levels_.size(); ++i) {
+    levels_[i].graph = std::move(level_graphs[i]);
   }
-  return space_.RestoreState(r);
+  s_graph_ = std::move(s_graph);
+  c_set_ = std::move(c_set);
+  c_edges_ = std::move(c_edges);
+  p_set_ = std::move(p_set);
+  p_edges_ = std::move(p_edges);
+  SetSpace();
+  return true;
 }
 
 Estimate CountTrianglesRandomOrder(

@@ -2,11 +2,10 @@
 #define CYCLESTREAM_CORE_RANDOM_ORDER_TRIANGLES_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/config.h"
+#include "graph/flat_map.h"
 #include "hash/kwise.h"
 #include "stream/driver.h"
 #include "stream/space.h"
@@ -64,7 +63,7 @@ class RandomOrderTriangleCounter : public EdgeStreamAlgorithm {
   void EndPass(int pass) override;
   std::size_t AuditSpace() const override;
   const SpaceTracker* space_tracker() const override { return &space_; }
-  std::string_view CheckpointId() const override { return "randtri/1"; }
+  std::string_view CheckpointId() const override { return "randtri/2"; }
   bool SaveState(StateWriter& w) const override;
   bool RestoreState(StateReader& r) override;
 
@@ -86,53 +85,98 @@ class RandomOrderTriangleCounter : public EdgeStreamAlgorithm {
   const Diagnostics& diagnostics() const { return diagnostics_; }
 
  private:
+  /// One sampled edge set (a level's E_i, or S) with its adjacency: the
+  /// edge keys for membership, and one neighbour row per touched vertex.
+  /// Rows are kept in creation order and each row in insertion order; that
+  /// order fixes every common-neighbour walk, and with it the summation
+  /// order of the heavy term. Space is proportional to the stored edges —
+  /// never an n-sized array, which would break Thm 2.1's Õ(ε⁻²m/√T).
+  class SampledGraph {
+   public:
+    /// Adds e's key to the edge set; true if it was absent.
+    bool Insert(const Edge& e) { return edges_.insert(e.Key()); }
+    /// Appends e to both endpoints' rows.
+    void Link(const Edge& e);
+    /// Edges appended to the rows (a repeated Link counts again), by a
+    /// walk of the rows.
+    std::size_t links() const;
+
+    /// Calls visit(w) for each w ≠ e.u, e.v in the smaller endpoint row
+    /// whose closing edge is stored, in row order, until visit returns
+    /// false.
+    template <typename Visit>
+    void ForEachCommonNeighbor(const Edge& e, Visit visit) const;
+    bool ClosesTriangle(const Edge& e) const;
+    /// Calls visit(e) once per row entry (v, w) with v < w: every linked
+    /// edge, a repeatedly linked one repeatedly.
+    template <typename Visit>
+    void ForEachEdge(Visit visit) const;
+
+    /// Rows in creation order; Restore rebuilds the edge set from them and
+    /// returns false on a vertex ≥ `num_vertices`, a repeated or empty row,
+    /// a self-loop, rows that do not list every edge from both ends, or
+    /// (with `unique_links`) an edge linked twice.
+    void Save(StateWriter& w) const;
+    bool Restore(StateReader& r, VertexId num_vertices, bool unique_links);
+
+   private:
+    struct Row {
+      VertexId vertex = 0;
+      std::vector<VertexId> neighbors;
+    };
+    const std::vector<VertexId>* Neighbors(VertexId v) const;
+
+    FlatSet64 edges_;
+    FlatMap64<std::uint32_t> row_of_;  // Vertex → index into rows_.
+    std::vector<Row> rows_;
+  };
+
   struct Level {
     double p = 1.0;                 // Vertex sampling probability.
     double q = 1.0;                 // Prefix fraction.
     std::size_t prefix_edges = 0;   // q·m, fixed at StartPass.
     KWiseHash vertex_hash;          // Defines V_i = {v : h(v) < p}.
-    std::unordered_set<std::uint64_t, Mix64Hash> edges;  // E_i keys.
-    std::unordered_map<VertexId, std::vector<VertexId>> adj;  // E_i adjacency.
+    SampledGraph graph;             // E_i.
 
     Level(double p_in, double q_in, KWiseHash hash)
         : p(p_in), q(q_in), vertex_hash(std::move(hash)) {}
 
-    bool InVi(VertexId v) const { return vertex_hash.ToUnit(v) < p; }
-    void AddEdge(const Edge& e);
-    /// t_e^{E_i} >= 1 ?
-    bool ClosesTriangle(const Edge& e) const;
+    // ToUnit < 1, so a saturated level skips the hash.
+    bool InVi(VertexId v) const {
+      return p >= 1.0 || vertex_hash.ToUnit(v) < p;
+    }
   };
 
   // Oracle helpers (level L is the oracle set O).
   std::uint64_t OracleTriangleCount(const Edge& e) const;  // t_e^O, memoized.
-  std::vector<VertexId> OracleCommonNeighbors(const Edge& e) const;
 
+  void SetPrefixes(std::size_t stream_length);
   double TermLight() const;
   double TermHeavy();
-  void UpdateSpace();
+  /// Sets every space component from the containers (construction and
+  /// restore); the stream path charges growth incrementally.
+  void SetSpace();
 
   Params params_;
   int num_levels_ = 1;       // L+1 level structures.
   double p_oracle_ = 1.0;    // p_{log√T} after clamping.
   double heavy_cut_ = 0.0;   // p·√T oracle threshold.
   double r_ = 1.0;           // Prefix rate for S.
+  std::size_t stream_length_ = 0;
   std::size_t s_prefix_edges_ = 0;
 
   std::vector<Level> levels_;
-  std::vector<Edge> s_edges_;  // S.
-  std::unordered_map<VertexId, std::vector<VertexId>> s_adj_;
-  std::unordered_set<std::uint64_t, Mix64Hash> c_set_;  // C keys.
+  SampledGraph s_graph_;  // S, every arrival linked (repeats included).
+  FlatSet64 c_set_;       // C keys.
   std::vector<Edge> c_edges_;
-  std::unordered_set<std::uint64_t, Mix64Hash> p_set_;  // P keys.
+  FlatSet64 p_set_;       // P keys.
   std::vector<Edge> p_edges_;
 
-  mutable std::unordered_map<std::uint64_t, std::uint64_t, Mix64Hash>
-      oracle_cache_;
+  mutable FlatMap64<std::uint64_t> oracle_cache_;
 
   SpaceTracker space_;
   Estimate result_;
   Diagnostics diagnostics_;
-  bool finished_ = false;
 };
 
 /// Convenience wrapper: runs the counter over `stream` and returns the

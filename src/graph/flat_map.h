@@ -165,6 +165,57 @@ class FlatMap64 {
   std::size_t size_ = 0;
 };
 
+/// Key-only sibling of FlatMap64 for membership tests over 64-bit keys
+/// (edge keys, mostly): the same Mix64 linear probing, the same reserved
+/// ~0 sentinel, no erase — but 8-byte slots, half of what a
+/// FlatMap64<uint8_t> pays per slot once the value is padded to alignment.
+class FlatSet64 {
+ public:
+  static constexpr std::uint64_t kEmptyKey = ~0ull;
+
+  std::size_t size() const { return size_; }
+  std::size_t capacity() const { return slots_.size(); }
+
+  /// Inserts `key`; true if it was absent.
+  bool insert(std::uint64_t key) {
+    assert(key != kEmptyKey);
+    if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) {
+      Rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2);
+    }
+    std::uint64_t& slot = slots_[Probe(key)];
+    if (slot == key) return false;
+    slot = key;
+    ++size_;
+    return true;
+  }
+
+  bool contains(std::uint64_t key) const {
+    return !slots_.empty() && slots_[Probe(key)] == key;
+  }
+
+ private:
+  static constexpr std::size_t kMinCapacity = 16;
+
+  /// First slot that either holds `key` or is empty.
+  std::size_t Probe(std::uint64_t key) const {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = Mix64(key) & mask;
+    while (slots_[i] != key && slots_[i] != kEmptyKey) i = (i + 1) & mask;
+    return i;
+  }
+
+  void Rehash(std::size_t new_capacity) {
+    std::vector<std::uint64_t> old = std::move(slots_);
+    slots_.assign(new_capacity, kEmptyKey);
+    for (const std::uint64_t key : old) {
+      if (key != kEmptyKey) slots_[Probe(key)] = key;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t size_ = 0;
+};
+
 }  // namespace cyclestream
 
 #endif  // CYCLESTREAM_GRAPH_FLAT_MAP_H_

@@ -16,6 +16,7 @@
 #include "core/arb_f2_counter.h"
 #include "core/arb_three_pass.h"
 #include "core/diamond_counter.h"
+#include "core/random_order_triangles.h"
 #include "engine/query.h"
 #include "gen/generators.h"
 #include "graph/graph.h"
@@ -598,6 +599,173 @@ TEST(CrashResumeTest, CheckpointWriteFailureDoesNotDisturbRun) {
   EXPECT_EQ(counter.Result().value, golden.Result().value);
 }
 
+// --- randtri/2 decoder -------------------------------------------------------
+
+RandomOrderTriangleCounter::Params RandTriParams(VertexId n, double t_guess) {
+  RandomOrderTriangleCounter::Params params;
+  params.base.epsilon = 0.3;
+  params.base.t_guess = t_guess;
+  params.base.seed = 61;
+  params.num_vertices = n;
+  params.level_rate = 2.0;
+  params.prefix_rate = 0.5;
+  return params;
+}
+
+bool Restores(const RandomOrderTriangleCounter::Params& params,
+              std::string_view payload) {
+  RandomOrderTriangleCounter counter(params);
+  StateReader r(payload);
+  return counter.RestoreState(r) && r.AtEnd();
+}
+
+using Rows = std::vector<std::pair<VertexId, std::vector<VertexId>>>;
+
+// A hand-built randtri/2 payload for a one-level counter (t_guess = 1):
+// the fresh counter's config fingerprint, then the stream length, the level
+// rows, S's rows, C and P, wrapped in the length prefix and CRC-32.
+std::string RandTriPayload(const RandomOrderTriangleCounter::Params& params,
+                           const Rows& level, const Rows& s,
+                           const std::vector<Edge>& c,
+                           const std::vector<Edge>& p) {
+  StateWriter fresh;
+  RandomOrderTriangleCounter(params).SaveState(fresh);
+  StateReader fresh_reader(fresh.str());
+  const std::string_view fresh_body = fresh_reader.Bytes(fresh_reader.Size());
+  // Fresh tail: stream length, two empty row lists, empty C and P.
+  StateWriter body;
+  body.Bytes(fresh_body.data(), fresh_body.size() - 5 * 8);
+  body.Size(100);
+  for (const Rows* rows : {&level, &s}) {
+    body.Size(rows->size());
+    for (const auto& [vertex, neighbors] : *rows) {
+      body.U32(vertex);
+      body.Vec(neighbors);
+    }
+  }
+  body.Vec(c);
+  body.Vec(p);
+  StateWriter w;
+  w.Str(body.str());
+  w.U32(Crc32(body.str()));
+  return w.Take();
+}
+
+TEST(RandomOrderSnapshotTest, MalformedPayloadsAreRefused) {
+  const auto params = RandTriParams(/*n=*/10, /*t_guess=*/1.0);
+  const Rows edge01 = {{0, {1}}, {1, {0}}};
+  const Rows edge01_twice = {{0, {1, 1}}, {1, {0, 0}}};
+  // Well-formed controls: S may hold a repeated stream edge, a level not.
+  EXPECT_TRUE(Restores(params, RandTriPayload(params, edge01, edge01, {}, {})));
+  EXPECT_TRUE(
+      Restores(params, RandTriPayload(params, edge01, edge01_twice, {}, {})));
+  EXPECT_FALSE(
+      Restores(params, RandTriPayload(params, edge01_twice, edge01, {}, {})));
+
+  const std::vector<std::pair<std::string, Rows>> bad_rows = {
+      {"row vertex >= num_vertices", {{0, {10}}, {10, {0}}}},
+      {"neighbour >= num_vertices", {{0, {12}}}},
+      {"repeated row vertex", {{0, {1}}, {1, {0}}, {0, {2}}, {2, {0}}}},
+      {"self-loop neighbour", {{3, {3}}}},
+      {"edge listed from one end only", {{0, {1}}}},
+      {"empty row", {{0, {1}}, {1, {0}}, {4, {}}}},
+  };
+  for (const auto& [what, rows] : bad_rows) {
+    EXPECT_FALSE(Restores(params, RandTriPayload(params, rows, {}, {}, {})))
+        << "level rows: " << what;
+    EXPECT_FALSE(Restores(params, RandTriPayload(params, {}, rows, {}, {})))
+        << "S rows: " << what;
+  }
+  const std::vector<Edge> twice = {Edge(2, 5), Edge(2, 5)};
+  EXPECT_FALSE(Restores(params, RandTriPayload(params, {}, {}, twice, {})));
+  EXPECT_FALSE(Restores(params, RandTriPayload(params, {}, {}, {}, twice)));
+  Edge flipped;  // Non-canonical u > v.
+  flipped.u = 5;
+  flipped.v = 2;
+  EXPECT_FALSE(Restores(params, RandTriPayload(params, {}, {}, {flipped}, {})));
+}
+
+TEST(RandomOrderSnapshotTest, DamagedRealPayloadIsRefused) {
+  Rng gen_rng(62);
+  const EdgeList graph =
+      PlantTriangles(ErdosRenyiGnm(30, 70, gen_rng), 8, gen_rng);
+  const EdgeStream stream = graph.edges();
+  const auto params = RandTriParams(graph.num_vertices(), /*t_guess=*/16.0);
+
+  RandomOrderTriangleCounter golden(params);
+  RunEdgeStream(golden, stream);
+
+  // Snapshot past S and the lower level prefixes, with C and P non-empty.
+  RandomOrderTriangleCounter victim(params);
+  victim.StartPass(0, stream.size());
+  const std::size_t cut = stream.size() * 4 / 5;
+  for (std::size_t i = 0; i < cut; ++i) victim.ProcessEdge(0, stream[i], i);
+  ASSERT_GT(victim.space_tracker()->Component("rough_c"), 0u);
+  ASSERT_GT(victim.space_tracker()->Component("candidates_p"), 0u);
+  StateWriter w;
+  ASSERT_TRUE(victim.SaveState(w));
+  const std::string payload = w.str();
+
+  // The intact payload resumes to the uninterrupted result.
+  {
+    RandomOrderTriangleCounter resumed(params);
+    StateReader r(payload);
+    ASSERT_TRUE(resumed.RestoreState(r) && r.AtEnd());
+    for (std::size_t i = cut; i < stream.size(); ++i) {
+      resumed.ProcessEdge(0, stream[i], i);
+    }
+    resumed.EndPass(0);
+    EXPECT_EQ(resumed.Result().value, golden.Result().value);
+    EXPECT_EQ(resumed.Result().space_words, golden.Result().space_words);
+  }
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    ASSERT_FALSE(Restores(params, std::string_view(payload).substr(0, len)))
+        << "truncation to " << len << " bytes was restored";
+  }
+  for (std::size_t bit = 0; bit < payload.size() * 8; ++bit) {
+    std::string damaged = payload;
+    damaged[bit / 8] = static_cast<char>(damaged[bit / 8] ^ (1 << (bit % 8)));
+    ASSERT_FALSE(Restores(params, damaged))
+        << "flip of bit " << bit << " was restored";
+  }
+}
+
+// randtri/1 (node-based containers, bucket-order restore) is not decoded:
+// its snapshots fail the algorithm-id check and the run starts over.
+TEST(RandomOrderSnapshotTest, RandTriV1SnapshotIsRefused) {
+  Rng gen_rng(63);
+  const EdgeList graph = ErdosRenyiGnm(30, 70, gen_rng);
+  const EdgeStream stream = graph.edges();
+  const auto params = RandTriParams(graph.num_vertices(), /*t_guess=*/16.0);
+  RandomOrderTriangleCounter golden(params);
+  RunEdgeStream(golden, stream);
+
+  Snapshot snap;
+  snap.algorithm_id = "randtri/1";
+  snap.stream_fingerprint = FingerprintEdgeStream(stream);
+  snap.stream_length = stream.size();
+  snap.position = stream.size() / 2;
+  snap.elements_processed = stream.size() / 2;
+  snap.state = "state";
+  const std::string path = MakeTempDir("randtri_v1") + "/v1.ckpt";
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(path, snap, &error)) << error;
+
+  RandomOrderTriangleCounter counter(params);
+  RunOptions options;
+  options.resume_from = path;
+  ::testing::internal::CaptureStderr();
+  const RunOutcome outcome = RunEdgeStream(counter, stream, options);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(outcome.resume_rejected);
+  EXPECT_FALSE(outcome.resumed);
+  EXPECT_NE(log.find("snapshot is for algorithm 'randtri/1', expected "
+                     "'randtri/2'"),
+            std::string::npos)
+      << log;
+  EXPECT_EQ(counter.Result().value, golden.Result().value);
+}
+
 // Kill points for the block-cut sweeps: both sides of the first two block
 // edges (kDefaultBlockSize = 4096), then seeded ones up to 16 in total.
 std::vector<std::uint64_t> BlockCutKillPoints(std::uint64_t total) {
@@ -626,7 +794,7 @@ void ExpectBlockCutKillPointsResumeBitIdentical(
   };
   Query golden = make();
   run(golden, RunOptions{});
-  const double golden_value = golden.result().value;
+  const Estimate golden_result = golden.result();
 
   for (const std::uint64_t kill : BlockCutKillPoints(stream.size())) {
     SCOPED_TRACE("kill point " + std::to_string(kill));
@@ -661,7 +829,8 @@ void ExpectBlockCutKillPointsResumeBitIdentical(
     const RunOutcome outcome = run(resumed, resume_options);
     ASSERT_TRUE(outcome.completed);
     EXPECT_EQ(outcome.resumed, snapshot_at > 0);
-    EXPECT_EQ(resumed.result().value, golden_value);
+    EXPECT_EQ(resumed.result().value, golden_result.value);
+    EXPECT_EQ(resumed.result().space_words, golden_result.space_words);
   }
 }
 
@@ -680,6 +849,30 @@ TEST(CrashResumeTest, BlockCutKillPointsResumeBitIdenticalArbF2) {
   ExpectBlockCutKillPointsResumeBitIdentical<engine::EdgeQuery, Edge>(
       [&] { return engine::MakeEdgeQuery(spec); }, stream,
       MakeTempDir("block_cut_arbf2"));
+}
+
+// random-order conditions on stream positions: with m = 12000, S ends at
+// 4800 and the level prefixes at 269, 537, 1074, 2147, 4294 and 8587, so
+// the snapshots at 2999, 5998 and 8997 fall inside S and the level
+// prefixes, inside the last sampled prefix only, and after all of them.
+TEST(CrashResumeTest, BlockCutKillPointsResumeBitIdenticalRandomOrder) {
+  Rng gen_rng(55);
+  const EdgeList graph = ErdosRenyiGnm(1000, 12000, gen_rng);
+  EdgeStream stream = graph.edges();
+  Rng order_rng(56);
+  order_rng.Shuffle(stream);
+  engine::QuerySpec spec;
+  spec.name = "random-order";
+  spec.kind = engine::QueryKind::kRandomOrderTriangles;
+  spec.base.epsilon = 0.3;
+  spec.base.t_guess = 2000.0;
+  spec.base.seed = 57;
+  spec.num_vertices = graph.num_vertices();
+  spec.level_rate = 4.0;
+  spec.prefix_rate = 0.4;
+  ExpectBlockCutKillPointsResumeBitIdentical<engine::EdgeQuery, Edge>(
+      [&] { return engine::MakeEdgeQuery(spec); }, stream,
+      MakeTempDir("block_cut_random_order"));
 }
 
 // The windowed turnstile-f2-c4 query overrides ProcessUpdateBlock and

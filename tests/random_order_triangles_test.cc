@@ -151,5 +151,65 @@ TEST(RandomOrderTrianglesTest, RobustToTGuessMisestimates) {
   }
 }
 
+// Seed-fixed outputs recorded before the counter's containers were
+// replaced by flat open-addressing ones. Every set is used for membership
+// only and both summation orders (P in stream order, oracle neighbours in
+// insertion order) are kept, so a change of layout must leave every figure
+// bit-identical.
+struct PinnedRun {
+  double value;
+  double light_term;
+  double heavy_term;
+  std::size_t candidate_heavy_edges;
+  std::size_t oracle_heavy_in_p;
+  std::size_t rough_set_size;
+  std::size_t space_words;
+};
+
+void ExpectPinned(const EdgeList& graph, RandomOrderTriangleCounter::Params params,
+                  std::uint64_t order_seed, const PinnedRun& want) {
+  Rng rng(order_seed);
+  const EdgeStream stream = MakeRandomOrderStream(graph, rng);
+  RandomOrderTriangleCounter counter(params);
+  RunEdgeStream(counter, stream);
+  const auto& diag = counter.diagnostics();
+  EXPECT_EQ(counter.Result().value, want.value);
+  EXPECT_EQ(diag.light_term, want.light_term);
+  EXPECT_EQ(diag.heavy_term, want.heavy_term);
+  EXPECT_EQ(diag.candidate_heavy_edges, want.candidate_heavy_edges);
+  EXPECT_EQ(diag.oracle_heavy_in_p, want.oracle_heavy_in_p);
+  EXPECT_EQ(diag.rough_set_size, want.rough_set_size);
+  EXPECT_EQ(counter.Result().space_words, want.space_words);
+}
+
+TEST(RandomOrderTrianglesTest, SeedFixedEstimatesArePinned) {
+  // Saturated: cv = ε⁻²·log₂n ≈ 97 ≥ 2^L = 8, so every p_i clamps to 1 and
+  // every level stores its whole prefix. The K_15 gives P heavy edges.
+  {
+    Rng gen(21);
+    const EdgeList graph = DisjointUnion(
+        {PlantTriangles(ErdosRenyiGnm(400, 1500, gen), 60, gen), Clique(15)});
+    auto params = MakeParams(graph, /*t_guess=*/60.0, 0.3, /*seed=*/22);
+    ExpectPinned(graph, params, /*order_seed=*/23,
+                 {0x1.c0cccccccccc8p+8, 0x1.119999999999ap+7,
+                  0x1.37ffffffffffbp+8, 128, 72, 179, 8982});
+  }
+  // Sampled: level_rate 8 gives p_i = 8/2^i, so V_i sampling is active on
+  // the upper levels (p_L = 1/8), and the K_40's triangles with three
+  // oracle-heavy edges add ⅓ weights to the heavy term.
+  {
+    Rng gen(24);
+    const EdgeList sparse =
+        PlantBook(ErdosRenyiGnm(1500, 5000, gen), 300, gen);
+    const EdgeList graph = DisjointUnion({sparse, Clique(40)});
+    auto params = MakeParams(graph, /*t_guess=*/2000.0, 0.3, /*seed=*/25,
+                             /*c=*/2.0);
+    params.level_rate = 8.0;
+    ExpectPinned(graph, params, /*order_seed=*/26,
+                 {0x1.7f26aaaaaaabp+14, 0x1.dfffffffffffep+3,
+                  0x1.7eeaaaaaaaabp+14, 619, 441, 472, 18062});
+  }
+}
+
 }  // namespace
 }  // namespace cyclestream

@@ -10,6 +10,7 @@
 #include <map>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -214,6 +215,46 @@ TEST(FlatMap64Test, VisitSlotRangeCoversAllEntriesOnce) {
   }
   ASSERT_EQ(seen.size(), map.size());
   for (const auto& [key, value] : seen) EXPECT_EQ(map.at(key), value);
+}
+
+TEST(FlatSet64Test, DuplicateInsertReturnsFalse) {
+  FlatSet64 set;
+  EXPECT_FALSE(set.contains(42));
+  EXPECT_TRUE(set.insert(42));
+  EXPECT_FALSE(set.insert(42));
+  EXPECT_TRUE(set.contains(42));
+  EXPECT_EQ(set.size(), 1u);
+}
+
+TEST(FlatSet64Test, ContainsSurvivesRehashes) {
+  // 100k keys from capacity 16 is a dozen doublings; every key inserted so
+  // far must stay findable across each, and no absent key may appear.
+  FlatSet64 set;
+  constexpr std::uint64_t kKeys = 100000;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(set.insert(k * 0x9e3779b97f4a7c15ull));
+  }
+  EXPECT_EQ(set.size(), kKeys);
+  EXPECT_GE(set.capacity() * 3, set.size() * 4);
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(set.contains(k * 0x9e3779b97f4a7c15ull)) << k;
+    ASSERT_FALSE(set.contains(k * 0x9e3779b97f4a7c15ull + 1)) << k;
+  }
+}
+
+TEST(FlatSet64Test, AgreesWithUnorderedSet) {
+  FlatSet64 set;
+  std::unordered_set<std::uint64_t> reference;
+  Rng rng(2027);
+  // Keys drawn from a small range so that about half the inserts repeat.
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t key = rng.UniformInt(15000);
+    ASSERT_EQ(set.insert(key), reference.insert(key).second) << key;
+  }
+  EXPECT_EQ(set.size(), reference.size());
+  for (std::uint64_t key = 0; key < 16000; ++key) {
+    ASSERT_EQ(set.contains(key), reference.count(key) > 0) << key;
+  }
 }
 
 }  // namespace
