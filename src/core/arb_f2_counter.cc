@@ -194,6 +194,11 @@ Estimate ArbF2FourCycleCounter::Result() const {
 bool ArbF2FourCycleCounter::SaveState(StateWriter& w) const {
   // Only the accumulators are stream-dependent; the sign caches are
   // constructor-derived from the fingerprinted seed.
+  const std::size_t n = params_.num_vertices;
+  const std::size_t c = num_copies_;
+  // Exact arbf2/1 size: a u32 and five 8-byte config fields, then three
+  // length-prefixed arrays.
+  w.Reserve(4 + 5 * 8 + 3 * (8 + n * c * sizeof(double)));
   w.U32(params_.num_vertices);
   w.Size(num_copies_);
   w.I64(params_.groups);
@@ -202,8 +207,6 @@ bool ArbF2FourCycleCounter::SaveState(StateWriter& w) const {
   w.Double(params_.f1_correction);
   // The arbf2/1 layout: the A, B and C arrays, each a StateWriter::Vec of
   // n·C copy-minor doubles, written one row segment at a time.
-  const std::size_t n = params_.num_vertices;
-  const std::size_t c = num_copies_;
   VisitSlots(*this, [&](const auto& rows) {
     std::vector<double> out(c);
     for (std::size_t k = 0; k < 3; ++k) {

@@ -653,29 +653,30 @@ bool ResumeShardedBatch(const std::string& manifest_path,
     std::uint64_t shard_done = 0;
     ShardState ckpt;
     std::string why;
+    std::vector<EdgeQuery> restored;
     const std::string path = ckpt_dir + "/" + manifest.checkpoint_files[s];
-    if (LoadShardState(path, &ckpt, &why)) {
-      const ShardHeader& h = ckpt.header;
-      if (h.worker_id == s && h.num_workers == manifest.num_workers &&
-          h.stream_fingerprint == stream_fp &&
-          h.stream_length == edges.size() &&
-          h.spec_fingerprint == spec_fp && h.ranges == ranges &&
-          h.edges_done <= TotalRangeEdges(ranges) &&
-          ckpt.query_states.size() == wave_specs.size()) {
-        shard_done = h.edges_done;
-        for (std::size_t qi = 0; qi < wave_specs.size(); ++qi) {
-          EdgeQuery scratch =
-              RestoreQuery(wave_specs[qi], ckpt.query_states[qi].second);
-          CHECK(base[qi].algorithm->MergeFrom(*scratch.algorithm));
-        }
-      } else {
-        LOG(WARNING) << "shard " << s
-                     << ": checkpoint rejected on resume; its whole slice "
-                        "will be re-run";
-      }
-    } else {
+    const ShardHeader& h = ckpt.header;
+    if (!LoadShardState(path, &ckpt, &why)) {
       LOG(WARNING) << "shard " << s << ": no usable checkpoint (" << why
                    << "); its whole slice will be re-run";
+    } else if (h.worker_id != s || h.num_workers != manifest.num_workers ||
+               h.stream_fingerprint != stream_fp ||
+               h.stream_length != edges.size() ||
+               h.spec_fingerprint != spec_fp || h.ranges != ranges ||
+               h.edges_done > TotalRangeEdges(ranges)) {
+      LOG(WARNING) << "shard " << s
+                   << ": checkpoint rejected on resume (header does not "
+                      "match the manifest); its whole slice will be re-run";
+    } else if (!RestoreShardQueries(wave_specs, ckpt, &restored, &why)) {
+      // Every query restores before any merges: a blob RestoreState
+      // refuses drops the whole checkpoint, never half of it.
+      LOG(WARNING) << "shard " << s << ": checkpoint rejected on resume ("
+                   << why << "); its whole slice will be re-run";
+    } else {
+      shard_done = h.edges_done;
+      for (std::size_t qi = 0; qi < wave_specs.size(); ++qi) {
+        CHECK(base[qi].algorithm->MergeFrom(*restored[qi].algorithm));
+      }
     }
     const std::vector<ShardRange> left = AdvanceRanges(ranges, shard_done);
     leftovers.insert(leftovers.end(), left.begin(), left.end());

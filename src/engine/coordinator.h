@@ -130,7 +130,9 @@ bool LoadEpochManifest(const std::string& path, EpochManifest* manifest,
 /// batch must have been single-wave (admission replay of `specs` under
 /// `options.budget` must admit everything in wave 0 and match the
 /// manifest's spec fingerprint) — multi-wave batches recover in-flight via
-/// the coordinator's own worker relaunch instead. Returns false with
+/// the coordinator's own worker relaunch instead. A shard checkpoint that
+/// is missing, damaged, mismatched or holds a blob RestoreState refuses is
+/// dropped whole and that shard's slice re-run. Returns false with
 /// `*error` on any validation failure; aborts nothing.
 bool ResumeShardedBatch(const std::string& manifest_path,
                         const std::vector<QuerySpec>& specs,

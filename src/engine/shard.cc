@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <thread>
 
 #include "stream/driver.h"
@@ -56,6 +57,24 @@ void SleepMs(std::uint64_t ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 
+// Appends one frame whose payload is `parts` back to back. Each part is
+// copied once, straight into `out`, and the CRC runs over the same parts,
+// so a state blob never passes through a payload buffer.
+void AppendFrameParts(std::string* out, FrameType type,
+                      std::initializer_list<std::string_view> parts) {
+  std::uint64_t size = 0;
+  Crc32Accumulator crc;
+  for (std::string_view part : parts) {
+    size += part.size();
+    crc.Update(part.data(), part.size());
+  }
+  out->append(kFrameMagic, sizeof(kFrameMagic));
+  PutLE(out, static_cast<std::uint32_t>(type), 4);
+  PutLE(out, size, 8);
+  PutLE(out, crc.Final(), 4);
+  for (std::string_view part : parts) out->append(part.data(), part.size());
+}
+
 }  // namespace
 
 void RequestWorkerDrain() { g_drain_requested = 1; }
@@ -93,11 +112,7 @@ std::string DescribeWaitStatus(int status) {
 }
 
 void AppendFrame(std::string* out, FrameType type, std::string_view payload) {
-  out->append(kFrameMagic, sizeof(kFrameMagic));
-  PutLE(out, static_cast<std::uint32_t>(type), 4);
-  PutLE(out, static_cast<std::uint64_t>(payload.size()), 8);
-  PutLE(out, Crc32(payload), 4);
-  out->append(payload.data(), payload.size());
+  AppendFrameParts(out, type, {payload});
 }
 
 bool ReadFrame(std::string_view data, std::size_t* pos, FrameType* type,
@@ -181,7 +196,6 @@ std::vector<ShardRange> AdvanceRanges(const std::vector<ShardRange>& ranges,
 }
 
 std::string EncodeShardState(const ShardState& state) {
-  std::string out;
   StateWriter h;
   h.U32(state.header.worker_id);
   h.U32(state.header.num_workers);
@@ -196,15 +210,23 @@ std::string EncodeShardState(const ShardState& state) {
     h.U64(r.end);
   }
   h.Size(state.query_states.size());
+  StateWriter f;
+  f.Size(state.query_states.size());
+  // Size `out` once: each query frame's payload is Str(name) then
+  // Str(blob), and the blobs dominate.
+  std::size_t total = 2 * kFrameHeaderSize + h.str().size() + f.str().size();
+  for (const auto& [name, blob] : state.query_states) {
+    total += kFrameHeaderSize + 8 + name.size() + 8 + blob.size();
+  }
+  std::string out;
+  out.reserve(total);
   AppendFrame(&out, FrameType::kHeader, h.str());
   for (const auto& [name, blob] : state.query_states) {
     StateWriter q;
     q.Str(name);
-    q.Str(blob);
-    AppendFrame(&out, FrameType::kQueryState, q.str());
+    q.Size(blob.size());
+    AppendFrameParts(&out, FrameType::kQueryState, {q.str(), blob});
   }
-  StateWriter f;
-  f.Size(state.query_states.size());
   AppendFrame(&out, FrameType::kFooter, f.str());
   return out;
 }
@@ -299,6 +321,35 @@ bool LoadShardState(const std::string& path, ShardState* state,
   return DecodeShardState(encoded, state, error);
 }
 
+bool RestoreShardQueries(const std::vector<QuerySpec>& specs,
+                         const ShardState& state,
+                         std::vector<EdgeQuery>* queries, std::string* why) {
+  if (state.query_states.size() != specs.size()) {
+    *why = "checkpoint query count does not match the spec count";
+    return false;
+  }
+  // Restore into scratch instances first so a blob that fails validation
+  // midway never leaves the caller half-restored.
+  std::vector<EdgeQuery> restored;
+  restored.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (state.query_states[i].first != specs[i].name) {
+      *why = "checkpoint query order does not match the spec order";
+      return false;
+    }
+    EdgeQuery q = MakeEdgeQuery(specs[i]);
+    StateReader r(state.query_states[i].second);
+    if (!q.algorithm->RestoreState(r) || !r.AtEnd()) {
+      *why = "checkpoint state blob rejected for query '" + specs[i].name +
+             "'";
+      return false;
+    }
+    restored.push_back(std::move(q));
+  }
+  *queries = std::move(restored);
+  return true;
+}
+
 bool AppendHeartbeat(const std::string& path, const HeartbeatRecord& record) {
   StateWriter w;
   w.U32(record.worker_id);
@@ -369,33 +420,11 @@ bool TryRestoreCheckpoint(const ShardWorkerConfig& config,
       h.stream_fingerprint != config.stream_fingerprint ||
       h.stream_length != config.edges.size() ||
       h.spec_fingerprint != config.spec_fingerprint ||
-      h.ranges != config.ranges || h.edges_done > total_edges ||
-      ckpt.query_states.size() != config.specs.size()) {
+      h.ranges != config.ranges || h.edges_done > total_edges) {
     *why = "checkpoint header does not match this worker configuration";
     return false;
   }
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (ckpt.query_states[i].first != config.specs[i].name) {
-      *why = "checkpoint query order does not match the spec order";
-      return false;
-    }
-  }
-  // Restore into scratch instances first so a blob that fails validation
-  // midway never leaves the worker half-restored.
-  std::vector<EdgeQuery> restored;
-  restored.reserve(queries.size());
-  for (std::size_t i = 0; i < config.specs.size(); ++i) {
-    EdgeQuery q = MakeEdgeQuery(config.specs[i]);
-    StateReader r(ckpt.query_states[i].second);
-    if (!q.algorithm->RestoreState(r) || !r.AtEnd()) {
-      *why = "checkpoint state blob rejected for query '" +
-             config.specs[i].name + "'";
-      return false;
-    }
-    restored.push_back(std::move(q));
-  }
-  queries = std::move(restored);
-  return true;
+  return RestoreShardQueries(config.specs, ckpt, &queries, why);
 }
 
 }  // namespace

@@ -138,6 +138,15 @@ bool SaveShardState(const std::string& path, const ShardState& state,
 bool LoadShardState(const std::string& path, ShardState* state,
                     std::string* error);
 
+/// Restores each (name, blob) of `state` into a fresh instance of the
+/// matching spec. All or nothing: if the names disagree with `specs` or
+/// any RestoreState refuses its blob (a NaN slot behind a valid CRC),
+/// returns false with `*why` set and leaves `*queries` untouched, so a
+/// damaged checkpoint is never half-restored or half-merged.
+bool RestoreShardQueries(const std::vector<QuerySpec>& specs,
+                         const ShardState& state,
+                         std::vector<EdgeQuery>* queries, std::string* why);
+
 // ---------------------------------------------------------------------------
 // Heartbeats
 // ---------------------------------------------------------------------------

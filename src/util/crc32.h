@@ -8,8 +8,16 @@
 namespace cyclestream {
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320 polynomial) over `data`.
-/// Guards the checkpoint snapshots (stream/checkpoint) and the binary
-/// edge-stream files (graph/binary_io) against torn writes and bit rot.
+/// Guards every durable file against torn writes and bit rot:
+///   - CYSF frames (engine/shard): shard states, epoch checkpoints, epoch
+///     and daemon manifests, heartbeat logs;
+///   - CYCLSNP snapshots (stream/checkpoint);
+///   - the inner checksum of the `randtri/2` state blob
+///     (core/random_order_triangles);
+///   - v1 edge streams (graph/binary_io, tools/edge2bin) and v2 turnstile
+///     streams (stream/dynamic/turnstile_io).
+/// Computed slice-by-16 (16 table lookups per 16-byte step, then a byte
+/// loop for the tail); the value is the standard one for any input.
 std::uint32_t Crc32(std::string_view data);
 
 /// Incremental CRC-32 for writers that stream their payload (edge2bin

@@ -1,6 +1,7 @@
 #include "util/io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -127,19 +128,29 @@ bool ReadFileToString(const std::string& path, std::string* out,
     if (error != nullptr) *error = "cannot open " + path;
     return false;
   }
-  std::string data;
-  char buf[1 << 16];
+  // Size the string from fstat and read straight into it. The extra byte
+  // lets an unchanged file end in the first ReadFull; a file that grew
+  // since the fstat (an appended heartbeat log) is read on to EOF.
+  struct stat st;
+  const std::size_t hint =
+      ::fstat(fd, &st) == 0 && st.st_size > 0
+          ? static_cast<std::size_t>(st.st_size)
+          : 0;
+  std::string data(hint + 1, '\0');
+  std::size_t len = 0;
   for (;;) {
     std::size_t got = 0;
-    if (!ReadFull(fd, buf, sizeof(buf), &got)) {
+    if (!ReadFull(fd, data.data() + len, data.size() - len, &got)) {
       if (error != nullptr) *error = "I/O error reading " + path;
       CloseQuiet(fd);
       return false;
     }
-    data.append(buf, got);
-    if (got < sizeof(buf)) break;  // EOF.
+    len += got;
+    if (len < data.size()) break;  // EOF.
+    data.resize(2 * data.size());
   }
   CloseQuiet(fd);
+  data.resize(len);
   *out = std::move(data);
   return true;
 }

@@ -46,6 +46,10 @@ class StateWriter {
     for (bool b : v) U8(b ? 1 : 0);
   }
 
+  /// Makes room for `n` more bytes, so a writer that knows its encoded
+  /// size appends it without reallocating.
+  void Reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
   const std::string& str() const { return buf_; }
   std::string Take() { return std::move(buf_); }
 

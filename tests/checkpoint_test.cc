@@ -59,6 +59,58 @@ TEST(Crc32Test, KnownVector) {
   EXPECT_EQ(Crc32(""), 0u);
 }
 
+// The textbook byte-at-a-time CRC-32, kept here as the reference the
+// sliced implementation must reproduce.
+std::uint32_t BytewiseCrc32(std::string_view data) {
+  std::uint32_t crc = 0xffffffffu;
+  for (const char ch : data) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+std::string SeededBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string bytes(n, '\0');
+  for (char& b : bytes) b = static_cast<char>(rng.Next() & 0xff);
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBytewiseReference) {
+  // Every length through two 16-byte steps past 256, at every alignment
+  // of the start within a 16-byte block.
+  const std::string buffer = SeededBytes(16 + 257, 7);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const std::string_view data(buffer.data() + offset, len);
+      ASSERT_EQ(Crc32(data), BytewiseCrc32(data))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, AccumulatorSplitsAnywhere) {
+  const std::string buffer = SeededBytes(100, 11);
+  const std::uint32_t whole = Crc32(buffer);
+  for (std::size_t cut = 0; cut <= buffer.size(); ++cut) {
+    Crc32Accumulator crc;
+    crc.Update(buffer.data(), cut);
+    crc.Update(buffer.data() + cut, buffer.size() - cut);
+    ASSERT_EQ(crc.Final(), whole) << "cut at " << cut;
+  }
+  // Three pieces whose middle one straddles a 16-byte step boundary.
+  for (std::size_t a = 1; a < 32; ++a) {
+    Crc32Accumulator crc;
+    crc.Update(buffer.data(), a);
+    crc.Update(buffer.data() + a, 17);
+    crc.Update(buffer.data() + a + 17, buffer.size() - a - 17);
+    ASSERT_EQ(crc.Final(), whole) << "pieces " << a << ", 17, rest";
+  }
+}
+
 TEST(SnapshotCodecTest, RoundTrip) {
   const Snapshot snap = SampleSnapshot();
   const std::string encoded = EncodeSnapshot(snap);

@@ -7,8 +7,11 @@
 // boundary and after a W-change restore from an epoch manifest.
 
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "gtest/gtest.h"
 #include "stream/checkpoint.h"
 #include "stream/order.h"
+#include "util/crc32.h"
 #include "util/serialize.h"
 
 namespace cyclestream::engine {
@@ -296,6 +300,68 @@ TEST(ShardStateTest, SaveLoadIsAtomicAndStrict) {
   EXPECT_FALSE(LoadShardState(dir + "/missing.bin", &loaded, &error));
 }
 
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// "<length> bytes, crc <hex>" of an encoded artifact.
+std::string Pin(std::string_view bytes) {
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", Crc32(bytes));
+  return std::to_string(bytes.size()) + " bytes, crc " + crc;
+}
+
+// The codec's output, pinned: shard 1 of a W = 2 run of two seeded
+// arb-f2 queries over G(60, 0.2), with one epoch checkpoint, plus a
+// CYCLSNP snapshot of query 0's final state. The values were produced by
+// a bytewise CRC-32 and a buffer-per-frame encoder, so they hold the
+// sliced CRC and the one-copy encode to the same bytes. Any change to a
+// frame, the arbf2/1 blob layout or the CRC changes one of these lines.
+TEST(ShardStateTest, EncodedBytesArePinned) {
+  Rng gen(41);
+  const EdgeList graph = ErdosRenyiGnp(60, 0.2, gen);
+  Rng order(42);
+  const EdgeStream stream = MakeRandomOrderStream(graph, order);
+  std::vector<QuerySpec> specs = MixedShardSpecs(graph.num_vertices());
+  specs.resize(2);
+
+  const std::string dir = TestDir("pinned");
+  ShardWorkerConfig config;
+  config.specs = specs;
+  config.edges = stream;
+  config.ranges = {PartitionStream(stream.size(), 2)[1]};
+  config.worker_id = 1;
+  config.num_workers = 2;
+  config.stream_fingerprint = FingerprintEdgeStream(stream);
+  config.spec_fingerprint = FingerprintSpecs(specs);
+  config.epoch_edges = config.ranges[0].size() * 2 / 3;
+  config.checkpoint_path = dir + "/w1.ckpt";
+  std::string error;
+  const ShardWorkerOutcome outcome =
+      RunShardWorker(config, dir + "/w1.state", &error);
+  ASSERT_TRUE(outcome.completed) << error;
+  ASSERT_EQ(outcome.checkpoints_written, 1u);
+
+  const std::string final_bytes = ReadBytes(dir + "/w1.state");
+  ShardState final_state;
+  ASSERT_TRUE(DecodeShardState(final_bytes, &final_state, &error)) << error;
+  Snapshot snap;
+  snap.algorithm_id = "arbf2/1";
+  snap.stream_fingerprint = config.stream_fingerprint;
+  snap.stream_length = stream.size();
+  snap.pass = 1;
+  snap.elements_processed = config.ranges[0].size();
+  snap.state = final_state.query_states[0].second;
+
+  EXPECT_EQ(stream.size(), 317u);
+  EXPECT_EQ(Pin(ReadBytes(config.checkpoint_path)),
+            "466912 bytes, crc 52cc4c5b");
+  EXPECT_EQ(Pin(final_bytes), "466912 bytes, crc 712829e5");
+  EXPECT_EQ(Pin(EncodeSnapshot(snap)), "298236 bytes, crc 9c0b75d7");
+}
+
 // ---------------------------------------------------------------------------
 // Epoch manifest codec
 // ---------------------------------------------------------------------------
@@ -543,6 +609,53 @@ TEST(CoordinatorTest, RestoreSurvivesAMissingShardCheckpoint) {
                                  &result, &error))
       << error;
   ExpectOutcomesIdentical(oracle, result.outcomes);
+}
+
+TEST(CoordinatorTest, RestoreDropsACheckpointWhoseBlobIsRefused) {
+  VertexId n = 0;
+  EdgeStream stream = ShardStream(&n);
+  stream.resize(250);
+  std::vector<QuerySpec> specs = MixedShardSpecs(n);
+  specs.resize(3);
+  for (QuerySpec& spec : specs) spec.space_budget_words = 0;
+
+  EngineStats broker_stats;
+  const std::vector<QueryOutcome> oracle =
+      BrokerOracle(specs, stream, BudgetPolicy(), &broker_stats);
+
+  const std::string dir = TestDir("refused_blob");
+  ShardPlanOptions plan = PlanFor(dir, 4);
+  plan.epoch_edges = 20;
+  RunShardedBatch(specs, stream, plan);
+
+  // Forge shard 1's checkpoint: frames and CRCs valid, but query 1's first
+  // accumulator slot is NaN, which RestoreState refuses. Query 0 restores
+  // fine, so a fold that merged query by query would keep half a shard.
+  const std::string path = dir + "/w0-s1.ckpt";
+  ShardState forged;
+  std::string error;
+  ASSERT_TRUE(LoadShardState(path, &forged, &error)) << error;
+  ASSERT_GT(forged.header.edges_done, 0u);
+  std::string& blob = forged.query_states[1].second;
+  const std::size_t first_slot = 4 + 5 * 8 + 8;  // Config, then A's length.
+  ASSERT_GT(blob.size(), first_slot + sizeof(double));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::memcpy(blob.data() + first_slot, &nan, sizeof(nan));
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << EncodeShardState(forged);
+  ASSERT_TRUE(LoadShardState(path, &forged, &error)) << error;
+
+  for (int w : {4, 2}) {
+    SCOPED_TRACE("restore_workers=" + std::to_string(w));
+    ShardBatchResult result;
+    ASSERT_TRUE(ResumeShardedBatch(
+        dir + "/epoch.manifest", specs, stream,
+        PlanFor(TestDir("refused_blob_r" + std::to_string(w)), w), &result,
+        &error))
+        << error;
+    ExpectOutcomesIdentical(oracle, result.outcomes);
+    ExpectStatsIdentical(broker_stats, result.stats);
+  }
 }
 
 TEST(CoordinatorTest, RestoreRejectsMismatchedStreamAndSpecs) {
