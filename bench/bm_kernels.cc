@@ -98,6 +98,25 @@ void BM_KWiseBankSignTable(benchmark::State& state) {
 }
 BENCHMARK(BM_KWiseBankSignTable)->Arg(4)->Arg(6);
 
+// The same signs as bit rows (adj-f2's layout): one bit per sign, 8 words
+// a row, written into a stride of 16 as adj-f2 interleaves its α and β.
+void BM_KWiseBankSignBits(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  constexpr std::size_t kVertices = 1000;
+  constexpr std::size_t kCopies = 450;
+  constexpr std::size_t kStride = 2 * ((kCopies + 63) / 64);
+  const KWiseHashBank bank(k, BankSeeds(kCopies));
+  std::vector<std::uint64_t> out(kVertices * kStride);
+  for (auto _ : state) {
+    bank.SignBits(kVertices, kStride, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kVertices * kCopies));
+}
+BENCHMARK(BM_KWiseBankSignBits)->Arg(4)->Arg(6);
+
 void BM_KWiseBankAccumulateSigned(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const KWiseHashBank bank(4, BankSeeds(n));

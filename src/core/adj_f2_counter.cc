@@ -1,16 +1,89 @@
 #include "core/adj_f2_counter.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
-#include <unordered_set>
+#include <mutex>
 
+#include "graph/flat_map.h"
 #include "hash/kwise_bank.h"
 #include "hash/rng.h"
 #include "sketch/median_of_means.h"
 #include "util/check.h"
+#include "util/logging.h"
 #include "util/serialize.h"
 
 namespace cyclestream {
+namespace {
+
+// The explicit F₁(z) sample never holds more pairs than this; past it the
+// rate is lowered to keep the estimate unbiased.
+constexpr std::uint64_t kMaxPairs = 4000000;
+
+// One carry-save adder: hi·2 + lo = a + b + c, bitwise.
+inline void Csa(std::uint64_t& hi, std::uint64_t& lo, std::uint64_t a,
+                std::uint64_t b, std::uint64_t c) {
+  const std::uint64_t u = a ^ b;
+  hi = (a & b) | (u & c);
+  lo = u ^ c;
+}
+
+// Adds 16 one-bit words to the bit-sliced counter whose binary digit p is
+// plane[p·stride], p < num_planes: the Harley–Seal tree folds the inputs
+// into digits 0–3 and yields the carry into digit 4, which ripples up.
+// The caller sizes num_planes so that no carry leaves the top digit.
+inline void AddSixteen(const std::uint64_t (&in)[16], std::uint64_t* plane,
+                       std::size_t stride, int num_planes) {
+  std::uint64_t ones = plane[0];
+  std::uint64_t twos = plane[stride];
+  std::uint64_t fours = plane[2 * stride];
+  std::uint64_t eights = plane[3 * stride];
+  std::uint64_t twos_a, twos_b, fours_a, fours_b, eights_a, eights_b;
+  std::uint64_t sixteens;
+  Csa(twos_a, ones, ones, in[0], in[1]);
+  Csa(twos_b, ones, ones, in[2], in[3]);
+  Csa(fours_a, twos, twos, twos_a, twos_b);
+  Csa(twos_a, ones, ones, in[4], in[5]);
+  Csa(twos_b, ones, ones, in[6], in[7]);
+  Csa(fours_b, twos, twos, twos_a, twos_b);
+  Csa(eights_a, fours, fours, fours_a, fours_b);
+  Csa(twos_a, ones, ones, in[8], in[9]);
+  Csa(twos_b, ones, ones, in[10], in[11]);
+  Csa(fours_a, twos, twos, twos_a, twos_b);
+  Csa(twos_a, ones, ones, in[12], in[13]);
+  Csa(twos_b, ones, ones, in[14], in[15]);
+  Csa(fours_b, twos, twos, twos_a, twos_b);
+  Csa(eights_b, fours, fours, fours_a, fours_b);
+  Csa(sixteens, eights, eights, eights_a, eights_b);
+  plane[0] = ones;
+  plane[stride] = twos;
+  plane[2 * stride] = fours;
+  plane[3 * stride] = eights;
+  std::uint64_t carry = sixteens;
+  for (int p = 4; p < num_planes; ++p) {
+    std::uint64_t& digit = plane[static_cast<std::size_t>(p) * stride];
+    const std::uint64_t next = digit & carry;
+    digit ^= carry;
+    carry = next;
+  }
+}
+
+// cnt[b] += weight for every set bit b of the 32-bit word: branch-free over a
+// constant mask table, so gcc vectorizes it at baseline SSE2.
+inline void AddDigit(std::uint32_t bits, std::int32_t weight,
+                     std::int32_t* cnt) {
+  static constexpr auto kMasks = [] {
+    std::array<std::uint32_t, 32> masks{};
+    for (std::size_t b = 0; b < 32; ++b) masks[b] = 1u << b;
+    return masks;
+  }();
+  for (std::size_t b = 0; b < 32; ++b) {
+    cnt[b] += (bits & kMasks[b]) ? weight : 0;
+  }
+}
+
+}  // namespace
 
 AdjF2FourCycleCounter::AdjF2FourCycleCounter(const Params& params)
     : params_(params) {
@@ -48,13 +121,13 @@ AdjF2FourCycleCounter::AdjF2FourCycleCounter(const Params& params)
   }
   const KWiseHashBank alpha_bank(/*k=*/4, alpha_seeds);
   const KWiseHashBank beta_bank(/*k=*/4, beta_seeds);
-  alpha_.resize(nv * c);
-  beta_.resize(nv * c);
-  alpha_bank.SignTable(nv, alpha_.data());
-  beta_bank.SignTable(nv, beta_.data());
-  acc_a_.assign(c, 0.0);
-  acc_b_.assign(c, 0.0);
-  acc_c_.assign(c, 0.0);
+  words_ = (c + 63) / 64;
+  const std::size_t row = 2 * words_;
+  neg_bits_.resize(nv * row);
+  alpha_bank.SignBits(nv, row, neg_bits_.data());
+  beta_bank.SignBits(nv, row, neg_bits_.data() + words_);
+  zero_row_.assign(row, 0);
+  counts_.resize(3 * 64 * words_);
   z_.assign(c, 0.0);
   params_.groups = groups;
   params_.copies_per_group = per_group;
@@ -73,28 +146,47 @@ AdjF2FourCycleCounter::AdjF2FourCycleCounter(const Params& params)
       pair_rate_ >= 1.0
           ? static_cast<std::uint64_t>(total_pairs)
           : rng.Binomial(static_cast<std::uint64_t>(total_pairs), pair_rate_);
-  if (pair_rate_ >= 1.0 && total_pairs > 4e6) {
-    // Degenerate parameterization (tiny T guess): cap the explicit sample
-    // so the simulation stays tractable; the estimate remains unbiased with
-    // the adjusted rate.
-    want = 4000000;
+  if (want > kMaxPairs) {
+    // Degenerate parameterization (tiny T guess, or a rate near 1 on a big
+    // vertex set): cap the explicit sample so the simulation stays
+    // tractable; the estimate remains unbiased with the adjusted rate.
+    want = kMaxPairs;
     pair_rate_ = static_cast<double>(want) / total_pairs;
+    static std::once_flag warned;
+    std::call_once(warned, [&] {
+      LOG(WARNING) << "adj-f2: F1 pair sample capped at " << kMaxPairs
+                   << " pairs (pair rate lowered to " << pair_rate_ << ")";
+    });
   }
-  std::unordered_set<std::uint64_t, Mix64Hash> chosen;
-  chosen.reserve(want * 2);
-  while (chosen.size() < want) {
+  FlatSet64 chosen;
+  chosen.reserve(want);
+  pair_u_.reserve(want);
+  pair_v_.reserve(want);
+  while (pair_u_.size() < want) {
     const VertexId a = static_cast<VertexId>(rng.UniformInt(params.num_vertices));
     const VertexId b = static_cast<VertexId>(rng.UniformInt(params.num_vertices));
     if (a == b) continue;
-    if (chosen.insert(PairKey(a, b)).second) {
-      SampledPair sp;
-      sp.u = std::min(a, b);
-      sp.v = std::max(a, b);
-      const auto idx = static_cast<std::uint32_t>(pairs_.size());
-      pairs_.push_back(sp);
-      pairs_by_vertex_[sp.u].push_back(idx);
-      pairs_by_vertex_[sp.v].push_back(idx);
+    if (chosen.insert(PairKey(a, b))) {
+      pair_u_.push_back(std::min(a, b));
+      pair_v_.push_back(std::max(a, b));
     }
+  }
+  pair_z_.assign(want, 0);
+  counted_.assign(want, ~0ull);
+  last_seen_.assign(nv, ~0ull);
+
+  // CSR by the smaller endpoint, filled in draw order so each vertex's
+  // pair indices ascend.
+  pair_offset_.assign(nv + 1, 0);
+  for (const VertexId u : pair_u_) ++pair_offset_[u + 1];
+  for (std::size_t v = 0; v < nv; ++v) pair_offset_[v + 1] += pair_offset_[v];
+  pair_other_.resize(want);
+  pair_index_.resize(want);
+  std::vector<std::uint32_t> next(pair_offset_.begin(), pair_offset_.end() - 1);
+  for (std::size_t i = 0; i < want; ++i) {
+    const std::uint32_t k = next[pair_u_[i]]++;
+    pair_other_[k] = pair_v_[i];
+    pair_index_[k] = static_cast<std::uint32_t>(i);
   }
 }
 
@@ -106,51 +198,73 @@ void AdjF2FourCycleCounter::StartPass(int pass, std::size_t num_lists) {
 void AdjF2FourCycleCounter::ProcessList(int pass, const AdjacencyList& list,
                                         std::size_t position) {
   CHECK_EQ(pass, 0);
-  // F2 copies: stream the list through the four-counter estimator. The
-  // copy-minor layout turns the per-neighbor inner loop into three
-  // contiguous C-length sweeps; each copy's a/b/c/z sees the same additions
-  // in the same order as the historical per-struct loop.
-  const std::size_t c = num_copies_;
-  std::fill(acc_a_.begin(), acc_a_.end(), 0.0);
-  std::fill(acc_b_.begin(), acc_b_.end(), 0.0);
-  std::fill(acc_c_.begin(), acc_c_.end(), 0.0);
-  for (VertexId u : list.neighbors) {
-    const signed char* au = alpha_.data() + static_cast<std::size_t>(u) * c;
-    const signed char* bu = beta_.data() + static_cast<std::size_t>(u) * c;
-    double* a = acc_a_.data();
-    double* b = acc_b_.data();
-    double* cc = acc_c_.data();
-    for (std::size_t i = 0; i < c; ++i) {
-      a[i] += static_cast<double>(au[i]);
+  // F2 copies: count the −1 signs of α, β and α⊕β among the neighbours,
+  // bit-sliced, 16 neighbours per Harley–Seal step.
+  const std::size_t deg = list.neighbors.size();
+  const std::size_t words = words_;
+  const std::size_t row = 2 * words;
+  const std::size_t lanes = 3 * words;
+  const int num_planes = std::max(4, static_cast<int>(std::bit_width(deg)));
+  const std::size_t plane_words = static_cast<std::size_t>(num_planes) * lanes;
+  if (planes_.size() < plane_words) planes_.resize(plane_words);
+  std::fill_n(planes_.begin(), plane_words, 0);
+  std::uint64_t* planes = planes_.data();
+  const auto sign_row = [&](std::size_t j) {
+    return j < deg ? neg_bits_.data() +
+                         static_cast<std::size_t>(list.neighbors[j]) * row
+                   : zero_row_.data();
+  };
+  for (std::size_t start = 0; start < deg; start += 16) {
+    const std::uint64_t* rows[16];
+    for (std::size_t j = 0; j < 16; ++j) rows[j] = sign_row(start + j);
+    std::uint64_t in[16];
+    for (std::size_t lane = 0; lane < row; ++lane) {
+      for (std::size_t j = 0; j < 16; ++j) in[j] = rows[j][lane];
+      AddSixteen(in, planes + lane, lanes, num_planes);
     }
-    for (std::size_t i = 0; i < c; ++i) {
-      b[i] += static_cast<double>(bu[i]);
-    }
-    for (std::size_t i = 0; i < c; ++i) {
-      cc[i] += static_cast<double>(au[i]) * static_cast<double>(bu[i]);
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::size_t j = 0; j < 16; ++j) {
+        in[j] = rows[j][w] ^ rows[j][words + w];
+      }
+      AddSixteen(in, planes + row + w, lanes, num_planes);
     }
   }
+  std::fill(counts_.begin(), counts_.end(), 0);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    std::int32_t* cnt = counts_.data() + 64 * lane;
+    for (int p = 0; p < num_planes; ++p) {
+      const std::uint64_t bits =
+          planes[static_cast<std::size_t>(p) * lanes + lane];
+      const std::int32_t weight = std::int32_t{1} << p;
+      AddDigit(static_cast<std::uint32_t>(bits), weight, cnt);
+      AddDigit(static_cast<std::uint32_t>(bits >> 32), weight, cnt + 32);
+    }
+  }
+  // A = Σα = d − 2nα exactly, as the old per-copy double sums held it.
+  const std::size_t c = num_copies_;
+  const std::int32_t* neg_a = counts_.data();
+  const std::int32_t* neg_b = neg_a + 64 * words;
+  const std::int32_t* neg_x = neg_b + 64 * words;
+  const double d = static_cast<double>(deg);
   for (std::size_t i = 0; i < c; ++i) {
-    z_[i] += (acc_a_[i] * acc_b_[i] - acc_c_[i]) / 2.0;
+    const double a = d - 2.0 * neg_a[i];
+    const double b = d - 2.0 * neg_b[i];
+    const double x = d - 2.0 * neg_x[i];
+    z_[i] += (a * b - x) / 2.0;
   }
 
-  // F1(z) pairs: stamp endpoints as they appear in this list; increment when
-  // both endpoints carry this list's stamp.
+  // F1(z) pairs: stamp every neighbour with this list's position, then
+  // count each sampled pair whose endpoints both carry it, once per list.
   const std::uint64_t stamp = position;
-  for (VertexId w : list.neighbors) {
-    auto it = pairs_by_vertex_.find(w);
-    if (it == pairs_by_vertex_.end()) continue;
-    for (std::uint32_t idx : it->second) {
-      SampledPair& sp = pairs_[idx];
-      if (sp.u == w) {
-        sp.stamp_u = stamp;
-      } else {
-        sp.stamp_v = stamp;
-      }
-      if (sp.stamp_u == stamp && sp.stamp_v == stamp && sp.counted != stamp) {
-        sp.counted = stamp;
-        if (sp.z < z_cap_) ++sp.z;
-      }
+  for (const VertexId w : list.neighbors) last_seen_[w] = stamp;
+  for (const VertexId w : list.neighbors) {
+    const std::uint32_t end = pair_offset_[w + 1];
+    for (std::uint32_t k = pair_offset_[w]; k < end; ++k) {
+      if (last_seen_[pair_other_[k]] != stamp) continue;
+      const std::uint32_t idx = pair_index_[k];
+      if (counted_[idx] == stamp) continue;
+      counted_[idx] = stamp;
+      if (pair_z_[idx] < z_cap_) ++pair_z_[idx];
     }
   }
 
@@ -162,17 +276,17 @@ void AdjF2FourCycleCounter::UpdateSpace() {
   // packed signs per word. Pairs: endpoints, z, and the two stamps.
   space_.SetComponent("sketch",
                       num_copies_ * (4 + 2 * params_.num_vertices / 8));
-  space_.SetComponent("pairs", pairs_.size() * 5);
+  space_.SetComponent("pairs", pair_u_.size() * 5);
 }
 
 std::size_t AdjF2FourCycleCounter::AuditSpace() const {
-  // Copy count taken from the real Z array and sign-cache size from the
-  // real byte buffers, cross-checking the num_copies_/num_vertices-derived
-  // accounting formula.
+  // Copy count taken from the real Z array and the vertex count from the
+  // real sign rows, cross-checking the num_copies_/num_vertices-derived
+  // accounting formula (which charges the signs at 8 per word).
   const std::size_t copies = z_.size();
-  const std::size_t signs_per_copy =
-      copies == 0 ? 0 : 2 * (alpha_.size() / copies) / 8;
-  return copies * (4 + signs_per_copy) + pairs_.size() * 5;
+  const std::size_t vertices =
+      words_ == 0 ? 0 : neg_bits_.size() / (2 * words_);
+  return copies * (4 + 2 * vertices / 8) + pair_u_.size() * 5;
 }
 
 void AdjF2FourCycleCounter::EndPass(int pass) {
@@ -189,7 +303,7 @@ void AdjF2FourCycleCounter::EndPass(int pass) {
       MedianOfMeans(square_scratch_, static_cast<std::size_t>(params_.groups));
 
   double z_sum = 0.0;
-  for (const SampledPair& sp : pairs_) z_sum += sp.z;
+  for (const std::uint32_t z : pair_z_) z_sum += z;
   f1_estimate_ = pair_rate_ > 0.0 ? z_sum / pair_rate_ : 0.0;
 
   UpdateSpace();
@@ -198,8 +312,8 @@ void AdjF2FourCycleCounter::EndPass(int pass) {
 }
 
 bool AdjF2FourCycleCounter::SaveState(StateWriter& w) const {
-  // Config fingerprint. The sign caches, pair sample identities, and
-  // pairs_by_vertex_ index are all constructor-derived from these, so only
+  // Config fingerprint. The sign rows, pair sample identities, and the
+  // pairs-by-vertex index are all constructor-derived from these, so only
   // the running counters and per-pair observations need to travel.
   w.U32(params_.num_vertices);
   w.U32(z_cap_);
@@ -210,16 +324,14 @@ bool AdjF2FourCycleCounter::SaveState(StateWriter& w) const {
   w.Double(params_.base.t_guess);
   w.U64(params_.base.seed);
   w.Vec(z_);
-  w.Size(pairs_.size());
-  for (const SampledPair& sp : pairs_) {
-    // Fields written individually: SampledPair has alignment padding, so a
-    // byte-image dump would leak indeterminate bytes into the snapshot.
-    w.U32(sp.u);
-    w.U32(sp.v);
-    w.U32(sp.z);
-    w.U64(sp.stamp_u);
-    w.U64(sp.stamp_v);
-    w.U64(sp.counted);
+  w.Size(pair_u_.size());
+  for (std::size_t i = 0; i < pair_u_.size(); ++i) {
+    w.U32(pair_u_[i]);
+    w.U32(pair_v_[i]);
+    w.U32(pair_z_[i]);
+    w.U64(last_seen_[pair_u_[i]]);
+    w.U64(last_seen_[pair_v_[i]]);
+    w.U64(counted_[i]);
   }
   space_.SaveState(w);
   return true;
@@ -234,16 +346,36 @@ bool AdjF2FourCycleCounter::RestoreState(StateReader& r) {
   }
   std::vector<double> z;
   if (!r.Vec(&z) || z.size() != z_.size()) return r.Fail();
-  if (r.Size() != pairs_.size()) return r.Fail();
-  z_ = std::move(z);
-  for (SampledPair& sp : pairs_) {
-    if (r.U32() != sp.u || r.U32() != sp.v) return r.Fail();
-    sp.z = r.U32();
-    sp.stamp_u = r.U64();
-    sp.stamp_v = r.U64();
-    sp.counted = r.U64();
+  const std::size_t num_pairs = pair_u_.size();
+  if (r.Size() != num_pairs) return r.Fail();
+  // Each pair carries both endpoints' last-seen stamps; a vertex's copies
+  // must agree. Nothing is committed until the whole sample has loaded.
+  std::vector<std::uint32_t> pair_z(num_pairs);
+  std::vector<std::uint64_t> counted(num_pairs);
+  std::vector<std::uint64_t> last_seen(last_seen_.size(), ~0ull);
+  std::vector<bool> restored(last_seen_.size(), false);
+  const auto restore_stamp = [&](VertexId v, std::uint64_t stamp) {
+    if (restored[v]) return last_seen[v] == stamp;
+    restored[v] = true;
+    last_seen[v] = stamp;
+    return true;
+  };
+  for (std::size_t i = 0; i < num_pairs; ++i) {
+    if (r.U32() != pair_u_[i] || r.U32() != pair_v_[i]) return r.Fail();
+    pair_z[i] = r.U32();
+    const std::uint64_t stamp_u = r.U64();
+    const std::uint64_t stamp_v = r.U64();
+    counted[i] = r.U64();
+    if (!restore_stamp(pair_u_[i], stamp_u) ||
+        !restore_stamp(pair_v_[i], stamp_v)) {
+      return r.Fail();
+    }
   }
   if (!r.ok()) return false;
+  z_ = std::move(z);
+  pair_z_ = std::move(pair_z);
+  counted_ = std::move(counted);
+  last_seen_ = std::move(last_seen);
   return space_.RestoreState(r);
 }
 

@@ -2,7 +2,6 @@
 #define CYCLESTREAM_CORE_ADJ_F2_COUNTER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
@@ -29,14 +28,21 @@ namespace cyclestream {
 /// γ = ε·min(1, εT/n²).
 ///
 /// F₁(z) is estimated by sampling vertex pairs at rate p ∝ ε⁻⁴n²/T²·log n
-/// and counting each sampled pair's common neighbors (capped at 1/ε) with
-/// O(1) state per pair.
+/// (at most 4M pairs) and counting each sampled pair's common neighbors
+/// (capped at 1/ε) with O(1) state per pair.
 ///
-/// Memory layout: the estimator copies are structure-of-arrays, copy-minor —
-/// sign caches as alpha[v·C + c], per-list accumulators as a[c]/b[c]/c[c] —
-/// so the inner per-neighbor loop is three contiguous C-length sweeps.
-/// Bit-identical to the historical array-of-structs layout (each slot sees
-/// the same additions in the same order).
+/// Memory layout (DESIGN.md §8): the α and β signs are bit rows, one per
+/// vertex — neg_bits_[v·2W + w] holds α's negative-sign flags of copies
+/// 64w..64w+63 and neg_bits_[v·2W + W + w] β's, with W = ⌈C/64⌉ — so a
+/// neighbour costs one 2W-word row. Per list, A_t, B_t and C_t come from
+/// the counts nα, nβ and n⊕ of −1 signs among the neighbours (C_t from
+/// α⊕β): A_t = d − 2nα, and so on. The counts are kept bit-sliced, one
+/// plane per binary digit, and are fed 16 neighbours at a time through a
+/// Harley–Seal carry-save adder tree, then unpacked to int32 per copy at
+/// the end of the list. Bit-identical to the old per-copy `double`
+/// accumulators: those held the same exact integers, and Z still adds
+/// (A_t·B_t − C_t)/2 in list order. The pair sample is structure-of-arrays
+/// in draw order, indexed by a CSR over the vertices.
 class AdjF2FourCycleCounter : public AdjacencyStreamAlgorithm {
  public:
   struct Params {
@@ -73,15 +79,6 @@ class AdjF2FourCycleCounter : public AdjacencyStreamAlgorithm {
   double F1Estimate() const { return f1_estimate_; }
 
  private:
-  struct SampledPair {
-    VertexId u = 0;
-    VertexId v = 0;
-    std::uint32_t z = 0;             // min(common neighbors so far, cap).
-    std::uint64_t stamp_u = ~0ull;   // List position where u was last seen.
-    std::uint64_t stamp_v = ~0ull;
-    std::uint64_t counted = ~0ull;   // Guard against double-count per list.
-  };
-
   void UpdateSpace();
 
   Params params_;
@@ -89,18 +86,36 @@ class AdjF2FourCycleCounter : public AdjacencyStreamAlgorithm {
   double pair_rate_ = 1.0;
 
   std::size_t num_copies_ = 0;
-  // 4-wise ±1 sign caches, copy-minor (alpha_[v·C + c]), filled at
-  // construction over the whole vertex universe by
-  // KWiseHashBank::SignTable.
-  std::vector<signed char> alpha_;
-  std::vector<signed char> beta_;
-  std::vector<double> acc_a_;  // Current-list A per copy.
-  std::vector<double> acc_b_;
-  std::vector<double> acc_c_;
+  std::size_t words_ = 0;  // W = ⌈C/64⌉.
+  // Negative-sign bit rows, neg_bits_[v·2W + {0, W} + w] for α and β,
+  // filled at construction over the whole vertex universe by
+  // KWiseHashBank::SignBits.
+  std::vector<std::uint64_t> neg_bits_;
+  std::vector<std::uint64_t> zero_row_;  // Pads a list's last 16-block.
+  // Bit-sliced per-list counts: planes_[p·3W + lane] is binary digit p of
+  // the lanes nα (0..W), nβ (W..2W) and n⊕ (2W..3W).
+  std::vector<std::uint64_t> planes_;
+  std::vector<std::int32_t> counts_;  // nα | nβ | n⊕ per copy, 64W each.
   std::vector<double> z_;      // Running Σ_t (A_t·B_t − C_t)/2 per copy.
   mutable std::vector<double> square_scratch_;
-  std::vector<SampledPair> pairs_;
-  std::unordered_map<VertexId, std::vector<std::uint32_t>> pairs_by_vertex_;
+
+  // F₁(z) pair sample, structure of arrays in draw order: endpoints u < v,
+  // z = min(common neighbors so far, cap), and the last list position
+  // that counted the pair.
+  std::vector<VertexId> pair_u_;
+  std::vector<VertexId> pair_v_;
+  std::vector<std::uint32_t> pair_z_;
+  std::vector<std::uint64_t> counted_;
+  // The list position where each vertex was last seen as a neighbour: the
+  // per-pair endpoint stamps of the adjf2/1 snapshot, stored once per
+  // vertex because every pair of a vertex carries the same value.
+  std::vector<std::uint64_t> last_seen_;
+  // Pairs by smaller endpoint (CSR): u's pairs, in draw order, are
+  // k ∈ [pair_offset_[u], pair_offset_[u + 1]), with the other endpoint
+  // pair_other_[k] and the sample index pair_index_[k].
+  std::vector<std::uint32_t> pair_offset_;
+  std::vector<VertexId> pair_other_;
+  std::vector<std::uint32_t> pair_index_;
 
   double f2_estimate_ = 0.0;
   double f1_estimate_ = 0.0;

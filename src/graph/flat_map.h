@@ -176,6 +176,13 @@ class FlatSet64 {
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return slots_.size(); }
 
+  /// Pre-sizes for `expected` keys, as FlatMap64::reserve.
+  void reserve(std::size_t expected) {
+    std::size_t cap = kMinCapacity;
+    while (cap * 3 / 4 < expected) cap <<= 1;
+    if (cap > slots_.size()) Rehash(cap);
+  }
+
   /// Inserts `key`; true if it was absent.
   bool insert(std::uint64_t key) {
     assert(key != kEmptyKey);

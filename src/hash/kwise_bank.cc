@@ -1,6 +1,7 @@
 #include "hash/kwise_bank.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "hash/mersenne.h"
@@ -59,7 +60,8 @@ void KWiseHashBank::EvalAll(std::uint64_t x, std::uint64_t* out) const {
 // ascending order, so each row adds the next row's value at x before that
 // row is stepped. Every entry stays a canonical residue, so row 0 is
 // exactly h(x) and its low bit is the Horner sign.
-void KWiseHashBank::SignTable(std::uint64_t count, signed char* out) const {
+template <typename EmitRow>
+void KWiseHashBank::WalkRows(std::uint64_t count, EmitRow&& emit) const {
   CHECK_LE(count, kPrime);
   const std::size_t n = n_;
   const std::size_t k = static_cast<std::size_t>(k_);
@@ -75,12 +77,7 @@ void KWiseHashBank::SignTable(std::uint64_t count, signed char* out) const {
     }
   }
   for (std::uint64_t x = 0; x < count; ++x) {
-    signed char* row_out = out + x * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Arithmetic, not a ternary, so the loop vectorizes.
-      row_out[i] =
-          static_cast<signed char>(2 * static_cast<int>(diff[i] & 1ULL) - 1);
-    }
+    emit(x, static_cast<const std::uint64_t*>(diff.data()));
     for (std::size_t j = 0; j + 1 < k; ++j) {
       std::uint64_t* row = diff.data() + j * n;
       const std::uint64_t* next = row + n;
@@ -89,6 +86,55 @@ void KWiseHashBank::SignTable(std::uint64_t count, signed char* out) const {
       }
     }
   }
+}
+
+void KWiseHashBank::SignTable(std::uint64_t count, signed char* out) const {
+  // The emitters copy their captures into locals: a byte store could alias
+  // the closure, and gcc does not vectorize a loop whose bound it must
+  // reload after every store.
+  WalkRows(count, [out, len = n_](std::uint64_t x, const std::uint64_t* h) {
+    const std::size_t n = len;
+    signed char* row_out = out + x * n;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Arithmetic, not a ternary, so the loop vectorizes.
+      row_out[i] =
+          static_cast<signed char>(2 * static_cast<int>(h[i] & 1ULL) - 1);
+    }
+  });
+}
+
+// Per x, the negative-sign flags go to a byte tile first (the same
+// vectorized sweep as SignTable), then 8 bytes at a time into a bit byte:
+// with byte j of v holding b_j ∈ {0, 1}, v · 0x0102040810204080 carries
+// b_j to bit 56 + j and nothing else into bits 56..63, because the
+// partial products b_j·2^(8j + 7m + 7) never overlap below bit 64.
+void KWiseHashBank::SignBits(std::uint64_t count, std::size_t stride,
+                             std::uint64_t* out) const {
+  static_assert(std::endian::native == std::endian::little,
+                "SignBits packs tile bytes in little-endian order");
+  const std::size_t n = n_;
+  const std::size_t words = (n + 63) / 64;
+  CHECK_GE(stride, words);
+  // Bytes past n stay 0, so the padding bits of the last word are 0.
+  std::vector<std::uint8_t> tile(words * 64, 0);
+  WalkRows(count, [out, stride, words, len = n, tile = tile.data()](
+                      std::uint64_t x, const std::uint64_t* h) {
+    const std::size_t n = len;
+    std::uint8_t* neg = tile;
+    for (std::size_t i = 0; i < n; ++i) {
+      neg[i] = static_cast<std::uint8_t>((h[i] & 1ULL) ^ 1ULL);
+    }
+    std::uint64_t* row_out = out + x * stride;
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t word = 0;
+      for (std::size_t q = 0; q < 8; ++q) {
+        std::uint64_t v;
+        std::memcpy(&v, neg + 64 * w + 8 * q, sizeof(v));
+        word |= ((v * 0x0102040810204080ULL) >> 56) << (8 * q);
+      }
+      row_out[w] = word;
+    }
+  });
 }
 
 void KWiseHashBank::ToUnitAll(std::uint64_t x, double* out) const {

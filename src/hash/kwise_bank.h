@@ -51,6 +51,15 @@ class KWiseHashBank {
   /// no multiplies, exact in GF(p). Requires count <= p.
   void SignTable(std::uint64_t count, signed char* out) const;
 
+  /// The same signs as SignTable, one bit each: bit i % 64 of
+  /// out[x·stride + i/64] is 1 iff sign_i(x) = −1, for every x in
+  /// [0, count). Each row's ⌈size()/64⌉ words are written whole (bits past
+  /// size() are 0); words from there up to `stride` are left untouched, so
+  /// two banks can interleave their rows in one table. Requires
+  /// stride >= ⌈size()/64⌉ and count <= p.
+  void SignBits(std::uint64_t count, std::size_t stride,
+                std::uint64_t* out) const;
+
   /// out[i] = h_i(x) / p ∈ [0, 1), matching KWiseHash::ToUnit.
   void ToUnitAll(std::uint64_t x, double* out) const;
 
@@ -78,6 +87,11 @@ class KWiseHashBank {
   bool RestoreState(StateReader& r);
 
  private:
+  /// The forward-difference walk behind SignTable and SignBits: calls
+  /// emit(x, h) for x = 0, 1, …, count − 1, with h[i] = h_i(x) canonical.
+  template <typename EmitRow>
+  void WalkRows(std::uint64_t count, EmitRow&& emit) const;
+
   int k_ = 0;
   std::size_t n_ = 0;
   std::vector<std::uint64_t> coeffs_;  // coeffs_[j * n_ + i] = c_j of hash i.

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "baselines/triest.h"
+#include "core/adj_f2_counter.h"
 #include "core/arb_f2_counter.h"
 #include "core/arb_three_pass.h"
 #include "core/diamond_counter.h"
@@ -389,6 +390,144 @@ TEST(CrashResumeTest, EveryKillPointResumesBitIdenticalDiamond) {
     EXPECT_EQ(resumed.Result().value, golden_value) << "kill point " << kill;
     EXPECT_EQ(resumed.AuditSpace(), golden_audit) << "kill point " << kill;
   }
+}
+
+// C = 120 copies: one full 64-copy sign word and a partial second one. The
+// pair rate keeps a non-empty F₁(z) sample of about a quarter of the pairs.
+AdjF2FourCycleCounter::Params AdjF2Params(VertexId n) {
+  AdjF2FourCycleCounter::Params params;
+  params.base.epsilon = 0.3;
+  params.base.t_guess = 200.0;
+  params.base.seed = 29;
+  params.num_vertices = n;
+  params.copies_per_group = 40;
+  params.groups = 3;
+  params.pair_rate = 0.25;
+  return params;
+}
+
+AdjacencyStream AdjF2Stream() {
+  Rng gen_rng(31);
+  const Graph g(ErdosRenyiGnm(24, 80, gen_rng));
+  Rng order_rng(32);
+  return MakeAdjacencyStream(g, order_rng);
+}
+
+// Kills an adj-f2 run after half its lists and returns the snapshot file.
+std::string AdjF2MidStreamSnapshot(const AdjacencyStream& stream,
+                                   const std::string& dir) {
+  AdjF2FourCycleCounter victim(AdjF2Params(24));
+  CheckpointPolicy policy;
+  policy.directory = dir;
+  policy.every_elements = 1;
+  FaultPlan faults;
+  faults.KillAfterElements(stream.size() / 2);
+  RunOptions kill_options;
+  kill_options.checkpoint = &policy;
+  kill_options.faults = &faults;
+  const RunOutcome killed = RunAdjacencyStream(victim, stream, kill_options);
+  EXPECT_FALSE(killed.completed);
+  return killed.checkpoint_path;
+}
+
+// The §4.2 adj-f2 counter through the same adjacency kill-point sweep.
+TEST(CrashResumeTest, EveryKillPointResumesBitIdenticalAdjF2) {
+  const AdjacencyStream stream = AdjF2Stream();
+  AdjF2FourCycleCounter golden(AdjF2Params(24));
+  RunAdjacencyStream(golden, stream);
+  const Estimate golden_result = golden.Result();
+  const std::size_t golden_audit = golden.AuditSpace();
+
+  const std::string dir = MakeTempDir("crash_resume_adjf2");
+  for (std::uint64_t kill = 1; kill < stream.size(); ++kill) {
+    AdjF2FourCycleCounter victim(AdjF2Params(24));
+    CheckpointPolicy policy;
+    policy.directory = dir;
+    policy.every_elements = 1;
+    FaultPlan faults;
+    faults.KillAfterElements(kill);
+    RunOptions kill_options;
+    kill_options.checkpoint = &policy;
+    kill_options.faults = &faults;
+    const RunOutcome killed = RunAdjacencyStream(victim, stream, kill_options);
+    ASSERT_FALSE(killed.completed);
+    ASSERT_FALSE(killed.checkpoint_path.empty());
+
+    AdjF2FourCycleCounter resumed(AdjF2Params(24));
+    RunOptions resume_options;
+    resume_options.resume_from = killed.checkpoint_path;
+    const RunOutcome outcome =
+        RunAdjacencyStream(resumed, stream, resume_options);
+    ASSERT_TRUE(outcome.resumed) << "kill point " << kill;
+    ASSERT_TRUE(outcome.completed);
+    EXPECT_EQ(resumed.Result().value, golden_result.value)
+        << "kill point " << kill;
+    EXPECT_EQ(resumed.Result().space_words, golden_result.space_words)
+        << "kill point " << kill;
+    EXPECT_EQ(resumed.F2Estimate(), golden.F2Estimate())
+        << "kill point " << kill;
+    EXPECT_EQ(resumed.F1Estimate(), golden.F1Estimate())
+        << "kill point " << kill;
+    EXPECT_EQ(resumed.AuditSpace(), golden_audit) << "kill point " << kill;
+  }
+}
+
+// Every single-byte flip of a mid-stream adj-f2 snapshot file is rejected,
+// and the run falls back to a fresh start with the golden result.
+TEST(CrashResumeTest, CorruptAdjF2SnapshotAlwaysRejectedWithScratchFallback) {
+  const AdjacencyStream stream = AdjF2Stream();
+  AdjF2FourCycleCounter golden(AdjF2Params(24));
+  RunAdjacencyStream(golden, stream);
+  const double golden_value = golden.Result().value;
+
+  const std::string dir = MakeTempDir("crash_resume_corrupt_adjf2");
+  const std::string snapshot = AdjF2MidStreamSnapshot(stream, dir);
+  ASSERT_FALSE(snapshot.empty());
+  std::string encoded;
+  {
+    std::ifstream in(snapshot, std::ios::binary);
+    ASSERT_TRUE(in.good());
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    encoded = buf.str();
+  }
+  ASSERT_FALSE(encoded.empty());
+
+  const std::string path = dir + "/damaged.ckpt";
+  for (std::size_t i = 0; i < encoded.size(); ++i) {
+    std::string damaged = encoded;
+    damaged[i] = static_cast<char>(damaged[i] ^ 0xff);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(damaged.data(),
+                static_cast<std::streamsize>(damaged.size()));
+    }
+    AdjF2FourCycleCounter resumed(AdjF2Params(24));
+    RunOptions resume_options;
+    resume_options.resume_from = path;
+    const RunOutcome outcome =
+        RunAdjacencyStream(resumed, stream, resume_options);
+    ASSERT_TRUE(outcome.resume_rejected)
+        << "byte flip at offset " << i << " was restored";
+    ASSERT_FALSE(outcome.resumed);
+    ASSERT_EQ(resumed.Result().value, golden_value);
+  }
+}
+
+// The adjf2/1 state bytes of a mid-stream snapshot, pinned by length and
+// CRC-32: the running Z per copy and every sampled pair's observations
+// must keep their wire layout whatever the in-memory layout.
+TEST(CrashResumeTest, AdjF2SnapshotBytesArePinned) {
+  const AdjacencyStream stream = AdjF2Stream();
+  const std::string dir = MakeTempDir("crash_resume_pinned_adjf2");
+  std::string error;
+  const std::optional<Snapshot> snap =
+      LoadSnapshot(AdjF2MidStreamSnapshot(stream, dir), &error);
+  ASSERT_TRUE(snap.has_value()) << error;
+  EXPECT_EQ(snap->algorithm_id, "adjf2/1");
+  EXPECT_EQ(snap->state.size(), 3678u);
+  EXPECT_EQ(Crc32(snap->state), 0x74e08882u)
+      << std::hex << Crc32(snap->state);
 }
 
 // Flips every byte of a real mid-run snapshot and requires the resume to be

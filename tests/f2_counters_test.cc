@@ -109,6 +109,125 @@ TEST(AdjF2CounterTest, SubsampledF1IsUnbiasedEnough) {
   EXPECT_NEAR(Summarize(estimates).median, exact_f1, 0.1 * exact_f1);
 }
 
+// Naive test-side reference for AdjF2FourCycleCounter's F₂ part: ±1 signs
+// from the scalar hash as copy-minor bytes, and per list the three C-length
+// `double` accumulator sweeps the counter ran before its bit-sliced sums.
+// Requires explicit copies_per_group and groups so C needs no derivation.
+class AdjF2Oracle {
+ public:
+  explicit AdjF2Oracle(const AdjF2FourCycleCounter::Params& params)
+      : groups_(static_cast<std::size_t>(params.groups)),
+        c_(static_cast<std::size_t>(params.copies_per_group * params.groups)),
+        n_(params.num_vertices) {
+    // The counter's seed chain: beta's seed comes off the splitmix chain
+    // before alpha's, copy by copy.
+    std::uint64_t seed = params.base.seed ^ 0x41444a46ULL;
+    alpha_.resize(n_ * c_);
+    beta_.resize(n_ * c_);
+    for (std::size_t i = 0; i < c_; ++i) {
+      const KWiseHash beta_hash(4, SplitMix64(seed));
+      const KWiseHash alpha_hash(4, SplitMix64(seed));
+      for (std::size_t v = 0; v < n_; ++v) {
+        alpha_[v * c_ + i] = static_cast<signed char>(alpha_hash.Sign(v));
+        beta_[v * c_ + i] = static_cast<signed char>(beta_hash.Sign(v));
+      }
+    }
+    z_.assign(c_, 0.0);
+  }
+
+  void ProcessList(const AdjacencyList& list) {
+    std::vector<double> a(c_, 0.0), b(c_, 0.0), cc(c_, 0.0);
+    for (VertexId u : list.neighbors) {
+      const signed char* au = alpha_.data() + static_cast<std::size_t>(u) * c_;
+      const signed char* bu = beta_.data() + static_cast<std::size_t>(u) * c_;
+      for (std::size_t i = 0; i < c_; ++i) a[i] += static_cast<double>(au[i]);
+      for (std::size_t i = 0; i < c_; ++i) b[i] += static_cast<double>(bu[i]);
+      for (std::size_t i = 0; i < c_; ++i) {
+        cc[i] += static_cast<double>(au[i]) * static_cast<double>(bu[i]);
+      }
+    }
+    for (std::size_t i = 0; i < c_; ++i) z_[i] += (a[i] * b[i] - cc[i]) / 2.0;
+  }
+
+  double F2Estimate() const {
+    std::vector<double> squares(c_);
+    for (std::size_t i = 0; i < c_; ++i) squares[i] = 2.0 * z_[i] * z_[i];
+    return MedianOfMeans(squares, groups_);
+  }
+
+ private:
+  std::size_t groups_;
+  std::size_t c_;
+  std::size_t n_;
+  std::vector<signed char> alpha_, beta_;
+  std::vector<double> z_;
+};
+
+// List lengths around the 16-neighbour Harley–Seal blocks and the plane
+// boundaries (16, 256), at copy counts around the 64-copy words, each run
+// alone and then all in one stream: F2Estimate must equal the accumulator
+// oracle bit for bit.
+TEST(AdjF2CounterTest, BitSlicedListSumsMatchReference) {
+  constexpr VertexId kN = 1200;
+  const std::size_t lengths[] = {0, 1, 15, 16, 17, 31, 255, 256, 257, 1000};
+  std::vector<VertexId> ids(kN);
+  for (VertexId v = 0; v < kN; ++v) ids[v] = v;
+  Rng rng(90);
+  AdjacencyStream stream;
+  for (const std::size_t length : lengths) {
+    rng.Shuffle(ids);
+    AdjacencyList list;
+    list.vertex = ids[length];
+    list.neighbors.assign(ids.begin(), ids.begin() + length);
+    stream.push_back(std::move(list));
+  }
+  for (const int copies : {1, 63, 64, 65, 450}) {
+    AdjF2FourCycleCounter::Params params;
+    params.base.epsilon = 0.3;
+    params.base.t_guess = 1e6;
+    params.base.seed = 91 + copies;
+    params.num_vertices = kN;
+    params.copies_per_group = copies;
+    params.groups = 1;
+    params.pair_rate = 1e-9;
+    const AdjF2Oracle fresh(params);
+    const auto run = [&](std::span<const AdjacencyList> lists) {
+      AdjF2FourCycleCounter counter(params);
+      AdjF2Oracle oracle = fresh;
+      counter.StartPass(0, lists.size());
+      for (std::size_t i = 0; i < lists.size(); ++i) {
+        counter.ProcessList(0, lists[i], i);
+        oracle.ProcessList(lists[i]);
+      }
+      counter.EndPass(0);
+      EXPECT_EQ(counter.F2Estimate(), oracle.F2Estimate())
+          << "C=" << copies << " lists=" << lists.size()
+          << " first length=" << lists[0].neighbors.size();
+    };
+    for (std::size_t i = 0; i < stream.size(); ++i) run({&stream[i], 1});
+    run(stream);
+  }
+}
+
+// The F₁(z) sample is capped at 4M pairs whatever the rate: at n = 3000 a
+// rate of 0.9 would otherwise ask for about 4.05M of the 4.5M pairs.
+TEST(AdjF2CounterTest, PairSampleIsCappedBelowRateOne) {
+  AdjF2FourCycleCounter::Params params;
+  params.base.epsilon = 0.3;
+  params.base.t_guess = 1e6;
+  params.base.seed = 95;
+  params.num_vertices = 3000;
+  params.copies_per_group = 1;
+  params.groups = 1;
+  params.pair_rate = 0.9;
+  AdjF2FourCycleCounter counter(params);
+  counter.StartPass(0, 0);
+  counter.EndPass(0);
+  const std::size_t pairs = counter.space_tracker()->Component("pairs") / 5;
+  EXPECT_EQ(pairs, 4000000u);
+  EXPECT_EQ(counter.F1Estimate(), 0.0);
+}
+
 TEST(ArbF2CounterTest, MatchesAdjacencyVariantSemantics) {
   // Same reduction, arbitrary order: F2 estimate should match the exact F2.
   const Graph g = DenseGraph(200, 0.2, 11);
@@ -447,6 +566,20 @@ TEST(F2SignStreamTest, SeedFixedEstimatesArePinned) {
   const double adj_f2 =
       CountFourCyclesAdjF2(MakeAdjacencyStream(g, adj_rng), adj).value;
   EXPECT_EQ(adj_f2, 0x1.64ccp+10) << std::hexfloat << adj_f2;
+
+  // C = 450 spans seven full 64-copy words and a partial eighth.
+  adj.base.seed = 77;
+  adj.copies_per_group = 50;
+  adj.groups = 9;
+  Rng adj450_rng(78);
+  AdjF2FourCycleCounter adj450(adj);
+  RunAdjacencyStream(adj450, MakeAdjacencyStream(g, adj450_rng));
+  const double adj450_f2 = adj450.F2Estimate();
+  const double adj450_value = adj450.Result().value;
+  EXPECT_EQ(adj450_f2, 0x1.08d70a3d70a3dp+15)
+      << std::hexfloat << adj450_f2;
+  EXPECT_EQ(adj450_value, 0x1.1a6a147ae147ap+12)
+      << std::hexfloat << adj450_value;
 
   arb.base.seed = 75;
   TurnstileF2FourCycleCounter c4(arb);

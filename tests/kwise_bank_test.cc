@@ -96,6 +96,43 @@ TEST(KWiseHashBankTest, SignTableBitIdenticalToScalar) {
   }
 }
 
+// Bit rows against the byte table, bit for bit, with the bank's rows
+// written into a stride two words wider than they need: those guard words
+// and the bits past C must stay as they were.
+TEST(KWiseHashBankTest, SignBitsMatchSignTable) {
+  constexpr std::uint64_t kGuard = 0xA5A5A5A5A5A5A5A5ULL;
+  for (int k : {1, 2, 4, 6, 8}) {
+    const auto uk = static_cast<std::uint64_t>(k);
+    for (std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                          std::size_t{65}, std::size_t{450}}) {
+      const auto seeds = MakeSeeds(n, 0x5B175ULL + 37 * k + n);
+      const KWiseHashBank bank(k, seeds);
+      const std::size_t words = (n + 63) / 64;
+      const std::size_t stride = words + 2;
+      for (std::uint64_t count :
+           {std::uint64_t{0}, std::uint64_t{1}, uk, std::uint64_t{1000}}) {
+        std::vector<signed char> table(count * n);
+        bank.SignTable(count, table.data());
+        std::vector<std::uint64_t> bits(count * stride + 1, kGuard);
+        bank.SignBits(count, stride, bits.data());
+        ASSERT_EQ(bits.back(), kGuard) << "k=" << k << " n=" << n;
+        for (std::uint64_t x = 0; x < count; ++x) {
+          const std::uint64_t* row = bits.data() + x * stride;
+          for (std::size_t i = 0; i < 64 * words; ++i) {
+            const bool negative = (row[i / 64] >> (i % 64)) & 1;
+            const bool expected = i < n && table[x * n + i] == -1;
+            ASSERT_EQ(negative, expected)
+                << "k=" << k << " n=" << n << " count=" << count
+                << " i=" << i << " x=" << x;
+          }
+          ASSERT_EQ(row[words], kGuard) << "k=" << k << " n=" << n;
+          ASSERT_EQ(row[words + 1], kGuard) << "k=" << k << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
 TEST(KWiseHashBankTest, ToUnitAllBitIdenticalToScalar) {
   const auto keys = ProbeKeys();
   for (int k : {2, 8}) {
