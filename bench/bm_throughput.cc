@@ -3,9 +3,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "baselines/triest.h"
 #include "bench/bench_common.h"
@@ -188,23 +192,56 @@ void BM_ArbThreePass(benchmark::State& state) {
 }
 BENCHMARK(BM_ArbThreePass);
 
+// Args: copies per group (9 groups), vertices, edges per ProcessEdgeBlock
+// call (one call per iteration). n = 200 is G(200, 0.3), whose rows stay in
+// L2; n = 50000 is the edge-sparse-ba shape, shuffled BA deg 5 with C = 450
+// in 4096-edge blocks, whose rows do not fit in L3. A row's bound grows by
+// its degree per pass over the stream, so the counter is rebuilt, untimed,
+// before one could reach 32,767: every run times int16 slots only.
 void BM_ArbF2PerEdge(benchmark::State& state) {
+  const auto n = static_cast<VertexId>(state.range(1));
+  const auto block = static_cast<std::size_t>(state.range(2));
   Rng gen(9);
-  const Graph g(ErdosRenyiGnp(200, 0.3, gen));
-  EdgeStream stream = g.edges();
+  EdgeStream stream = (n <= 200 ? ErdosRenyiGnp(n, 0.3, gen)
+                                : BarabasiAlbert(n, 5, gen))
+                          .edges();
+  gen.Shuffle(stream);
+  std::vector<std::size_t> degree(n, 0);
+  for (const Edge& e : stream) {
+    ++degree[e.u];
+    ++degree[e.v];
+  }
+  const std::size_t passes_per_counter =
+      32767 / *std::max_element(degree.begin(), degree.end());
   ArbF2FourCycleCounter::Params params;
   params.base.epsilon = 0.15;
-  params.num_vertices = g.num_vertices();
+  params.num_vertices = n;
   params.copies_per_group = static_cast<int>(state.range(0));
-  ArbF2FourCycleCounter counter(params);
-  std::size_t i = 0;
+  const auto signs = ArbF2FourCycleCounter::MakeSigns(params);
+  auto counter = std::make_unique<ArbF2FourCycleCounter>(params, signs);
+  std::size_t delivered = 0;  // Edges into `counter`.
+  std::int64_t items = 0;
   for (auto _ : state) {
-    counter.Insert(stream[i % stream.size()]);
-    ++i;
+    if (delivered + block > passes_per_counter * stream.size()) {
+      state.PauseTiming();
+      counter = std::make_unique<ArbF2FourCycleCounter>(params, signs);
+      delivered = 0;
+      state.ResumeTiming();
+    }
+    const std::size_t pos = delivered % stream.size();
+    const std::size_t len = std::min(block, stream.size() - pos);
+    counter->ProcessEdgeBlock(
+        0, std::span<const Edge>(stream.data() + pos, len), pos);
+    benchmark::ClobberMemory();
+    delivered += len;
+    items += static_cast<std::int64_t>(len);
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(items);
 }
-BENCHMARK(BM_ArbF2PerEdge)->Arg(64)->Arg(512);
+BENCHMARK(BM_ArbF2PerEdge)
+    ->Args({64, 200, 1})
+    ->Args({512, 200, 1})
+    ->Args({50, 50000, 4096});
 
 void BM_AmsF2Update(benchmark::State& state) {
   AmsF2 sketch(9, static_cast<std::size_t>(state.range(0)), 1);

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <string_view>
 #include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "hash/kwise_bank.h"
 #include "hash/rng.h"
@@ -15,48 +17,28 @@
 
 namespace cyclestream {
 
-ArbF2FourCycleCounter::ArbF2FourCycleCounter(const Params& params)
-    : params_(params) {
+namespace {
+
+constexpr std::uint64_t kInt16SlotMax = 32767;       // 2^15 − 1
+constexpr std::uint64_t kInt32SlotMax = 2147483647;  // 2^31 − 1
+constexpr std::uint64_t kAnyBound = ~std::uint64_t{0};
+
+// Derives the copy counts left to the counter.
+ArbF2FourCycleCounter::Params Normalized(ArbF2FourCycleCounter::Params params) {
   CHECK_GE(params.num_vertices, 2u);
   CHECK_GT(params.base.epsilon, 0.0);
   const double eps = params.base.epsilon;
-  int per_group = params.copies_per_group;
-  if (per_group <= 0) {
-    per_group =
-        static_cast<int>(std::min(512.0, std::ceil(2.0 / (eps * eps))));
-    per_group = std::max(per_group, 1);
+  if (params.copies_per_group <= 0) {
+    params.copies_per_group = std::max(
+        static_cast<int>(std::min(512.0, std::ceil(2.0 / (eps * eps)))), 1);
   }
-  const int groups = std::max(params.groups, 1);
-  params_.copies_per_group = per_group;
-  params_.groups = groups;
-
-  std::uint64_t seed = params.base.seed ^ 0x41524246ULL;  // "ARBF"
-  num_copies_ = static_cast<std::size_t>(groups * per_group);
-  const std::size_t c = num_copies_;
-  const std::size_t n = params.num_vertices;
-
-  // Seed chain: the historical code drew both seeds inside an emplace_back
-  // argument list, which gcc evaluates right-to-left — the beta seed came
-  // off the splitmix chain first. Preserved verbatim so the sign streams
-  // (and therefore all estimates) are unchanged.
-  std::vector<std::uint64_t> alpha_seeds(c);
-  std::vector<std::uint64_t> beta_seeds(c);
-  for (std::size_t i = 0; i < c; ++i) {
-    beta_seeds[i] = SplitMix64(seed);
-    alpha_seeds[i] = SplitMix64(seed);
-  }
-  const KWiseHashBank alpha_bank(/*k=*/4, alpha_seeds);
-  const KWiseHashBank beta_bank(/*k=*/4, beta_seeds);
-  alpha_.resize(n * c);
-  beta_.resize(n * c);
-  alpha_bank.SignTable(n, alpha_.data());
-  beta_bank.SignTable(n, beta_.data());
-  int_rows_.assign(n * 3 * c, 0);
+  params.groups = std::max(params.groups, 1);
+  return params;
 }
 
-namespace {
-
-constexpr std::uint64_t kInt32SlotMax = 2147483647;  // 2^31 − 1
+std::size_t NumCopies(const ArbF2FourCycleCounter::Params& params) {
+  return static_cast<std::size_t>(params.groups * params.copies_per_group);
+}
 
 // True when x is held exactly, bit pattern included, by an int32 slot
 // (so -0.0 and non-integers are not).
@@ -67,11 +49,29 @@ bool FitsInt32Slot(double x) {
              std::bit_cast<std::uint64_t>(x);
 }
 
+// Replaces the live row vector with a vector of To holding the same
+// values, unless it is already at least as wide (int16 < int32 < double,
+// the order of their sizes). Every slot is an exact integer within the
+// narrower type's range, so the conversion is exact.
+template <typename To, typename Rows>
+void WidenRows(Rows& rows) {
+  std::visit(
+      [&rows](auto& from) {
+        using From = typename std::decay_t<decltype(from)>::value_type;
+        if constexpr (sizeof(From) < sizeof(To)) {
+          std::vector<To> wide(from.begin(), from.end());
+          rows = std::move(wide);
+        }
+      },
+      rows);
+}
+
 // Adds edge e's deltas, weighted by sign, into the accumulator rows: A_u +=
 // α_v, B_u += β_v, C_u += α_v·β_v (the wedge centered at u gains neighbor
 // v), then the same for v; each is one unit-stride sweep over a 3C-slot row.
 // Row u is finished before row v, so even a self-loop adds into each slot
-// in the historical order.
+// in the historical order. The caller's row bounds keep every integer sum
+// inside T.
 template <typename T>
 void ApplyEdge(T* rows, const signed char* alpha, const signed char* beta,
                std::size_t c, const Edge& e, T sign) {
@@ -81,9 +81,9 @@ void ApplyEdge(T* rows, const signed char* alpha, const signed char* beta,
     for (std::size_t i = 0; i < c; ++i) {
       const T ai = static_cast<T>(a[i]);
       const T bi = static_cast<T>(b[i]);
-      row[i] += sign * ai;
-      row[c + i] += sign * bi;
-      row[2 * c + i] += sign * ai * bi;
+      row[i] = static_cast<T>(row[i] + sign * ai);
+      row[c + i] = static_cast<T>(row[c + i] + sign * bi);
+      row[2 * c + i] = static_cast<T>(row[2 * c + i] + sign * ai * bi);
     }
   };
   const std::size_t u = e.u;
@@ -94,34 +94,78 @@ void ApplyEdge(T* rows, const signed char* alpha, const signed char* beta,
 
 }  // namespace
 
-void ArbF2FourCycleCounter::ReserveUpdates(std::size_t updates) {
-  if (double_slots_) return;
-  if (updates > kInt32SlotMax - slot_bound_) {
-    SwitchToDoubleSlots();
-  } else {
-    slot_bound_ += updates;
+std::shared_ptr<const ArbF2FourCycleCounter::Signs>
+ArbF2FourCycleCounter::MakeSigns(const Params& raw_params) {
+  const Params params = Normalized(raw_params);
+  const std::size_t c = NumCopies(params);
+  const std::size_t n = params.num_vertices;
+  std::uint64_t seed = params.base.seed ^ 0x41524246ULL;  // "ARBF"
+  // Seed chain: the historical code drew both seeds inside an emplace_back
+  // argument list, which gcc evaluates right-to-left — the beta seed came
+  // off the splitmix chain first. Preserved verbatim so the sign streams
+  // (and therefore all estimates) are unchanged.
+  std::vector<std::uint64_t> alpha_seeds(c);
+  std::vector<std::uint64_t> beta_seeds(c);
+  for (std::size_t i = 0; i < c; ++i) {
+    beta_seeds[i] = SplitMix64(seed);
+    alpha_seeds[i] = SplitMix64(seed);
   }
+  auto signs = std::make_shared<Signs>();
+  signs->alpha.resize(n * c);
+  signs->beta.resize(n * c);
+  KWiseHashBank(/*k=*/4, alpha_seeds).SignTable(n, signs->alpha.data());
+  KWiseHashBank(/*k=*/4, beta_seeds).SignTable(n, signs->beta.data());
+  return signs;
 }
 
-void ArbF2FourCycleCounter::SwitchToDoubleSlots() {
-  if (double_slots_) return;
-  // Every slot is an exact integer, so the conversion is exact: the
-  // values, and hence the estimate and the snapshot bytes, do not change.
-  dbl_rows_.assign(int_rows_.begin(), int_rows_.end());
-  int_rows_ = std::vector<std::int32_t>();
-  double_slots_ = true;
+ArbF2FourCycleCounter::ArbF2FourCycleCounter(
+    const Params& params, std::shared_ptr<const Signs> signs)
+    : params_(Normalized(params)),
+      num_copies_(NumCopies(params_)),
+      signs_(signs != nullptr ? std::move(signs) : MakeSigns(params_)),
+      rows_(std::in_place_type<std::vector<std::int16_t>>,
+            params_.num_vertices * 3 * num_copies_),
+      row_bound_(params_.num_vertices, 0) {
+  const std::size_t table = params_.num_vertices * num_copies_;
+  CHECK_EQ(signs_->alpha.size(), table);
+  CHECK_EQ(signs_->beta.size(), table);
+}
+
+void ArbF2FourCycleCounter::WidenFor(std::uint64_t bound) {
+  if (bound > kInt32SlotMax) {
+    WidenRows<double>(rows_);
+    row_bound_ = std::vector<std::uint32_t>();
+  } else if (bound > kInt16SlotMax) {
+    WidenRows<std::int32_t>(rows_);
+  }
 }
 
 void ArbF2FourCycleCounter::ApplyBlock(std::span<const Edge> edges,
                                        const double* signs) {
-  ReserveUpdates(edges.size());
-  VisitSlots(*this, [&](auto& rows) {
-    using T = typename std::decay_t<decltype(rows)>::value_type;
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      ApplyEdge(rows.data(), alpha_.data(), beta_.data(), num_copies_,
-                edges[i], signs == nullptr ? T{1} : static_cast<T>(signs[i]));
+  if (!double_slots()) {
+    // Each endpoint's update moves every slot of its row by at most one, so
+    // the rows' bounds grow by one per endpoint (two for a self-loop)
+    // before any slot moves. Once one passes int32 the rows go to double
+    // and the rest are not needed; stopping there keeps every bound at or
+    // below 2^31 + 1, so none wraps.
+    std::uint64_t peak = 0;
+    for (const Edge& e : edges) {
+      peak = std::max<std::uint64_t>(peak, ++row_bound_[e.u]);
+      peak = std::max<std::uint64_t>(peak, ++row_bound_[e.v]);
+      if (peak > kInt32SlotMax) break;
     }
-  });
+    WidenFor(peak);
+  }
+  std::visit(
+      [&](auto& rows) {
+        using T = typename std::decay_t<decltype(rows)>::value_type;
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+          ApplyEdge(rows.data(), signs_->alpha.data(), signs_->beta.data(),
+                    num_copies_, edges[i],
+                    signs == nullptr ? T{1} : static_cast<T>(signs[i]));
+        }
+      },
+      rows_);
 }
 
 void ArbF2FourCycleCounter::StartPass(int pass, std::size_t stream_length) {
@@ -152,8 +196,8 @@ void ArbF2FourCycleCounter::ProcessSignedEdgeBlock(
 }
 
 void ArbF2FourCycleCounter::Rescale(double factor) {
-  SwitchToDoubleSlots();
-  for (double& x : dbl_rows_) x *= factor;
+  WidenFor(kAnyBound);
+  for (double& x : std::get<std::vector<double>>(rows_)) x *= factor;
 }
 
 void ArbF2FourCycleCounter::EndPass(int pass) { (void)pass; }
@@ -165,17 +209,19 @@ double ArbF2FourCycleCounter::F2Estimate() const {
   // vertex order 0..n−1, so z_i is bit-identical to a copy-outer walk.
   std::vector<double>& z = square_scratch_;
   z.assign(c, 0.0);
-  VisitSlots(*this, [&](const auto& rows) {
-    for (std::size_t t = 0; t < n; ++t) {
-      const auto* row = rows.data() + t * 3 * c;
-      for (std::size_t i = 0; i < c; ++i) {
-        z[i] += (static_cast<double>(row[i]) *
-                     static_cast<double>(row[c + i]) -
-                 static_cast<double>(row[2 * c + i])) /
-                2.0;
-      }
-    }
-  });
+  std::visit(
+      [&](const auto& rows) {
+        for (std::size_t t = 0; t < n; ++t) {
+          const auto* row = rows.data() + t * 3 * c;
+          for (std::size_t i = 0; i < c; ++i) {
+            z[i] += (static_cast<double>(row[i]) *
+                         static_cast<double>(row[c + i]) -
+                     static_cast<double>(row[2 * c + i])) /
+                    2.0;
+          }
+        }
+      },
+      rows_);
   // E[Z²] = F₂/2 (see AdjF2FourCycleCounter::EndPass): rescale by 2.
   for (double& zi : z) zi = 2.0 * zi * zi;
   return MedianOfMeans(z, static_cast<std::size_t>(params_.groups));
@@ -207,19 +253,21 @@ bool ArbF2FourCycleCounter::SaveState(StateWriter& w) const {
   w.Double(params_.f1_correction);
   // The arbf2/1 layout: the A, B and C arrays, each a StateWriter::Vec of
   // n·C copy-minor doubles, written one row segment at a time.
-  VisitSlots(*this, [&](const auto& rows) {
-    std::vector<double> out(c);
-    for (std::size_t k = 0; k < 3; ++k) {
-      w.Size(n * c);
-      for (std::size_t v = 0; v < n; ++v) {
-        const auto* seg = rows.data() + v * 3 * c + k * c;
-        for (std::size_t i = 0; i < c; ++i) {
-          out[i] = static_cast<double>(seg[i]);
+  std::visit(
+      [&](const auto& rows) {
+        std::vector<double> out(c);
+        for (std::size_t k = 0; k < 3; ++k) {
+          w.Size(n * c);
+          for (std::size_t v = 0; v < n; ++v) {
+            const auto* seg = rows.data() + v * 3 * c + k * c;
+            for (std::size_t i = 0; i < c; ++i) {
+              out[i] = static_cast<double>(seg[i]);
+            }
+            w.Bytes(out.data(), c * sizeof(double));
+          }
         }
-        w.Bytes(out.data(), c * sizeof(double));
-      }
-    }
-  });
+      },
+      rows_);
   return true;
 }
 
@@ -243,36 +291,44 @@ bool ArbF2FourCycleCounter::RestoreState(StateReader& r) {
     return x;
   };
   // A non-finite slot can only come from corruption and would poison the
-  // estimate. The slots load as int32 when every one fits.
-  bool fits_int32 = true;
-  double max_abs = 0.0;
+  // estimate. Each row's bound is its largest |slot|, and the slots load at
+  // the narrowest width the largest bound fits — as `double` if a slot is
+  // not an exact int32 value.
+  std::vector<std::uint32_t> bound(n, 0);
+  bool integral = true;
   for (std::size_t k = 0; k < 3; ++k) {
-    for (std::size_t j = 0; j < n * c; ++j) {
-      const double x = slot(k, j);
-      if (!std::isfinite(x)) return r.Fail();
-      fits_int32 = fits_int32 && FitsInt32Slot(x);
-      max_abs = std::max(max_abs, std::fabs(x));
-    }
-  }
-  if (fits_int32) {
-    dbl_rows_ = std::vector<double>();
-  } else {
-    int_rows_ = std::vector<std::int32_t>();
-  }
-  double_slots_ = !fits_int32;
-  slot_bound_ = fits_int32 ? static_cast<std::uint64_t>(max_abs) : 0;
-  VisitSlots(*this, [&](auto& rows) {
-    using T = typename std::decay_t<decltype(rows)>::value_type;
-    rows.resize(n * 3 * c);
-    for (std::size_t k = 0; k < 3; ++k) {
-      for (std::size_t v = 0; v < n; ++v) {
-        T* seg = rows.data() + v * 3 * c + k * c;
-        for (std::size_t i = 0; i < c; ++i) {
-          seg[i] = static_cast<T>(slot(k, v * c + i));
+    for (std::size_t v = 0; v < n; ++v) {
+      for (std::size_t i = 0; i < c; ++i) {
+        const double x = slot(k, v * c + i);
+        if (!std::isfinite(x)) return r.Fail();
+        if (integral && FitsInt32Slot(x)) {
+          bound[v] = std::max(bound[v], static_cast<std::uint32_t>(
+                                            std::fabs(x)));
+        } else {
+          integral = false;
         }
       }
     }
-  });
+  }
+  const std::uint64_t peak =
+      integral ? *std::max_element(bound.begin(), bound.end()) : kAnyBound;
+  rows_ = Rows();
+  row_bound_ = std::move(bound);
+  WidenFor(peak);
+  std::visit(
+      [&](auto& rows) {
+        using T = typename std::decay_t<decltype(rows)>::value_type;
+        rows.resize(n * 3 * c);
+        for (std::size_t k = 0; k < 3; ++k) {
+          for (std::size_t v = 0; v < n; ++v) {
+            T* seg = rows.data() + v * 3 * c + k * c;
+            for (std::size_t i = 0; i < c; ++i) {
+              seg[i] = static_cast<T>(slot(k, v * c + i));
+            }
+          }
+        }
+      },
+      rows_);
   return true;
 }
 
@@ -290,20 +346,26 @@ bool ArbF2FourCycleCounter::MergeFrom(const EdgeStreamAlgorithm& other) {
       rhs.params_.f1_correction != params_.f1_correction) {
     return false;
   }
-  // The sum stays int32 only while both bounds together fit.
-  if (rhs.double_slots_ || rhs.slot_bound_ > kInt32SlotMax - slot_bound_) {
-    SwitchToDoubleSlots();
-  } else {
-    slot_bound_ += rhs.slot_bound_;
+  // Row by row the bounds add: both are at most 2^31 − 1, so their sum
+  // fits a uint32. The sum widens the slots as an update block would.
+  if (rhs.double_slots()) {
+    WidenFor(kAnyBound);
+  } else if (!double_slots()) {
+    std::uint64_t peak = 0;
+    for (std::size_t v = 0; v < row_bound_.size(); ++v) {
+      row_bound_[v] += rhs.row_bound_[v];
+      peak = std::max<std::uint64_t>(peak, row_bound_[v]);
+    }
+    WidenFor(peak);
   }
-  VisitSlots(*this, [&](auto& dst) {
-    using T = typename std::decay_t<decltype(dst)>::value_type;
-    VisitSlots(rhs, [&](const auto& src) {
-      for (std::size_t i = 0; i < dst.size(); ++i) {
-        dst[i] += static_cast<T>(src[i]);
-      }
-    });
-  });
+  std::visit(
+      [](auto& dst, const auto& src) {
+        using T = typename std::decay_t<decltype(dst)>::value_type;
+        for (std::size_t i = 0; i < dst.size(); ++i) {
+          dst[i] = static_cast<T>(dst[i] + static_cast<T>(src[i]));
+        }
+      },
+      rows_, rhs.rows_);
   return true;
 }
 

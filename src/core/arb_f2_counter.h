@@ -2,7 +2,9 @@
 #define CYCLESTREAM_CORE_ARB_F2_COUNTER_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "core/config.h"
@@ -28,14 +30,21 @@ namespace cyclestream {
 /// Memory layout: one row per vertex holding all three accumulators of all
 /// C copies, acc[v·3C + {0, C, 2C} + c] = {A_v, B_v, C_v} of copy c, so an
 /// edge touches two contiguous 3C-slot rows. The ±1 sign caches stay
-/// copy-minor (alpha[v·C + c]). Every slot is an exact integer (a sum of ±1
-/// and ±1·±1 terms), so slots are int32 while a bound on their magnitude
-/// (the largest restored or merged slot plus the updates applied since)
-/// stays below 2^31. They switch to `double` — the representation that
-/// holds any state — on the first Rescale, when that bound would reach
-/// 2^31, and when a restored snapshot holds a non-integral slot. The
-/// estimate and the snapshot bytes depend only on the slot values, which
-/// are the same in either representation (DESIGN.md §8).
+/// copy-minor bytes (alpha[v·C + c]) and can be shared read-only between
+/// counters of one configuration (`Signs`).
+///
+/// Slot width: every slot of row v is a signed sum of one ±1 term per
+/// update touching v, so |slot| is at most that row's update count. The
+/// counter keeps that bound per row (one uint32 per vertex) and stores all
+/// slots at the narrowest width every row's bound fits: int16, then int32,
+/// then `double`, the representation that holds any state. A row's bound
+/// grows by one per edge endpoint before the slots are touched (two for a
+/// self-loop), adds the other side's on a merge and is the row's largest
+/// |slot| after a restore; the slots widen as soon as one bound would pass
+/// the width's maximum. They go to `double` on the first Rescale and when a
+/// restored slot is non-integral or −0.0, and the bounds are then dropped.
+/// The estimate and the snapshot bytes depend only on the slot values,
+/// which are the same at every width (DESIGN.md §8).
 class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
  public:
   struct Params {
@@ -46,7 +55,23 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
     double f1_correction = 0.0;  // Optional known F₁(z) to subtract.
   };
 
-  explicit ArbF2FourCycleCounter(const Params& params);
+  /// The ±1 sign caches of one configuration, copy-minor:
+  /// alpha[v·C + c] for vertex v, copy c. They depend only on the seed and
+  /// the dimensions, so every counter of one query (window buckets, their
+  /// fold) can share one immutable instance.
+  struct Signs {
+    std::vector<signed char> alpha;
+    std::vector<signed char> beta;
+  };
+  /// Builds the sign caches a counter with `params` draws, over the whole
+  /// vertex universe, by KWiseHashBank::SignTable's forward-difference
+  /// walk.
+  static std::shared_ptr<const Signs> MakeSigns(const Params& params);
+
+  /// `signs`, when given, must come from MakeSigns with the same seed,
+  /// vertex count and copy counts; null builds them.
+  explicit ArbF2FourCycleCounter(const Params& params,
+                                 std::shared_ptr<const Signs> signs = nullptr);
 
   /// Dynamic interface.
   void Insert(const Edge& e) { Apply(e, +1.0); }
@@ -77,8 +102,9 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   /// state is linear in the stream (every edge contributes fixed ±1 /
   /// ±1·±1 deltas), so merging shard-local counters over a partitioned
   /// stream reproduces the whole-stream counters exactly — every slot is
-  /// an exact integer, making the addition exact and associative (int32
-  /// adds while both sides' bounds sum below 2^31, `double` otherwise).
+  /// an exact integer, making the addition exact and associative (integer
+  /// adds at the width the row-by-row sums of both sides' bounds fit,
+  /// `double` past int32).
   /// False (no mutation) unless `other` is an ArbF2FourCycleCounter with
   /// identical result-affecting configuration.
   bool MergeFrom(const EdgeStreamAlgorithm& other) override;
@@ -89,15 +115,19 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
 
   double F2Estimate() const;
 
-  /// True once the slots are held as `double` (see the layout note above).
-  bool double_slots() const { return double_slots_; }
+  /// The width the slots are held at (see the layout note above), in the
+  /// order they widen.
+  enum class SlotWidth { kInt16, kInt32, kDouble };
+  SlotWidth slot_width() const {
+    return static_cast<SlotWidth>(rows_.index());
+  }
+  /// True once the slots are held as `double`.
+  bool double_slots() const { return slot_width() == SlotWidth::kDouble; }
 
  private:
-  /// Calls f with the live rows: int_rows_ or dbl_rows_.
-  template <typename Self, typename F>
-  static decltype(auto) VisitSlots(Self& self, F&& f) {
-    return self.double_slots_ ? f(self.dbl_rows_) : f(self.int_rows_);
-  }
+  // Alternatives in SlotWidth order.
+  using Rows = std::variant<std::vector<std::int16_t>,
+                            std::vector<std::int32_t>, std::vector<double>>;
 
   void Apply(const Edge& e, double sign) {
     ApplyBlock(std::span<const Edge>(&e, 1), &sign);
@@ -105,26 +135,17 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   /// Applies edges[i] with weight signs[i] (+1 for all when signs is null).
   void ApplyBlock(std::span<const Edge> edges, const double* signs);
 
-  /// Accounts for `updates` more ±1 updates, switching to `double` slots
-  /// first if they could carry an int32 slot past 2^31 − 1.
-  void ReserveUpdates(std::size_t updates);
-  void SwitchToDoubleSlots();
+  /// Widens the slots, exactly, to the narrowest width that holds every
+  /// |slot| <= `bound`; they never narrow.
+  void WidenFor(std::uint64_t bound);
 
   Params params_;
   std::size_t num_copies_ = 0;
-  // ±1 sign caches, copy-minor: alpha_[v·C + c] for vertex v, copy c.
-  // Filled at construction over the whole vertex universe, which is known
-  // up front, by KWiseHashBank::SignTable's forward-difference walk.
-  std::vector<signed char> alpha_;
-  std::vector<signed char> beta_;
-  // The accumulator rows; int_rows_ is live until double_slots_, then
-  // dbl_rows_.
-  std::vector<std::int32_t> int_rows_;
-  std::vector<double> dbl_rows_;
-  bool double_slots_ = false;
-  // Upper bound on |slot| while the slots are int32; kept at or below
-  // 2^31 − 1.
-  std::uint64_t slot_bound_ = 0;
+  std::shared_ptr<const Signs> signs_;
+  Rows rows_;
+  // row_bound_[v] >= |slot| over row v's 3C slots, always at most 2^31 − 1;
+  // empty once the slots are `double`.
+  std::vector<std::uint32_t> row_bound_;
   mutable std::vector<double> square_scratch_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "hash/kwise_bank.h"
 #include "hash/rng.h"
@@ -68,38 +69,53 @@ bool TurnstileF2FourCycleCounter::MergeFrom(
 
 // --- TurnstileF2TriangleCounter -------------------------------------------
 
-TurnstileF2TriangleCounter::TurnstileF2TriangleCounter(const Params& params)
-    : params_(params) {
+namespace {
+
+// Derives the copy counts left to the counter.
+TurnstileF2TriangleCounter::Params Normalized(
+    TurnstileF2TriangleCounter::Params params) {
   CHECK_GE(params.num_vertices, 2u);
   CHECK_GT(params.base.epsilon, 0.0);
   const double eps = params.base.epsilon;
-  int per_group = params.copies_per_group;
-  if (per_group <= 0) {
-    per_group =
-        static_cast<int>(std::min(512.0, std::ceil(2.0 / (eps * eps))));
-    per_group = std::max(per_group, 1);
+  if (params.copies_per_group <= 0) {
+    params.copies_per_group = std::max(
+        static_cast<int>(std::min(512.0, std::ceil(2.0 / (eps * eps)))), 1);
   }
-  const int groups = std::max(params.groups, 1);
-  params_.copies_per_group = per_group;
-  params_.groups = groups;
+  params.groups = std::max(params.groups, 1);
+  return params;
+}
 
+std::size_t NumCopies(const TurnstileF2TriangleCounter::Params& params) {
+  return static_cast<std::size_t>(params.groups * params.copies_per_group);
+}
+
+}  // namespace
+
+std::shared_ptr<const TurnstileF2TriangleCounter::Signs>
+TurnstileF2TriangleCounter::MakeSigns(const Params& raw_params) {
+  const Params params = Normalized(raw_params);
+  const std::size_t c = NumCopies(params);
   std::uint64_t seed = params.base.seed ^ 0x54524933ULL;  // "TRI3"
-  num_copies_ = static_cast<std::size_t>(groups * per_group);
-  const std::size_t c = num_copies_;
-  const std::size_t n = params.num_vertices;
-
   std::vector<std::uint64_t> seeds(c);
   for (std::size_t i = 0; i < c; ++i) seeds[i] = SplitMix64(seed);
-  const KWiseHashBank bank(/*k=*/6, seeds);
-  sigma_.resize(n * c);
-  bank.SignTable(n, sigma_.data());
-  z_.assign(c, 0.0);
+  auto sigma = std::make_shared<Signs>(params.num_vertices * c);
+  KWiseHashBank(/*k=*/6, seeds).SignTable(params.num_vertices, sigma->data());
+  return sigma;
+}
+
+TurnstileF2TriangleCounter::TurnstileF2TriangleCounter(
+    const Params& params, std::shared_ptr<const Signs> sigma)
+    : params_(Normalized(params)),
+      num_copies_(NumCopies(params_)),
+      sigma_(sigma != nullptr ? std::move(sigma) : MakeSigns(params_)),
+      z_(num_copies_, 0.0) {
+  CHECK_EQ(sigma_->size(), params_.num_vertices * num_copies_);
 }
 
 void TurnstileF2TriangleCounter::Apply(const Edge& e, double sign) {
   const std::size_t c = num_copies_;
-  const signed char* su = sigma_.data() + static_cast<std::size_t>(e.u) * c;
-  const signed char* sv = sigma_.data() + static_cast<std::size_t>(e.v) * c;
+  const signed char* su = sigma_->data() + static_cast<std::size_t>(e.u) * c;
+  const signed char* sv = sigma_->data() + static_cast<std::size_t>(e.v) * c;
   for (std::size_t i = 0; i < c; ++i) {
     z_[i] += sign * static_cast<double>(su[i]) * static_cast<double>(sv[i]);
   }

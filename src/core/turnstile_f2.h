@@ -2,7 +2,9 @@
 #define CYCLESTREAM_CORE_TURNSTILE_F2_H_
 
 #include <cstdint>
+#include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/arb_f2_counter.h"
@@ -28,8 +30,12 @@ class TurnstileF2FourCycleCounter : public TurnstileStreamAlgorithm {
  public:
   using Params = ArbF2FourCycleCounter::Params;
 
-  explicit TurnstileF2FourCycleCounter(const Params& params)
-      : inner_(params) {}
+  /// `signs` as in ArbF2FourCycleCounter: shared caches from MakeSigns,
+  /// or null to build them.
+  explicit TurnstileF2FourCycleCounter(
+      const Params& params,
+      std::shared_ptr<const ArbF2FourCycleCounter::Signs> signs = nullptr)
+      : inner_(params, std::move(signs)) {}
 
   void StartPass(int pass, std::size_t stream_length) override;
   void ProcessUpdate(int pass, const TurnstileUpdate& u,
@@ -76,7 +82,19 @@ class TurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
     int groups = 9;
   };
 
-  explicit TurnstileF2TriangleCounter(const Params& params);
+  /// The 6-wise ±1 sign cache of one configuration, copy-minor:
+  /// sigma[v·C + c] for vertex v, copy c. It depends only on the seed and
+  /// the dimensions, so every counter of one query (window buckets, their
+  /// fold) can share one immutable instance.
+  using Signs = std::vector<signed char>;
+  /// Builds the cache a counter with `params` draws, by
+  /// KWiseHashBank::SignTable.
+  static std::shared_ptr<const Signs> MakeSigns(const Params& params);
+
+  /// `sigma`, when given, must come from MakeSigns with the same seed,
+  /// vertex count and copy counts; null builds it.
+  explicit TurnstileF2TriangleCounter(
+      const Params& params, std::shared_ptr<const Signs> sigma = nullptr);
 
   void StartPass(int pass, std::size_t stream_length) override;
   void ProcessUpdate(int pass, const TurnstileUpdate& u,
@@ -95,9 +113,7 @@ class TurnstileF2TriangleCounter : public TurnstileStreamAlgorithm {
 
   Params params_;
   std::size_t num_copies_ = 0;
-  // 6-wise ±1 sign cache, copy-minor: sigma_[v·C + c] for vertex v, copy
-  // c, filled at construction by KWiseHashBank::SignTable.
-  std::vector<signed char> sigma_;
+  std::shared_ptr<const Signs> sigma_;
   // Per-copy counters Z_c (exact integers while |Z| < 2^53).
   std::vector<double> z_;
 };

@@ -249,7 +249,9 @@ TurnstileQuery MakeTurnstileQuery(const QuerySpec& spec) {
 
   // The factory builds a fresh base estimator with the spec's exact
   // result-affecting configuration — called once for an unwindowed query,
-  // once per bucket (plus once per Result()) for a windowed one.
+  // once per bucket (plus once per Result()) for a windowed one. The sign
+  // cache depends only on that configuration, so it is built here once and
+  // every instance shares it read-only.
   TurnstileAlgorithmFactory factory;
   std::string_view inner_id;
   switch (spec.kind) {
@@ -257,7 +259,9 @@ TurnstileQuery MakeTurnstileQuery(const QuerySpec& spec) {
       TurnstileF2TriangleCounter::Params p;
       p.base = spec.base;
       p.num_vertices = spec.num_vertices;
-      factory = [p] { return std::make_unique<TurnstileF2TriangleCounter>(p); };
+      factory = [p, signs = TurnstileF2TriangleCounter::MakeSigns(p)] {
+        return std::make_unique<TurnstileF2TriangleCounter>(p, signs);
+      };
       inner_id = TurnstileF2TriangleCounter::kCheckpointId;
       break;
     }
@@ -265,7 +269,9 @@ TurnstileQuery MakeTurnstileQuery(const QuerySpec& spec) {
       TurnstileF2FourCycleCounter::Params p;
       p.base = spec.base;
       p.num_vertices = spec.num_vertices;
-      factory = [p] { return std::make_unique<TurnstileF2FourCycleCounter>(p); };
+      factory = [p, signs = ArbF2FourCycleCounter::MakeSigns(p)] {
+        return std::make_unique<TurnstileF2FourCycleCounter>(p, signs);
+      };
       inner_id = TurnstileF2FourCycleCounter::kCheckpointId;
       break;
     }

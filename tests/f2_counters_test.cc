@@ -400,7 +400,8 @@ ArbF2FourCycleCounter::Params SmallArbF2Params(VertexId n) {
   return params;
 }
 
-std::string SaveBytes(const EdgeStreamAlgorithm& alg) {
+template <typename Alg>
+std::string SaveBytes(const Alg& alg) {
   StateWriter w;
   EXPECT_TRUE(alg.SaveState(w));
   return w.Take();
@@ -465,6 +466,189 @@ TEST(ArbF2CounterTest, SlotsSwitchToDoubleBeforeInt32Overflow) {
   counter.EndPass(0);
   EXPECT_EQ(counter.F2Estimate(), oracle.F2Estimate());
   EXPECT_EQ(SaveBytes(counter), oracle.Save());
+}
+
+using SlotWidth = ArbF2FourCycleCounter::SlotWidth;
+
+// `count` edges between `centre` and the vertices whose α in `copy` is +1,
+// cycling through them: each raises A_centre of that copy by one, so the
+// centre's row alone carries a large slot while each leaf's row takes only
+// count / leaves updates.
+std::vector<Edge> StarEdges(const ArbF2Oracle& oracle, VertexId n,
+                            VertexId centre, std::size_t copy,
+                            std::size_t count) {
+  std::vector<VertexId> leaves;
+  for (VertexId v = 0; v < n; ++v) {
+    if (v != centre && oracle.alpha(v, copy) > 0) leaves.push_back(v);
+  }
+  EXPECT_GE(leaves.size(), 5u);
+  std::vector<Edge> edges;
+  for (std::size_t k = 0; k < count; ++k) {
+    edges.emplace_back(centre, leaves[k % leaves.size()]);
+  }
+  return edges;
+}
+
+// Feeds `edges` to both in 4096-edge blocks (the engine's block size).
+void ApplyInBlocks(ArbF2FourCycleCounter& counter, ArbF2Oracle& oracle,
+                   const std::vector<Edge>& edges) {
+  constexpr std::size_t kBlock = 4096;
+  for (std::size_t pos = 0; pos < edges.size(); pos += kBlock) {
+    const std::size_t len = std::min(kBlock, edges.size() - pos);
+    counter.ProcessEdgeBlock(
+        0, std::span<const Edge>(edges.data() + pos, len), pos);
+  }
+  for (const Edge& e : edges) oracle.Apply(e, +1.0);
+}
+
+void ExpectMatchesOracle(const ArbF2FourCycleCounter& counter,
+                         const ArbF2Oracle& oracle) {
+  EXPECT_EQ(counter.F2Estimate(), oracle.F2Estimate());
+  EXPECT_EQ(SaveBytes(counter), oracle.Save());
+}
+
+// The star's centre is the highest id, so it is every edge's v endpoint,
+// and a self-loop on it takes the last two updates: 32,766 star edges
+// leave its bound at the int16 limit's reach, the self-loop carries A to
+// 32,768 and the slots to int32.
+TEST(ArbF2CounterTest, StarCentrePastInt16WidensToInt32) {
+  const VertexId n = 40;
+  const VertexId centre = n - 1;
+  const auto params = SmallArbF2Params(n);
+  ArbF2Oracle oracle(params);
+  std::size_t copy = 0;
+  while (oracle.alpha(centre, copy) < 0) ++copy;
+  ASSERT_LT(copy, oracle.copies());
+  ArbF2FourCycleCounter counter(params);
+  ApplyInBlocks(counter, oracle, StarEdges(oracle, n, centre, copy, 32766));
+  EXPECT_EQ(counter.slot_width(), SlotWidth::kInt16);
+  ExpectMatchesOracle(counter, oracle);
+
+  const Edge loop(centre, centre);
+  counter.Insert(loop);
+  oracle.Apply(loop, +1.0);
+  EXPECT_EQ(oracle.a(centre, copy), 32768.0);
+  EXPECT_EQ(counter.slot_width(), SlotWidth::kInt32);
+  ExpectMatchesOracle(counter, oracle);
+}
+
+// Bounds add row by row on a merge: two stars on one centre widen once
+// their sum passes 32,767, and not at exactly 32,767; two 20,000-edge
+// stars on different centres stay int16, where one global bound (40,000)
+// would not.
+TEST(ArbF2CounterTest, MergeWidensOnlyWhenOneRowsBoundsSumPastInt16) {
+  const VertexId n = 40;
+  const auto params = SmallArbF2Params(n);
+  const ArbF2Oracle signs(params);
+  const auto merged = [&](const std::vector<Edge>& lhs,
+                          const std::vector<Edge>& rhs,
+                          SlotWidth expected) {
+    ArbF2Oracle oracle(params);
+    ArbF2FourCycleCounter a(params), b(params);
+    ApplyInBlocks(a, oracle, lhs);
+    ApplyInBlocks(b, oracle, rhs);
+    EXPECT_EQ(a.slot_width(), SlotWidth::kInt16);
+    EXPECT_EQ(b.slot_width(), SlotWidth::kInt16);
+    ASSERT_TRUE(a.MergeFrom(b));
+    EXPECT_EQ(a.slot_width(), expected);
+    ExpectMatchesOracle(a, oracle);
+  };
+  const std::vector<Edge> star0 = StarEdges(signs, n, 0, 0, 20000);
+  merged(star0, StarEdges(signs, n, 0, 0, 12767), SlotWidth::kInt16);
+  merged(star0, StarEdges(signs, n, 0, 0, 12768), SlotWidth::kInt32);
+  merged(star0, StarEdges(signs, n, 1, 0, 20000), SlotWidth::kInt16);
+}
+
+// A restored row's bound is its largest |slot|: 32,767 loads as int16 and
+// the next raising update widens; 32,768 (either sign) loads as int32.
+TEST(ArbF2CounterTest, RestoredSlotLoadsAtTheWidthItNeeds) {
+  const VertexId n = 20;
+  Rng rng(66);
+  const EdgeList graph = ErdosRenyiGnm(n, 50, rng);
+  const auto params = SmallArbF2Params(n);
+  for (const double slot : {32767.0, 32768.0, -32768.0}) {
+    SCOPED_TRACE(slot);
+    ArbF2Oracle oracle(params);
+    for (const Edge& e : graph.edges()) oracle.Apply(e, +1.0);
+    oracle.a(3, 5) = slot;
+    ArbF2FourCycleCounter counter(params);
+    ASSERT_TRUE(Restore(counter, oracle.Save()));
+    EXPECT_EQ(counter.slot_width(), slot == 32767.0 ? SlotWidth::kInt16
+                                                    : SlotWidth::kInt32);
+    ExpectMatchesOracle(counter, oracle);
+    // Raise A_3 of copy 5 by one.
+    VertexId v = 0;
+    while (v == 3 || oracle.alpha(v, 5) < 0) ++v;
+    counter.Insert(Edge(3, v));
+    oracle.Apply(Edge(3, v), +1.0);
+    EXPECT_EQ(counter.slot_width(), SlotWidth::kInt32);
+    ExpectMatchesOracle(counter, oracle);
+  }
+}
+
+// A turnstile stream of deletions only drives the slots negative: the
+// star's centre reaches A = −32,768, whose bound widens the slots, and
+// every estimate along the way equals the oracle's.
+TEST(ArbF2CounterTest, DeletionOnlyTurnstileStreamStaysExact) {
+  const VertexId n = 40;
+  const VertexId centre = n - 1;
+  const auto params = SmallArbF2Params(n);
+  ArbF2Oracle oracle(params);
+  std::size_t copy = 0;
+  while (oracle.alpha(centre, copy) < 0) ++copy;
+  ASSERT_LT(copy, oracle.copies());
+  TurnstileStream stream;
+  for (const Edge& e : StarEdges(oracle, n, centre, copy, 32768)) {
+    stream.emplace_back(e, TurnstileOp::kDelete);
+  }
+  TurnstileF2FourCycleCounter c4(params);
+  c4.StartPass(0, stream.size());
+  constexpr std::size_t kBlock = 4096;
+  for (std::size_t pos = 0; pos < stream.size(); pos += kBlock) {
+    c4.ProcessUpdateBlock(
+        0, std::span<const TurnstileUpdate>(stream.data() + pos, kBlock), pos);
+    for (std::size_t i = pos; i < pos + kBlock; ++i) {
+      oracle.Apply(stream[i].edge, -1.0);
+    }
+    EXPECT_EQ(c4.inner().slot_width(), pos + kBlock > 32767
+                                           ? SlotWidth::kInt32
+                                           : SlotWidth::kInt16);
+    EXPECT_EQ(c4.inner().F2Estimate(), oracle.F2Estimate())
+        << "after position " << pos + kBlock;
+  }
+  c4.EndPass(0);
+  EXPECT_EQ(oracle.a(centre, copy), -32768.0);
+  EXPECT_EQ(SaveBytes(c4.inner()), oracle.Save());
+}
+
+// Counters built on shared sign caches (how a windowed query's buckets are
+// built) equal counters that draw their own, bit for bit.
+TEST(ArbF2CounterTest, SharedSignCachesMatchOwnCaches) {
+  const VertexId n = 30;
+  Rng rng(67);
+  const EdgeList graph = ErdosRenyiGnm(n, 120, rng);
+  const TurnstileStream stream = TurnstileFromEdges(graph.edges());
+  const auto c4_params = SmallArbF2Params(n);
+  TurnstileF2FourCycleCounter c4_own(c4_params);
+  TurnstileF2FourCycleCounter c4_shared(
+      c4_params, ArbF2FourCycleCounter::MakeSigns(c4_params));
+  TurnstileF2TriangleCounter::Params tri_params;
+  tri_params.base.seed = 68;
+  tri_params.num_vertices = n;
+  tri_params.copies_per_group = 8;
+  tri_params.groups = 3;
+  TurnstileF2TriangleCounter tri_own(tri_params);
+  TurnstileF2TriangleCounter tri_shared(
+      tri_params, TurnstileF2TriangleCounter::MakeSigns(tri_params));
+  for (TurnstileStreamAlgorithm* alg :
+       std::initializer_list<TurnstileStreamAlgorithm*>{
+           &c4_own, &c4_shared, &tri_own, &tri_shared}) {
+    RunTurnstileStream(*alg, stream);
+  }
+  EXPECT_EQ(SaveBytes(c4_own), SaveBytes(c4_shared));
+  EXPECT_EQ(c4_own.Result().value, c4_shared.Result().value);
+  EXPECT_EQ(SaveBytes(tri_own), SaveBytes(tri_shared));
+  EXPECT_EQ(tri_own.Result().value, tri_shared.Result().value);
 }
 
 // A decayed snapshot holds non-integral slots: it loads into double slots,
