@@ -4,9 +4,8 @@
 // Two fixture scales:
 //   * Small — the exact fixtures bm_throughput uses for BM_ExactTriangles /
 //     BM_ExactFourCycles (BA n=20000 deg=5 seed=1; ER n=4000 m=20000
-//     seed=2), so the speedup over the historical oracle numbers in
-//     BENCH_baseline.json reads off directly. In-suite BM_Naive* reference
-//     runs make the comparison self-contained.
+//     seed=2). In-suite BM_Naive* reference runs make the comparison
+//     self-contained.
 //   * Big — ~10 M-edge graphs (BA n=2M deg=5; ER n=4M m=10M), the scale
 //     the backend exists for. The naive references run a single pinned
 //     iteration each: on the hub-heavy BA fixture the wedge-map 4-cycle

@@ -3,8 +3,7 @@
 // scalar per-copy loop it replaced, the flat open-addressing wedge map
 // against std::unordered_map, the sorted-adjacency intersection kernels,
 // and the parallel wedge-vector computation. These are the fine-grained
-// companions to bm_throughput's end-to-end suites; tools/bench_compare.py
-// diffs their JSON output against the committed BENCH_baseline.json.
+// companions to bm_throughput's end-to-end suites.
 
 #include <cstdint>
 #include <filesystem>

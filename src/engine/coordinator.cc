@@ -515,20 +515,11 @@ bool SaveEpochManifest(const std::string& path, const EpochManifest& manifest,
 
 bool LoadEpochManifest(const std::string& path, EpochManifest* manifest,
                        std::string* error) {
-  auto reject = [error](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
   std::string encoded;
   if (!io::ReadFileToString(path, &encoded, error)) return false;
-
-  std::size_t pos = 0;
-  FrameType type;
+  FrameCursor cursor(kFrameFormat, encoded, "epoch manifest", error);
   std::string_view payload;
-  if (!ReadFrame(encoded, &pos, &type, &payload, error)) return false;
-  if (type != FrameType::kHeader) {
-    return reject("epoch manifest must start with a header frame");
-  }
+  if (!cursor.Expect(FrameType::kHeader, &payload)) return false;
   EpochManifest out;
   StateReader r(payload);
   out.num_workers = r.U32();
@@ -539,43 +530,38 @@ bool LoadEpochManifest(const std::string& path, EpochManifest* manifest,
   const std::size_t num_workers = r.Size();
   if (!r.ok() || num_workers != out.num_workers || num_workers == 0 ||
       num_workers > (std::size_t{1} << 20)) {
-    return reject("epoch manifest malformed (worker count)");
+    return cursor.Fail("malformed (worker count)");
   }
   out.worker_ranges.resize(num_workers);
   for (std::vector<ShardRange>& ranges : out.worker_ranges) {
     const std::size_t n = r.Size();
     if (!r.ok() || n > r.Remaining() / 16 + 1) {
-      return reject("epoch manifest malformed (range count)");
+      return cursor.Fail("malformed (range count)");
     }
     for (std::size_t i = 0; i < n; ++i) {
       ShardRange range;
       range.begin = r.U64();
       range.end = r.U64();
       if (range.begin > range.end) {
-        return reject("epoch manifest malformed (inverted range)");
+        return cursor.Fail("malformed (inverted range)");
       }
       ranges.push_back(range);
     }
   }
   const std::size_t num_files = r.Size();
   if (!r.ok() || num_files != num_workers) {
-    return reject("epoch manifest malformed (checkpoint file count)");
+    return cursor.Fail("malformed (checkpoint file count)");
   }
   for (std::size_t i = 0; i < num_files; ++i) {
     out.checkpoint_files.push_back(r.Str());
   }
-  if (!r.AtEnd()) {
-    return reject("epoch manifest malformed (trailing header bytes)");
-  }
-  if (!ReadFrame(encoded, &pos, &type, &payload, error)) return false;
-  if (type != FrameType::kFooter) return reject("expected a footer frame");
+  if (!r.AtEnd()) return cursor.Fail("malformed (trailing header bytes)");
+  if (!cursor.Expect(FrameType::kFooter, &payload)) return false;
   StateReader f(payload);
   if (f.U32() != out.num_workers || !f.AtEnd()) {
-    return reject("epoch manifest footer disagrees with the header");
+    return cursor.Fail("footer disagrees with the header");
   }
-  if (pos != encoded.size()) {
-    return reject("trailing bytes after the epoch manifest footer");
-  }
+  if (!cursor.Finish()) return false;
   *manifest = std::move(out);
   return true;
 }

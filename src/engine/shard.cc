@@ -10,43 +10,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 #include <thread>
 
 #include "stream/driver.h"
 #include "util/check.h"
-#include "util/crc32.h"
 #include "util/io.h"
 #include "util/logging.h"
 #include "util/serialize.h"
 
 namespace cyclestream::engine {
 namespace {
-
-constexpr char kFrameMagic[4] = {'C', 'Y', 'S', 'F'};
-constexpr std::size_t kFrameHeaderSize = 4 + 4 + 8 + 4;
-
-void PutLE(std::string* out, std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint64_t GetLE(const char* p, int bytes) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < bytes; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-bool KnownFrameType(std::uint32_t raw) {
-  return raw == static_cast<std::uint32_t>(FrameType::kHeader) ||
-         raw == static_cast<std::uint32_t>(FrameType::kQueryState) ||
-         raw == static_cast<std::uint32_t>(FrameType::kFooter) ||
-         raw == static_cast<std::uint32_t>(FrameType::kHeartbeat);
-}
 
 // Process-wide drain flag. sig_atomic_t + volatile: written from signal
 // handlers (RequestWorkerDrain is async-signal-safe), read in the worker
@@ -55,24 +28,6 @@ volatile std::sig_atomic_t g_drain_requested = 0;
 
 void SleepMs(std::uint64_t ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
-// Appends one frame whose payload is `parts` back to back. Each part is
-// copied once, straight into `out`, and the CRC runs over the same parts,
-// so a state blob never passes through a payload buffer.
-void AppendFrameParts(std::string* out, FrameType type,
-                      std::initializer_list<std::string_view> parts) {
-  std::uint64_t size = 0;
-  Crc32Accumulator crc;
-  for (std::string_view part : parts) {
-    size += part.size();
-    crc.Update(part.data(), part.size());
-  }
-  out->append(kFrameMagic, sizeof(kFrameMagic));
-  PutLE(out, static_cast<std::uint32_t>(type), 4);
-  PutLE(out, size, 8);
-  PutLE(out, crc.Final(), 4);
-  for (std::string_view part : parts) out->append(part.data(), part.size());
 }
 
 }  // namespace
@@ -112,44 +67,15 @@ std::string DescribeWaitStatus(int status) {
 }
 
 void AppendFrame(std::string* out, FrameType type, std::string_view payload) {
-  AppendFrameParts(out, type, {payload});
+  AppendFrameParts(out, kFrameFormat, static_cast<std::uint32_t>(type),
+                   {payload});
 }
 
 bool ReadFrame(std::string_view data, std::size_t* pos, FrameType* type,
                std::string_view* payload, std::string* error) {
-  auto reject = [error](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  if (data.size() - *pos < kFrameHeaderSize) {
-    return reject("frame truncated: " + std::to_string(data.size() - *pos) +
-                  " bytes left, header needs " +
-                  std::to_string(kFrameHeaderSize));
-  }
-  const char* p = data.data() + *pos;
-  if (std::memcmp(p, kFrameMagic, sizeof(kFrameMagic)) != 0) {
-    return reject("bad frame magic");
-  }
-  const auto raw_type = static_cast<std::uint32_t>(GetLE(p + 4, 4));
-  if (!KnownFrameType(raw_type)) {
-    return reject("unknown frame type " + std::to_string(raw_type));
-  }
-  const std::uint64_t size = GetLE(p + 8, 8);
-  const auto crc = static_cast<std::uint32_t>(GetLE(p + 16, 4));
-  if (size > data.size() - *pos - kFrameHeaderSize) {
-    return reject("frame payload overruns the file: declares " +
-                  std::to_string(size) + " bytes, " +
-                  std::to_string(data.size() - *pos - kFrameHeaderSize) +
-                  " available");
-  }
-  const std::string_view body =
-      data.substr(*pos + kFrameHeaderSize, static_cast<std::size_t>(size));
-  if (Crc32(body) != crc) {
-    return reject("frame CRC mismatch (corrupt payload)");
-  }
-  *type = static_cast<FrameType>(raw_type);
-  *payload = body;
-  *pos += kFrameHeaderSize + static_cast<std::size_t>(size);
+  std::uint32_t tag = 0;
+  if (!ParseFrame(kFrameFormat, data, pos, &tag, payload, error)) return false;
+  *type = static_cast<FrameType>(tag);
   return true;
 }
 
@@ -214,9 +140,10 @@ std::string EncodeShardState(const ShardState& state) {
   f.Size(state.query_states.size());
   // Size `out` once: each query frame's payload is Str(name) then
   // Str(blob), and the blobs dominate.
-  std::size_t total = 2 * kFrameHeaderSize + h.str().size() + f.str().size();
+  const std::size_t frame_header = kFrameFormat.header_size();
+  std::size_t total = 2 * frame_header + h.str().size() + f.str().size();
   for (const auto& [name, blob] : state.query_states) {
-    total += kFrameHeaderSize + 8 + name.size() + 8 + blob.size();
+    total += frame_header + 8 + name.size() + 8 + blob.size();
   }
   std::string out;
   out.reserve(total);
@@ -225,7 +152,9 @@ std::string EncodeShardState(const ShardState& state) {
     StateWriter q;
     q.Str(name);
     q.Size(blob.size());
-    AppendFrameParts(&out, FrameType::kQueryState, {q.str(), blob});
+    AppendFrameParts(&out, kFrameFormat,
+                     static_cast<std::uint32_t>(FrameType::kQueryState),
+                     {q.str(), blob});
   }
   AppendFrame(&out, FrameType::kFooter, f.str());
   return out;
@@ -233,75 +162,51 @@ std::string EncodeShardState(const ShardState& state) {
 
 bool DecodeShardState(std::string_view encoded, ShardState* state,
                       std::string* error) {
-  auto reject = [error](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
-  std::size_t pos = 0;
-  FrameType type;
+  FrameCursor cursor(kFrameFormat, encoded, "shard state", error);
   std::string_view payload;
-  if (!ReadFrame(encoded, &pos, &type, &payload, error)) return false;
-  if (type != FrameType::kHeader) {
-    return reject("shard state must start with a header frame");
-  }
+  if (!cursor.Expect(FrameType::kHeader, &payload)) return false;
   ShardState out;
-  {
-    StateReader r(payload);
-    out.header.worker_id = r.U32();
-    out.header.num_workers = r.U32();
-    out.header.stream_fingerprint = r.U64();
-    out.header.stream_length = r.U64();
-    out.header.spec_fingerprint = r.U64();
-    out.header.edges_done = r.U64();
-    out.header.epoch = r.U64();
-    const std::size_t num_ranges = r.Size();
-    if (!r.ok() || num_ranges > r.Remaining() / 16 + 1) {
-      return reject("shard state header malformed (range count)");
-    }
-    out.header.ranges.reserve(num_ranges);
-    for (std::size_t i = 0; i < num_ranges; ++i) {
-      ShardRange range;
-      range.begin = r.U64();
-      range.end = r.U64();
-      if (range.begin > range.end) {
-        return reject("shard state header malformed (inverted range)");
-      }
-      out.header.ranges.push_back(range);
-    }
-    const std::size_t num_queries = r.Size();
-    if (!r.AtEnd()) {
-      return reject("shard state header malformed (trailing bytes)");
-    }
-    out.query_states.reserve(num_queries);
-    for (std::size_t i = 0; i < num_queries; ++i) {
-      if (!ReadFrame(encoded, &pos, &type, &payload, error)) return false;
-      if (type != FrameType::kQueryState) {
-        return reject("expected a query-state frame");
-      }
-      StateReader q(payload);
-      std::string name = q.Str();
-      std::string blob = q.Str();
-      if (!q.AtEnd()) {
-        return reject("query-state frame malformed (trailing bytes)");
-      }
-      out.query_states.emplace_back(std::move(name), std::move(blob));
-    }
+  StateReader r(payload);
+  out.header.worker_id = r.U32();
+  out.header.num_workers = r.U32();
+  out.header.stream_fingerprint = r.U64();
+  out.header.stream_length = r.U64();
+  out.header.spec_fingerprint = r.U64();
+  out.header.edges_done = r.U64();
+  out.header.epoch = r.U64();
+  const std::size_t num_ranges = r.Size();
+  if (!r.ok() || num_ranges > r.Remaining() / 16 + 1) {
+    return cursor.Fail("header malformed (range count)");
   }
-  if (!ReadFrame(encoded, &pos, &type, &payload, error)) return false;
-  if (type != FrameType::kFooter) {
-    return reject("expected a footer frame");
-  }
-  {
-    StateReader f(payload);
-    const std::size_t count = f.Size();
-    if (!f.AtEnd() || count != out.query_states.size()) {
-      return reject("footer count disagrees with the query-state frames "
-                    "(truncated or spliced file)");
+  out.header.ranges.reserve(num_ranges);
+  for (std::size_t i = 0; i < num_ranges; ++i) {
+    ShardRange range;
+    range.begin = r.U64();
+    range.end = r.U64();
+    if (range.begin > range.end) {
+      return cursor.Fail("header malformed (inverted range)");
     }
+    out.header.ranges.push_back(range);
   }
-  if (pos != encoded.size()) {
-    return reject("trailing bytes after the footer frame");
+  const std::size_t num_queries = r.Size();
+  if (!r.AtEnd()) return cursor.Fail("header malformed (trailing bytes)");
+  for (std::size_t i = 0; i < num_queries; ++i) {
+    if (!cursor.Expect(FrameType::kQueryState, &payload)) return false;
+    StateReader q(payload);
+    std::string name = q.Str();
+    std::string blob = q.Str();
+    if (!q.AtEnd()) {
+      return cursor.Fail("query-state frame malformed (trailing bytes)");
+    }
+    out.query_states.emplace_back(std::move(name), std::move(blob));
   }
+  if (!cursor.Expect(FrameType::kFooter, &payload)) return false;
+  StateReader f(payload);
+  if (f.Size() != out.query_states.size() || !f.AtEnd()) {
+    return cursor.Fail("footer count disagrees with the query-state frames "
+                       "(truncated or spliced file)");
+  }
+  if (!cursor.Finish()) return false;
   *state = std::move(out);
   return true;
 }
@@ -370,13 +275,13 @@ bool ReadLastHeartbeat(const std::string& path, HeartbeatRecord* record) {
   if (!io::ReadFileToString(path, &data, nullptr)) return false;
   bool found = false;
   HeartbeatRecord last;
-  std::size_t pos = 0;
-  FrameType type;
+  FrameCursor cursor(kFrameFormat, data, "heartbeat log", nullptr);
+  std::uint32_t tag = 0;
   std::string_view payload;
   // Walk frames until the end or the first damage; a torn tail (killed
   // mid-append) invalidates only the beacons after the damage.
-  while (pos < data.size() && ReadFrame(data, &pos, &type, &payload, nullptr)) {
-    if (type != FrameType::kHeartbeat) continue;
+  while (!cursor.AtEnd() && cursor.Next(&tag, &payload)) {
+    if (tag != static_cast<std::uint32_t>(FrameType::kHeartbeat)) continue;
     StateReader r(payload);
     HeartbeatRecord hb;
     hb.worker_id = r.U32();

@@ -11,6 +11,7 @@
 
 #include "engine/query.h"
 #include "graph/types.h"
+#include "util/frame.h"
 
 namespace cyclestream::engine {
 
@@ -19,7 +20,9 @@ namespace cyclestream::engine {
 /// and the worker loop itself. The coordinator half lives in
 /// engine/coordinator.h.
 ///
-/// A worker's output — and its epoch checkpoints — are sequences of frames:
+/// A worker's output — and its epoch checkpoints — are sequences of CYSF
+/// frames, framed blobs (util/frame.h, DESIGN.md §17) tagged with a
+/// FrameType:
 ///
 ///   frame := magic "CYSF" | type(u32) | payload_size(u64) |
 ///            crc32(payload)(u32) | payload
@@ -45,6 +48,11 @@ enum class FrameType : std::uint32_t {
   /// subprocess is making progress or has hung past its deadline.
   kHeartbeat = 4,
 };
+
+/// The CYSF family: every frame of a state file, manifest or heartbeat log.
+inline constexpr FrameFormat kFrameFormat = {
+    "CYSF", "frame", "type", static_cast<std::uint32_t>(FrameType::kHeader),
+    static_cast<std::uint32_t>(FrameType::kHeartbeat)};
 
 /// Appends one framed payload to `out`.
 void AppendFrame(std::string* out, FrameType type, std::string_view payload);

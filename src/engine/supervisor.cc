@@ -470,19 +470,11 @@ bool SaveDaemonManifest(const std::string& path,
 
 bool LoadDaemonManifest(const std::string& path, DaemonManifest* manifest,
                         std::string* error) {
-  auto reject = [error](const std::string& why) {
-    if (error != nullptr) *error = why;
-    return false;
-  };
   std::string encoded;
   if (!io::ReadFileToString(path, &encoded, error)) return false;
-  std::size_t pos = 0;
-  FrameType type;
+  FrameCursor cursor(kFrameFormat, encoded, "daemon manifest", error);
   std::string_view payload;
-  if (!ReadFrame(encoded, &pos, &type, &payload, error)) return false;
-  if (type != FrameType::kHeader) {
-    return reject("daemon manifest must start with a header frame");
-  }
+  if (!cursor.Expect(FrameType::kHeader, &payload)) return false;
   DaemonManifest out;
   StateReader r(payload);
   out.stream_fingerprint = r.U64();
@@ -498,23 +490,18 @@ bool LoadDaemonManifest(const std::string& path, DaemonManifest* manifest,
   out.completed = r.U8();
   const std::size_t pending = r.Size();
   if (!r.ok() || pending > r.Remaining() / 8 + 1) {
-    return reject("daemon manifest malformed (pending count)");
+    return cursor.Fail("malformed (pending count)");
   }
   for (std::size_t i = 0; i < pending; ++i) {
     out.pending_slots.push_back(r.U64());
   }
-  if (!r.ok() || !r.AtEnd()) {
-    return reject("daemon manifest malformed (trailing header bytes)");
-  }
-  if (!ReadFrame(encoded, &pos, &type, &payload, error)) return false;
-  if (type != FrameType::kFooter) return reject("expected a footer frame");
+  if (!r.AtEnd()) return cursor.Fail("malformed (trailing header bytes)");
+  if (!cursor.Expect(FrameType::kFooter, &payload)) return false;
   StateReader f(payload);
   if (f.U32() != out.waves_started || !f.AtEnd()) {
-    return reject("daemon manifest footer disagrees with the header");
+    return cursor.Fail("footer disagrees with the header");
   }
-  if (pos != encoded.size()) {
-    return reject("trailing bytes after the daemon manifest footer");
-  }
+  if (!cursor.Finish()) return false;
   *manifest = std::move(out);
   return true;
 }

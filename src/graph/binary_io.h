@@ -8,30 +8,24 @@
 
 #include "graph/edge_list.h"
 #include "graph/types.h"
+#include "util/frame.h"
 
 namespace cyclestream {
 
-/// Binary edge-stream format (".bin"): the stream-engine ingest path reads
-/// raw `Edge` blocks straight out of a read-only mmap instead of re-parsing
-/// text. The format is a *stream* format — edge order is preserved exactly
-/// (an EdgeStream is a meaningful permutation), and duplicates are legal.
+/// Binary edge-stream format (".bin"), version 1: the stream-engine ingest
+/// path reads raw `Edge` blocks straight out of a read-only mmap instead of
+/// re-parsing text. The format is a *stream* format — edge order is
+/// preserved exactly (an EdgeStream is a meaningful permutation), and
+/// duplicates are legal.
 ///
-/// Wire layout (little-endian, 32-byte header):
-///
-///   offset  0  magic[8]      = "CYSBIN\x01\n"
-///   offset  8  u32 version   = 1
-///   offset 12  u32 num_vertices
-///   offset 16  u64 num_edges
-///   offset 24  u32 crc32     CRC-32 (IEEE) of the payload bytes
-///   offset 28  u32 reserved  = 0
-///   offset 32  payload       num_edges * 8 bytes: u32 u, u32 v per edge
-///
-/// Every edge must satisfy u < v < num_vertices (canonical form, no
-/// self-loops). The reader validates the magic, version, exact file size,
-/// payload CRC, and every edge before exposing anything; a corrupt or
-/// truncated file is rejected with a descriptive error, never a silently
-/// shorter stream. The payload starts at offset 32, so the mmap'd bytes are
-/// suitably aligned to reinterpret as an Edge array (zero-copy).
+/// A stream file (util/frame.h, DESIGN.md §17) with magic "CYSBIN\x01\n"
+/// and 8-byte records `u32 u, u32 v`. Every edge must satisfy
+/// u < v < num_vertices (canonical form, no self-loops). The reader
+/// validates the header, exact file size, payload CRC, and every edge
+/// before exposing anything; a corrupt or truncated file is rejected with
+/// a descriptive error, never a silently shorter stream. The payload
+/// starts at offset 32, so the mmap'd bytes are suitably aligned to
+/// reinterpret as an Edge array (zero-copy).
 
 inline constexpr std::uint32_t kBinaryEdgeVersion = 1;
 inline constexpr std::size_t kBinaryEdgeHeaderSize = 32;
@@ -67,42 +61,35 @@ bool WriteBinaryEdgeStream(const EdgeList& edges, const std::string& path,
 /// is destroyed or reset by another Open().
 class BinaryEdgeReader {
  public:
-  BinaryEdgeReader() = default;
-  ~BinaryEdgeReader();
-
-  BinaryEdgeReader(const BinaryEdgeReader&) = delete;
-  BinaryEdgeReader& operator=(const BinaryEdgeReader&) = delete;
-  BinaryEdgeReader(BinaryEdgeReader&& other) noexcept;
-  BinaryEdgeReader& operator=(BinaryEdgeReader&& other) noexcept;
-
   /// Maps and validates `path`. False (with `*error` set) on any problem;
   /// the reader is left empty in that case.
   bool Open(const std::string& path, std::string* error);
 
-  bool is_open() const { return map_ != nullptr; }
-  VertexId num_vertices() const { return num_vertices_; }
-  std::size_t num_edges() const { return num_edges_; }
+  bool is_open() const { return file_.mapping != nullptr; }
+  VertexId num_vertices() const { return file_.num_vertices; }
+  std::size_t num_edges() const {
+    return static_cast<std::size_t>(file_.count);
+  }
 
   /// Format version of the open file (kBinaryEdgeVersion; 0 when not
   /// open). Exported into run manifests as `stream.format_version`.
-  std::uint32_t format_version() const { return format_version_; }
+  std::uint32_t format_version() const {
+    return is_open() ? kBinaryEdgeVersion : 0;
+  }
 
   /// The full edge stream, zero-copy (nullptr when empty or not open).
-  const Edge* edges() const { return edges_; }
+  const Edge* edges() const {
+    return file_.count > 0
+               ? reinterpret_cast<const Edge*>(file_.payload.data())
+               : nullptr;
+  }
 
   /// Materializes a validated EdgeList (canonicalized, deduplicated) — for
   /// consumers that need the interchange type rather than the raw stream.
   EdgeList ToEdgeList() const;
 
  private:
-  void Close();
-
-  void* map_ = nullptr;
-  std::size_t map_size_ = 0;
-  const Edge* edges_ = nullptr;
-  std::size_t num_edges_ = 0;
-  VertexId num_vertices_ = 0;
-  std::uint32_t format_version_ = 0;
+  StreamFile file_;
 };
 
 /// Convenience: reads a binary edge stream into an EdgeList. Returns

@@ -1,40 +1,18 @@
 #include "stream/checkpoint.h"
 
-#include <cstdio>
-#include <cstring>
-
 #include "graph/types.h"
 #include "stream/space.h"
-#include "util/crc32.h"
+#include "util/frame.h"
 #include "util/io.h"
 #include "util/logging.h"
 
 namespace cyclestream {
 namespace {
 
-constexpr char kMagic[8] = {'C', 'Y', 'C', 'L', 'S', 'N', 'P', '\x01'};
-constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 4;
-
-void PutLE32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutLE64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint64_t GetLE(const char* p, int bytes) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < bytes; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  }
-  return v;
-}
+// A snapshot file is one framed blob whose tag is the schema version.
+constexpr FrameFormat kSnapshotFormat = {"CYCLSNP\x01", "snapshot",
+                                         "schema version", kSnapshotVersion,
+                                         kSnapshotVersion};
 
 }  // namespace
 
@@ -49,49 +27,19 @@ std::string EncodeSnapshot(const Snapshot& snap) {
   payload.U64(snap.elements_processed);
   payload.Str(snap.state);
 
-  const std::string& body = payload.str();
   std::string out;
-  out.reserve(kHeaderSize + body.size());
-  out.append(kMagic, sizeof(kMagic));
-  PutLE32(out, kSnapshotVersion);
-  PutLE64(out, static_cast<std::uint64_t>(body.size()));
-  PutLE32(out, Crc32(body));
-  out.append(body);
+  out.reserve(kSnapshotFormat.header_size() + payload.str().size());
+  AppendFrameParts(&out, kSnapshotFormat, kSnapshotVersion, {payload.str()});
   return out;
 }
 
 std::optional<Snapshot> DecodeSnapshot(std::string_view encoded,
                                        std::string* error) {
-  auto reject = [error](const std::string& why) -> std::optional<Snapshot> {
-    if (error != nullptr) *error = why;
+  FrameCursor cursor(kSnapshotFormat, encoded, "snapshot", error);
+  std::string_view payload;
+  if (!cursor.Expect(kSnapshotVersion, &payload) || !cursor.Finish()) {
     return std::nullopt;
-  };
-  if (encoded.size() < kHeaderSize) {
-    return reject("snapshot truncated: " + std::to_string(encoded.size()) +
-                  " bytes is smaller than the header");
   }
-  if (std::memcmp(encoded.data(), kMagic, sizeof(kMagic)) != 0) {
-    return reject("bad snapshot magic");
-  }
-  const auto version =
-      static_cast<std::uint32_t>(GetLE(encoded.data() + 8, 4));
-  if (version != kSnapshotVersion) {
-    return reject("snapshot schema version mismatch: file has v" +
-                  std::to_string(version) + ", this binary expects v" +
-                  std::to_string(kSnapshotVersion));
-  }
-  const std::uint64_t payload_size = GetLE(encoded.data() + 12, 8);
-  if (payload_size != encoded.size() - kHeaderSize) {
-    return reject("snapshot size mismatch: header declares " +
-                  std::to_string(payload_size) + " payload bytes, file has " +
-                  std::to_string(encoded.size() - kHeaderSize));
-  }
-  const auto crc = static_cast<std::uint32_t>(GetLE(encoded.data() + 20, 4));
-  const std::string_view payload = encoded.substr(kHeaderSize);
-  if (Crc32(payload) != crc) {
-    return reject("snapshot CRC mismatch (corrupt payload)");
-  }
-
   StateReader r(payload);
   Snapshot snap;
   snap.algorithm_id = r.Str();
@@ -103,8 +51,9 @@ std::optional<Snapshot> DecodeSnapshot(std::string_view encoded,
   snap.elements_processed = r.U64();
   snap.state = r.Str();
   if (!r.AtEnd()) {
-    return reject("snapshot payload malformed (parse did not consume the "
-                  "declared payload exactly)");
+    cursor.Fail("payload malformed (parse did not consume the declared "
+                "payload exactly)");
+    return std::nullopt;
   }
   return snap;
 }

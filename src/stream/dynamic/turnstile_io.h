@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 
+#include "graph/binary_io.h"
 #include "graph/types.h"
 #include "stream/dynamic/turnstile.h"
 
@@ -16,27 +17,21 @@ namespace cyclestream {
 /// byte in the magic/header is 2, so each reader rejects the other's files
 /// with a descriptive error instead of misparsing them.
 ///
-/// Wire layout (little-endian, 32-byte header):
-///
-///   offset  0  magic[8]      = "CYSBIN\x02\n"
-///   offset  8  u32 version   = 2
-///   offset 12  u32 num_vertices
-///   offset 16  u64 num_updates
-///   offset 24  u32 crc32     CRC-32 (IEEE) of the payload bytes
-///   offset 28  u32 reserved  = 0
-///   offset 32  payload       num_updates * 9 bytes:
-///                              u8 op (0 = insert, 1 = delete), u32 u, u32 v
-///
-/// Records are 9 bytes and deliberately unaligned — the turnstile reader
-/// materializes (decodes into a TurnstileStream) rather than aliasing the
-/// mapping, because validation must walk every record anyway to check op
-/// bytes and (in strict mode) delete matching. Every edge must satisfy
+/// A stream file (util/frame.h, DESIGN.md §17) with magic "CYSBIN\x02\n"
+/// and 9-byte records `u8 op (0 = insert, 1 = delete), u32 u, u32 v`.
+/// Records are deliberately unaligned — the turnstile reader materializes
+/// (decodes into a TurnstileStream) rather than aliasing the mapping,
+/// because validation must walk every record anyway to check op bytes and
+/// (in strict mode) delete matching. Every edge must satisfy
 /// u < v < num_vertices; every op byte must be 0 or 1. The exact-size
 /// check rejects concatenated streams (any trailing bytes after the
 /// declared payload), same as v1.
 
 inline constexpr std::size_t kTurnstileHeaderSize = 32;
 inline constexpr std::size_t kTurnstileRecordSize = 9;
+
+/// Encodes one v2 record (op byte, u32 u, u32 v) at `rec`.
+void EncodeTurnstileRecord(const TurnstileUpdate& update, char* rec);
 
 /// Writes `count` updates (order preserved) as a v2 turnstile stream.
 /// Edges must be canonical (u < v < num_vertices); a violation aborts.
@@ -79,7 +74,9 @@ class TurnstileBinaryReader {
 
   /// Format version of the open file (kBinaryTurnstileVersion; 0 when not
   /// open). Exported into run manifests as `stream.format_version`.
-  std::uint32_t format_version() const { return format_version_; }
+  std::uint32_t format_version() const {
+    return open_ ? kBinaryTurnstileVersion : 0;
+  }
 
   /// The decoded stream, order preserved. Valid until the next Open().
   const TurnstileStream& stream() const { return stream_; }
@@ -88,7 +85,6 @@ class TurnstileBinaryReader {
  private:
   TurnstileStream stream_;
   VertexId num_vertices_ = 0;
-  std::uint32_t format_version_ = 0;
   bool strict_ = true;
   bool open_ = false;
 };

@@ -8,14 +8,15 @@
 namespace cyclestream {
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320 polynomial) over `data`.
-/// Guards every durable file against torn writes and bit rot:
-///   - CYSF frames (engine/shard): shard states, epoch checkpoints, epoch
-///     and daemon manifests, heartbeat logs;
-///   - CYCLSNP snapshots (stream/checkpoint);
-///   - the inner checksum of the `randtri/2` state blob
-///     (core/random_order_triangles);
-///   - v1 edge streams (graph/binary_io, tools/edge2bin) and v2 turnstile
-///     streams (stream/dynamic/turnstile_io).
+/// Guards every durable file against torn writes and bit rot, through the
+/// two record shapes of util/frame.h:
+///   - framed blobs: CYSF frames (engine/shard.h: shard states and epoch
+///     checkpoints, epoch and daemon manifests, heartbeat logs) and
+///     CYCLSNP snapshots (stream/checkpoint.h), one CRC per frame payload;
+///   - stream files: v1 edge streams (graph/binary_io.h) and v2 turnstile
+///     streams (stream/dynamic/turnstile_io.h), one CRC over the records.
+/// It is also the inner checksum of the `randtri/2` state blob
+/// (core/random_order_triangles).
 /// Computed slice-by-16 (16 table lookups per 16-byte step, then a byte
 /// loop for the tail); the value is the standard one for any input.
 std::uint32_t Crc32(std::string_view data);

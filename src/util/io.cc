@@ -155,37 +155,71 @@ bool ReadFileToString(const std::string& path, std::string* out,
   return true;
 }
 
-bool WriteFileAtomic(const std::string& path, std::string_view data,
-                     std::string* error) {
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      OpenRetry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    if (error != nullptr) *error = "cannot open " + tmp + " for writing";
+bool AtomicFileWriter::Open(const std::string& path, std::string* error) {
+  Abandon();
+  path_ = path;
+  tmp_ = path + ".tmp";
+  fd_ = OpenRetry(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                  0644);
+  if (fd_ < 0) {
+    if (error != nullptr) *error = "cannot open " + tmp_ + " for writing";
     return false;
   }
-  if (!WriteFull(fd, data.data(), data.size())) {
-    if (error != nullptr) *error = "write failed for " + tmp;
-    CloseQuiet(fd);
-    std::remove(tmp.c_str());
-    return false;
+  return true;
+}
+
+bool AtomicFileWriter::Append(std::string_view data, std::string* error) {
+  if (fd_ >= 0 && WriteFull(fd_, data.data(), data.size())) return true;
+  return Fail(error, "write failed for " + tmp_);
+}
+
+bool AtomicFileWriter::WriteAt(std::size_t offset, std::string_view data,
+                               std::string* error) {
+  if (fd_ >= 0 && ::lseek(fd_, static_cast<off_t>(offset), SEEK_SET) >= 0 &&
+      WriteFull(fd_, data.data(), data.size()) &&
+      ::lseek(fd_, 0, SEEK_END) >= 0) {
+    return true;
   }
-  if (!FsyncFd(fd, tmp)) {
-    if (error != nullptr) *error = "fsync failed for " + tmp;
-    CloseQuiet(fd);
-    std::remove(tmp.c_str());
-    return false;
+  return Fail(error, "write failed for " + tmp_);
+}
+
+bool AtomicFileWriter::Commit(std::string* error) {
+  if (fd_ < 0 || !FsyncFd(fd_, tmp_)) {
+    return Fail(error, "fsync failed for " + tmp_);
   }
-  CloseQuiet(fd);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (error != nullptr) *error = "rename " + tmp + " -> " + path + " failed";
-    std::remove(tmp.c_str());
+  CloseQuiet(fd_);
+  fd_ = -1;
+  if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    std::remove(tmp_.c_str());
+    if (error != nullptr) {
+      *error = "rename " + tmp_ + " -> " + path_ + " failed";
+    }
     return false;
   }
   // The rename made the content visible; the directory fsync makes it
   // durable. Failing here is a durability loss, not an atomicity one — the
   // new file is in place — so report it honestly and let the caller decide.
-  return FsyncParentDir(path, error);
+  return FsyncParentDir(path_, error);
+}
+
+bool AtomicFileWriter::Fail(std::string* error, std::string message) {
+  if (error != nullptr) *error = std::move(message);
+  Abandon();
+  return false;
+}
+
+void AtomicFileWriter::Abandon() {
+  if (fd_ < 0) return;
+  CloseQuiet(fd_);
+  fd_ = -1;
+  std::remove(tmp_.c_str());
+}
+
+bool WriteFileAtomic(const std::string& path, std::string_view data,
+                     std::string* error) {
+  AtomicFileWriter writer;
+  return writer.Open(path, error) && writer.Append(data, error) &&
+         writer.Commit(error);
 }
 
 bool AppendToFile(const std::string& path, std::string_view data,

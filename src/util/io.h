@@ -63,10 +63,40 @@ bool FsyncParentDir(const std::string& path, std::string* error);
 bool ReadFileToString(const std::string& path, std::string* out,
                       std::string* error);
 
-/// Durable atomic write: `path.tmp` + WriteFull + fsync(file) + rename +
-/// fsync(parent). A crash at any point leaves either the old file or the
-/// new one, never a torn or missing entry. False with `*error` set (and the
-/// tmp file removed) on any failure.
+/// Streaming durable atomic write, for writers that cannot hold the whole
+/// file (edge2bin converts edge lists of any size): Open() creates
+/// `path.tmp`, Append() and WriteAt() fill it, and Commit() fsyncs it,
+/// renames it over `path` and fsyncs the parent directory. A crash at any
+/// point leaves either the old file at `path` or the new one, never a torn
+/// or missing entry. Every failure, and destruction before Commit(),
+/// removes the tmp file, so a failed write never touches `path`.
+class AtomicFileWriter {
+ public:
+  AtomicFileWriter() = default;
+  ~AtomicFileWriter() { Abandon(); }
+  AtomicFileWriter(const AtomicFileWriter&) = delete;
+  AtomicFileWriter& operator=(const AtomicFileWriter&) = delete;
+
+  /// Each returns false with `*error` set (and the tmp file removed) on
+  /// failure; the writer is then closed.
+  bool Open(const std::string& path, std::string* error);
+  bool Append(std::string_view data, std::string* error);
+  /// Overwrites bytes already appended at `offset` (a header patched once
+  /// the payload is known); later appends still go to the end.
+  bool WriteAt(std::size_t offset, std::string_view data, std::string* error);
+  bool Commit(std::string* error);
+
+ private:
+  bool Fail(std::string* error, std::string message);
+  void Abandon();
+
+  std::string path_;
+  std::string tmp_;
+  int fd_ = -1;
+};
+
+/// Durable atomic write of a whole file: AtomicFileWriter's one-shot case.
+/// False with `*error` set (and the tmp file removed) on any failure.
 bool WriteFileAtomic(const std::string& path, std::string_view data,
                      std::string* error);
 

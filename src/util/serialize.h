@@ -16,6 +16,23 @@ namespace cyclestream {
 /// for the wire layout). Lives in util so the hash and sketch layers can
 /// serialize themselves without depending on the stream library.
 
+/// Little-endian fixed-width integers: the one copy under every durable
+/// format (state blobs here, frame and stream headers in util/frame.h).
+/// `bytes` is at most 8.
+inline void PutLE(char* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+inline std::uint64_t GetLE(const char* p, int bytes) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+         << (8 * i);
+  }
+  return v;
+}
+
 /// Append-only little-endian encoder for algorithm state blobs.
 class StateWriter {
  public:
@@ -55,9 +72,9 @@ class StateWriter {
 
  private:
   void AppendLE(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
+    char le[8];
+    PutLE(le, v, bytes);
+    buf_.append(le, static_cast<std::size_t>(bytes));
   }
   std::string buf_;
 };
@@ -131,12 +148,7 @@ class StateReader {
       Fail();
       return 0;
     }
-    std::uint64_t v = 0;
-    for (int i = 0; i < bytes; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
+    const std::uint64_t v = GetLE(data_.data() + pos_, bytes);
     pos_ += static_cast<std::size_t>(bytes);
     return v;
   }

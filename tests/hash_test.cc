@@ -7,7 +7,6 @@
 
 #include "hash/kwise.h"
 #include "hash/rng.h"
-#include "hash/tabulation.h"
 
 namespace cyclestream {
 namespace {
@@ -188,28 +187,6 @@ TEST(KWiseHashTest, FourWiseProductVanishes) {
     total += acc / quads;
   }
   EXPECT_NEAR(total / functions, 0.0, 0.02);
-}
-
-TEST(TabulationHashTest, DeterministicAndUniform) {
-  TabulationHash h(555);
-  EXPECT_EQ(h(12345), h(12345));
-  double sum = 0.0;
-  const int n = 100000;
-  for (int x = 0; x < n; ++x) sum += h.ToUnit(static_cast<std::uint64_t>(x));
-  EXPECT_NEAR(sum / n, 0.5, 0.01);
-}
-
-TEST(TabulationHashTest, AvalancheOnSingleByteChange) {
-  TabulationHash h(9);
-  int diff_bits = 0;
-  // Spread the keys so the flipped byte takes many distinct values (the
-  // XORed pair of table entries is fresh randomness for each value).
-  for (std::uint64_t i = 0; i < 4096; ++i) {
-    const std::uint64_t x = i * 0x9e3779b97f4a7c15ULL;
-    diff_bits += __builtin_popcountll(h(x) ^ h(x ^ 0xff00ULL));
-  }
-  // Expect roughly 32 differing bits on average.
-  EXPECT_NEAR(diff_bits / 4096.0, 32.0, 1.5);
 }
 
 }  // namespace

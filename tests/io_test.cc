@@ -206,6 +206,34 @@ TEST(IoTest, WriteFileAtomicSurvivesFaultsAndReplacesAtomically) {
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
+// The streaming form: a header patched in after the payload, later
+// appends still landing at the end, and a writer dropped before Commit
+// leaving the file already at the path untouched and no tmp file.
+TEST(IoTest, AtomicFileWriterPatchesInPlaceAndCommitsOrLeavesNoTrace) {
+  const std::string path = TestDir("atomic_stream") + "/out.bin";
+  std::string error;
+  ASSERT_TRUE(WriteFileAtomic(path, "old contents", &error)) << error;
+  {
+    AtomicFileWriter writer;
+    ASSERT_TRUE(writer.Open(path, &error)) << error;
+    ASSERT_TRUE(writer.Append("....payload", &error)) << error;
+  }
+  std::string got;
+  ASSERT_TRUE(ReadFileToString(path, &got, &error)) << error;
+  EXPECT_EQ(got, "old contents");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  AtomicFileWriter writer;
+  ASSERT_TRUE(writer.Open(path, &error)) << error;
+  ASSERT_TRUE(writer.Append("....payload", &error)) << error;
+  ASSERT_TRUE(writer.WriteAt(0, "HEAD", &error)) << error;
+  ASSERT_TRUE(writer.Append("+tail", &error)) << error;
+  ASSERT_TRUE(writer.Commit(&error)) << error;
+  ASSERT_TRUE(ReadFileToString(path, &got, &error)) << error;
+  EXPECT_EQ(got, "HEADpayload+tail");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
 TEST(IoTest, AppendToFileCreatesAndAppends) {
   const std::string path = TestDir("append") + "/log";
   std::string error;

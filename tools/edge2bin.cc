@@ -29,12 +29,12 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/binary_io.h"
@@ -43,6 +43,8 @@
 #include "stream/dynamic/turnstile_io.h"
 #include "util/crc32.h"
 #include "util/flags.h"
+#include "util/frame.h"
+#include "util/io.h"
 
 namespace cyclestream {
 namespace {
@@ -63,11 +65,12 @@ bool ParseVertex(const std::string& token, std::uint64_t* out) {
   return ec == std::errc() && ptr == token.data() + token.size();
 }
 
-// Recognizes SaveEdgeListText's header comment and extracts N.
-bool ParseHeaderComment(const std::string& line, std::uint64_t* n) {
-  constexpr char kPrefix[] = "# cyclestream edge list: ";
-  if (line.rfind(kPrefix, 0) != 0) return false;
-  const std::size_t start = sizeof(kPrefix) - 1;
+// Recognizes the header comment SaveEdgeListText (or --to-text) writes,
+// "<prefix>N vertices, ...", and extracts N.
+bool ParseHeaderComment(const std::string& line, std::string_view prefix,
+                        std::uint64_t* n) {
+  if (line.rfind(prefix, 0) != 0) return false;
+  const std::size_t start = prefix.size();
   const std::size_t end = line.find(' ', start);
   if (end == std::string::npos ||
       line.compare(end, 9, " vertices") != 0) {
@@ -76,37 +79,41 @@ bool ParseHeaderComment(const std::string& line, std::uint64_t* n) {
   return ParseVertex(line.substr(start, end - start), n);
 }
 
+// Converts text to a v1 edge stream or (turnstile) a v2 turnstile stream.
+// Records stream through the CRC into an atomic writer, so inputs of any
+// size convert without being held in memory; the header is patched in
+// once the count and CRC are known, and a malformed input leaves a file
+// already at `out_path` untouched.
 int TextToBin(const std::string& in_path, const std::string& out_path,
-              std::int64_t num_vertices_flag) {
-  std::ifstream in(in_path);
-  if (!in) {
-    std::cerr << "error: cannot open " << in_path << "\n";
-    return 1;
-  }
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::cerr << "error: cannot open " << out_path << " for writing\n";
-    return 1;
-  }
-  // Header placeholder; patched once the CRC and counts are known.
-  char header[kBinaryEdgeHeaderSize] = {};
-  out.write(header, sizeof(header));
-
-  auto fail = [&out_path](const std::string& message) {
+              std::int64_t num_vertices_flag, bool turnstile) {
+  auto fail = [](const std::string& message) {
     std::cerr << "error: " << message << "\n";
-    std::remove(out_path.c_str());
     return 1;
   };
+  std::ifstream in(in_path);
+  if (!in) return fail("cannot open " + in_path);
+  io::AtomicFileWriter out;
+  std::string error;
+  // Header placeholder; patched once the CRC and counts are known.
+  if (!out.Open(out_path, &error) ||
+      !out.Append(std::string(kStreamHeaderSize, '\0'), &error)) {
+    return fail(error);
+  }
+  const std::string_view comment_prefix =
+      turnstile ? "# cyclestream turnstile stream: "
+                : "# cyclestream edge list: ";
+  const std::size_t record_size =
+      turnstile ? kTurnstileRecordSize : sizeof(Edge);
+  constexpr std::size_t kFlushBytes = std::size_t{1} << 19;
 
   Crc32Accumulator crc;
-  std::vector<Edge> buffer;
-  buffer.reserve(1 << 16);
+  std::string buffer;
+  buffer.reserve(kFlushBytes + kTurnstileRecordSize);
   auto flush = [&] {
-    const char* bytes = reinterpret_cast<const char*>(buffer.data());
-    const std::size_t size = buffer.size() * sizeof(Edge);
-    crc.Update(bytes, size);
-    out.write(bytes, static_cast<std::streamsize>(size));
+    crc.Update(buffer.data(), buffer.size());
+    const bool ok = out.Append(buffer, &error);
     buffer.clear();
+    return ok;
   };
 
   std::uint64_t header_vertices = 0;
@@ -116,25 +123,29 @@ int TextToBin(const std::string& in_path, const std::string& out_path,
   std::uint64_t swapped = 0;
   std::string line;
   std::size_t lineno = 0;
+  auto where = [&] { return in_path + ":" + std::to_string(lineno); };
   while (std::getline(in, line)) {
     ++lineno;
     if (!have_header_vertices && count == 0 &&
-        ParseHeaderComment(line, &header_vertices)) {
+        ParseHeaderComment(line, comment_prefix, &header_vertices)) {
       have_header_vertices = true;
     }
     const std::size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream ls(line);
-    std::string ta, tb;
-    if (!(ls >> ta)) continue;  // Blank or comment-only line.
+    std::string top, ta, tb;
+    if (!(ls >> (turnstile ? top : ta))) continue;  // Blank or comment.
+    if (turnstile && top != "+" && top != "-") {
+      return fail(where() +
+                  ": turnstile lines start with + (insert) or - (delete)");
+    }
     std::uint64_t a = 0, b = 0;
+    if (turnstile) ls >> ta;
     if (!(ls >> tb) || !ParseVertex(ta, &a) || !ParseVertex(tb, &b)) {
-      return fail(in_path + ":" + std::to_string(lineno) +
-                  ": malformed line");
+      return fail(where() + ": malformed line");
     }
     if (a == b) {
-      return fail(in_path + ":" + std::to_string(lineno) + ": self-loop " +
-                  std::to_string(a) +
+      return fail(where() + ": self-loop " + std::to_string(a) +
                   " (the binary stream format cannot represent it)");
     }
     if (a > b) {
@@ -142,18 +153,26 @@ int TextToBin(const std::string& in_path, const std::string& out_path,
       ++swapped;
     }
     if (b > 0xffffffffull) {
-      return fail(in_path + ":" + std::to_string(lineno) + ": vertex id " +
-                  std::to_string(b) + " exceeds 32 bits");
+      return fail(where() + ": vertex id " + std::to_string(b) +
+                  " exceeds 32 bits");
     }
     max_id = std::max(max_id, b);
-    buffer.emplace_back(static_cast<VertexId>(a), static_cast<VertexId>(b));
+    const Edge edge(static_cast<VertexId>(a), static_cast<VertexId>(b));
+    char rec[kTurnstileRecordSize];
+    if (turnstile) {
+      EncodeTurnstileRecord(
+          {edge, top == "+" ? TurnstileOp::kInsert : TurnstileOp::kDelete},
+          rec);
+    } else {
+      std::memcpy(rec, &edge, sizeof(Edge));
+    }
+    buffer.append(rec, record_size);
     ++count;
-    if (buffer.size() == buffer.capacity()) flush();
+    if (buffer.size() >= kFlushBytes && !flush()) return fail(error);
   }
   if (in.bad()) {
     return fail(in_path + ": read error after line " + std::to_string(lineno));
   }
-  flush();
 
   std::uint64_t num_vertices = count > 0 ? max_id + 1 : 0;
   if (num_vertices_flag > 0) {
@@ -174,127 +193,20 @@ int TextToBin(const std::string& in_path, const std::string& out_path,
     std::cerr << "warning: " << in_path << ": canonicalized " << swapped
               << " reversed edge" << (swapped == 1 ? "" : "s") << "\n";
   }
-
-  // Patch the real header (same layout as WriteBinaryEdgeStream).
-  constexpr char kMagic[8] = {'C', 'Y', 'S', 'B', 'I', 'N', '\x01', '\n'};
-  std::memcpy(header, kMagic, sizeof(kMagic));
-  const std::uint32_t version = kBinaryEdgeVersion;
-  const std::uint32_t n32 = static_cast<std::uint32_t>(num_vertices);
-  const std::uint32_t crc32 = crc.Final();
-  std::memcpy(header + 8, &version, 4);
-  std::memcpy(header + 12, &n32, 4);
-  std::memcpy(header + 16, &count, 8);
-  std::memcpy(header + 24, &crc32, 4);
-  out.seekp(0);
-  out.write(header, sizeof(header));
-  out.flush();
-  if (!out) return fail("write failed: " + out_path);
-  std::cerr << "wrote " << out_path << ": n=" << num_vertices
-            << " m=" << count << "\n";
-  return 0;
-}
-
-// Recognizes the turnstile text header comment and extracts N.
-bool ParseTurnstileHeaderComment(const std::string& line, std::uint64_t* n) {
-  constexpr char kPrefix[] = "# cyclestream turnstile stream: ";
-  if (line.rfind(kPrefix, 0) != 0) return false;
-  const std::size_t start = sizeof(kPrefix) - 1;
-  const std::size_t end = line.find(' ', start);
-  if (end == std::string::npos ||
-      line.compare(end, 9, " vertices") != 0) {
-    return false;
-  }
-  return ParseVertex(line.substr(start, end - start), n);
-}
-
-int TurnstileTextToBin(const std::string& in_path, const std::string& out_path,
-                       std::int64_t num_vertices_flag) {
-  std::ifstream in(in_path);
-  if (!in) {
-    std::cerr << "error: cannot open " << in_path << "\n";
-    return 1;
-  }
-  auto fail = [](const std::string& message) {
-    std::cerr << "error: " << message << "\n";
-    return 1;
-  };
-
-  TurnstileStream stream;
-  std::uint64_t header_vertices = 0;
-  bool have_header_vertices = false;
-  std::uint64_t max_id = 0;
-  std::uint64_t swapped = 0;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (!have_header_vertices && stream.empty() &&
-        ParseTurnstileHeaderComment(line, &header_vertices)) {
-      have_header_vertices = true;
-    }
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    std::istringstream ls(line);
-    std::string top, ta, tb;
-    if (!(ls >> top)) continue;  // Blank or comment-only line.
-    if (top != "+" && top != "-") {
-      return fail(in_path + ":" + std::to_string(lineno) +
-                  ": turnstile lines start with + (insert) or - (delete)");
-    }
-    std::uint64_t a = 0, b = 0;
-    if (!(ls >> ta >> tb) || !ParseVertex(ta, &a) || !ParseVertex(tb, &b)) {
-      return fail(in_path + ":" + std::to_string(lineno) +
-                  ": malformed line");
-    }
-    if (a == b) {
-      return fail(in_path + ":" + std::to_string(lineno) + ": self-loop " +
-                  std::to_string(a) +
-                  " (the binary stream format cannot represent it)");
-    }
-    if (a > b) {
-      std::swap(a, b);
-      ++swapped;
-    }
-    if (b > 0xffffffffull) {
-      return fail(in_path + ":" + std::to_string(lineno) + ": vertex id " +
-                  std::to_string(b) + " exceeds 32 bits");
-    }
-    max_id = std::max(max_id, b);
-    stream.emplace_back(
-        Edge(static_cast<VertexId>(a), static_cast<VertexId>(b)),
-        top == "+" ? TurnstileOp::kInsert : TurnstileOp::kDelete);
-  }
-  if (in.bad()) {
-    return fail(in_path + ": read error after line " + std::to_string(lineno));
-  }
-
-  std::uint64_t num_vertices = stream.empty() ? 0 : max_id + 1;
-  if (num_vertices_flag > 0) {
-    num_vertices = static_cast<std::uint64_t>(num_vertices_flag);
-  } else if (have_header_vertices) {
-    num_vertices = header_vertices;
-  }
-  if (num_vertices > 0xffffffffull) {
-    return fail("vertex count " + std::to_string(num_vertices) +
-                " exceeds 32 bits");
-  }
-  if (!stream.empty() && max_id >= num_vertices) {
-    return fail("vertex id " + std::to_string(max_id) +
-                " out of range for num_vertices=" +
-                std::to_string(num_vertices));
-  }
-  if (swapped > 0) {
-    std::cerr << "warning: " << in_path << ": canonicalized " << swapped
-              << " reversed edge" << (swapped == 1 ? "" : "s") << "\n";
-  }
-
-  std::string error;
-  if (!WriteTurnstileStream(stream, static_cast<VertexId>(num_vertices),
-                            out_path, &error)) {
+  const std::uint32_t version =
+      turnstile ? kBinaryTurnstileVersion : kBinaryEdgeVersion;
+  if (!flush() ||
+      !out.WriteAt(0,
+                   EncodeStreamHeader(version,
+                                      static_cast<std::uint32_t>(num_vertices),
+                                      count, crc.Final()),
+                   &error) ||
+      !out.Commit(&error)) {
     return fail(error);
   }
   std::cerr << "wrote " << out_path << ": n=" << num_vertices
-            << " updates=" << stream.size() << " (turnstile v2)\n";
+            << (turnstile ? " updates=" : " m=") << count
+            << (turnstile ? " (turnstile v2)" : "") << "\n";
   return 0;
 }
 
@@ -388,11 +300,8 @@ int Main(int argc, char** argv) {
     }
     return BinToText(paths[0], paths[1]);
   }
-  if (turnstile) {
-    return TurnstileTextToBin(paths[0], paths[1],
-                              flags.GetInt("num_vertices", 0));
-  }
-  return TextToBin(paths[0], paths[1], flags.GetInt("num_vertices", 0));
+  return TextToBin(paths[0], paths[1], flags.GetInt("num_vertices", 0),
+                   turnstile);
 }
 
 }  // namespace
