@@ -112,24 +112,38 @@ void BM_RandomOrderShuffle(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomOrderShuffle);
 
+// Arg 0: BA n=20k with a fixed T-guess scale. Arg 1: cyclebench's
+// edge-sparse-ba shape, as `sweep` runs it: shuffled BA n=50k, deg 5,
+// ε = 0.2, c = 2 and t_guess = the exact T, so every level is saturated.
 void BM_TriangleCounterRandomOrder(benchmark::State& state) {
-  const EdgeList& graph = BaGraph();
+  const bool sparse_ba = state.range(0) == 1;
+  static const EdgeList* ba50k = [] {
+    Rng rng(1);
+    return new EdgeList(BarabasiAlbert(50000, 5, rng));
+  }();
+  const EdgeList& graph = sparse_ba ? *ba50k : BaGraph();
   Rng rng(3);
   const EdgeStream stream = MakeRandomOrderStream(graph, rng);
-  const double t = 60000;  // Guess scale only; throughput test.
+  const double t =
+      sparse_ba ? static_cast<double>(CountTriangles(Graph(graph)))
+                : 60000;  // Guess scale only; throughput test.
   std::uint64_t seed = 0;
   for (auto _ : state) {
     RandomOrderTriangleCounter::Params params;
     params.base.epsilon = 0.2;
     params.base.t_guess = t;
     params.base.seed = seed++;
+    if (sparse_ba) params.base.c = 2.0;
     params.num_vertices = graph.num_vertices();
     benchmark::DoNotOptimize(CountTrianglesRandomOrder(stream, params));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(stream.size()));
 }
-BENCHMARK(BM_TriangleCounterRandomOrder);
+BENCHMARK(BM_TriangleCounterRandomOrder)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Triest(benchmark::State& state) {
   const EdgeList& graph = BaGraph();

@@ -1,6 +1,7 @@
 #include "core/random_order_triangles.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string_view>
 #include <utility>
@@ -13,6 +14,7 @@
 namespace cyclestream {
 
 void RandomOrderTriangleCounter::SampledGraph::Link(const Edge& e) {
+  edges_.insert(e.Key());
   // row_of_ stores index + 1, so a fresh (zero) entry means a new row.
   auto append = [this](VertexId a, VertexId b) {
     std::uint32_t& index = row_of_[a];
@@ -80,8 +82,7 @@ void RandomOrderTriangleCounter::SampledGraph::Save(StateWriter& w) const {
 }
 
 bool RandomOrderTriangleCounter::SampledGraph::Restore(StateReader& r,
-                                                       VertexId num_vertices,
-                                                       bool unique_links) {
+                                                       VertexId num_vertices) {
   SampledGraph g;
   // Each edge key gains 1 from its lower endpoint's row and loses 1 from
   // its upper one's, so a zero balance everywhere means every edge is
@@ -103,7 +104,7 @@ bool RandomOrderTriangleCounter::SampledGraph::Restore(StateReader& r,
       if (w >= num_vertices || w == row.vertex) return r.Fail();
       const Edge e(row.vertex, w);
       if (row.vertex < w) {
-        if (!g.edges_.insert(e.Key()) && unique_links) return r.Fail();
+        g.edges_.insert(e.Key());
         ++balance[e.Key()];
       } else {
         --balance[e.Key()];
@@ -119,15 +120,94 @@ bool RandomOrderTriangleCounter::SampledGraph::Restore(StateReader& r,
   return true;
 }
 
+template <typename MaskFn>
+RandomOrderTriangleCounter::LevelStore::Row&
+RandomOrderTriangleCounter::LevelStore::RowFor(VertexId v, MaskFn in_v) {
+  std::uint32_t& index = row_of_[v];
+  if (index == 0) {
+    rows_.push_back(Row{in_v(v), 0, {}});
+    index = static_cast<std::uint32_t>(rows_.size());
+  }
+  return rows_[index - 1];
+}
+
+template <typename MaskFn>
+bool RandomOrderTriangleCounter::LevelStore::Insert(const Edge& e,
+                                                    std::uint64_t position,
+                                                    std::uint64_t mask,
+                                                    MaskFn in_v) {
+  std::uint32_t& slot = index_of_[e.Key()];
+  if (slot != 0) return false;
+  const auto index = static_cast<std::uint32_t>(stored_.size());
+  slot = index + 1;
+  stored_.push_back(Stored{e, position});
+  masks_.push_back(mask);
+  const std::uint32_t oracle = (mask & top_bit_) != 0 ? 1 : 0;
+  // One endpoint at a time: creating v's row may move u's.
+  for (const auto& [a, b] : {std::pair{e.u, e.v}, std::pair{e.v, e.u}}) {
+    Row& row = RowFor(a, in_v);
+    row.entries.push_back(Entry{b, index});
+    row.oracle_degree += oracle;
+  }
+  return true;
+}
+
+bool RandomOrderTriangleCounter::LevelStore::ClosesTriangle(
+    const Edge& e, std::uint64_t levels) const {
+  const Row* ru = FindRow(e.u);
+  const Row* rv = FindRow(e.v);
+  if (ru == nullptr || rv == nullptr) return false;
+  const bool u_shorter = ru->entries.size() <= rv->entries.size();
+  const VertexId other = u_shorter ? e.v : e.u;
+  for (const Entry& x : (u_shorter ? ru : rv)->entries) {
+    const std::uint64_t shared = masks_[x.edge] & levels;
+    if (shared == 0 || x.neighbor == other) continue;
+    if ((shared & MaskOf(other, x.neighbor)) != 0) return true;
+  }
+  return false;
+}
+
+template <typename Visit>
+void RandomOrderTriangleCounter::LevelStore::ForEachOracleNeighbor(
+    const Edge& e, Visit visit) const {
+  const Row* ru = FindRow(e.u);
+  const Row* rv = FindRow(e.v);
+  if (ru == nullptr || rv == nullptr) return;
+  const bool u_smaller = ru->oracle_degree <= rv->oracle_degree;
+  const VertexId other = u_smaller ? e.v : e.u;
+  for (const Entry& x : (u_smaller ? ru : rv)->entries) {
+    if ((masks_[x.edge] & top_bit_) == 0 || x.neighbor == other) continue;
+    if ((MaskOf(other, x.neighbor) & top_bit_) != 0 && !visit(x.neighbor)) {
+      return;
+    }
+  }
+}
+
+std::size_t RandomOrderTriangleCounter::LevelStore::level_links() const {
+  std::size_t links = 0;
+  for (const std::uint64_t mask : masks_) {
+    links += static_cast<std::size_t>(std::popcount(mask));
+  }
+  return links;
+}
+
+int RandomOrderTriangleCounter::NumLevels(double t_guess) {
+  const double log_sqrt_t =
+      std::ceil(std::log2(std::max(1.0, std::sqrt(t_guess))));
+  return 1 + static_cast<int>(std::min(log_sqrt_t, 2.0 * kMaxLevels));
+}
+
 RandomOrderTriangleCounter::RandomOrderTriangleCounter(const Params& params)
     : params_(params) {
   CHECK_GE(params.base.t_guess, 1.0);
   CHECK_GT(params.base.epsilon, 0.0);
   CHECK_GE(params.num_vertices, 1u);
 
+  num_levels_ = NumLevels(params.base.t_guess);
+  CHECK_LE(num_levels_, kMaxLevels)
+      << "random-order: t_guess " << params.base.t_guess
+      << " gives more levels than a level mask holds";
   const double sqrt_t = std::sqrt(params.base.t_guess);
-  num_levels_ =
-      1 + std::max(0, static_cast<int>(std::ceil(std::log2(std::max(1.0, sqrt_t)))));
 
   const double eps = params.base.epsilon;
   const double log_n = std::log2(static_cast<double>(params.num_vertices) + 2.0);
@@ -141,9 +221,13 @@ RandomOrderTriangleCounter::RandomOrderTriangleCounter(const Params& params)
     const double pi = std::min(1.0, cv / std::pow(2.0, i));
     const double qi = std::min(1.0, std::pow(2.0, i) / sqrt_t);
     levels_.emplace_back(pi, qi, KWiseHash(/*k=*/8, SplitMix64(hash_seed)));
+    if (pi >= 1.0) saturated_ |= std::uint64_t{1} << i;
   }
   // The top level serves as the oracle O; it must span the entire stream.
   levels_.back().q = 1.0;
+  const std::uint64_t top_bit = std::uint64_t{1} << (num_levels_ - 1);
+  all_levels_ = top_bit | (top_bit - 1);
+  store_ = LevelStore(top_bit);
   p_oracle_ = levels_.back().p;
   heavy_cut_ = p_oracle_ * sqrt_t;
 
@@ -156,13 +240,12 @@ RandomOrderTriangleCounter::RandomOrderTriangleCounter(const Params& params)
   SetSpace();
 }
 
-// Space (words): 2 per stored edge of the levels, S, C and P, plus the
-// hash-coefficient baseline. Every component only grows, so the peak is
-// the current total and its breakdown the current one.
+// Space (words): 2 per stored edge of each level (Thm 2.1's per-level
+// contract, so 2 per set mask bit), of S, C and P, plus the hash-coefficient
+// baseline. Every component only grows, so the peak is the current total
+// and its breakdown the current one.
 void RandomOrderTriangleCounter::SetSpace() {
-  std::size_t level_words = 0;
-  for (const Level& level : levels_) level_words += 2 * level.graph.links();
-  space_.SetComponent("levels", level_words);
+  space_.SetComponent("levels", 2 * store_.level_links());
   space_.SetComponent("rough_s", 2 * s_graph_.links());
   space_.SetComponent("rough_c", 2 * c_edges_.size());
   space_.SetComponent("candidates_p", 2 * p_edges_.size());
@@ -170,11 +253,11 @@ void RandomOrderTriangleCounter::SetSpace() {
 
 std::size_t RandomOrderTriangleCounter::AuditSpace() const {
   // Walk of the real containers, mirroring the accounting contract: 2 words
-  // per stored edge plus the hash-coefficient baseline.
-  std::size_t words = static_cast<std::size_t>(num_levels_) * 8;
-  for (const Level& level : levels_) words += 2 * level.graph.links();
-  words += 2 * s_graph_.links() + 2 * c_edges_.size() + 2 * p_edges_.size();
-  return words;
+  // per stored (edge, level) pair and per S, C and P edge, plus the
+  // hash-coefficient baseline.
+  return static_cast<std::size_t>(num_levels_) * 8 +
+         2 * (store_.level_links() + s_graph_.links() + c_edges_.size() +
+              p_edges_.size());
 }
 
 void RandomOrderTriangleCounter::SetPrefixes(std::size_t stream_length) {
@@ -193,29 +276,59 @@ void RandomOrderTriangleCounter::StartPass(int pass,
   SetPrefixes(stream_length);
 }
 
+std::uint64_t RandomOrderTriangleCounter::OpenLevels(
+    std::size_t position) const {
+  std::uint64_t open = 0;
+  for (int i = 0; i < num_levels_; ++i) {
+    if (position < levels_[static_cast<std::size_t>(i)].prefix_edges) {
+      open |= std::uint64_t{1} << i;
+    }
+  }
+  return open;
+}
+
+std::uint64_t RandomOrderTriangleCounter::VMask(VertexId v,
+                                              std::uint64_t levels) const {
+  std::uint64_t in_v = levels & saturated_;
+  for (std::uint64_t sampled = levels & ~saturated_; sampled != 0;
+       sampled &= sampled - 1) {
+    const int i = std::countr_zero(sampled);
+    const Level& level = levels_[static_cast<std::size_t>(i)];
+    if (level.vertex_hash.ToUnit(v) < level.p) in_v |= std::uint64_t{1} << i;
+  }
+  return in_v;
+}
+
 void RandomOrderTriangleCounter::ProcessEdge(int pass, const Edge& e,
                                              std::size_t position) {
   (void)pass;
-  // Level structures: grow E_i inside the prefix, test P-membership after.
-  bool in_p = p_set_.contains(e.Key());
-  for (Level& level : levels_) {
-    if (position < level.prefix_edges) {
-      if ((level.InVi(e.u) || level.InVi(e.v)) && level.graph.Insert(e)) {
-        level.graph.Link(e);
-        space_.Charge("levels", 2);
-      }
-    } else if (!in_p && level.graph.ClosesTriangle(e)) {
-      p_set_.insert(e.Key());
-      p_edges_.push_back(e);
-      space_.Charge("candidates_p", 2);
-      in_p = true;
-    }
+  // Levels: e enters P if it closes a triangle of some level whose prefix
+  // has ended, and is stored in the open levels whose V_i holds an endpoint.
+  const std::uint64_t open = OpenLevels(position);
+  const std::uint64_t ended = all_levels_ & ~open;
+  if (ended != 0 && !p_set_.contains(e.Key()) &&
+      store_.ClosesTriangle(e, ended)) {
+    p_set_.insert(e.Key());
+    p_edges_.push_back(e);
+    space_.Charge("candidates_p", 2);
+  }
+  std::uint64_t mask = open & saturated_;
+  if (const std::uint64_t sampled = open & ~saturated_; sampled != 0) {
+    auto in_v = [&](VertexId v) {
+      const LevelStore::Row* row = store_.FindRow(v);
+      return row != nullptr ? row->in_v : VMask(v, sampled);
+    };
+    mask |= sampled & (in_v(e.u) | in_v(e.v));
+  }
+  if (mask != 0 &&
+      store_.Insert(e, position, mask,
+                    [this](VertexId v) { return VMask(v, all_levels_); })) {
+    space_.Charge("levels", 2 * static_cast<std::size_t>(std::popcount(mask)));
   }
 
   // Rough estimator: store the S prefix; later edges enter C if they close a
   // wedge of S (S is complete once position >= s_prefix_edges_).
   if (position < s_prefix_edges_) {
-    s_graph_.Insert(e);
     s_graph_.Link(e);
     space_.Charge("rough_s", 2);
   } else if (s_graph_.ClosesTriangle(e) && c_set_.insert(e.Key())) {
@@ -228,7 +341,7 @@ std::uint64_t RandomOrderTriangleCounter::OracleTriangleCount(
     const Edge& e) const {
   if (const std::uint64_t* hit = oracle_cache_.find(e.Key())) return *hit;
   std::uint64_t count = 0;
-  levels_.back().graph.ForEachCommonNeighbor(e, [&count](VertexId) {
+  store_.ForEachOracleNeighbor(e, [&count](VertexId) {
     ++count;
     return true;
   });
@@ -262,7 +375,7 @@ double RandomOrderTriangleCounter::TermHeavy() {
   for (const Edge& e : p_edges_) {
     if (!IsHeavy(e)) continue;
     ++diagnostics_.oracle_heavy_in_p;
-    levels_.back().graph.ForEachCommonNeighbor(e, [&](VertexId w) {
+    store_.ForEachOracleNeighbor(e, [&](VertexId w) {
       const int other_heavy =
           (IsHeavy(Edge(e.u, w)) ? 1 : 0) + (IsHeavy(Edge(e.v, w)) ? 1 : 0);
       sum += 1.0 / (1.0 + other_heavy);
@@ -293,11 +406,12 @@ void RandomOrderTriangleCounter::EndPass(int pass) {
   result_.space_words = space_.Peak();
 }
 
-// randtri/2: the config fingerprint, the stream length, each level's rows,
-// S's rows, C and P in arrival order — length-prefixed and followed by its
-// CRC-32, so that damage the structural checks cannot see (a flipped
-// stream length, a vertex flipped to another valid one) is refused too.
-// Edge sets, prefixes and space are rebuilt from these on restore.
+// randtri/3: the config fingerprint, the stream length, the level store's
+// edges in arrival order (endpoints, position, mask), S's rows, C and P in
+// arrival order — length-prefixed and followed by its CRC-32, so that
+// damage the structural checks cannot see (a flipped stream length, a
+// vertex flipped to another valid one) is refused too. Rows, edge sets,
+// prefixes and space are rebuilt from these on restore.
 bool RandomOrderTriangleCounter::SaveState(StateWriter& w) const {
   StateWriter body;
   body.U32(params_.num_vertices);
@@ -313,7 +427,14 @@ bool RandomOrderTriangleCounter::SaveState(StateWriter& w) const {
   body.U64(params_.base.seed);
 
   body.Size(stream_length_);
-  for (const Level& level : levels_) level.graph.Save(body);
+  const std::vector<LevelStore::Stored>& stored = store_.stored();
+  body.Size(stored.size());
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    body.U32(stored[i].edge.u);
+    body.U32(stored[i].edge.v);
+    body.U64(stored[i].position);
+    body.U64(store_.masks()[i]);
+  }
   s_graph_.Save(body);
   body.Vec(c_edges_);
   body.Vec(p_edges_);
@@ -336,14 +457,35 @@ bool RandomOrderTriangleCounter::RestoreState(StateReader& r) {
   }
   const std::size_t stream_length = b.Size();
   const VertexId n = params_.num_vertices;
-  std::vector<SampledGraph> level_graphs(levels_.size());
-  for (SampledGraph& g : level_graphs) {
-    if (!g.Restore(b, n, /*unique_links=*/true)) return r.Fail();
+  // The prefixes are needed to check each stored edge's mask, so they are
+  // computed on a copy and take effect only once everything validates.
+  RandomOrderTriangleCounter fresh(params_);
+  fresh.SetPrefixes(stream_length);
+
+  // Stored edges: canonical, distinct, in strictly increasing positions,
+  // each with exactly the mask its arrival gave it (open levels whose V_i
+  // holds an endpoint, never empty).
+  const std::size_t num_stored = b.Size();
+  if (!b.ok() || num_stored > b.Remaining() / 24) return r.Fail();
+  auto in_v = [&fresh](VertexId v) {
+    return fresh.VMask(v, fresh.all_levels_);
+  };
+  for (std::size_t i = 0; i < num_stored; ++i) {
+    const VertexId u = b.U32();
+    const VertexId v = b.U32();
+    const std::uint64_t position = b.U64();
+    const std::uint64_t mask = b.U64();
+    if (!b.ok() || u >= v || v >= n || position >= stream_length ||
+        (i > 0 && position <= fresh.store_.stored().back().position) ||
+        mask == 0 ||
+        mask != (fresh.OpenLevels(position) & (in_v(u) | in_v(v))) ||
+        !fresh.store_.Insert(Edge(u, v), position, mask, in_v)) {
+      return r.Fail();
+    }
   }
-  SampledGraph s_graph;
   std::vector<Edge> c_edges, p_edges;
-  if (!s_graph.Restore(b, n, /*unique_links=*/false) || !b.Vec(&c_edges) ||
-      !b.Vec(&p_edges) || !b.AtEnd()) {
+  if (!fresh.s_graph_.Restore(b, n) || !b.Vec(&c_edges) || !b.Vec(&p_edges) ||
+      !b.AtEnd()) {
     return r.Fail();
   }
   // C and P hold canonical edges, each once.
@@ -353,21 +495,13 @@ bool RandomOrderTriangleCounter::RestoreState(StateReader& r) {
     }
     return true;
   };
-  FlatSet64 c_set, p_set;
-  if (!key_set(c_edges, &c_set) || !key_set(p_edges, &p_set)) {
+  if (!key_set(c_edges, &fresh.c_set_) || !key_set(p_edges, &fresh.p_set_)) {
     return r.Fail();
   }
-
-  SetPrefixes(stream_length);
-  for (std::size_t i = 0; i < levels_.size(); ++i) {
-    levels_[i].graph = std::move(level_graphs[i]);
-  }
-  s_graph_ = std::move(s_graph);
-  c_set_ = std::move(c_set);
-  c_edges_ = std::move(c_edges);
-  p_set_ = std::move(p_set);
-  p_edges_ = std::move(p_edges);
-  SetSpace();
+  fresh.c_edges_ = std::move(c_edges);
+  fresh.p_edges_ = std::move(p_edges);
+  fresh.SetSpace();
+  *this = std::move(fresh);
   return true;
 }
 

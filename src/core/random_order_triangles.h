@@ -56,6 +56,14 @@ class RandomOrderTriangleCounter : public EdgeStreamAlgorithm {
 
   explicit RandomOrderTriangleCounter(const Params& params);
 
+  /// Level masks hold one bit per level, so at most 64 levels: √t_guess
+  /// ≤ 2^63. Query front ends check NumLevels against this before they
+  /// construct a counter; the constructor CHECKs it.
+  static constexpr int kMaxLevels = 64;
+  /// L+1 = 1 + ⌈log₂ √t_guess⌉; any count past kMaxLevels (an infinite
+  /// guess included) only says "too many".
+  static int NumLevels(double t_guess);
+
   // EdgeStreamAlgorithm:
   int NumPasses() const override { return 1; }
   void StartPass(int pass, std::size_t stream_length) override;
@@ -63,7 +71,7 @@ class RandomOrderTriangleCounter : public EdgeStreamAlgorithm {
   void EndPass(int pass) override;
   std::size_t AuditSpace() const override;
   const SpaceTracker* space_tracker() const override { return &space_; }
-  std::string_view CheckpointId() const override { return "randtri/2"; }
+  std::string_view CheckpointId() const override { return "randtri/3"; }
   bool SaveState(StateWriter& w) const override;
   bool RestoreState(StateReader& r) override;
 
@@ -85,17 +93,14 @@ class RandomOrderTriangleCounter : public EdgeStreamAlgorithm {
   const Diagnostics& diagnostics() const { return diagnostics_; }
 
  private:
-  /// One sampled edge set (a level's E_i, or S) with its adjacency: the
-  /// edge keys for membership, and one neighbour row per touched vertex.
-  /// Rows are kept in creation order and each row in insertion order; that
-  /// order fixes every common-neighbour walk, and with it the summation
-  /// order of the heavy term. Space is proportional to the stored edges —
-  /// never an n-sized array, which would break Thm 2.1's Õ(ε⁻²m/√T).
+  /// The rough prefix S with its adjacency: the edge keys for membership,
+  /// and one neighbour row per touched vertex. Every arrival is linked, a
+  /// repeated one again. Rows are kept in creation order and each row in
+  /// insertion order. Space is proportional to the stored edges — never an
+  /// n-sized array, which would break Thm 2.1's Õ(ε⁻²m/√T).
   class SampledGraph {
    public:
-    /// Adds e's key to the edge set; true if it was absent.
-    bool Insert(const Edge& e) { return edges_.insert(e.Key()); }
-    /// Appends e to both endpoints' rows.
+    /// Adds e's key to the edge set and appends e to both endpoints' rows.
     void Link(const Edge& e);
     /// Edges appended to the rows (a repeated Link counts again), by a
     /// walk of the rows.
@@ -114,10 +119,9 @@ class RandomOrderTriangleCounter : public EdgeStreamAlgorithm {
 
     /// Rows in creation order; Restore rebuilds the edge set from them and
     /// returns false on a vertex ≥ `num_vertices`, a repeated or empty row,
-    /// a self-loop, rows that do not list every edge from both ends, or
-    /// (with `unique_links`) an edge linked twice.
+    /// a self-loop, or rows that do not list every edge from both ends.
     void Save(StateWriter& w) const;
-    bool Restore(StateReader& r, VertexId num_vertices, bool unique_links);
+    bool Restore(StateReader& r, VertexId num_vertices);
 
    private:
     struct Row {
@@ -131,26 +135,94 @@ class RandomOrderTriangleCounter : public EdgeStreamAlgorithm {
     std::vector<Row> rows_;
   };
 
+  /// All level samples E_0..E_L in one store. Each stored edge appears once,
+  /// in arrival order, with a mask of the levels whose E_i hold it: bit i
+  /// is set iff the edge's first arrival is inside level i's prefix and an
+  /// endpoint is in V_i. A repeat never gains bits (prefixes only close).
+  /// Each touched vertex has one row: its V_i membership mask, its entries
+  /// (neighbour, edge index) in insertion order, and how many of those the
+  /// oracle O = E_L holds. Filtering a row by bit i gives E_i's row in the
+  /// order a per-level graph would have built it.
+  class LevelStore {
+   public:
+    struct Entry {
+      VertexId neighbor;
+      std::uint32_t edge;  // Index into the stored edges.
+    };
+    struct Row {
+      std::uint64_t in_v = 0;            // Bit i: the vertex is in V_i.
+      std::uint32_t oracle_degree = 0;   // Entries whose edge has the top bit.
+      std::vector<Entry> entries;
+    };
+    struct Stored {
+      Edge edge;
+      std::uint64_t position = 0;  // Stream position of its arrival.
+    };
+
+    LevelStore() = default;
+    explicit LevelStore(std::uint64_t top_bit) : top_bit_(top_bit) {}
+
+    const Row* FindRow(VertexId v) const {
+      const std::uint32_t* index = row_of_.find(v);
+      return index == nullptr ? nullptr : &rows_[*index - 1];
+    }
+    /// Stores e, arrived at `position`, with `mask` (≠ 0); false if e is
+    /// already stored. A new endpoint row takes in_v(vertex) as its mask.
+    template <typename MaskFn>
+    bool Insert(const Edge& e, std::uint64_t position, std::uint64_t mask,
+                MaskFn in_v);
+
+    /// True if some w closes e with two edges that share a level of
+    /// `levels`. Only existence matters, so it walks the shorter row.
+    bool ClosesTriangle(const Edge& e, std::uint64_t levels) const;
+    /// Calls visit(w) for each oracle triangle (e.u, e.v, w), walking the
+    /// endpoint row with fewer oracle entries (u on a tie) in row order —
+    /// the order a separate E_L graph walked, which fixes the heavy term's
+    /// summation order.
+    template <typename Visit>
+    void ForEachOracleNeighbor(const Edge& e, Visit visit) const;
+
+    /// Σ popcount(mask): the (edge, level) pairs a per-level layout holds.
+    std::size_t level_links() const;
+    const std::vector<Stored>& stored() const { return stored_; }
+    const std::vector<std::uint64_t>& masks() const { return masks_; }
+
+   private:
+    /// The mask of the stored edge (a, b), or 0 if it is not stored.
+    std::uint64_t MaskOf(VertexId a, VertexId b) const {
+      const std::uint32_t* index = index_of_.find(Edge(a, b).Key());
+      return index == nullptr ? 0 : masks_[*index - 1];
+    }
+    template <typename MaskFn>
+    Row& RowFor(VertexId v, MaskFn in_v);
+
+    std::uint64_t top_bit_ = 0;
+    std::vector<Stored> stored_;         // Arrival order.
+    std::vector<std::uint64_t> masks_;   // Parallel to stored_.
+    FlatMap64<std::uint32_t> index_of_;  // Edge key → index + 1.
+    FlatMap64<std::uint32_t> row_of_;    // Vertex → index + 1 into rows_.
+    std::vector<Row> rows_;
+  };
+
   struct Level {
     double p = 1.0;                 // Vertex sampling probability.
     double q = 1.0;                 // Prefix fraction.
     std::size_t prefix_edges = 0;   // q·m, fixed at StartPass.
     KWiseHash vertex_hash;          // Defines V_i = {v : h(v) < p}.
-    SampledGraph graph;             // E_i.
 
     Level(double p_in, double q_in, KWiseHash hash)
         : p(p_in), q(q_in), vertex_hash(std::move(hash)) {}
-
-    // ToUnit < 1, so a saturated level skips the hash.
-    bool InVi(VertexId v) const {
-      return p >= 1.0 || vertex_hash.ToUnit(v) < p;
-    }
   };
 
   // Oracle helpers (level L is the oracle set O).
   std::uint64_t OracleTriangleCount(const Edge& e) const;  // t_e^O, memoized.
 
   void SetPrefixes(std::size_t stream_length);
+  /// Levels whose prefix holds `position`.
+  std::uint64_t OpenLevels(std::size_t position) const;
+  /// The levels of `levels` whose V_i holds v; the 8-wise hash runs only
+  /// for the unsaturated ones.
+  std::uint64_t VMask(VertexId v, std::uint64_t levels) const;
   double TermLight() const;
   double TermHeavy();
   /// Sets every space component from the containers (construction and
@@ -166,6 +238,9 @@ class RandomOrderTriangleCounter : public EdgeStreamAlgorithm {
   std::size_t s_prefix_edges_ = 0;
 
   std::vector<Level> levels_;
+  std::uint64_t all_levels_ = 0;
+  std::uint64_t saturated_ = 0;  // Levels with p_i ≥ 1 (V_i = V).
+  LevelStore store_;
   SampledGraph s_graph_;  // S, every arrival linked (repeats included).
   FlatSet64 c_set_;       // C keys.
   std::vector<Edge> c_edges_;

@@ -1,5 +1,7 @@
 #include "engine/query.h"
 
+#include <cmath>
+#include <sstream>
 #include <string_view>
 #include <utility>
 
@@ -118,13 +120,24 @@ std::string_view QueryKindTarget(QueryKind kind) {
   }
 }
 
-bool ValidateSpecWindowing(const QuerySpec& spec, std::string* error) {
+bool ValidateSpec(const QuerySpec& spec, std::string* error) {
   auto fail = [&](std::string message) {
     if (error != nullptr) {
       *error = "query '" + spec.name + "': " + std::move(message);
     }
     return false;
   };
+  if (spec.kind == QueryKind::kRandomOrderTriangles &&
+      (std::isnan(spec.base.t_guess) ||
+       RandomOrderTriangleCounter::NumLevels(spec.base.t_guess) >
+           RandomOrderTriangleCounter::kMaxLevels)) {
+    std::ostringstream message;
+    message << "t_guess " << spec.base.t_guess
+            << " must be a number no larger than 2^126: random-order keeps "
+               "one mask bit per level, and at most "
+            << RandomOrderTriangleCounter::kMaxLevels << " levels fit";
+    return fail(message.str());
+  }
   const bool windowed = spec.window_edges > 0;
   const bool decayed = spec.decay_epoch_edges > 0;
   if (!windowed && !decayed) {
@@ -244,8 +257,8 @@ TurnstileQuery MakeTurnstileQuery(const QuerySpec& spec) {
   CHECK(IsTurnstileKind(spec.kind))
       << "MakeTurnstileQuery: '" << spec.name << "' has non-turnstile kind "
       << QueryKindName(spec.kind);
-  std::string windowing_error;
-  CHECK(ValidateSpecWindowing(spec, &windowing_error)) << windowing_error;
+  std::string spec_error;
+  CHECK(ValidateSpec(spec, &spec_error)) << spec_error;
 
   // The factory builds a fresh base estimator with the spec's exact
   // result-affecting configuration — called once for an unwindowed query,

@@ -83,7 +83,7 @@ struct QuerySpec {
   /// aggregate budget is configured).
   std::size_t space_budget_words = 0;
   /// Time-decay knobs (turnstile kinds only; window and decay are mutually
-  /// exclusive — ValidateSpecWindowing enforces the constraints). All four
+  /// exclusive — ValidateSpec enforces the constraints). All four
   /// change results, so they are spec-fingerprinted and exported to the
   /// deterministic manifest.
   /// window > 0 wraps the estimator in a sliding window over the last
@@ -97,11 +97,13 @@ struct QuerySpec {
   std::uint32_t decay_log2 = 0;
 };
 
-/// Validates the window/decay fields against the kind: windowing requires a
-/// turnstile kind, window and decay are mutually exclusive, window_buckets
-/// must divide window_edges, and decay needs decay_log2 in [1, 32]. True
-/// when consistent; false with a CLI-ready `*error` otherwise.
-bool ValidateSpecWindowing(const QuerySpec& spec, std::string* error);
+/// Validates the fields a kind constrains. Windowing requires a turnstile
+/// kind, window and decay are mutually exclusive, window_buckets must
+/// divide window_edges, and decay needs decay_log2 in [1, 32]. A
+/// random-order t_guess must be a number giving at most 64 levels
+/// (√t_guess ≤ 2^63), one bit each in the counter's level masks. True when
+/// consistent; false with a CLI-ready `*error` otherwise.
+bool ValidateSpec(const QuerySpec& spec, std::string* error);
 
 /// A constructed edge-stream query: the algorithm plus a result extractor
 /// (each algorithm class exposes its own Result(); the closure erases that).
@@ -131,7 +133,7 @@ struct TurnstileQuery {
 /// Builds the algorithm for a turnstile-kind spec, wrapping it in the
 /// sliding-window or decay layer when the spec asks for one. Aborts on
 /// non-turnstile kinds and on windowing constraint violations (validate
-/// with ValidateSpecWindowing first for a recoverable error).
+/// with ValidateSpec first for a recoverable error).
 TurnstileQuery MakeTurnstileQuery(const QuerySpec& spec);
 
 }  // namespace cyclestream::engine

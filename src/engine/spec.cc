@@ -156,9 +156,9 @@ bool ParseSpecStream(std::istream& in, const std::string& label,
     if (spec.name.empty() || !have_kind) {
       return fail("query spec needs name=... and kind=...");
     }
-    std::string windowing_error;
-    if (!ValidateSpecWindowing(spec, &windowing_error)) {
-      return fail(windowing_error);
+    std::string spec_error;
+    if (!ValidateSpec(spec, &spec_error)) {
+      return fail(spec_error);
     }
     specs->push_back(std::move(spec));
   }

@@ -15,7 +15,7 @@ namespace cyclestream {
 ///     CYCLSNP snapshots (stream/checkpoint.h), one CRC per frame payload;
 ///   - stream files: v1 edge streams (graph/binary_io.h) and v2 turnstile
 ///     streams (stream/dynamic/turnstile_io.h), one CRC over the records.
-/// It is also the inner checksum of the `randtri/2` state blob
+/// It is also the inner checksum of the `randtri/3` state blob
 /// (core/random_order_triangles).
 /// Computed slice-by-16 (16 table lookups per 16-byte step, then a byte
 /// loop for the tail); the value is the standard one for any input.

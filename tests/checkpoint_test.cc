@@ -790,7 +790,7 @@ TEST(CrashResumeTest, CheckpointWriteFailureDoesNotDisturbRun) {
   EXPECT_EQ(counter.Result().value, golden.Result().value);
 }
 
-// --- randtri/2 decoder -------------------------------------------------------
+// --- randtri/3 decoder -------------------------------------------------------
 
 RandomOrderTriangleCounter::Params RandTriParams(VertexId n, double t_guess) {
   RandomOrderTriangleCounter::Params params;
@@ -812,27 +812,40 @@ bool Restores(const RandomOrderTriangleCounter::Params& params,
 
 using Rows = std::vector<std::pair<VertexId, std::vector<VertexId>>>;
 
-// A hand-built randtri/2 payload for a one-level counter (t_guess = 1):
-// the fresh counter's config fingerprint, then the stream length, the level
-// rows, S's rows, C and P, wrapped in the length prefix and CRC-32.
+// One level-store record: endpoints as written, arrival position, mask.
+struct StoredEdge {
+  VertexId u;
+  VertexId v;
+  std::uint64_t position;
+  std::uint64_t mask;
+};
+
+// A hand-built randtri/3 payload for a stream of 100 edges: the fresh
+// counter's config fingerprint, then the stream length, the level store's
+// records, S's rows, C and P, wrapped in the length prefix and CRC-32.
 std::string RandTriPayload(const RandomOrderTriangleCounter::Params& params,
-                           const Rows& level, const Rows& s,
-                           const std::vector<Edge>& c,
+                           const std::vector<StoredEdge>& stored,
+                           const Rows& s, const std::vector<Edge>& c,
                            const std::vector<Edge>& p) {
   StateWriter fresh;
   RandomOrderTriangleCounter(params).SaveState(fresh);
   StateReader fresh_reader(fresh.str());
   const std::string_view fresh_body = fresh_reader.Bytes(fresh_reader.Size());
-  // Fresh tail: stream length, two empty row lists, empty C and P.
+  // Fresh tail: stream length, no stored edges, no S rows, empty C and P.
   StateWriter body;
   body.Bytes(fresh_body.data(), fresh_body.size() - 5 * 8);
   body.Size(100);
-  for (const Rows* rows : {&level, &s}) {
-    body.Size(rows->size());
-    for (const auto& [vertex, neighbors] : *rows) {
-      body.U32(vertex);
-      body.Vec(neighbors);
-    }
+  body.Size(stored.size());
+  for (const StoredEdge& e : stored) {
+    body.U32(e.u);
+    body.U32(e.v);
+    body.U64(e.position);
+    body.U64(e.mask);
+  }
+  body.Size(s.size());
+  for (const auto& [vertex, neighbors] : s) {
+    body.U32(vertex);
+    body.Vec(neighbors);
   }
   body.Vec(c);
   body.Vec(p);
@@ -843,15 +856,68 @@ std::string RandTriPayload(const RandomOrderTriangleCounter::Params& params,
 }
 
 TEST(RandomOrderSnapshotTest, MalformedPayloadsAreRefused) {
-  const auto params = RandTriParams(/*n=*/10, /*t_guess=*/1.0);
+  // t_guess = 16 gives three levels: p = 1, 1, 1/2 and, over 100 edges,
+  // prefixes of 25, 50 and 100 edges.
+  const auto params = RandTriParams(/*n=*/10, /*t_guess=*/16.0);
+  auto restores = [&params](const std::vector<StoredEdge>& stored,
+                            const Rows& s = {}) {
+    return Restores(params, RandTriPayload(params, stored, s, {}, {}));
+  };
+  // Every level's prefix holds position 0; V_2 holds (a, b) or it does not,
+  // so exactly one of the two masks is the arrival's.
+  auto mask_at_zero = [&restores](VertexId a, VertexId b) -> std::uint64_t {
+    const bool in_v2 = restores({{a, b, 0, 0b111}});
+    EXPECT_NE(in_v2, restores({{a, b, 0, 0b011}})) << a << "-" << b;
+    return in_v2 ? 0b111 : 0b011;
+  };
+  const std::uint64_t m01 = mask_at_zero(0, 1);
+
+  // Well-formed controls: S may hold a repeated stream edge.
   const Rows edge01 = {{0, {1}}, {1, {0}}};
   const Rows edge01_twice = {{0, {1, 1}}, {1, {0, 0}}};
-  // Well-formed controls: S may hold a repeated stream edge, a level not.
-  EXPECT_TRUE(Restores(params, RandTriPayload(params, edge01, edge01, {}, {})));
-  EXPECT_TRUE(
-      Restores(params, RandTriPayload(params, edge01, edge01_twice, {}, {})));
-  EXPECT_FALSE(
-      Restores(params, RandTriPayload(params, edge01_twice, edge01, {}, {})));
+  EXPECT_TRUE(restores({{0, 1, 0, m01}}, edge01));
+  EXPECT_TRUE(restores({{0, 1, 0, m01}}, edge01_twice));
+  EXPECT_TRUE(restores({{0, 1, 0, m01}, {2, 3, 7, mask_at_zero(2, 3)}}));
+  // Past level 0's prefix (25) the arrival mask loses bit 0.
+  EXPECT_TRUE(restores({{0, 1, 30, m01 & ~1ull}}));
+
+  const std::vector<std::pair<std::string, std::vector<StoredEdge>>> bad = {
+      {"mask bit >= num_levels", {{0, 1, 0, m01 | 0b1000}}},
+      {"mask bit 63", {{0, 1, 0, m01 | (1ull << 63)}}},
+      {"bit of a level whose prefix the position is past",
+       {{0, 1, 30, m01}}},
+      {"bit of the top level's prefix past the stream", {{0, 1, 100, m01}}},
+      {"missing bit", {{0, 1, 0, m01 & ~0b010ull}}},
+      {"empty mask", {{0, 1, 0, 0}}},
+      {"repeated edge", {{0, 1, 0, m01}, {0, 1, 1, m01}}},
+      {"self-loop", {{3, 3, 0, 0b011}, {3, 3, 0, 0b111}}},
+      {"vertex >= num_vertices", {{0, 10, 0, 0b011}, {0, 10, 0, 0b111}}},
+      {"non-canonical endpoints", {{1, 0, 0, m01}}},
+      {"positions out of order",
+       {{0, 1, 5, m01}, {2, 3, 5, mask_at_zero(2, 3)}}},
+  };
+  for (const auto& [what, stored] : bad) {
+    // The two-record self-loop and vertex cases cover both masks; each
+    // record alone must be refused as well.
+    EXPECT_FALSE(restores(stored)) << "stored edges: " << what;
+    if (what == "self-loop" || what == "vertex >= num_vertices") {
+      for (const StoredEdge& e : stored) {
+        EXPECT_FALSE(restores({e})) << "stored edge: " << what;
+      }
+    }
+  }
+  // A level-2 bit on an edge that V_2 does not hold: find a pair with
+  // neither endpoint in V_2 (p_2 = 1/2, so 10 vertices hold one).
+  bool found = false;
+  for (VertexId a = 0; a < 10 && !found; ++a) {
+    for (VertexId b = a + 1; b < 10 && !found; ++b) {
+      if (mask_at_zero(a, b) == 0b011) {
+        found = true;
+        EXPECT_FALSE(restores({{a, b, 0, 0b111}})) << a << "-" << b;
+      }
+    }
+  }
+  EXPECT_TRUE(found) << "every pair touches V_2";
 
   const std::vector<std::pair<std::string, Rows>> bad_rows = {
       {"row vertex >= num_vertices", {{0, {10}}, {10, {0}}}},
@@ -862,10 +928,7 @@ TEST(RandomOrderSnapshotTest, MalformedPayloadsAreRefused) {
       {"empty row", {{0, {1}}, {1, {0}}, {4, {}}}},
   };
   for (const auto& [what, rows] : bad_rows) {
-    EXPECT_FALSE(Restores(params, RandTriPayload(params, rows, {}, {}, {})))
-        << "level rows: " << what;
-    EXPECT_FALSE(Restores(params, RandTriPayload(params, {}, rows, {}, {})))
-        << "S rows: " << what;
+    EXPECT_FALSE(restores({}, rows)) << "S rows: " << what;
   }
   const std::vector<Edge> twice = {Edge(2, 5), Edge(2, 5)};
   EXPECT_FALSE(Restores(params, RandTriPayload(params, {}, {}, twice, {})));
@@ -921,8 +984,9 @@ TEST(RandomOrderSnapshotTest, DamagedRealPayloadIsRefused) {
   }
 }
 
-// randtri/1 (node-based containers, bucket-order restore) is not decoded:
-// its snapshots fail the algorithm-id check and the run starts over.
+// randtri/1 (node-based containers, bucket-order restore) and randtri/2
+// (one row set per level) are not decoded: their snapshots fail the
+// algorithm-id check and the run starts over.
 TEST(RandomOrderSnapshotTest, RandTriV1SnapshotIsRefused) {
   Rng gen_rng(63);
   const EdgeList graph = ErdosRenyiGnm(30, 70, gen_rng);
@@ -931,30 +995,32 @@ TEST(RandomOrderSnapshotTest, RandTriV1SnapshotIsRefused) {
   RandomOrderTriangleCounter golden(params);
   RunEdgeStream(golden, stream);
 
-  Snapshot snap;
-  snap.algorithm_id = "randtri/1";
-  snap.stream_fingerprint = FingerprintEdgeStream(stream);
-  snap.stream_length = stream.size();
-  snap.position = stream.size() / 2;
-  snap.elements_processed = stream.size() / 2;
-  snap.state = "state";
-  const std::string path = MakeTempDir("randtri_v1") + "/v1.ckpt";
-  std::string error;
-  ASSERT_TRUE(SaveSnapshot(path, snap, &error)) << error;
+  for (const std::string old_id : {"randtri/1", "randtri/2"}) {
+    Snapshot snap;
+    snap.algorithm_id = old_id;
+    snap.stream_fingerprint = FingerprintEdgeStream(stream);
+    snap.stream_length = stream.size();
+    snap.position = stream.size() / 2;
+    snap.elements_processed = stream.size() / 2;
+    snap.state = "state";
+    const std::string path = MakeTempDir("randtri_old") + "/old.ckpt";
+    std::string error;
+    ASSERT_TRUE(SaveSnapshot(path, snap, &error)) << error;
 
-  RandomOrderTriangleCounter counter(params);
-  RunOptions options;
-  options.resume_from = path;
-  ::testing::internal::CaptureStderr();
-  const RunOutcome outcome = RunEdgeStream(counter, stream, options);
-  const std::string log = ::testing::internal::GetCapturedStderr();
-  EXPECT_TRUE(outcome.resume_rejected);
-  EXPECT_FALSE(outcome.resumed);
-  EXPECT_NE(log.find("snapshot is for algorithm 'randtri/1', expected "
-                     "'randtri/2'"),
-            std::string::npos)
-      << log;
-  EXPECT_EQ(counter.Result().value, golden.Result().value);
+    RandomOrderTriangleCounter counter(params);
+    RunOptions options;
+    options.resume_from = path;
+    ::testing::internal::CaptureStderr();
+    const RunOutcome outcome = RunEdgeStream(counter, stream, options);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(outcome.resume_rejected) << old_id;
+    EXPECT_FALSE(outcome.resumed) << old_id;
+    EXPECT_NE(log.find("snapshot is for algorithm '" + old_id +
+                       "', expected 'randtri/3'"),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(counter.Result().value, golden.Result().value) << old_id;
+  }
 }
 
 // Kill points for the block-cut sweeps: both sides of the first two block

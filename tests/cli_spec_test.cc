@@ -90,6 +90,24 @@ TEST(SpecParseTest, RejectsMalformedDoublesAndUnknownKeys) {
   }
 }
 
+TEST(SpecParseTest, RejectsATGuessPastTheLevelMask) {
+  // Random-order keeps one mask bit per level, 1 + ⌈log₂ √t_guess⌉ levels:
+  // 2^126 gives 64, the most a mask holds; anything larger, or not a
+  // number, is refused at its line, not by a shift past the word.
+  EXPECT_EQ(ParseError("name=r0 kind=random-order t_guess=8.5e37\n"), "");
+  for (const char* line : {"name=r0 kind=random-order t_guess=1e40\n",
+                           "name=r0 kind=random-order t_guess=inf\n",
+                           "name=r0 kind=random-order t_guess=nan\n"}) {
+    const std::string error = ParseError(line);
+    EXPECT_NE(error.find("<spec>:1: query 'r0': t_guess"), std::string::npos)
+        << "'" << line << "' -> " << error;
+    EXPECT_NE(error.find("at most 64 levels fit"), std::string::npos)
+        << "'" << line << "' -> " << error;
+  }
+  // Other kinds have no level mask.
+  EXPECT_EQ(ParseError("name=q0 kind=arb-f2 t_guess=1e40\n"), "");
+}
+
 TEST(SpecParseTest, RequiresNameAndKind) {
   EXPECT_NE(ParseError("kind=arb-f2 seed=1\n"), "");
   EXPECT_NE(ParseError("name=q0 seed=1\n"), "");

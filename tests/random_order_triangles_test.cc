@@ -151,11 +151,35 @@ TEST(RandomOrderTrianglesTest, RobustToTGuessMisestimates) {
   }
 }
 
-// Seed-fixed outputs recorded before the counter's containers were
-// replaced by flat open-addressing ones. Every set is used for membership
-// only and both summation orders (P in stream order, oracle neighbours in
-// insertion order) are kept, so a change of layout must leave every figure
-// bit-identical.
+TEST(RandomOrderTrianglesTest, SixtyFourLevelsFillTheMask) {
+  // √(2^126) = 2^63: 64 levels, the top one at bit 63 of each level mask.
+  EXPECT_EQ(RandomOrderTriangleCounter::NumLevels(0x1p126), 64);
+  EXPECT_GT(RandomOrderTriangleCounter::NumLevels(0x1p128),
+            RandomOrderTriangleCounter::kMaxLevels);
+  EXPECT_GT(RandomOrderTriangleCounter::NumLevels(HUGE_VAL),
+            RandomOrderTriangleCounter::kMaxLevels);
+  EXPECT_EQ(RandomOrderTriangleCounter::NumLevels(1.0), 1);
+  // level_rate 2^70 keeps every level saturated, so each edge is stored in
+  // all the levels whose prefix it arrives in.
+  const EdgeList graph = Clique(12);
+  Rng rng(15);
+  const EdgeStream stream = MakeRandomOrderStream(graph, rng);
+  auto params = MakeParams(graph, 0x1p126, 0.3, 16);
+  params.level_rate = 0x1p70;
+  RandomOrderTriangleCounter counter(params);
+  RunEdgeStream(counter, stream);
+  EXPECT_TRUE(std::isfinite(counter.Result().value));
+  EXPECT_EQ(counter.AuditSpace(), counter.space_tracker()->Peak());
+  // The top level holds all 66 edges, the others only short prefixes.
+  EXPECT_GE(counter.space_tracker()->Component("levels"), 2u * 66);
+}
+
+// Seed-fixed outputs. The first two were recorded before the counter's
+// containers were replaced by flat open-addressing ones, the last two
+// before the per-level samples became one level store. Every set is used
+// for membership only and both summation orders (P in stream order, oracle
+// neighbours in insertion order) are kept, so a change of layout must
+// leave every figure bit-identical.
 struct PinnedRun {
   double value;
   double light_term;
@@ -166,10 +190,9 @@ struct PinnedRun {
   std::size_t space_words;
 };
 
-void ExpectPinned(const EdgeList& graph, RandomOrderTriangleCounter::Params params,
-                  std::uint64_t order_seed, const PinnedRun& want) {
-  Rng rng(order_seed);
-  const EdgeStream stream = MakeRandomOrderStream(graph, rng);
+void ExpectPinnedStream(const EdgeStream& stream,
+                        const RandomOrderTriangleCounter::Params& params,
+                        const PinnedRun& want) {
   RandomOrderTriangleCounter counter(params);
   RunEdgeStream(counter, stream);
   const auto& diag = counter.diagnostics();
@@ -180,6 +203,13 @@ void ExpectPinned(const EdgeList& graph, RandomOrderTriangleCounter::Params para
   EXPECT_EQ(diag.oracle_heavy_in_p, want.oracle_heavy_in_p);
   EXPECT_EQ(diag.rough_set_size, want.rough_set_size);
   EXPECT_EQ(counter.Result().space_words, want.space_words);
+}
+
+void ExpectPinned(const EdgeList& graph,
+                  const RandomOrderTriangleCounter::Params& params,
+                  std::uint64_t order_seed, const PinnedRun& want) {
+  Rng rng(order_seed);
+  ExpectPinnedStream(MakeRandomOrderStream(graph, rng), params, want);
 }
 
 TEST(RandomOrderTrianglesTest, SeedFixedEstimatesArePinned) {
@@ -208,6 +238,58 @@ TEST(RandomOrderTrianglesTest, SeedFixedEstimatesArePinned) {
     ExpectPinned(graph, params, /*order_seed=*/26,
                  {0x1.7f26aaaaaaabp+14, 0x1.dfffffffffffep+3,
                   0x1.7eeaaaaaaaabp+14, 619, 441, 472, 18062});
+  }
+  // Repeated edges: every 5th edge of the first 10% comes again right
+  // after itself (inside S and every level prefix), and the first 300
+  // edges come again at the end (after every prefix but the oracle's).
+  // A repeat is linked into S again but never re-enters a level, C or P.
+  {
+    Rng gen(27);
+    const EdgeList graph = DisjointUnion(
+        {PlantTriangles(ErdosRenyiGnm(400, 1500, gen), 60, gen), Clique(15)});
+    Rng rng(28);
+    const EdgeStream order = MakeRandomOrderStream(graph, rng);
+    EdgeStream stream;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      stream.push_back(order[i]);
+      if (i < order.size() / 10 && i % 5 == 0) stream.push_back(order[i]);
+    }
+    stream.insert(stream.end(), order.begin(), order.begin() + 300);
+    auto params = MakeParams(graph, /*t_guess=*/60.0, 0.3, /*seed=*/29);
+    params.level_rate = 2.0;  // p = 1, 1, 1/2, 1/4: V_2 and V_3 sampled.
+    ExpectPinnedStream(stream, params,
+                       {0x1.38111111110fcp+9, 0x1.359999999999ap+7,
+                        0x1.d55555555552cp+8, 137, 88, 187, 7064});
+  }
+  // Ten levels (√T ≈ 316, L = 9), so level masks reach past one byte;
+  // level_rate 64 samples the top four (p_L = 1/8). The K_60's edges with
+  // both ends in V_L carry 58 oracle triangles, above p·√T ≈ 39.5.
+  {
+    Rng gen(30);
+    const EdgeList graph = DisjointUnion(
+        {PlantTriangles(ErdosRenyiGnm(3000, 12000, gen), 200, gen),
+         Clique(60)});
+    auto params = MakeParams(graph, /*t_guess=*/1e5, 0.3, /*seed=*/31);
+    params.level_rate = 64.0;
+    ExpectPinned(graph, params, /*order_seed=*/32,
+                 {0x1.e7eaaaaaaaaa2p+14, 0x1.1940000000001p+14,
+                  0x1.9d55555555543p+13, 1566, 31, 6, 39784});
+  }
+  // Dense G(250, ½) with t_guess far below T: thousands of heavy P edges
+  // whose oracle triangles mix the weights 1, ½ and ⅓, and a heavy-term
+  // sum that crosses 2^18, so its summation order shows in the last bit.
+  // With p_L = 1/16 a vertex's row holds lower-level edges the oracle
+  // lacks; walking the shorter row instead of the one with fewer oracle
+  // entries changes the heavy term.
+  {
+    Rng gen(1003);
+    const EdgeList graph = ErdosRenyiGnp(250, 0.5, gen);
+    auto params = MakeParams(graph, /*t_guess=*/1000.0, 0.3, /*seed=*/3,
+                             /*c=*/2.0);
+    params.level_rate = 2.0;
+    ExpectPinned(graph, params, /*order_seed=*/3,
+                 {0x1.0d65355555d6p+18, 0x1.fep+6, 0x1.0d45555555d6p+18, 11966,
+                  11337, 14700, 77554});
   }
 }
 

@@ -349,6 +349,15 @@ int RunCount(FlagParser& flags, RunManifest& manifest) {
     edge_stream = MakeRandomOrderStream(graph, order_rng);
     const EdgeStream& stream = edge_stream;
     if (algo == "random-order") {
+      if (RandomOrderTriangleCounter::NumLevels(base.t_guess) >
+          RandomOrderTriangleCounter::kMaxLevels) {
+        std::cerr << "error: --t-guess " << base.t_guess
+                  << " must be no larger than 2^126: random-order keeps one "
+                     "mask bit per level, and at most "
+                  << RandomOrderTriangleCounter::kMaxLevels
+                  << " levels fit\n";
+        return 2;
+      }
       runner = [&stream, base, num_vertices](std::uint64_t s) {
         RandomOrderTriangleCounter::Params params;
         params.base = base;
@@ -813,9 +822,9 @@ int RunSweep(FlagParser& flags, RunManifest& manifest) {
     spec.name =
         std::string(engine::QueryKindName(spec.kind)) + "-" + std::to_string(i);
     spec.base.seed = seed + static_cast<std::uint64_t>(i);
-    std::string windowing_error;
-    if (!engine::ValidateSpecWindowing(spec, &windowing_error)) {
-      std::cerr << "error: " << windowing_error << "\n";
+    std::string spec_error;
+    if (!engine::ValidateSpec(spec, &spec_error)) {
+      std::cerr << "error: " << spec_error << "\n";
       return 1;
     }
     specs.push_back(std::move(spec));
