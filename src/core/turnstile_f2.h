@@ -18,7 +18,7 @@ namespace cyclestream {
 /// indicator vector x (x_e = inserts − deletes of e), which is the whole
 /// point of the turnstile subsystem: a deletion is the insertion applied
 /// with sign −1, so cancellation, shard merges, checkpoints, window-bucket
-/// folds, and decay rescaling all compose exactly. See DESIGN.md §16.
+/// folds, and decay rescaling all compose exactly. See DESIGN.md §15.
 
 /// Four-cycle counting in the turnstile model: the paper's Thm 5.7
 /// estimator verbatim — ArbF2FourCycleCounter is already "correct in the

@@ -1,7 +1,6 @@
 #include "engine/broker.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "stream/driver.h"
@@ -79,52 +78,18 @@ std::vector<QueryOutcome> StreamBroker::RunBatch(std::span<const Item> stream,
   std::vector<QueryOutcome> outcomes(specs_.size());
   for (std::size_t i = 0; i < specs_.size(); ++i) outcomes[i].spec = specs_[i];
 
-  AdmissionController controller(options_.budget);
-  std::vector<char> queued_before(specs_.size(), 0);
-  std::vector<std::size_t> pending(specs_.size());
-  std::iota(pending.begin(), pending.end(), std::size_t{0});
-
-  int wave = 0;
-  while (!pending.empty()) {
-    std::vector<std::size_t> admitted;
-    std::vector<std::size_t> queued;
-    for (std::size_t slot : pending) {
-      switch (controller.Offer(specs_[slot].space_budget_words)) {
-        case AdmissionOutcome::kAdmitted:
-          admitted.push_back(slot);
-          break;
-        case AdmissionOutcome::kQueued:
-          queued.push_back(slot);
-          if (!queued_before[slot]) {
-            queued_before[slot] = 1;
-            ++stats_.queries_queued;
-          }
-          break;
-        case AdmissionOutcome::kRejected:
-          outcomes[slot].admission = AdmissionOutcome::kRejected;
-          ++stats_.queries_rejected;
-          break;
-      }
-    }
-    if (admitted.empty()) {
-      // Between waves every reservation is released, and Offer rejects
-      // anything larger than the aggregate cap outright — so a non-empty
-      // pending set always admits at least its first query.
-      CHECK(queued.empty()) << "admission deadlock: queued queries with an "
-                               "empty wave";
-      break;
-    }
-    ++stats_.waves;
-    RunWave(stream, make, options_, specs_, admitted, wave, outcomes,
-            stats_);
-    for (std::size_t slot : admitted) {
-      controller.Release(specs_[slot].space_budget_words);
-      ++stats_.queries_admitted;
-    }
-    pending = std::move(queued);
-    ++wave;
+  // Rejected slots keep their default (rejected) outcome.
+  const WavePlan plan = PlanWaves(specs_, options_.budget);
+  for (std::size_t wave = 0; wave < plan.waves.size(); ++wave) {
+    const std::vector<std::size_t>& admitted = plan.waves[wave].admitted;
+    RunWave(stream, make, options_, specs_, admitted, static_cast<int>(wave),
+            outcomes, stats_);
+    stats_.queries_admitted += admitted.size();
   }
-  stats_.budget_peak_words = controller.peak_reserved_words();
+  stats_.waves = plan.waves.size();
+  stats_.queries_queued = plan.queries_queued;
+  stats_.queries_rejected = plan.rejected.size();
+  stats_.budget_peak_words = plan.budget_peak_words;
   return outcomes;
 }
 

@@ -63,9 +63,9 @@ struct QueryOutcome {
   /// Peak-space component breakdown (empty if the algorithm lacks a
   /// tracker or was rejected).
   std::map<std::string, std::size_t, std::less<>> space_peak_components;
-  /// Supervised runs only: the query's wave exhausted its retry budget and
+  /// Sharded runs only: the query's wave exhausted its retry budget and
   /// was abandoned without a result (estimate is zero-initialized). The
-  /// broker and coordinator never poison — they abort instead.
+  /// single-process broker never poisons.
   bool poisoned = false;
 };
 

@@ -1,5 +1,8 @@
 #include "engine/budget.h"
 
+#include <numeric>
+#include <utility>
+
 #include "util/check.h"
 
 namespace cyclestream::engine {
@@ -57,6 +60,48 @@ void AdmissionController::Release(std::size_t declared_words) {
       << " words reserved) — double release or size mismatch";
   ledger_.erase(it);
   tracker_.Release(kReservedComponent, declared_words);
+}
+
+WavePlan PlanWaves(const std::vector<QuerySpec>& specs,
+                   const BudgetPolicy& policy) {
+  WavePlan plan;
+  AdmissionController controller(policy);
+  std::vector<std::size_t> pending(specs.size());
+  std::iota(pending.begin(), pending.end(), std::size_t{0});
+  while (!pending.empty()) {
+    PlannedWave wave;
+    for (std::size_t slot : pending) {
+      switch (controller.Offer(specs[slot].space_budget_words)) {
+        case AdmissionOutcome::kAdmitted:
+          wave.admitted.push_back(slot);
+          break;
+        case AdmissionOutcome::kQueued:
+          wave.queue.push_back(slot);
+          // Every slot is first offered in wave 0, so a queued slot is
+          // counted there exactly once.
+          if (plan.waves.empty()) ++plan.queries_queued;
+          break;
+        case AdmissionOutcome::kRejected:
+          plan.rejected.push_back(slot);
+          break;
+      }
+    }
+    if (wave.admitted.empty()) {
+      // Between waves every reservation is released, and Offer rejects
+      // anything larger than the aggregate cap outright — so a non-empty
+      // pending set always admits at least its first query.
+      CHECK(wave.queue.empty()) << "admission deadlock: queued queries with "
+                                   "an empty wave";
+      break;
+    }
+    for (std::size_t slot : wave.admitted) {
+      controller.Release(specs[slot].space_budget_words);
+    }
+    pending = wave.queue;
+    plan.waves.push_back(std::move(wave));
+  }
+  plan.budget_peak_words = controller.peak_reserved_words();
+  return plan;
 }
 
 }  // namespace cyclestream::engine

@@ -2,9 +2,12 @@
 #define CYCLESTREAM_ENGINE_BUDGET_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <set>
 #include <string_view>
+#include <vector>
 
+#include "engine/query.h"
 #include "stream/space.h"
 
 namespace cyclestream::engine {
@@ -72,6 +75,32 @@ class AdmissionController {
   /// query. A multiset because distinct queries may declare equal budgets.
   std::multiset<std::size_t> ledger_;
 };
+
+/// One wave of an admission plan.
+struct PlannedWave {
+  /// Slots this wave runs, ascending.
+  std::vector<std::size_t> admitted;
+  /// Slots still pending after this wave's admissions, ascending — what
+  /// a daemon manifest persists as its frontier.
+  std::vector<std::size_t> queue;
+};
+
+/// The whole admission schedule of one batch.
+struct WavePlan {
+  std::vector<PlannedWave> waves;
+  std::vector<std::size_t> rejected;  // Slots that never run, ascending.
+  std::uint64_t queries_queued = 0;   // Slots admitted after wave 0.
+  std::uint64_t budget_peak_words = 0;
+};
+
+/// Plans every wave of `specs` under `policy`: wave 0 offers every slot in
+/// registration order, and each later wave re-offers the queue after the
+/// previous wave's reservations are released. A wave releases its
+/// reservations when it ends whether it completed or was poisoned, so the
+/// schedule depends only on the declared budgets and the policy — the
+/// broker and the sharded wave loop both run exactly this plan.
+WavePlan PlanWaves(const std::vector<QuerySpec>& specs,
+                   const BudgetPolicy& policy);
 
 }  // namespace cyclestream::engine
 

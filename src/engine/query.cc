@@ -138,6 +138,37 @@ bool ValidateSpec(const QuerySpec& spec, std::string* error) {
             << RandomOrderTriangleCounter::kMaxLevels << " levels fit";
     return fail(message.str());
   }
+  const std::pair<const char*, double> reals[] = {
+      {"epsilon", spec.base.epsilon},  {"c", spec.base.c},
+      {"t_guess", spec.base.t_guess},  {"level_rate", spec.level_rate},
+      {"prefix_rate", spec.prefix_rate}};
+  for (const auto& [key, value] : reals) {
+    if (!std::isfinite(value)) {
+      std::ostringstream message;
+      message << key << " must be a finite number, got " << value;
+      return fail(message.str());
+    }
+  }
+  if (spec.base.epsilon <= 0.0) {
+    std::ostringstream message;
+    message << "epsilon must be > 0, got " << spec.base.epsilon;
+    return fail(message.str());
+  }
+  if (spec.kind == QueryKind::kTriest && spec.reservoir_capacity < 3) {
+    return fail("reservoir must be >= 3, got " +
+                std::to_string(spec.reservoir_capacity));
+  }
+  // 0 asks the front end for the graph's vertex count; the sketch kinds
+  // need two vertices to hash a pair.
+  const bool any_vertex_count =
+      spec.kind == QueryKind::kRandomOrderTriangles ||
+      spec.kind == QueryKind::kTriest ||
+      spec.kind == QueryKind::kCormodeJowhari ||
+      spec.kind == QueryKind::kBeraChakrabarti;
+  if (spec.num_vertices == 1 && !any_vertex_count) {
+    return fail("num_vertices must be >= 2 for " +
+                std::string(QueryKindName(spec.kind)));
+  }
   const bool windowed = spec.window_edges > 0;
   const bool decayed = spec.decay_epoch_edges > 0;
   if (!windowed && !decayed) {

@@ -18,10 +18,10 @@ namespace cyclestream::engine {
 /// Shard-side half of the multi-process engine (DESIGN.md §14): the frame
 /// protocol worker states travel over, the contiguous stream partitioner,
 /// and the worker loop itself. The coordinator half lives in
-/// engine/coordinator.h.
+/// engine/coordinator.h and engine/supervisor.h.
 ///
 /// A worker's output — and its epoch checkpoints — are sequences of CYSF
-/// frames, framed blobs (util/frame.h, DESIGN.md §17) tagged with a
+/// frames, framed blobs (util/frame.h, DESIGN.md §16) tagged with a
 /// FrameType:
 ///
 ///   frame := magic "CYSF" | type(u32) | payload_size(u64) |
@@ -89,8 +89,8 @@ std::vector<ShardRange> PartitionStream(std::uint64_t stream_length,
 std::uint64_t TotalRangeEdges(const std::vector<ShardRange>& ranges);
 
 /// The ranges left after a worker has processed its first `edges_done`
-/// edges (ranges are consumed as one flat sequence). Used by the W-change
-/// restore path to re-partition unprocessed leftovers among new workers.
+/// edges (ranges are consumed as one flat sequence): what a worker that
+/// resumes from its checkpoint still has to stream.
 std::vector<ShardRange> AdvanceRanges(const std::vector<ShardRange>& ranges,
                                       std::uint64_t edges_done);
 

@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -13,7 +14,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -142,8 +142,220 @@ class Watchdog {
 };
 
 // ---------------------------------------------------------------------------
+// Worker launches
+// ---------------------------------------------------------------------------
+
+// One worker's launch parameters for a wave.
+struct WorkerLaunch {
+  ShardWorkerConfig config;
+  std::string state_path;
+};
+
+// The worker executable: `configured` when non-empty, else /proc/self/exe.
+std::string ResolveWorkerBinary(const std::string& configured) {
+  if (!configured.empty()) return configured;
+  char buf[4096];
+  const ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+  CHECK_GT(n, 0) << "cannot resolve /proc/self/exe for the worker binary";
+  return std::string(buf, static_cast<std::size_t>(n));
+}
+
+// The `shard-worker` argv for a subprocess launch. The worker recomputes
+// the stream and spec fingerprints itself from the files — a cheap
+// end-to-end check that both codecs round-trip.
+std::vector<std::string> BuildWorkerArgv(const std::string& binary,
+                                         const std::string& stream_path,
+                                         const std::string& spec_path,
+                                         const WorkerLaunch& launch) {
+  const ShardWorkerConfig& c = launch.config;
+  std::vector<std::string> argv = {
+      binary,
+      "shard-worker",
+      "--stream",
+      stream_path,
+      "--spec-file",
+      spec_path,
+      "--worker",
+      std::to_string(c.worker_id),
+      "--workers",
+      std::to_string(c.num_workers),
+      "--ranges",
+      FormatShardRanges(c.ranges),
+      "--state-out",
+      launch.state_path,
+      "--block-edges",
+      std::to_string(c.block_edges),
+  };
+  if (c.epoch_edges > 0 && !c.checkpoint_path.empty()) {
+    argv.push_back("--epoch-edges");
+    argv.push_back(std::to_string(c.epoch_edges));
+    argv.push_back("--checkpoint");
+    argv.push_back(c.checkpoint_path);
+  }
+  if (c.resume) argv.push_back("--resume");
+  if (c.die_after_edges != kNoDeath) {
+    argv.push_back("--die-after-edges");
+    argv.push_back(std::to_string(c.die_after_edges));
+  }
+  if (c.hang_after_edges != kNoDeath) {
+    argv.push_back("--hang-after-edges");
+    argv.push_back(std::to_string(c.hang_after_edges));
+  }
+  if (c.heartbeat_edges > 0 && !c.heartbeat_path.empty()) {
+    argv.push_back("--heartbeat-edges");
+    argv.push_back(std::to_string(c.heartbeat_edges));
+    argv.push_back("--heartbeat");
+    argv.push_back(c.heartbeat_path);
+  }
+  if (c.throttle_ms_per_block > 0) {
+    argv.push_back("--throttle-ms");
+    argv.push_back(std::to_string(c.throttle_ms_per_block));
+  }
+  return argv;
+}
+
+// fork/execs one worker, returning its pid. A failed exec surfaces as the
+// child exiting 127, which the reap loop treats as a dead worker.
+pid_t SpawnShardWorker(const std::vector<std::string>& argv) {
+  std::vector<char*> raw;
+  raw.reserve(argv.size() + 1);
+  for (const std::string& a : argv) raw.push_back(const_cast<char*>(a.c_str()));
+  raw.push_back(nullptr);
+  const pid_t pid = fork();
+  CHECK_GE(pid, 0) << "fork failed for shard worker";
+  if (pid == 0) {
+    execv(raw[0], raw.data());
+    _exit(127);  // exec failed; the reap loop treats it as a dead worker.
+  }
+  return pid;
+}
+
+// Loads + validates one worker's final state. False (with a warning) on
+// any damage or mismatch — the caller treats the worker as dead, so a
+// stale or torn file can delay a run but never corrupt a merge.
+bool CollectWorkerState(const WorkerLaunch& launch,
+                        const std::vector<QuerySpec>& wave_specs,
+                        ShardState* state) {
+  const ShardWorkerConfig& c = launch.config;
+  std::string error;
+  if (!LoadShardState(launch.state_path, state, &error)) {
+    LOG(WARNING) << "worker " << c.worker_id << ": state file rejected ("
+                 << error << ")";
+    return false;
+  }
+  const ShardHeader& h = state->header;
+  if (h.worker_id != c.worker_id || h.num_workers != c.num_workers ||
+      h.stream_fingerprint != c.stream_fingerprint ||
+      h.stream_length != c.edges.size() ||
+      h.spec_fingerprint != c.spec_fingerprint || h.ranges != c.ranges ||
+      h.edges_done != TotalRangeEdges(c.ranges) ||
+      state->query_states.size() != wave_specs.size()) {
+    LOG(WARNING) << "worker " << c.worker_id
+                 << ": state header does not match its launch (stale file?)";
+    return false;
+  }
+  for (std::size_t i = 0; i < wave_specs.size(); ++i) {
+    if (state->query_states[i].first != wave_specs[i].name) {
+      LOG(WARNING) << "worker " << c.worker_id
+                   << ": query order mismatch in state file";
+      return false;
+    }
+  }
+  return true;
+}
+
+// Fills the broker-shaped outcome/stats fields for one completed wave.
+// `merged` holds one query per admitted slot, in slot order.
+void FinalizeShardWave(const std::vector<std::size_t>& admitted, int wave,
+                       std::size_t stream_length,
+                       std::vector<EdgeQuery>& merged,
+                       std::vector<QueryOutcome>& outcomes,
+                       EngineStats& stats) {
+  // One logical pass (mergeable kinds are single-pass, CHECKed in the
+  // worker), read once across the workers collectively — the same counters
+  // a broker wave would produce.
+  ++stats.physical_passes;
+  stats.source_items_read += stream_length;
+  stats.items_delivered +=
+      static_cast<std::uint64_t>(stream_length) * admitted.size();
+
+  for (std::size_t i = 0; i < admitted.size(); ++i) {
+    QueryOutcome& out = outcomes[admitted[i]];
+    // The merged state IS the single-process end-of-run state, so the
+    // pass loop's audit and credit apply to it unchanged.
+    AuditAndCreditRun(*merged[i].algorithm, stream_length);
+    out.admission = AdmissionOutcome::kAdmitted;
+    out.wave = wave;
+    out.estimate = merged[i].result();
+    out.passes = merged[i].algorithm->NumPasses();
+    out.items_delivered = stream_length;
+    if (const SpaceTracker* tracker = merged[i].algorithm->space_tracker()) {
+      out.space_peak_components = tracker->PeakComponents();
+    }
+  }
+}
+
+// CHECKs that `specs` is non-empty, unique-named, and every kind is a
+// shard-mergeable edge kind.
+void CheckShardableSpecs(const std::vector<QuerySpec>& specs) {
+  CHECK(!specs.empty()) << "sharded batch needs at least one query";
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    CHECK(IsEdgeKind(specs[i].kind) && IsShardMergeableKind(specs[i].kind))
+        << "query '" << specs[i].name << "' has kind "
+        << QueryKindName(specs[i].kind)
+        << ", which is not shard-mergeable (see IsShardMergeableKind)";
+    for (std::size_t j = i + 1; j < specs.size(); ++j) {
+      CHECK(specs[i].name != specs[j].name)
+          << "duplicate query name '" << specs[i].name << "'";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Wave runners
 // ---------------------------------------------------------------------------
+
+// A wave's worker states, folded in fixed shard order as soon as every
+// earlier shard is in: an in-process wave holds one decoded state at a
+// time instead of all W.
+class WaveFold {
+ public:
+  WaveFold(const std::vector<QuerySpec>& wave_specs, std::size_t workers)
+      : specs_(wave_specs), states_(workers), done_(workers, 0) {}
+
+  bool done(std::size_t i) const { return done_[i] != 0; }
+  bool complete() const { return folded_ == done_.size(); }
+
+  // Loads and validates worker i's state file, then folds every shard
+  // whose predecessors are all in. False leaves the worker not done.
+  bool Collect(const WorkerLaunch& launch, std::size_t i) {
+    if (!CollectWorkerState(launch, specs_, &states_[i])) {
+      states_[i] = ShardState{};
+      return false;
+    }
+    done_[i] = 1;
+    for (; folded_ < done_.size() && done_[folded_]; ++folded_) {
+      std::vector<ShardState> next;
+      next.push_back(std::move(states_[folded_]));
+      states_[folded_] = ShardState{};
+      merged_ = MergeShardStates(specs_, next, std::move(merged_));
+    }
+    return true;
+  }
+
+  // One merged query per wave spec; valid once complete().
+  std::vector<EdgeQuery> TakeMerged() {
+    CHECK(complete());
+    return std::move(merged_);
+  }
+
+ private:
+  const std::vector<QuerySpec>& specs_;
+  std::vector<ShardState> states_;  // Collected, waiting on an earlier shard.
+  std::vector<char> done_;
+  std::size_t folded_ = 0;
+  std::vector<EdgeQuery> merged_;
+};
 
 enum class WaveStatus { kCompleted, kPoisoned, kDrained };
 
@@ -155,24 +367,13 @@ bool FileExists(const std::string& path) {
   return access(path.c_str(), F_OK) == 0;
 }
 
-// Collects already-valid state files (resume fast path). Returns how many
-// workers were satisfied without launching anything.
-std::size_t CollectExisting(const std::vector<WorkerLaunch>& launches,
-                            const std::vector<QuerySpec>& wave_specs,
-                            std::vector<ShardState>* states,
-                            std::vector<char>* done,
-                            SupervisorCounters* counters) {
-  std::size_t collected = 0;
+// Collects already-valid state files (resume fast path).
+void CollectExisting(const std::vector<WorkerLaunch>& launches,
+                     WaveFold* fold, SupervisorCounters* counters) {
   for (std::size_t i = 0; i < launches.size(); ++i) {
-    if ((*done)[i]) continue;
-    if (!FileExists(launches[i].state_path)) continue;
-    if (CollectWorkerState(launches[i], wave_specs, &(*states)[i])) {
-      (*done)[i] = 1;
-      ++counters->states_collected;
-      ++collected;
-    }
+    if (fold->done(i) || !FileExists(launches[i].state_path)) continue;
+    if (fold->Collect(launches[i], i)) ++counters->states_collected;
   }
-  return collected;
 }
 
 // Prepares launch `i` for its next attempt: past the first launch of a
@@ -202,21 +403,15 @@ void CountExit(int status, SupervisorCounters* counters) {
 }
 
 // Subprocess wave runner: launch workers, reap with WNOHANG, retry under
-// the backoff policy, enforce deadlines, honor drain. Fills `states` for
-// every worker on kCompleted; partial on kPoisoned/kDrained.
+// the backoff policy, enforce deadlines, honor drain. `fold` is complete
+// on kCompleted; partial on kPoisoned/kDrained.
 WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
-                             const std::vector<QuerySpec>& wave_specs,
                              const SupervisorOptions& options,
                              const std::string& spec_path, int wave,
-                             bool batch_resume,
-                             std::vector<ShardState>* states,
+                             bool batch_resume, WaveFold* fold,
                              SupervisorCounters* counters) {
   const std::size_t w = launches.size();
-  states->assign(w, ShardState{});
-  std::vector<char> done(w, 0);
-  if (batch_resume) {
-    CollectExisting(launches, wave_specs, states, &done, counters);
-  }
+  if (batch_resume) CollectExisting(launches, fold, counters);
 
   const std::string binary =
       ResolveWorkerBinary(options.plan.worker_binary);
@@ -238,13 +433,6 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
   };
   std::vector<Track> track(w);
 
-  auto all_done = [&] {
-    for (std::size_t i = 0; i < w; ++i) {
-      if (!done[i]) return false;
-    }
-    return true;
-  };
-
   auto reap_one = [&](std::size_t i, int wait_flags) -> bool {
     int status = 0;
     pid_t got;
@@ -259,9 +447,7 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
     const bool exited_zero = WIFEXITED(status) && WEXITSTATUS(status) == 0;
     const bool drain_ack =
         WIFEXITED(status) && WEXITSTATUS(status) == kDrainExitCode;
-    if (exited_zero &&
-        CollectWorkerState(launches[i], wave_specs, &(*states)[i])) {
-      done[i] = 1;
+    if (exited_zero && fold->Collect(launches[i], i)) {
       ++counters->states_collected;
     } else if (!drain_ack) {
       LOG(WARNING) << "wave " << wave << " worker " << i << ": "
@@ -289,7 +475,7 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
 
   Clock::time_point round_start = Clock::now();
   for (;;) {
-    if (all_done()) {
+    if (fold->complete()) {
       if (watchdog) counters->deadline_kills += watchdog->kills();
       return WaveStatus::kCompleted;
     }
@@ -311,7 +497,7 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
     // Launch every worker whose backoff has expired.
     const Clock::time_point now = Clock::now();
     for (std::size_t i = 0; i < w; ++i) {
-      if (done[i] || track[i].running ||
+      if (fold->done(i) || track[i].running ||
           track[i].attempts >= options.retry.max_attempts ||
           now < track[i].eligible) {
         continue;
@@ -333,7 +519,7 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
     // condemns the wave. Remaining workers are killed — their output
     // cannot be used without the poisoned shard anyway.
     for (std::size_t i = 0; i < w; ++i) {
-      if (!done[i] && !track[i].running &&
+      if (!fold->done(i) && !track[i].running &&
           track[i].attempts >= options.retry.max_attempts) {
         LOG(ERROR) << "wave " << wave << " worker " << i << " failed "
                    << options.retry.max_attempts
@@ -379,20 +565,13 @@ WaveStatus RunWaveSubprocess(std::vector<WorkerLaunch>& launches,
 // — a hung in-process worker would wedge the supervisor itself, which is
 // why DeadlinePolicy is subprocess-only).
 WaveStatus RunWaveInProcess(std::vector<WorkerLaunch>& launches,
-                            const std::vector<QuerySpec>& wave_specs,
                             const SupervisorOptions& options, int wave,
-                            bool batch_resume,
-                            std::vector<ShardState>* states,
+                            bool batch_resume, WaveFold* fold,
                             SupervisorCounters* counters) {
-  const std::size_t w = launches.size();
-  states->assign(w, ShardState{});
-  std::vector<char> done(w, 0);
-  if (batch_resume) {
-    CollectExisting(launches, wave_specs, states, &done, counters);
-  }
+  if (batch_resume) CollectExisting(launches, fold, counters);
 
-  for (std::size_t i = 0; i < w; ++i) {
-    if (done[i]) continue;
+  for (std::size_t i = 0; i < launches.size(); ++i) {
+    if (fold->done(i)) continue;
     for (int attempt = 1; attempt <= options.retry.max_attempts; ++attempt) {
       if (SupervisorDrainRequested()) return WaveStatus::kDrained;
       if (attempt > 1) {
@@ -412,14 +591,12 @@ WaveStatus RunWaveInProcess(std::vector<WorkerLaunch>& launches,
         LOG(WARNING) << "wave " << wave << " worker " << i
                      << " failed in-process: " << error;
       }
-      if (outcome.completed &&
-          CollectWorkerState(launches[i], wave_specs, &(*states)[i])) {
-        done[i] = 1;
+      if (outcome.completed && fold->Collect(launches[i], i)) {
         ++counters->states_collected;
         break;
       }
     }
-    if (!done[i]) {
+    if (!fold->done(i)) {
       LOG(ERROR) << "wave " << wave << " worker " << i << " failed "
                  << options.retry.max_attempts
                  << " times; poisoning the wave";
@@ -603,8 +780,12 @@ bool RunSupervisedBatch(const std::vector<QuerySpec>& specs,
   base.aggregate_words = plan.budget.aggregate_words;
   base.per_query_words = plan.budget.per_query_words;
 
-  DaemonManifest prev;
+  // Every engine runs the one admission plan, so waves match the broker's
+  // with or without supervision, interrupted or not.
+  const WavePlan schedule = PlanWaves(specs, plan.budget);
+
   if (options.resume) {
+    DaemonManifest prev;
     if (!LoadDaemonManifest(manifest_path, &prev, error)) return false;
     if (prev.stream_fingerprint != stream_fp ||
         prev.stream_length != edges.size()) {
@@ -622,56 +803,40 @@ bool RunSupervisedBatch(const std::vector<QuerySpec>& specs,
       return reject("daemon manifest execution plan mismatch (resume must "
                     "reuse the original workers/epoch/block/budget)");
     }
-  }
-
-  // The broker's exact admission loop — identical offers against an
-  // identical controller ⇒ identical waves, with or without supervision,
-  // interrupted or not.
-  AdmissionController controller(plan.budget);
-  std::vector<char> queued_before(specs.size(), 0);
-  std::vector<std::size_t> pending(specs.size());
-  std::iota(pending.begin(), pending.end(), std::size_t{0});
-
-  int wave = 0;
-  while (!pending.empty()) {
-    std::vector<std::size_t> admitted;
-    std::vector<std::size_t> queued;
-    for (std::size_t slot : pending) {
-      switch (controller.Offer(specs[slot].space_budget_words)) {
-        case AdmissionOutcome::kAdmitted:
-          admitted.push_back(slot);
-          break;
-        case AdmissionOutcome::kQueued:
-          queued.push_back(slot);
-          if (!queued_before[slot]) {
-            queued_before[slot] = 1;
-            ++stats.queries_queued;
-          }
-          break;
-        case AdmissionOutcome::kRejected:
-          out.outcomes[slot].admission = AdmissionOutcome::kRejected;
-          ++stats.queries_rejected;
-          break;
-      }
-    }
-    if (admitted.empty()) {
-      CHECK(queued.empty()) << "admission deadlock: queued queries with an "
-                               "empty wave";
-      break;
-    }
-
-    // Resume cross-check at the interruption frontier: the replayed
-    // admission queue must match what the drained daemon persisted.
-    if (options.resume && prev.waves_started > 0 &&
-        wave == static_cast<int>(prev.waves_started) - 1) {
-      std::vector<std::uint64_t> replayed(queued.begin(), queued.end());
-      if (replayed != prev.pending_slots) {
+    // The planned queue at the interruption frontier must match what the
+    // interrupted run persisted.
+    if (prev.waves_started > 0) {
+      const std::size_t frontier = prev.waves_started - 1;
+      if (frontier >= schedule.waves.size() ||
+          !std::equal(schedule.waves[frontier].queue.begin(),
+                      schedule.waves[frontier].queue.end(),
+                      prev.pending_slots.begin(), prev.pending_slots.end())) {
         return reject("daemon manifest admission queue mismatch at wave " +
-                      std::to_string(wave) +
+                      std::to_string(frontier) +
                       " (different batch or budget policy?)");
       }
     }
+  }
 
+  // Rejected slots keep their default (rejected) outcome.
+  stats.queries_queued = schedule.queries_queued;
+  stats.queries_rejected = schedule.rejected.size();
+  stats.budget_peak_words = schedule.budget_peak_words;
+
+  // Persists the frontier: waves started so far, the queue after the last.
+  auto save_manifest = [&](int wave, bool drained) {
+    DaemonManifest m = base;
+    m.waves_started = static_cast<std::uint32_t>(wave) + 1;
+    const std::vector<std::size_t>& queue = schedule.waves[wave].queue;
+    m.pending_slots.assign(queue.begin(), queue.end());
+    m.drained = drained ? 1 : 0;
+    std::string werr;
+    CHECK(SaveDaemonManifest(manifest_path, m, &werr)) << werr;
+  };
+
+  int wave = 0;
+  for (; wave < static_cast<int>(schedule.waves.size()); ++wave) {
+    const std::vector<std::size_t>& admitted = schedule.waves[wave].admitted;
     ++stats.waves;
 
     std::vector<QuerySpec> wave_specs;
@@ -727,73 +892,42 @@ bool RunSupervisedBatch(const std::vector<QuerySpec>& specs,
 
     // Persist the frontier BEFORE launching: a crash at any point after
     // this line resumes into exactly this wave.
-    {
-      DaemonManifest m = base;
-      m.waves_started = static_cast<std::uint32_t>(wave) + 1;
-      m.pending_slots.assign(queued.begin(), queued.end());
-      std::string werr;
-      CHECK(SaveDaemonManifest(manifest_path, m, &werr)) << werr;
-    }
+    save_manifest(wave, /*drained=*/false);
 
-    if (SupervisorDrainRequested()) {
-      // Drain landed between waves: nothing in flight, just mark it.
-      DaemonManifest m = base;
-      m.waves_started = static_cast<std::uint32_t>(wave) + 1;
-      m.pending_slots.assign(queued.begin(), queued.end());
-      m.drained = 1;
-      std::string werr;
-      CHECK(SaveDaemonManifest(manifest_path, m, &werr)) << werr;
-      out.drained = true;
-      ++out.counters.drains;
-      break;
+    // A drain that lands between waves has nothing in flight.
+    WaveStatus status = WaveStatus::kDrained;
+    WaveFold fold(wave_specs, launches.size());
+    if (!SupervisorDrainRequested()) {
+      status = subprocess
+                   ? RunWaveSubprocess(launches, options, spec_path, wave,
+                                       options.resume, &fold, &out.counters)
+                   : RunWaveInProcess(launches, options, wave,
+                                      options.resume, &fold, &out.counters);
     }
-
-    std::vector<ShardState> states;
-    const WaveStatus status =
-        subprocess
-            ? RunWaveSubprocess(launches, wave_specs, options, spec_path,
-                                wave, options.resume, &states, &out.counters)
-            : RunWaveInProcess(launches, wave_specs, options, wave,
-                               options.resume, &states, &out.counters);
 
     if (status == WaveStatus::kDrained) {
-      DaemonManifest m = base;
-      m.waves_started = static_cast<std::uint32_t>(wave) + 1;
-      m.pending_slots.assign(queued.begin(), queued.end());
-      m.drained = 1;
-      std::string werr;
-      CHECK(SaveDaemonManifest(manifest_path, m, &werr)) << werr;
+      save_manifest(wave, /*drained=*/true);
       out.drained = true;
       ++out.counters.drains;
       break;
     }
 
     if (status == WaveStatus::kPoisoned) {
+      // The daemon outlives the wave.
       ++out.counters.waves_poisoned;
       out.poisoned_waves.push_back(wave);
       for (std::size_t slot : admitted) {
         out.outcomes[slot].admission = AdmissionOutcome::kAdmitted;
         out.outcomes[slot].wave = wave;
         out.outcomes[slot].poisoned = true;
-        controller.Release(specs[slot].space_budget_words);
-        ++stats.queries_admitted;
       }
-      pending = std::move(queued);
-      ++wave;
-      continue;  // The daemon outlives the wave.
+    } else {
+      std::vector<EdgeQuery> merged = fold.TakeMerged();
+      FinalizeShardWave(admitted, wave, edges.size(), merged, out.outcomes,
+                        stats);
+      ++out.counters.waves_completed;
     }
-
-    std::vector<EdgeQuery> merged = MergeShardStates(wave_specs, states, {});
-    FinalizeShardWave(admitted, wave, edges.size(), merged, out.outcomes,
-                      stats);
-    ++out.counters.waves_completed;
-
-    for (std::size_t slot : admitted) {
-      controller.Release(specs[slot].space_budget_words);
-      ++stats.queries_admitted;
-    }
-    pending = std::move(queued);
-    ++wave;
+    stats.queries_admitted += admitted.size();
   }
 
   if (!out.drained) {
@@ -803,7 +937,6 @@ bool RunSupervisedBatch(const std::vector<QuerySpec>& specs,
     std::string werr;
     CHECK(SaveDaemonManifest(manifest_path, m, &werr)) << werr;
   }
-  stats.budget_peak_words = controller.peak_reserved_words();
   *result = std::move(out);
   return true;
 }

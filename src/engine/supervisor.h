@@ -13,8 +13,11 @@
 
 namespace cyclestream::engine {
 
-/// Supervision layer over the sharded engine (DESIGN.md §15): wraps the
-/// coordinator's wave loop into a fault-tolerant always-on daemon.
+/// The sharded wave loop (DESIGN.md §14): every sharded batch — `shard`
+/// through RunShardedBatch, `serve --daemon` directly — runs here. Waves
+/// come from the one admission plan (PlanWaves); each wave launches one
+/// worker per shard range, collects and validates their state files, and
+/// merges them in fixed shard order.
 ///
 /// Failure-handling ladder, mildest remedy first:
 ///
@@ -79,8 +82,8 @@ struct DeadlinePolicy {
 };
 
 struct SupervisorOptions {
-  /// The underlying sharded-execution plan (workers, budget, epoch
-  /// cadence, shard_dir, launch mode, kill_worker fault injection).
+  /// The sharded-execution plan (workers, budget, epoch cadence,
+  /// shard_dir, launch mode, kill_worker fault injection).
   ShardPlanOptions plan;
   RetryPolicy retry;
   DeadlinePolicy deadline;
@@ -126,7 +129,8 @@ struct SupervisedBatchResult {
   EngineStats stats;
   SupervisorCounters counters;
   /// The batch stopped early on a drain request; outcomes of unfinished
-  /// waves keep their pre-run admission state. Resume to finish.
+  /// waves keep their pre-run admission state, and the admission fields of
+  /// `stats` already describe the whole plan. Resume to finish.
   bool drained = false;
   bool resumed = false;
   /// Waves abandoned after retry exhaustion (their slots are `poisoned`).
@@ -162,19 +166,19 @@ struct DaemonManifest {
   std::uint64_t stream_fingerprint = 0;
   std::uint64_t stream_length = 0;
   /// FingerprintSpecs over the FULL batch (not one wave) — resume must see
-  /// the identical query list to replay admission identically.
+  /// the identical query list to plan admission identically.
   std::uint64_t batch_spec_fingerprint = 0;
   std::uint32_t num_workers = 1;
   std::uint64_t epoch_edges = 0;
   std::uint64_t block_edges = 0;
-  std::uint64_t aggregate_words = 0;  // Admission policy (replay guard).
+  std::uint64_t aggregate_words = 0;  // Admission policy (plan guard).
   std::uint64_t per_query_words = 0;
   /// Waves whose workers have been launched (== last started wave + 1).
   std::uint32_t waves_started = 0;
   std::uint8_t drained = 0;    // Stopped on a drain request.
   std::uint8_t completed = 0;  // Batch ran to the end.
   /// Admission queue at the last started wave: slots still pending AFTER
-  /// that wave's admissions. Resume cross-checks its replayed queue
+  /// that wave's admissions. Resume cross-checks the planned queue
   /// against this — a mismatch means a different batch or policy.
   std::vector<std::uint64_t> pending_slots;
 };
@@ -189,14 +193,15 @@ bool LoadDaemonManifest(const std::string& path, DaemonManifest* manifest,
 // Entry point
 // ---------------------------------------------------------------------------
 
-/// Runs `specs` over `edges` under supervision. Admission, waves, merged
-/// estimates, and stats replicate RunShardedBatch (hence the broker)
-/// exactly for every wave that completes; supervision only adds recovery
-/// around the workers. Returns false with `*error` on resume validation
-/// failure (missing/mismatched daemon manifest); programmer errors CHECK.
+/// Runs `specs` over `edges` under supervision. Every spec must be a
+/// shard-mergeable edge kind (IsShardMergeableKind; CHECKed). Admission,
+/// waves, merged estimates, and stats replicate the broker exactly for
+/// every wave that completes. Returns false with `*error` on resume
+/// validation failure (missing/mismatched daemon manifest); programmer
+/// errors CHECK.
 ///
 /// Resume semantics (`options.resume`): every wave is re-derived from the
-/// admission replay, then collected before launched — workers whose state
+/// admission plan, then collected before launched — workers whose state
 /// files already validate are not re-run; the rest are relaunched with
 /// checkpoint resume. A fully collected wave costs no subprocess at all,
 /// so resuming a drained OR crashed daemon finishes exactly the work the

@@ -18,7 +18,7 @@ namespace cyclestream {
 /// preserved exactly (an EdgeStream is a meaningful permutation), and
 /// duplicates are legal.
 ///
-/// A stream file (util/frame.h, DESIGN.md §17) with magic "CYSBIN\x01\n"
+/// A stream file (util/frame.h, DESIGN.md §16) with magic "CYSBIN\x01\n"
 /// and 8-byte records `u32 u, u32 v`. Every edge must satisfy
 /// u < v < num_vertices (canonical form, no self-loops). The reader
 /// validates the header, exact file size, payload CRC, and every edge

@@ -19,7 +19,7 @@ namespace cyclestream {
 /// mid-run; everything derived purely from its Params (hash coefficients,
 /// sign caches, derived rates) is reconstructed by the constructor and only
 /// *verified* on restore via config fingerprints. A snapshot file is one
-/// framed blob (util/frame.h, DESIGN.md §17) with magic "CYCLSNP\x01" and
+/// framed blob (util/frame.h, DESIGN.md §16) with magic "CYCLSNP\x01" and
 /// the schema version as its tag:
 ///
 ///   magic(8) | version(u32) | payload_size(u64) | crc32(payload) | payload

@@ -20,7 +20,7 @@ class StateReader;
 /// paper's Thm 5.7 estimator (arb-f2) works here unchanged because its
 /// state is a linear sketch — a deletion is the insertion with sign −1 —
 /// and the same holds for every estimator registered under the turnstile
-/// query kinds. See DESIGN.md §16.
+/// query kinds. See DESIGN.md §15.
 
 /// Per-record operation. The numeric values are the wire encoding of the
 /// binary turnstile format (turnstile_io.h); keep them stable.

@@ -17,7 +17,7 @@ namespace cyclestream {
 /// byte in the magic/header is 2, so each reader rejects the other's files
 /// with a descriptive error instead of misparsing them.
 ///
-/// A stream file (util/frame.h, DESIGN.md §17) with magic "CYSBIN\x02\n"
+/// A stream file (util/frame.h, DESIGN.md §16) with magic "CYSBIN\x02\n"
 /// and 9-byte records `u8 op (0 = insert, 1 = delete), u32 u, u32 v`.
 /// Records are deliberately unaligned — the turnstile reader materializes
 /// (decodes into a TurnstileStream) rather than aliasing the mapping,

@@ -11,7 +11,7 @@
 
 namespace cyclestream {
 
-/// Time-decay layer over turnstile estimators (DESIGN.md §16). Both
+/// Time-decay layer over turnstile estimators (DESIGN.md §15). Both
 /// wrappers host any TurnstileStreamAlgorithm and rely only on its
 /// linearity: window estimates are MergeFrom folds of bucket-local
 /// sketches, decay estimates are scheduled Rescale calls — no estimator

@@ -10,7 +10,7 @@
 
 namespace cyclestream {
 
-/// The two record shapes under every durable file (DESIGN.md §17). Each
+/// The two record shapes under every durable file (DESIGN.md §16). Each
 /// on-disk format is a record type on one of them; all integers are
 /// little-endian (PutLE/GetLE, util/serialize.h).
 ///

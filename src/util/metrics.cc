@@ -165,7 +165,7 @@ void RunManifest::WriteImpl(std::ostream& os, bool deterministic_only) const {
          name == "shards" || name == "epoch-edges" || name == "shard-dir" ||
          name == "launch" || name == "kill-shard" || name == "kill-edges" ||
          name == "worker-binary" ||
-         // Supervision policy (DESIGN.md §15): retries, backoff, deadlines,
+         // Supervision policy (DESIGN.md §14): retries, backoff, deadlines,
          // heartbeats, throttling, and drain/resume are recovery mechanics —
          // a supervised, killed, retried, drained-and-resumed run must
          // produce the same deterministic payload as a clean one.

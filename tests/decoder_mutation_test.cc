@@ -1,6 +1,6 @@
 // Mutation sweep over every durable decoder: the v1 edge stream, the v2
-// turnstile stream, CYCLSNP snapshots, shard states, epoch and daemon
-// manifests and heartbeat logs. Each kind starts from a valid encoding and
+// turnstile stream, CYCLSNP snapshots, shard states, daemon manifests and
+// heartbeat logs. Each kind starts from a valid encoding and
 // is fed seeded bit flips, every truncation, splices (two valid files
 // concatenated, frames swapped between kinds) and forged counts and sizes,
 // all through one entry point, Decode(). A damaged file must be rejected
@@ -19,7 +19,6 @@
 #include <tuple>
 #include <vector>
 
-#include "engine/coordinator.h"
 #include "engine/shard.h"
 #include "engine/supervisor.h"
 #include "graph/binary_io.h"
@@ -33,7 +32,6 @@ namespace cyclestream {
 namespace {
 
 using engine::DaemonManifest;
-using engine::EpochManifest;
 using engine::HeartbeatRecord;
 using engine::ShardState;
 
@@ -42,15 +40,13 @@ enum class Kind {
   kTurnstileStream,
   kSnapshot,
   kShardState,
-  kEpochManifest,
   kDaemonManifest,
   kHeartbeatLog,
 };
 
 constexpr Kind kAllKinds[] = {
     Kind::kEdgeStream,     Kind::kTurnstileStream, Kind::kSnapshot,
-    Kind::kShardState,     Kind::kEpochManifest,   Kind::kDaemonManifest,
-    Kind::kHeartbeatLog,
+    Kind::kShardState,     Kind::kDaemonManifest,  Kind::kHeartbeatLog,
 };
 
 const char* Name(Kind kind) {
@@ -59,7 +55,6 @@ const char* Name(Kind kind) {
     case Kind::kTurnstileStream: return "v2 turnstile stream";
     case Kind::kSnapshot: return "snapshot";
     case Kind::kShardState: return "shard state";
-    case Kind::kEpochManifest: return "epoch manifest";
     case Kind::kDaemonManifest: return "daemon manifest";
     case Kind::kHeartbeatLog: return "heartbeat log";
   }
@@ -165,25 +160,6 @@ class DecoderMutationTest : public ::testing::Test {
         if (v.ok) w.Str(engine::EncodeShardState(state));
         break;
       }
-      case Kind::kEpochManifest: {
-        WriteBytes(path, bytes);
-        EpochManifest m;
-        v.ok = engine::LoadEpochManifest(path, &m, &v.error);
-        if (!v.ok) break;
-        w.U32(m.num_workers);
-        for (std::uint64_t x : {m.stream_fingerprint, m.stream_length,
-                                m.spec_fingerprint, m.epoch_edges}) {
-          w.U64(x);
-        }
-        for (const auto& ranges : m.worker_ranges) {
-          for (const engine::ShardRange& r : ranges) {
-            w.U64(r.begin);
-            w.U64(r.end);
-          }
-        }
-        for (const std::string& f : m.checkpoint_files) w.Str(f);
-        break;
-      }
       case Kind::kDaemonManifest: {
         WriteBytes(path, bytes);
         DaemonManifest m;
@@ -260,18 +236,6 @@ class DecoderMutationTest : public ::testing::Test {
         state.query_states = {{"q0", "blob-zero"},
                               {"q1", std::string("\0\1\2", 3)}};
         return engine::EncodeShardState(state);
-      }
-      case Kind::kEpochManifest: {
-        EpochManifest m;
-        m.num_workers = 2;
-        m.stream_fingerprint = 0xabcULL;
-        m.stream_length = 100;
-        m.spec_fingerprint = 0xdefULL;
-        m.epoch_edges = 25;
-        m.worker_ranges = {{{0, 50}}, {{50, 100}}};
-        m.checkpoint_files = {"w0-s0.ckpt", "w0-s1.ckpt"};
-        EXPECT_TRUE(engine::SaveEpochManifest(path, m, &error)) << error;
-        return ReadBytes(path);
       }
       case Kind::kDaemonManifest: {
         DaemonManifest m;
@@ -376,7 +340,7 @@ TEST_F(DecoderMutationTest, SeededBitFlipsAreRejected) {
           "bit " + std::to_string(bit) + " of byte " + std::to_string(i);
       if (IsStream(kind) && i >= 12 && i < 16) {
         // num_vertices is outside the stream CRC: a flip that keeps every
-        // edge canonical only widens the vertex range (see DESIGN.md §17).
+        // edge canonical only widens the vertex range (see DESIGN.md §16).
         const Verdict v = Decode(kind, bytes);
         if (v.ok) {
           EXPECT_EQ(v.content, clean.content) << mutation;

@@ -356,11 +356,11 @@ TEST(AdmissionLedgerTest, TracksOutstandingReservations) {
   EXPECT_EQ(controller.outstanding_reservations(), 0u);
 }
 
-// The supervisor's wave-retirement path (DESIGN.md §15): when a wave is
-// poisoned mid-flight (retry exhaustion) or retired during a drain, every
-// admitted slot's reservation is released exactly once — and the queued
-// tail must then admit against the *restored* headroom, not a leaked or
-// double-counted one.
+// The admission plan's wave retirement (PlanWaves, DESIGN.md §14.1): a
+// wave releases every admitted slot's reservation exactly once when it
+// ends, completed or poisoned mid-flight (retry exhaustion) — and the
+// queued tail must then admit against the *restored* headroom, not a
+// leaked or double-counted one.
 TEST(AdmissionLedgerTest, MidWaveRetirementRestoresHeadroomExactly) {
   BudgetPolicy policy;
   policy.aggregate_words = 1000;
@@ -371,7 +371,7 @@ TEST(AdmissionLedgerTest, MidWaveRetirementRestoresHeadroomExactly) {
   ASSERT_EQ(controller.Offer(600), AdmissionOutcome::kQueued);
   EXPECT_EQ(controller.outstanding_reservations(), 2u);
 
-  // The wave is poisoned: the supervisor retires every admitted slot.
+  // The wave is poisoned: its admitted slots are retired all the same.
   controller.Release(400);
   controller.Release(400);
   EXPECT_EQ(controller.outstanding_reservations(), 0u);

@@ -4,14 +4,12 @@
 // behavior, and the coordinator's flagship contract — every estimate,
 // outcome, and stats field bit-identical to the single-process broker at
 // any worker count, including after killing a worker at every epoch
-// boundary and after a W-change restore from an epoch manifest.
+// boundary, and a worker that fails twice poisoning only its wave.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -363,42 +361,6 @@ TEST(ShardStateTest, EncodedBytesArePinned) {
 }
 
 // ---------------------------------------------------------------------------
-// Epoch manifest codec
-// ---------------------------------------------------------------------------
-
-TEST(EpochManifestTest, RoundTripsAndRejectsDamage) {
-  const std::string dir = TestDir("manifest");
-  EpochManifest manifest;
-  manifest.num_workers = 3;
-  manifest.stream_fingerprint = 0xabcULL;
-  manifest.stream_length = 600;
-  manifest.spec_fingerprint = 0xdefULL;
-  manifest.epoch_edges = 50;
-  manifest.worker_ranges = {{{0, 200}}, {{200, 400}}, {{400, 600}}};
-  manifest.checkpoint_files = {"w0-s0.ckpt", "w0-s1.ckpt", "w0-s2.ckpt"};
-
-  const std::string path = dir + "/epoch.manifest";
-  std::string error;
-  ASSERT_TRUE(SaveEpochManifest(path, manifest, &error)) << error;
-  EpochManifest loaded;
-  ASSERT_TRUE(LoadEpochManifest(path, &loaded, &error)) << error;
-  EXPECT_EQ(loaded.num_workers, manifest.num_workers);
-  EXPECT_EQ(loaded.stream_fingerprint, manifest.stream_fingerprint);
-  EXPECT_EQ(loaded.stream_length, manifest.stream_length);
-  EXPECT_EQ(loaded.spec_fingerprint, manifest.spec_fingerprint);
-  EXPECT_EQ(loaded.epoch_edges, manifest.epoch_edges);
-  EXPECT_EQ(loaded.worker_ranges, manifest.worker_ranges);
-  EXPECT_EQ(loaded.checkpoint_files, manifest.checkpoint_files);
-
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  bytes[bytes.size() / 3] ^= 0x10;
-  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
-  EXPECT_FALSE(LoadEpochManifest(path, &loaded, &error));
-}
-
-// ---------------------------------------------------------------------------
 // Coordinator: W=1 oracle and merge-order edge cases
 // ---------------------------------------------------------------------------
 
@@ -543,168 +505,35 @@ TEST(CoordinatorTest, KillWithoutCheckpointsRerunsTheShardFromScratch) {
   ExpectOutcomesIdentical(oracle, result.outcomes);
 }
 
-// ---------------------------------------------------------------------------
-// W-change restore from the epoch manifest
-// ---------------------------------------------------------------------------
-
-TEST(CoordinatorTest, CheckpointAtW4RestoresAtOtherWorkerCounts) {
+TEST(CoordinatorTest, WorkerFailingTwicePoisonsOnlyItsWave) {
   VertexId n = 0;
-  EdgeStream stream = ShardStream(&n);
-  stream.resize(250);
-  std::vector<QuerySpec> specs = MixedShardSpecs(n);
-  specs.resize(6);
-  for (QuerySpec& spec : specs) spec.space_budget_words = 0;
-
+  const EdgeStream stream = ShardStream(&n);
+  const std::vector<QuerySpec> specs = MixedShardSpecs(n);
+  BudgetPolicy budget;
+  budget.aggregate_words = 2000;  // Several waves.
   EngineStats broker_stats;
   const std::vector<QueryOutcome> oracle =
-      BrokerOracle(specs, stream, BudgetPolicy(), &broker_stats);
+      BrokerOracle(specs, stream, budget, &broker_stats);
+  ASSERT_GT(broker_stats.waves, 1u);
 
-  // A W=4 run with an epoch cadence: afterwards the shard dir holds the
-  // epoch manifest plus each shard's last boundary checkpoint (partial
-  // progress — 250/4 edges per shard, epoch 20).
-  const std::string dir = TestDir("wchange");
-  ShardPlanOptions plan = PlanFor(dir, 4);
-  plan.epoch_edges = 20;
-  const ShardBatchResult original = RunShardedBatch(specs, stream, plan);
-  ExpectOutcomesIdentical(oracle, original.outcomes);
-
-  for (int w : {1, 2, 8}) {
-    SCOPED_TRACE("restore_workers=" + std::to_string(w));
-    ShardPlanOptions restore =
-        PlanFor(TestDir("wchange_r" + std::to_string(w)), w);
-    ShardBatchResult result;
-    std::string error;
-    ASSERT_TRUE(ResumeShardedBatch(dir + "/epoch.manifest", specs, stream,
-                                   restore, &result, &error))
-        << error;
-    EXPECT_TRUE(result.resumed);
-    ExpectOutcomesIdentical(oracle, result.outcomes);
-    ExpectStatsIdentical(broker_stats, result.stats);
+  // A directory squats worker 1's wave-0 state path, so the atomic rename
+  // fails on the first launch and on the recovery alike.
+  const std::string dir = TestDir("fails_twice");
+  std::filesystem::create_directories(dir + "/w0-s1.state/occupied");
+  ShardPlanOptions options = PlanFor(dir, 2);
+  options.budget = budget;
+  const ShardBatchResult result = RunShardedBatch(specs, stream, options);
+  EXPECT_EQ(result.workers_recovered, 1u);
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    SCOPED_TRACE(oracle[i].spec.name);
+    EXPECT_EQ(result.outcomes[i].admission, oracle[i].admission);
+    EXPECT_EQ(result.outcomes[i].wave, oracle[i].wave);
+    if (oracle[i].admission != AdmissionOutcome::kAdmitted) continue;
+    EXPECT_EQ(result.outcomes[i].poisoned, oracle[i].wave == 0);
+    if (oracle[i].wave > 0) {
+      EXPECT_EQ(result.outcomes[i].estimate.value, oracle[i].estimate.value);
+    }
   }
-}
-
-TEST(CoordinatorTest, RestoreSurvivesAMissingShardCheckpoint) {
-  VertexId n = 0;
-  EdgeStream stream = ShardStream(&n);
-  stream.resize(250);
-  std::vector<QuerySpec> specs = MixedShardSpecs(n);
-  specs.resize(4);
-  for (QuerySpec& spec : specs) spec.space_budget_words = 0;
-
-  EngineStats broker_stats;
-  const std::vector<QueryOutcome> oracle =
-      BrokerOracle(specs, stream, BudgetPolicy(), &broker_stats);
-
-  const std::string dir = TestDir("missing_ckpt");
-  ShardPlanOptions plan = PlanFor(dir, 4);
-  plan.epoch_edges = 20;
-  RunShardedBatch(specs, stream, plan);
-  // Lose one shard's checkpoint entirely: its whole slice re-runs.
-  std::filesystem::remove(dir + "/w0-s2.ckpt");
-
-  ShardBatchResult result;
-  std::string error;
-  ASSERT_TRUE(ResumeShardedBatch(dir + "/epoch.manifest", specs, stream,
-                                 PlanFor(TestDir("missing_ckpt_r"), 3),
-                                 &result, &error))
-      << error;
-  ExpectOutcomesIdentical(oracle, result.outcomes);
-}
-
-TEST(CoordinatorTest, RestoreDropsACheckpointWhoseBlobIsRefused) {
-  VertexId n = 0;
-  EdgeStream stream = ShardStream(&n);
-  stream.resize(250);
-  std::vector<QuerySpec> specs = MixedShardSpecs(n);
-  specs.resize(3);
-  for (QuerySpec& spec : specs) spec.space_budget_words = 0;
-
-  EngineStats broker_stats;
-  const std::vector<QueryOutcome> oracle =
-      BrokerOracle(specs, stream, BudgetPolicy(), &broker_stats);
-
-  const std::string dir = TestDir("refused_blob");
-  ShardPlanOptions plan = PlanFor(dir, 4);
-  plan.epoch_edges = 20;
-  RunShardedBatch(specs, stream, plan);
-
-  // Forge shard 1's checkpoint: frames and CRCs valid, but query 1's first
-  // accumulator slot is NaN, which RestoreState refuses. Query 0 restores
-  // fine, so a fold that merged query by query would keep half a shard.
-  const std::string path = dir + "/w0-s1.ckpt";
-  ShardState forged;
-  std::string error;
-  ASSERT_TRUE(LoadShardState(path, &forged, &error)) << error;
-  ASSERT_GT(forged.header.edges_done, 0u);
-  std::string& blob = forged.query_states[1].second;
-  const std::size_t first_slot = 4 + 5 * 8 + 8;  // Config, then A's length.
-  ASSERT_GT(blob.size(), first_slot + sizeof(double));
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::memcpy(blob.data() + first_slot, &nan, sizeof(nan));
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      << EncodeShardState(forged);
-  ASSERT_TRUE(LoadShardState(path, &forged, &error)) << error;
-
-  for (int w : {4, 2}) {
-    SCOPED_TRACE("restore_workers=" + std::to_string(w));
-    ShardBatchResult result;
-    ASSERT_TRUE(ResumeShardedBatch(
-        dir + "/epoch.manifest", specs, stream,
-        PlanFor(TestDir("refused_blob_r" + std::to_string(w)), w), &result,
-        &error))
-        << error;
-    ExpectOutcomesIdentical(oracle, result.outcomes);
-    ExpectStatsIdentical(broker_stats, result.stats);
-  }
-}
-
-TEST(CoordinatorTest, RestoreRejectsMismatchedStreamAndSpecs) {
-  VertexId n = 0;
-  EdgeStream stream = ShardStream(&n);
-  stream.resize(250);
-  std::vector<QuerySpec> specs = MixedShardSpecs(n);
-  specs.resize(4);
-  for (QuerySpec& spec : specs) spec.space_budget_words = 0;
-
-  const std::string dir = TestDir("restore_reject");
-  ShardPlanOptions plan = PlanFor(dir, 2);
-  plan.epoch_edges = 20;
-  RunShardedBatch(specs, stream, plan);
-  const std::string manifest = dir + "/epoch.manifest";
-
-  ShardBatchResult result;
-  std::string error;
-
-  // Wrong stream length.
-  EdgeStream shorter = stream;
-  shorter.resize(200);
-  EXPECT_FALSE(ResumeShardedBatch(manifest, specs, shorter,
-                                  PlanFor(TestDir("rr_len"), 2), &result,
-                                  &error));
-
-  // Same length, different contents.
-  EdgeStream mutated = stream;
-  std::swap(mutated.front(), mutated.back());
-  EXPECT_FALSE(ResumeShardedBatch(manifest, specs, mutated,
-                                  PlanFor(TestDir("rr_fp"), 2), &result,
-                                  &error));
-  EXPECT_NE(error.find("fingerprint"), std::string::npos);
-
-  // Different query set (seed change flips the spec fingerprint).
-  std::vector<QuerySpec> other = specs;
-  other[0].base.seed ^= 1;
-  EXPECT_FALSE(ResumeShardedBatch(manifest, other, stream,
-                                  PlanFor(TestDir("rr_spec"), 2), &result,
-                                  &error));
-
-  // Multi-wave batches cannot be W-change restored.
-  std::vector<QuerySpec> budgeted = specs;
-  for (QuerySpec& spec : budgeted) spec.space_budget_words = 300;
-  ShardPlanOptions capped = PlanFor(TestDir("rr_wave"), 2);
-  capped.budget.aggregate_words = 500;
-  EXPECT_FALSE(ResumeShardedBatch(manifest, budgeted, stream, capped,
-                                  &result, &error));
-  EXPECT_NE(error.find("single-wave"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@
 
 #include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -634,6 +636,51 @@ TEST(SupervisedBatchTest, ResumeRelaunchesOnlyTheMissingShard) {
   // Lose one shard of wave 0: the resume recollects everything else and
   // re-runs just that slice.
   ASSERT_TRUE(std::filesystem::remove(dir + "/w0-s1.state"));
+  options.resume = true;
+  SupervisedBatchResult resumed;
+  ASSERT_TRUE(RunSupervisedBatch(specs, stream, options, &resumed, &error))
+      << error;
+  EXPECT_EQ(resumed.counters.workers_launched, 1u);
+  ExpectOutcomesIdentical(oracle, resumed.outcomes);
+  ExpectStatsIdentical(broker_stats, resumed.stats);
+}
+
+TEST(SupervisedBatchTest, ResumeDropsACheckpointWhoseBlobIsRefused) {
+  DrainLatchGuard guard;
+  VertexId n = 0;
+  const EdgeStream stream = SupervisorStream(&n);
+  const std::vector<QuerySpec> specs = SupervisedSpecs(n);
+
+  EngineStats broker_stats;
+  const std::vector<QueryOutcome> oracle =
+      BrokerOracle(specs, stream, SupervisedBudget(), &broker_stats);
+
+  const std::string dir = TestDir("refused_blob");
+  SupervisorOptions options = InProcessOptions(dir, 2);
+  SupervisedBatchResult first;
+  std::string error;
+  ASSERT_TRUE(RunSupervisedBatch(specs, stream, options, &first, &error))
+      << error;
+
+  // Lose shard 1's wave-0 state and forge its checkpoint: frames and CRCs
+  // valid, but query 1's first accumulator slot is NaN, which RestoreState
+  // refuses. Query 0 restores fine, so a worker that restored query by
+  // query would resume half its queries mid-slice.
+  ASSERT_TRUE(std::filesystem::remove(dir + "/w0-s1.state"));
+  const std::string path = dir + "/w0-s1.ckpt";
+  ShardState forged;
+  ASSERT_TRUE(LoadShardState(path, &forged, &error)) << error;
+  ASSERT_GT(forged.header.edges_done, 0u);
+  ASSERT_GE(forged.query_states.size(), 2u);
+  std::string& blob = forged.query_states[1].second;
+  const std::size_t first_slot = 4 + 5 * 8 + 8;  // Config, then A's length.
+  ASSERT_GT(blob.size(), first_slot + sizeof(double));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::memcpy(blob.data() + first_slot, &nan, sizeof(nan));
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << EncodeShardState(forged);
+  ASSERT_TRUE(LoadShardState(path, &forged, &error)) << error;
+
   options.resume = true;
   SupervisedBatchResult resumed;
   ASSERT_TRUE(RunSupervisedBatch(specs, stream, options, &resumed, &error))

@@ -943,6 +943,11 @@ int PrepareShardRun(FlagParser& flags, ShardSetup* setup) {
       spec.name = std::string(engine::QueryKindName(spec.kind)) + "-" +
                   std::to_string(i);
       spec.base.seed = seed + static_cast<std::uint64_t>(i);
+      std::string spec_error;
+      if (!engine::ValidateSpec(spec, &spec_error)) {
+        std::cerr << "error: " << spec_error << "\n";
+        return 1;
+      }
       specs.push_back(std::move(spec));
     }
   }
@@ -1032,8 +1037,8 @@ int PrepareShardRun(FlagParser& flags, ShardSetup* setup) {
 }
 
 // `shard`: the multi-process engine front end. Same spec preparation and
-// output as `sweep`/`serve`, but execution goes through the shard
-// coordinator — results are bit-identical to --shards 1 at any worker
+// output as `sweep`/`serve`, but execution goes through the sharded wave
+// loop — results are bit-identical to --shards 1 at any worker
 // count, so the deterministic manifest is too (the shard execution-policy
 // flags are excluded from it like --threads).
 int RunShard(FlagParser& flags, RunManifest& manifest) {
@@ -1057,7 +1062,7 @@ int RunShard(FlagParser& flags, RunManifest& manifest) {
   return 0;
 }
 
-// `serve --daemon`: the supervised always-on serving mode (DESIGN.md §15).
+// `serve --daemon`: the supervised always-on serving mode (DESIGN.md §14).
 // Same front end as `shard`, executed under engine/supervisor: per-worker
 // retry with deterministic backoff, watchdog deadlines for hung
 // subprocesses, graceful SIGTERM/SIGINT drain, and `--resume` to finish a
