@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -47,6 +48,82 @@ bool FitsInt32Slot(double x) {
          std::bit_cast<std::uint64_t>(
              static_cast<double>(static_cast<std::int32_t>(x))) ==
              std::bit_cast<std::uint64_t>(x);
+}
+
+// arbf2/2 stores its slots as the rows lie in memory.
+static_assert(std::endian::native == std::endian::little,
+              "arbf2/2 slots are little-endian");
+
+// The arbf2/2 blob: six config fields (a u32 and five 8-byte words), a u8
+// width tag, a u64 slot count, then the slots at that width.
+constexpr std::size_t kConfigBytes = 4 + 5 * 8;
+
+constexpr std::size_t SlotBytes(ArbF2FourCycleCounter::SlotWidth width) {
+  switch (width) {
+    case ArbF2FourCycleCounter::SlotWidth::kInt16: return 2;
+    case ArbF2FourCycleCounter::SlotWidth::kInt32: return 4;
+    case ArbF2FourCycleCounter::SlotWidth::kDouble: return 8;
+  }
+  return 8;
+}
+
+// Appends `rows` as To slots: one Bytes call when To is the live type,
+// otherwise row by row through one converted row (exact: SaveState picks a
+// To that holds every slot).
+template <typename To, typename From>
+void WriteSlots(StateWriter& w, const std::vector<From>& rows,
+                std::size_t row_slots) {
+  if constexpr (std::is_same_v<To, From>) {
+    w.Bytes(rows.data(), rows.size() * sizeof(From));
+  } else {
+    std::vector<To> row(row_slots);
+    for (std::size_t at = 0; at < rows.size(); at += row_slots) {
+      for (std::size_t i = 0; i < row_slots; ++i) {
+        row[i] = static_cast<To>(rows[at + i]);
+      }
+      w.Bytes(row.data(), row_slots * sizeof(To));
+    }
+  }
+}
+
+// Checks a payload of `n` rows of `row_slots` T slots and, if it passes,
+// loads it into `rows` and each integer row's largest |slot| into `bound`
+// (left empty for `double`). It refuses an integer slot at T's minimum,
+// whose magnitude T cannot hold; a non-finite `double`, which only
+// corruption produces and which would poison the estimate; and a payload
+// the next narrower width would hold exactly, so that every state has
+// exactly one encoding.
+template <typename T, typename Rows>
+bool LoadSlots(std::string_view payload, std::size_t n, std::size_t row_slots,
+               std::vector<std::uint32_t>* bound, Rows* rows) {
+  constexpr bool kDouble = std::is_same_v<T, double>;
+  if constexpr (!kDouble) bound->assign(n, 0);
+  bool narrower = true;
+  for (std::size_t v = 0; v < n; ++v) {
+    const char* row = payload.data() + v * row_slots * sizeof(T);
+    std::uint32_t row_peak = 0;
+    for (std::size_t i = 0; i < row_slots; ++i) {
+      T x;
+      std::memcpy(&x, row + i * sizeof(T), sizeof(T));
+      if constexpr (kDouble) {
+        if (!std::isfinite(x)) return false;
+        narrower &= FitsInt32Slot(x);
+      } else {
+        if (x == std::numeric_limits<T>::min()) return false;
+        row_peak = std::max(row_peak, static_cast<std::uint32_t>(
+                                          x < 0 ? -std::int64_t{x} : x));
+      }
+    }
+    if constexpr (!kDouble) {
+      (*bound)[v] = row_peak;
+      narrower &= row_peak <= kInt16SlotMax;
+    }
+  }
+  if (narrower && !std::is_same_v<T, std::int16_t>) return false;
+  *rows = Rows();
+  std::memcpy(rows->template emplace<std::vector<T>>(n * row_slots).data(),
+              payload.data(), payload.size());
+  return true;
 }
 
 // Replaces the live row vector with a vector of To holding the same
@@ -237,34 +314,55 @@ Estimate ArbF2FourCycleCounter::Result() const {
   return result;
 }
 
+ArbF2FourCycleCounter::SlotWidth ArbF2FourCycleCounter::NarrowestWidth()
+    const {
+  return std::visit(
+      [](const auto& rows) {
+        using T = typename std::decay_t<decltype(rows)>::value_type;
+        if constexpr (std::is_same_v<T, std::int16_t>) {
+          return SlotWidth::kInt16;
+        } else {
+          // A live int32 slot is never INT32_MIN (its row bound is at most
+          // 2^31 − 1), so std::abs is exact on it.
+          bool int16 = true;
+          for (const T x : rows) {
+            if constexpr (std::is_same_v<T, double>) {
+              if (!FitsInt32Slot(x)) return SlotWidth::kDouble;
+            }
+            int16 &= std::abs(x) <= static_cast<T>(kInt16SlotMax);
+          }
+          return int16 ? SlotWidth::kInt16 : SlotWidth::kInt32;
+        }
+      },
+      rows_);
+}
+
 bool ArbF2FourCycleCounter::SaveState(StateWriter& w) const {
   // Only the accumulators are stream-dependent; the sign caches are
   // constructor-derived from the fingerprinted seed.
-  const std::size_t n = params_.num_vertices;
-  const std::size_t c = num_copies_;
-  // Exact arbf2/1 size: a u32 and five 8-byte config fields, then three
-  // length-prefixed arrays.
-  w.Reserve(4 + 5 * 8 + 3 * (8 + n * c * sizeof(double)));
+  const SlotWidth width = NarrowestWidth();
+  const std::size_t slots = params_.num_vertices * 3 * num_copies_;
+  w.Reserve(kConfigBytes + 1 + 8 + slots * SlotBytes(width));
   w.U32(params_.num_vertices);
   w.Size(num_copies_);
   w.I64(params_.groups);
   w.Double(params_.base.epsilon);
   w.U64(params_.base.seed);
   w.Double(params_.f1_correction);
-  // The arbf2/1 layout: the A, B and C arrays, each a StateWriter::Vec of
-  // n·C copy-minor doubles, written one row segment at a time.
+  w.U8(static_cast<std::uint8_t>(width));
+  w.U64(slots);
   std::visit(
       [&](const auto& rows) {
-        std::vector<double> out(c);
-        for (std::size_t k = 0; k < 3; ++k) {
-          w.Size(n * c);
-          for (std::size_t v = 0; v < n; ++v) {
-            const auto* seg = rows.data() + v * 3 * c + k * c;
-            for (std::size_t i = 0; i < c; ++i) {
-              out[i] = static_cast<double>(seg[i]);
-            }
-            w.Bytes(out.data(), c * sizeof(double));
-          }
+        switch (width) {
+          case SlotWidth::kInt16:
+            WriteSlots<std::int16_t>(w, rows, 3 * num_copies_);
+            break;
+          case SlotWidth::kInt32:
+            WriteSlots<std::int32_t>(w, rows, 3 * num_copies_);
+            break;
+          case SlotWidth::kDouble:
+            WriteSlots<double>(w, rows, 3 * num_copies_);
+            break;
         }
       },
       rows_);
@@ -277,58 +375,35 @@ bool ArbF2FourCycleCounter::RestoreState(StateReader& r) {
       r.U64() != params_.base.seed || r.Double() != params_.f1_correction) {
     return r.Fail();
   }
+  const std::uint8_t tag = r.U8();
+  const std::size_t slots = params_.num_vertices * 3 * num_copies_;
+  if (!r.ok() || tag > static_cast<std::uint8_t>(SlotWidth::kDouble) ||
+      r.U64() != slots) {
+    return r.Fail();
+  }
+  const auto width = static_cast<SlotWidth>(tag);
+  const std::string_view payload = r.Bytes(slots * SlotBytes(width));
+  if (!r.ok()) return false;
+  // Everything is checked before the counter changes, so a refused blob
+  // leaves it as it was.
+  std::vector<std::uint32_t> bound;
+  bool loaded = false;
   const std::size_t n = params_.num_vertices;
-  const std::size_t c = num_copies_;
-  std::string_view arrays[3];
-  for (std::string_view& bytes : arrays) {
-    if (r.Size() != n * c) return r.Fail();
-    bytes = r.Bytes(n * c * sizeof(double));
-    if (!r.ok()) return false;
+  switch (width) {
+    case SlotWidth::kInt16:
+      loaded = LoadSlots<std::int16_t>(payload, n, 3 * num_copies_, &bound,
+                                       &rows_);
+      break;
+    case SlotWidth::kInt32:
+      loaded = LoadSlots<std::int32_t>(payload, n, 3 * num_copies_, &bound,
+                                       &rows_);
+      break;
+    case SlotWidth::kDouble:
+      loaded = LoadSlots<double>(payload, n, 3 * num_copies_, &bound, &rows_);
+      break;
   }
-  const auto slot = [&](std::size_t k, std::size_t j) {
-    double x;
-    std::memcpy(&x, arrays[k].data() + j * sizeof(double), sizeof(double));
-    return x;
-  };
-  // A non-finite slot can only come from corruption and would poison the
-  // estimate. Each row's bound is its largest |slot|, and the slots load at
-  // the narrowest width the largest bound fits — as `double` if a slot is
-  // not an exact int32 value.
-  std::vector<std::uint32_t> bound(n, 0);
-  bool integral = true;
-  for (std::size_t k = 0; k < 3; ++k) {
-    for (std::size_t v = 0; v < n; ++v) {
-      for (std::size_t i = 0; i < c; ++i) {
-        const double x = slot(k, v * c + i);
-        if (!std::isfinite(x)) return r.Fail();
-        if (integral && FitsInt32Slot(x)) {
-          bound[v] = std::max(bound[v], static_cast<std::uint32_t>(
-                                            std::fabs(x)));
-        } else {
-          integral = false;
-        }
-      }
-    }
-  }
-  const std::uint64_t peak =
-      integral ? *std::max_element(bound.begin(), bound.end()) : kAnyBound;
-  rows_ = Rows();
+  if (!loaded) return r.Fail();
   row_bound_ = std::move(bound);
-  WidenFor(peak);
-  std::visit(
-      [&](auto& rows) {
-        using T = typename std::decay_t<decltype(rows)>::value_type;
-        rows.resize(n * 3 * c);
-        for (std::size_t k = 0; k < 3; ++k) {
-          for (std::size_t v = 0; v < n; ++v) {
-            T* seg = rows.data() + v * 3 * c + k * c;
-            for (std::size_t i = 0; i < c; ++i) {
-              seg[i] = static_cast<T>(slot(k, v * c + i));
-            }
-          }
-        }
-      },
-      rows_);
   return true;
 }
 

@@ -45,6 +45,17 @@ namespace cyclestream {
 /// restored slot is non-integral or −0.0, and the bounds are then dropped.
 /// The estimate and the snapshot bytes depend only on the slot values,
 /// which are the same at every width (DESIGN.md §8).
+///
+/// Snapshot layout `arbf2/2`: the six config fields (u32 n, u64 C, i64
+/// groups, f64 ε, u64 seed, f64 F₁ correction), a u8 width tag (0 = int16,
+/// 1 = int32, 2 = `double`), a u64 slot count n·3C, then the slots in the
+/// row-major order above, little-endian at the tagged width. SaveState
+/// writes the narrowest width that holds every slot exactly (int16 when
+/// every |slot| ≤ 32,767, int32 when every slot is an int32 value other
+/// than −0.0, else `double`), whatever width the counter holds, and
+/// RestoreState refuses any other encoding: an unknown tag, a wrong count,
+/// a short payload, an int16 slot of −32,768, an int32 slot of INT32_MIN,
+/// a non-finite `double`, or a blob wider than it needs to be.
 class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
  public:
   struct Params {
@@ -95,7 +106,7 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   /// factor the multiply is a pure exponent shift, lossless on every slot.
   void Rescale(double factor);
   void EndPass(int pass) override;
-  std::string_view CheckpointId() const override { return "arbf2/1"; }
+  std::string_view CheckpointId() const override { return "arbf2/2"; }
   bool SaveState(StateWriter& w) const override;
   bool RestoreState(StateReader& r) override;
   /// Shard-merge: adds `other`'s accumulators into this counter's. The
@@ -134,6 +145,10 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   }
   /// Applies edges[i] with weight signs[i] (+1 for all when signs is null).
   void ApplyBlock(std::span<const Edge> edges, const double* signs);
+
+  /// The narrowest width that holds every slot exactly: the width the
+  /// snapshot is written at.
+  SlotWidth NarrowestWidth() const;
 
   /// Widens the slots, exactly, to the narrowest width that holds every
   /// |slot| <= `bound`; they never narrow.

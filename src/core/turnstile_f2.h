@@ -47,7 +47,8 @@ class TurnstileF2FourCycleCounter : public TurnstileStreamAlgorithm {
   void EndPass(int pass) override;
   Estimate Result() const override { return inner_.Result(); }
   bool Rescale(double factor) override;
-  static constexpr std::string_view kCheckpointId = "turnstile-c4/1";
+  /// The blob is the inner counter's, so the id moves with its layout.
+  static constexpr std::string_view kCheckpointId = "turnstile-c4/2";
   std::string_view CheckpointId() const override { return kCheckpointId; }
   bool SaveState(StateWriter& w) const override;
   bool RestoreState(StateReader& r) override;

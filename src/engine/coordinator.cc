@@ -4,48 +4,34 @@
 
 #include "engine/supervisor.h"
 #include "util/check.h"
-#include "util/serialize.h"
 
 namespace cyclestream::engine {
-namespace {
-
-// Restores one query's blob into a fresh instance of `spec`.
-EdgeQuery RestoreQuery(const QuerySpec& spec, const std::string& blob) {
-  EdgeQuery q = MakeEdgeQuery(spec);
-  StateReader r(blob);
-  CHECK(q.algorithm->RestoreState(r) && r.AtEnd())
-      << "validated shard state rejected by RestoreState for query '"
-      << spec.name << "' (codec bug)";
-  return q;
-}
-
-}  // namespace
 
 std::vector<EdgeQuery> MergeShardStates(
     const std::vector<QuerySpec>& wave_specs,
     const std::vector<ShardState>& states, std::vector<EdgeQuery> base) {
   std::vector<EdgeQuery> merged = std::move(base);
-  const bool seeded = !merged.empty();
-  CHECK(seeded || !states.empty());
-  for (std::size_t qi = 0; qi < wave_specs.size(); ++qi) {
-    std::size_t first = 0;
-    if (!seeded) {
-      if (qi == 0) merged.reserve(wave_specs.size());
-      if (merged.size() <= qi) {
-        merged.push_back(
-            RestoreQuery(wave_specs[qi], states[0].query_states[qi].second));
-      }
-      first = 1;
-    }
-    for (std::size_t w = first; w < states.size(); ++w) {
-      EdgeQuery scratch =
-          RestoreQuery(wave_specs[qi], states[w].query_states[qi].second);
-      CHECK(merged[qi].algorithm->MergeFrom(*scratch.algorithm))
-          << "MergeFrom rejected a validated shard state for query '"
-          << wave_specs[qi].name << "'";
-    }
+  CHECK(!merged.empty() || !states.empty());
+  std::vector<EdgeQuery> scratch;
+  for (const ShardState& state : states) {
+    const bool seed = merged.empty();
+    std::string why;
+    CHECK(RestoreQueryStates(wave_specs, state, seed ? &merged : &scratch,
+                             &why))
+        << "validated shard state refused: " << why << " (codec bug)";
+    if (!seed) MergeShardQueries(wave_specs, scratch, &merged);
   }
   return merged;
+}
+
+void MergeShardQueries(const std::vector<QuerySpec>& wave_specs,
+                       const std::vector<EdgeQuery>& shard,
+                       std::vector<EdgeQuery>* merged) {
+  for (std::size_t q = 0; q < wave_specs.size(); ++q) {
+    CHECK((*merged)[q].algorithm->MergeFrom(*shard[q].algorithm))
+        << "MergeFrom rejected a restored shard state for query '"
+        << wave_specs[q].name << "'";
+  }
 }
 
 ShardBatchResult RunShardedBatch(const std::vector<QuerySpec>& specs,

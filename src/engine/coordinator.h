@@ -93,10 +93,20 @@ ShardBatchResult RunShardedBatch(const std::vector<QuerySpec>& specs,
 
 /// Folds `states` (fixed order) into one merged query per spec. `base`
 /// queries, when provided, seed the fold; otherwise shard 0's state is the
-/// seed.
+/// seed. Every later shard restores into one scratch instance per query,
+/// built once. CHECKs that every blob restores, so it is for states whose
+/// blobs are known good (cyclebench times its fold with it); the
+/// supervisor's wave fold restores each state as it collects it instead,
+/// and relaunches a worker whose blob is refused.
 std::vector<EdgeQuery> MergeShardStates(
     const std::vector<QuerySpec>& wave_specs,
     const std::vector<ShardState>& states, std::vector<EdgeQuery> base);
+
+/// Adds `shard`'s queries into `merged`'s, query by query; CHECKs that
+/// every MergeFrom accepts.
+void MergeShardQueries(const std::vector<QuerySpec>& wave_specs,
+                       const std::vector<EdgeQuery>& shard,
+                       std::vector<EdgeQuery>* merged);
 
 }  // namespace cyclestream::engine
 

@@ -36,6 +36,12 @@ AdjacencyQuery WrapAdjacency(std::unique_ptr<Alg> alg) {
   return AdjacencyQuery{std::move(alg), [raw] { return raw->Result(); }};
 }
 
+std::string NotFinite(const char* key, double value) {
+  std::ostringstream message;
+  message << key << " must be a finite number, got " << value;
+  return message.str();
+}
+
 }  // namespace
 
 std::string_view QueryKindName(QueryKind kind) {
@@ -120,6 +126,25 @@ std::string_view QueryKindTarget(QueryKind kind) {
   }
 }
 
+bool ValidateApproxConfig(const ApproxConfig& base, std::string* error) {
+  for (const auto& [key, value] :
+       {std::pair<const char*, double>{"epsilon", base.epsilon},
+        {"c", base.c},
+        {"t_guess", base.t_guess}}) {
+    if (!std::isfinite(value)) {
+      *error = NotFinite(key, value);
+      return false;
+    }
+  }
+  if (base.epsilon <= 0.0) {
+    std::ostringstream message;
+    message << "epsilon must be > 0, got " << base.epsilon;
+    *error = message.str();
+    return false;
+  }
+  return true;
+}
+
 bool ValidateSpec(const QuerySpec& spec, std::string* error) {
   auto fail = [&](std::string message) {
     if (error != nullptr) {
@@ -138,21 +163,12 @@ bool ValidateSpec(const QuerySpec& spec, std::string* error) {
             << RandomOrderTriangleCounter::kMaxLevels << " levels fit";
     return fail(message.str());
   }
-  const std::pair<const char*, double> reals[] = {
-      {"epsilon", spec.base.epsilon},  {"c", spec.base.c},
-      {"t_guess", spec.base.t_guess},  {"level_rate", spec.level_rate},
-      {"prefix_rate", spec.prefix_rate}};
-  for (const auto& [key, value] : reals) {
-    if (!std::isfinite(value)) {
-      std::ostringstream message;
-      message << key << " must be a finite number, got " << value;
-      return fail(message.str());
-    }
-  }
-  if (spec.base.epsilon <= 0.0) {
-    std::ostringstream message;
-    message << "epsilon must be > 0, got " << spec.base.epsilon;
-    return fail(message.str());
+  std::string message;
+  if (!ValidateApproxConfig(spec.base, &message)) return fail(message);
+  for (const auto& [key, value] :
+       {std::pair<const char*, double>{"level_rate", spec.level_rate},
+        {"prefix_rate", spec.prefix_rate}}) {
+    if (!std::isfinite(value)) return fail(NotFinite(key, value));
   }
   if (spec.kind == QueryKind::kTriest && spec.reservoir_capacity < 3) {
     return fail("reservoir must be >= 3, got " +

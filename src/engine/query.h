@@ -97,12 +97,18 @@ struct QuerySpec {
   std::uint32_t decay_log2 = 0;
 };
 
-/// Validates the fields a kind constrains. Windowing requires a turnstile
-/// kind, window and decay are mutually exclusive, window_buckets must
-/// divide window_edges, and decay needs decay_log2 in [1, 32]. A
-/// random-order t_guess must be a number giving at most 64 levels
-/// (√t_guess ≤ 2^63), one bit each in the counter's level masks. True when
-/// consistent; false with a CLI-ready `*error` otherwise.
+/// Checks the estimator parameters every kind's constructor CHECKs:
+/// epsilon, c and t_guess finite, epsilon > 0. False with `*error` set to
+/// the first violation otherwise.
+bool ValidateApproxConfig(const ApproxConfig& base, std::string* error);
+
+/// Validates the fields a kind constrains: ValidateApproxConfig, finite
+/// level_rate and prefix_rate, and each kind's own rules. Windowing
+/// requires a turnstile kind, window and decay are mutually exclusive,
+/// window_buckets must divide window_edges, and decay needs decay_log2 in
+/// [1, 32]. A random-order t_guess must be a number giving at most 64
+/// levels (√t_guess ≤ 2^63), one bit each in the counter's level masks.
+/// True when consistent; false with a CLI-ready `*error` otherwise.
 bool ValidateSpec(const QuerySpec& spec, std::string* error);
 
 /// A constructed edge-stream query: the algorithm plus a result extractor

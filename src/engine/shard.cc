@@ -226,31 +226,37 @@ bool LoadShardState(const std::string& path, ShardState* state,
   return DecodeShardState(encoded, state, error);
 }
 
+bool RestoreQueryStates(const std::vector<QuerySpec>& specs,
+                        const ShardState& state,
+                        std::vector<EdgeQuery>* queries, std::string* why) {
+  if (state.query_states.size() != specs.size()) {
+    *why = "query count does not match the spec count";
+    return false;
+  }
+  for (std::size_t i = queries->size(); i < specs.size(); ++i) {
+    queries->push_back(MakeEdgeQuery(specs[i]));
+  }
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (state.query_states[i].first != specs[i].name) {
+      *why = "query order does not match the spec order";
+      return false;
+    }
+    StateReader r(state.query_states[i].second);
+    if (!(*queries)[i].algorithm->RestoreState(r) || !r.AtEnd()) {
+      *why = "state blob rejected for query '" + specs[i].name + "'";
+      return false;
+    }
+  }
+  return true;
+}
+
 bool RestoreShardQueries(const std::vector<QuerySpec>& specs,
                          const ShardState& state,
                          std::vector<EdgeQuery>* queries, std::string* why) {
-  if (state.query_states.size() != specs.size()) {
-    *why = "checkpoint query count does not match the spec count";
-    return false;
-  }
-  // Restore into scratch instances first so a blob that fails validation
+  // Restore into fresh instances first so a blob that fails validation
   // midway never leaves the caller half-restored.
   std::vector<EdgeQuery> restored;
-  restored.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (state.query_states[i].first != specs[i].name) {
-      *why = "checkpoint query order does not match the spec order";
-      return false;
-    }
-    EdgeQuery q = MakeEdgeQuery(specs[i]);
-    StateReader r(state.query_states[i].second);
-    if (!q.algorithm->RestoreState(r) || !r.AtEnd()) {
-      *why = "checkpoint state blob rejected for query '" + specs[i].name +
-             "'";
-      return false;
-    }
-    restored.push_back(std::move(q));
-  }
+  if (!RestoreQueryStates(specs, state, &restored, why)) return false;
   *queries = std::move(restored);
   return true;
 }

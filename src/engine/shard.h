@@ -146,6 +146,15 @@ bool SaveShardState(const std::string& path, const ShardState& state,
 bool LoadShardState(const std::string& path, ShardState* state,
                     std::string* error);
 
+/// Restores each (name, blob) of `state` into `*queries`, one instance per
+/// spec: built from `specs` when missing, reused otherwise (RestoreState
+/// replaces an instance's whole state). False with `*why` set on a count
+/// or name mismatch or the first blob RestoreState refuses; the instances
+/// may then be partly restored.
+bool RestoreQueryStates(const std::vector<QuerySpec>& specs,
+                        const ShardState& state,
+                        std::vector<EdgeQuery>* queries, std::string* why);
+
 /// Restores each (name, blob) of `state` into a fresh instance of the
 /// matching spec. All or nothing: if the names disagree with `specs` or
 /// any RestoreState refuses its blob (a NaN slot behind a valid CRC),

@@ -230,12 +230,11 @@ pid_t SpawnShardWorker(const std::vector<std::string>& argv) {
   return pid;
 }
 
-// Loads + validates one worker's final state. False (with a warning) on
-// any damage or mismatch — the caller treats the worker as dead, so a
-// stale or torn file can delay a run but never corrupt a merge.
-bool CollectWorkerState(const WorkerLaunch& launch,
-                        const std::vector<QuerySpec>& wave_specs,
-                        ShardState* state) {
+// Loads one worker's final state and checks its header against the
+// launch. False (with a warning) on any damage or mismatch — the caller
+// treats the worker as dead, so a stale or torn file can delay a run but
+// never corrupt a merge.
+bool CollectWorkerState(const WorkerLaunch& launch, ShardState* state) {
   const ShardWorkerConfig& c = launch.config;
   std::string error;
   if (!LoadShardState(launch.state_path, state, &error)) {
@@ -248,18 +247,10 @@ bool CollectWorkerState(const WorkerLaunch& launch,
       h.stream_fingerprint != c.stream_fingerprint ||
       h.stream_length != c.edges.size() ||
       h.spec_fingerprint != c.spec_fingerprint || h.ranges != c.ranges ||
-      h.edges_done != TotalRangeEdges(c.ranges) ||
-      state->query_states.size() != wave_specs.size()) {
+      h.edges_done != TotalRangeEdges(c.ranges)) {
     LOG(WARNING) << "worker " << c.worker_id
                  << ": state header does not match its launch (stale file?)";
     return false;
-  }
-  for (std::size_t i = 0; i < wave_specs.size(); ++i) {
-    if (state->query_states[i].first != wave_specs[i].name) {
-      LOG(WARNING) << "worker " << c.worker_id
-                   << ": query order mismatch in state file";
-      return false;
-    }
   }
   return true;
 }
@@ -316,29 +307,45 @@ void CheckShardableSpecs(const std::vector<QuerySpec>& specs) {
 // ---------------------------------------------------------------------------
 
 // A wave's worker states, folded in fixed shard order as soon as every
-// earlier shard is in: an in-process wave holds one decoded state at a
-// time instead of all W.
+// earlier shard is in. Collect restores a worker's blobs once, all or
+// nothing, before it counts the worker done, so a blob RestoreState
+// refuses behind a valid CRC leaves the worker to be relaunched instead of
+// reaching the merge. The shard next in order restores into one scratch
+// instance per query and merges from there; shard 0 seeds the fold, and a
+// shard that finishes ahead of an earlier one keeps its own instances
+// until its turn.
 class WaveFold {
  public:
   WaveFold(const std::vector<QuerySpec>& wave_specs, std::size_t workers)
-      : specs_(wave_specs), states_(workers), done_(workers, 0) {}
+      : specs_(wave_specs), pending_(workers), done_(workers, 0) {}
 
   bool done(std::size_t i) const { return done_[i] != 0; }
   bool complete() const { return folded_ == done_.size(); }
 
-  // Loads and validates worker i's state file, then folds every shard
-  // whose predecessors are all in. False leaves the worker not done.
+  // Loads, validates and restores worker i's state file, then folds every
+  // shard whose predecessors are all in. False leaves the worker not done.
   bool Collect(const WorkerLaunch& launch, std::size_t i) {
-    if (!CollectWorkerState(launch, specs_, &states_[i])) {
-      states_[i] = ShardState{};
+    ShardState state;
+    if (!CollectWorkerState(launch, &state)) return false;
+    const bool via_scratch = i == folded_ && folded_ > 0;
+    std::vector<EdgeQuery>& restored = via_scratch ? scratch_ : pending_[i];
+    std::string why;
+    if (!RestoreQueryStates(specs_, state, &restored, &why)) {
+      LOG(WARNING) << "worker " << launch.config.worker_id
+                   << ": state file rejected (" << why << ")";
+      if (!via_scratch) restored.clear();
       return false;
     }
     done_[i] = 1;
     for (; folded_ < done_.size() && done_[folded_]; ++folded_) {
-      std::vector<ShardState> next;
-      next.push_back(std::move(states_[folded_]));
-      states_[folded_] = ShardState{};
-      merged_ = MergeShardStates(specs_, next, std::move(merged_));
+      std::vector<EdgeQuery>& next =
+          via_scratch && folded_ == i ? scratch_ : pending_[folded_];
+      if (folded_ == 0) {
+        merged_ = std::move(next);
+      } else {
+        MergeShardQueries(specs_, next, &merged_);
+        if (&next != &scratch_) next.clear();
+      }
     }
     return true;
   }
@@ -351,7 +358,8 @@ class WaveFold {
 
  private:
   const std::vector<QuerySpec>& specs_;
-  std::vector<ShardState> states_;  // Collected, waiting on an earlier shard.
+  std::vector<std::vector<EdgeQuery>> pending_;  // Restored, out of order.
+  std::vector<EdgeQuery> scratch_;
   std::vector<char> done_;
   std::size_t folded_ = 0;
   std::vector<EdgeQuery> merged_;

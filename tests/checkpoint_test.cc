@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -16,6 +17,7 @@
 #include "core/adj_f2_counter.h"
 #include "core/arb_f2_counter.h"
 #include "core/arb_three_pass.h"
+#include "core/turnstile_f2.h"
 #include "core/diamond_counter.h"
 #include "core/random_order_triangles.h"
 #include "engine/query.h"
@@ -28,6 +30,7 @@
 #include "stream/dynamic/turnstile.h"
 #include "stream/fault.h"
 #include "stream/order.h"
+#include "stream/window/window.h"
 #include "tests/test_util.h"
 #include "util/crc32.h"
 #include "util/serialize.h"
@@ -699,24 +702,21 @@ TEST(CrashResumeTest, EveryKillPointResumesBitIdenticalArbF2) {
   }
 }
 
-// A snapshot whose CRC is valid but whose state carries a NaN or ±inf
-// accumulator slot would silently poison every later estimate. Restore must
-// reject it — leaving the counter untouched — and the run must fall back to
-// a from-scratch execution that still produces the golden result.
-TEST(CrashResumeTest, NonFiniteArbF2SlotIsRejectedWithScratchFallback) {
-  Rng gen_rng(35);
-  const EdgeList graph = ErdosRenyiGnm(24, 60, gen_rng);
-  EdgeStream stream = graph.edges();
-  Rng order_rng(36);
-  order_rng.Shuffle(stream);
-  const auto params = ArbF2Params(graph.num_vertices());
+// The driver of either stream family, so the helpers below take both.
+RunOutcome Run(EdgeStreamAlgorithm& alg, const EdgeStream& stream,
+               const RunOptions& options) {
+  return RunEdgeStream(alg, stream, options);
+}
+RunOutcome Run(TurnstileStreamAlgorithm& alg, const TurnstileStream& stream,
+               const RunOptions& options) {
+  return RunTurnstileStream(alg, stream, options);
+}
 
-  ArbF2FourCycleCounter golden(params);
-  RunEdgeStream(golden, stream);
-  const double golden_value = golden.Result().value;
-
-  const std::string dir = MakeTempDir("crash_resume_nonfinite_arbf2");
-  ArbF2FourCycleCounter victim(params);
+// Kills `victim` halfway through `stream` with a checkpoint after every
+// element and returns the last snapshot.
+template <typename Alg, typename Stream>
+Snapshot KilledHalfwaySnapshot(Alg& victim, const Stream& stream,
+                               const std::string& dir) {
   CheckpointPolicy policy;
   policy.directory = dir;
   policy.every_elements = 1;
@@ -725,39 +725,125 @@ TEST(CrashResumeTest, NonFiniteArbF2SlotIsRejectedWithScratchFallback) {
   RunOptions kill_options;
   kill_options.checkpoint = &policy;
   kill_options.faults = &faults;
-  const RunOutcome killed = RunEdgeStream(victim, stream, kill_options);
-  ASSERT_FALSE(killed.completed);
+  const RunOutcome killed = Run(victim, stream, kill_options);
+  EXPECT_FALSE(killed.completed);
   std::string error;
   const std::optional<Snapshot> snap =
       LoadSnapshot(killed.checkpoint_path, &error);
-  ASSERT_TRUE(snap.has_value()) << error;
+  EXPECT_TRUE(snap.has_value()) << error;
+  return snap.value_or(Snapshot{});
+}
 
-  // arbf2/1 blob: a 44-byte config header, then the A, B and C arrays,
-  // each a u64 length followed by n·C doubles.
-  const std::size_t array_bytes = (snap->state.size() - 44) / 3;
-  const double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
-                         std::numeric_limits<double>::infinity(),
-                         -std::numeric_limits<double>::infinity()};
-  for (const double bad : kBad) {
-    for (std::size_t array = 0; array < 3; ++array) {
-      SCOPED_TRACE("value " + std::to_string(bad) + " in array " +
-                   std::to_string(array));
-      Snapshot poisoned = *snap;
-      std::memcpy(poisoned.state.data() + 44 + array * array_bytes + 8, &bad,
+// Resumes a fresh counter from `snap` and expects the snapshot refused and
+// the from-scratch result equal to `golden`.
+template <typename Alg, typename Stream>
+void ExpectResumeFallsBackToScratch(const Snapshot& snap,
+                                    const std::string& dir,
+                                    std::unique_ptr<Alg> resumed,
+                                    const Stream& stream, double golden) {
+  const std::string path = dir + "/poisoned.ckpt";
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(path, snap, &error)) << error;
+  RunOptions resume_options;
+  resume_options.resume_from = path;
+  const RunOutcome outcome = Run(*resumed, stream, resume_options);
+  EXPECT_TRUE(outcome.resume_rejected);
+  EXPECT_FALSE(outcome.resumed);
+  EXPECT_EQ(resumed->Result().value, golden);
+}
+
+// A snapshot whose CRC is valid but whose state carries a slot RestoreState
+// refuses would silently poison every later estimate: −32,768 in an int16
+// arbf2/2 blob, and NaN or ±inf in the double blob of a decayed
+// turnstile-f2-c4, each in row 0's A, B and C segment. Restore must reject
+// it and the run must fall back to a from-scratch execution that still
+// produces the golden result.
+TEST(CrashResumeTest, NonFiniteArbF2SlotIsRejectedWithScratchFallback) {
+  Rng gen_rng(35);
+  const EdgeList graph = ErdosRenyiGnm(24, 60, gen_rng);
+  EdgeStream stream = graph.edges();
+  Rng order_rng(36);
+  order_rng.Shuffle(stream);
+  const auto params = ArbF2Params(graph.num_vertices());
+  // arbf2/2: 44 config bytes, the width tag, the u64 slot count n·3C, then
+  // row-major rows of A | B | C, each C slots.
+  constexpr std::size_t kTag = 44;
+  constexpr std::size_t kSlots = kTag + 1 + 8;
+  // C = 9 groups of ⌈2/ε²⌉ = 8 copies at ε = 0.5.
+  constexpr std::size_t copies = 9 * 8;
+
+  ArbF2FourCycleCounter golden(params);
+  RunEdgeStream(golden, stream);
+  const std::string dir = MakeTempDir("crash_resume_nonfinite_arbf2");
+  {
+    ArbF2FourCycleCounter victim(params);
+    const Snapshot snap = KilledHalfwaySnapshot(victim, stream, dir);
+    ASSERT_EQ(snap.state.size(),
+              kSlots + 3 * graph.num_vertices() * copies * 2);
+    ASSERT_EQ(snap.state[kTag], 0) << "expected an int16 blob";
+    for (std::size_t segment = 0; segment < 3; ++segment) {
+      SCOPED_TRACE("-32768 in segment " + std::to_string(segment));
+      Snapshot poisoned = snap;
+      const std::int16_t bad = -32768;
+      std::memcpy(poisoned.state.data() + kSlots + segment * copies * 2, &bad,
                   sizeof(bad));
-      const std::string path = dir + "/poisoned.ckpt";
-      ASSERT_TRUE(SaveSnapshot(path, poisoned, &error)) << error;
-
-      ArbF2FourCycleCounter resumed(params);
-      RunOptions resume_options;
-      resume_options.resume_from = path;
-      const RunOutcome outcome =
-          RunEdgeStream(resumed, stream, resume_options);
-      EXPECT_TRUE(outcome.resume_rejected);
-      EXPECT_FALSE(outcome.resumed);
-      EXPECT_EQ(resumed.Result().value, golden_value);
+      ExpectResumeFallsBackToScratch(
+          poisoned, dir, std::make_unique<ArbF2FourCycleCounter>(params),
+          stream, golden.Result().value);
     }
   }
+
+  // A decayed counter past its first rescale holds non-integral slots, so
+  // its blob (after decay's u64 epoch and u32 log2) is at double width.
+  const TurnstileStream updates = TurnstileFromEdges(stream);
+  const auto decayed = [&] {
+    return std::make_unique<DecayAlgorithm>(
+        std::make_unique<TurnstileF2FourCycleCounter>(params),
+        /*epoch_edges=*/8, /*decay_log2=*/1);
+  };
+  const auto golden_decayed = decayed();
+  RunTurnstileStream(*golden_decayed, updates);
+  const auto victim = decayed();
+  const Snapshot snap = KilledHalfwaySnapshot(*victim, updates, dir);
+  constexpr std::size_t kDecay = 8 + 4;
+  ASSERT_EQ(snap.state.size(),
+            kDecay + kSlots + 3 * graph.num_vertices() * copies * 8);
+  ASSERT_EQ(snap.state[kDecay + kTag], 2) << "expected a double blob";
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    for (std::size_t segment = 0; segment < 3; ++segment) {
+      SCOPED_TRACE("value " + std::to_string(bad) + " in segment " +
+                   std::to_string(segment));
+      Snapshot poisoned = snap;
+      std::memcpy(
+          poisoned.state.data() + kDecay + kSlots + segment * copies * 8,
+          &bad, sizeof(bad));
+      ExpectResumeFallsBackToScratch(poisoned, dir, decayed(), updates,
+                                     golden_decayed->Result().value);
+    }
+  }
+}
+
+// arbf2/2 keeps no reader for the arbf2/1 layout: a snapshot that carries
+// the old id is refused by its id and the run starts from scratch.
+TEST(CrashResumeTest, ArbF2V1SnapshotFallsBackToScratch) {
+  Rng gen_rng(37);
+  const EdgeList graph = ErdosRenyiGnm(24, 60, gen_rng);
+  EdgeStream stream = graph.edges();
+  Rng order_rng(38);
+  order_rng.Shuffle(stream);
+  const auto params = ArbF2Params(graph.num_vertices());
+  ArbF2FourCycleCounter golden(params);
+  RunEdgeStream(golden, stream);
+  const std::string dir = MakeTempDir("crash_resume_arbf2_v1");
+  ArbF2FourCycleCounter victim(params);
+  Snapshot snap = KilledHalfwaySnapshot(victim, stream, dir);
+  ASSERT_EQ(snap.algorithm_id, "arbf2/2");
+  snap.algorithm_id = "arbf2/1";
+  ExpectResumeFallsBackToScratch(
+      snap, dir, std::make_unique<ArbF2FourCycleCounter>(params), stream,
+      golden.Result().value);
 }
 
 // A simulated EIO on a checkpoint write must not disturb the run: the

@@ -1,12 +1,15 @@
 // Mutation sweep over every durable decoder: the v1 edge stream, the v2
 // turnstile stream, CYCLSNP snapshots, shard states, daemon manifests and
-// heartbeat logs. Each kind starts from a valid encoding and
-// is fed seeded bit flips, every truncation, splices (two valid files
+// heartbeat logs. Each kind starts from a valid encoding and is fed
+// seeded bit flips, every truncation, splices (two valid files
 // concatenated, frames swapped between kinds) and forged counts and sizes,
-// all through one entry point, Decode(). A damaged file must be rejected
-// with a non-empty error; a heartbeat log must instead yield the last
-// beacon wholly before the damage. Forgeries behind a recomputed CRC may
-// decode, but must never crash (the sanitizer builds run this too).
+// all through one entry point, Decode(). The snapshot and the shard state
+// carry arbf2/2 blobs at all three widths, restored once the frames
+// decode, so a forgery behind a valid CRC also reaches RestoreState. A
+// damaged file must be rejected with a non-empty error; a heartbeat log
+// must instead yield the last beacon wholly before the damage. Forgeries
+// behind a recomputed CRC may decode, but must never crash (the sanitizer
+// builds run this too).
 
 #include <cstdint>
 #include <filesystem>
@@ -19,6 +22,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/arb_f2_counter.h"
 #include "engine/shard.h"
 #include "engine/supervisor.h"
 #include "graph/binary_io.h"
@@ -105,6 +109,54 @@ void PutU64(std::string* bytes, std::size_t at, std::uint64_t v) {
   PutLE(bytes->data() + at, v, 8);
 }
 
+// The arb-f2 counter whose arbf2/2 blobs the snapshot and shard state
+// carry: 4 vertices, 2 copies, 24 slots.
+ArbF2FourCycleCounter::Params BlobParams() {
+  ArbF2FourCycleCounter::Params params;
+  params.base.epsilon = 0.5;
+  params.base.seed = 3;
+  params.num_vertices = 4;
+  params.copies_per_group = 2;
+  params.groups = 1;
+  return params;
+}
+
+// A blob at `width`: a 4-cycle (int16), then 16,384 self-loops on vertex
+// 0 whose A slots pass 32,767 (int32), or a rescale by 1/2 that leaves
+// half-integers (double).
+std::string ArbF2Blob(ArbF2FourCycleCounter::SlotWidth width) {
+  using SlotWidth = ArbF2FourCycleCounter::SlotWidth;
+  ArbF2FourCycleCounter counter(BlobParams());
+  for (const Edge e : {Edge(0, 1), Edge(1, 2), Edge(2, 3), Edge(0, 3)}) {
+    counter.Insert(e);
+  }
+  if (width == SlotWidth::kInt32) {
+    for (int i = 0; i < 16384; ++i) counter.Insert(Edge(0, 0));
+  } else if (width == SlotWidth::kDouble) {
+    counter.Rescale(0.5);
+  }
+  EXPECT_EQ(counter.slot_width(), width);
+  StateWriter w;
+  EXPECT_TRUE(counter.SaveState(w));
+  return w.Take();
+}
+
+// Restores a decoded blob into a fresh counter. A refusal rejects the
+// file; an accepted blob must re-save to its own bytes, since arbf2/2 has
+// one encoding per state.
+bool RestoreArbF2(const std::string& blob, Verdict* v) {
+  ArbF2FourCycleCounter counter(BlobParams());
+  StateReader r(blob);
+  if (!counter.RestoreState(r) || !r.AtEnd()) {
+    v->error = "arbf2/2 blob refused";
+    return false;
+  }
+  StateWriter w;
+  EXPECT_TRUE(counter.SaveState(w));
+  EXPECT_EQ(w.str(), blob) << "an accepted blob re-saved differently";
+  return true;
+}
+
 class DecoderMutationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -150,13 +202,16 @@ class DecoderMutationTest : public ::testing::Test {
       }
       case Kind::kSnapshot: {
         const auto snap = DecodeSnapshot(bytes, &v.error);
-        v.ok = snap.has_value();
+        v.ok = snap.has_value() && RestoreArbF2(snap->state, &v);
         if (v.ok) w.Str(EncodeSnapshot(*snap));
         break;
       }
       case Kind::kShardState: {
         ShardState state;
         v.ok = engine::DecodeShardState(bytes, &state, &v.error);
+        for (const auto& [name, blob] : state.query_states) {
+          v.ok = v.ok && RestoreArbF2(blob, &v);
+        }
         if (v.ok) w.Str(engine::EncodeShardState(state));
         break;
       }
@@ -220,21 +275,22 @@ class DecoderMutationTest : public ::testing::Test {
       }
       case Kind::kSnapshot: {
         Snapshot snap;
-        snap.algorithm_id = "mutation/1";
+        snap.algorithm_id = "arbf2/2";
         snap.stream_fingerprint = 0x1234567890abcdefULL;
         snap.stream_length = 100;
         snap.pass = 1;
         snap.position = 42;
         snap.elements_processed = 142;
-        snap.state = std::string("\x01\x02\x03\x04 state", 10);
+        snap.state = ArbF2Blob(ArbF2FourCycleCounter::SlotWidth::kInt32);
         return EncodeSnapshot(snap);
       }
       case Kind::kShardState: {
         ShardState state;
         state.header = {1, 3, 0xfeedULL, 100, 0xbeefULL, 30, 2,
                         {{10, 40}, {70, 80}}};
-        state.query_states = {{"q0", "blob-zero"},
-                              {"q1", std::string("\0\1\2", 3)}};
+        state.query_states = {
+            {"q0", ArbF2Blob(ArbF2FourCycleCounter::SlotWidth::kInt16)},
+            {"q1", ArbF2Blob(ArbF2FourCycleCounter::SlotWidth::kDouble)}};
         return engine::EncodeShardState(state);
       }
       case Kind::kDaemonManifest: {

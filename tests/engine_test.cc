@@ -309,7 +309,7 @@ TEST(EngineTest, WindowedTurnstileCheckpointIdsArePinned) {
   spec.window_buckets = 2;
   spec.kind = QueryKind::kTurnstileF2C4;
   EXPECT_EQ(MakeTurnstileQuery(spec).algorithm->CheckpointId(),
-            "window/1+turnstile-c4/1");
+            "window/1+turnstile-c4/2");
   spec.kind = QueryKind::kTurnstileF2Triangle;
   EXPECT_EQ(MakeTurnstileQuery(spec).algorithm->CheckpointId(),
             "window/1+turnstile-tri/1");

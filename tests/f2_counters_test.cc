@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -294,9 +296,9 @@ TEST(ArbF2CounterTest, EndToEndInRegime) {
 
 // Naive test-side reference for ArbF2FourCycleCounter: A, B and C as three
 // copy-minor double arrays (X[v·C + c]), updated with six separate sweeps,
-// estimated copy-outer, and saved in the arbf2/1 layout — the
-// representation the counter had before its int32 rows. Requires explicit
-// copies_per_group and groups so C needs no derivation.
+// estimated copy-outer — the representation the counter had before its
+// int32 rows — and saved slot by slot in the arbf2/2 layout. Requires
+// explicit copies_per_group and groups so C needs no derivation.
 class ArbF2Oracle {
  public:
   explicit ArbF2Oracle(const ArbF2FourCycleCounter::Params& params)
@@ -367,8 +369,26 @@ class ArbF2Oracle {
     return MedianOfMeans(squares, static_cast<std::size_t>(params_.groups));
   }
 
-  // The arbf2/1 wire layout, field by field.
-  std::string Save() const {
+  // The arbf2/2 wire layout, field by field: the config, the width tag,
+  // the slot count, then each vertex's A, B and C segments in turn, every
+  // slot as a little-endian integer or double. `tag` < 0 picks the
+  // narrowest width that holds every slot exactly; a forced tag converts
+  // each slot to that width, so it is forced only where every slot is in
+  // the width's range.
+  std::string Save(int tag = -1) const {
+    if (tag < 0) {
+      tag = 0;
+      for (const std::vector<double>* x : {&a_, &b_, &cc_}) {
+        for (const double slot : *x) {
+          if (slot != std::trunc(slot) || std::fabs(slot) > 2147483647.0 ||
+              (slot == 0.0 && std::signbit(slot))) {
+            tag = 2;
+          } else if (std::fabs(slot) > 32767.0) {
+            tag = std::max(tag, 1);
+          }
+        }
+      }
+    }
     StateWriter w;
     w.U32(params_.num_vertices);
     w.Size(c_);
@@ -376,9 +396,25 @@ class ArbF2Oracle {
     w.Double(params_.base.epsilon);
     w.U64(params_.base.seed);
     w.Double(params_.f1_correction);
-    w.Vec(a_);
-    w.Vec(b_);
-    w.Vec(cc_);
+    w.U8(static_cast<std::uint8_t>(tag));
+    w.U64(3 * n_ * c_);
+    for (std::size_t v = 0; v < n_; ++v) {
+      for (const std::vector<double>* x : {&a_, &b_, &cc_}) {
+        for (std::size_t i = 0; i < c_; ++i) {
+          const double slot = (*x)[v * c_ + i];
+          if (tag == 0) {
+            const auto bits = static_cast<std::uint16_t>(
+                static_cast<std::int16_t>(slot));
+            w.U8(static_cast<std::uint8_t>(bits & 0xff));
+            w.U8(static_cast<std::uint8_t>(bits >> 8));
+          } else if (tag == 1) {
+            w.U32(static_cast<std::uint32_t>(static_cast<std::int32_t>(slot)));
+          } else {
+            w.Double(slot);
+          }
+        }
+      }
+    }
     return w.Take();
   }
 
@@ -412,9 +448,8 @@ bool Restore(ArbF2FourCycleCounter& counter, const std::string& bytes) {
   return counter.RestoreState(r) && r.AtEnd();
 }
 
-// The arbf2/1 snapshot is three copy-minor double arrays whatever the
-// in-memory layout: pinned against the test-side encoding, both after a
-// finished pass and mid-pass.
+// The arbf2/2 snapshot is the rows at their narrowest width: pinned
+// against the test-side encoding, both after a finished pass and mid-pass.
 TEST(ArbF2CounterTest, SnapshotWireLayoutIsPinned) {
   Rng rng(62);
   const EdgeList graph = ErdosRenyiGnm(30, 90, rng);
@@ -584,6 +619,144 @@ TEST(ArbF2CounterTest, RestoredSlotLoadsAtTheWidthItNeeds) {
     EXPECT_EQ(counter.slot_width(), SlotWidth::kInt32);
     ExpectMatchesOracle(counter, oracle);
   }
+}
+
+// The width tag of an arbf2/2 blob follows the six config fields.
+constexpr std::size_t kArbF2TagOffset = 4 + 5 * 8;
+
+// A live counter at each width saves at that width, and the blob restores
+// into a fresh counter at the same width, with the same estimate, and
+// re-saves to the same bytes.
+TEST(ArbF2CounterTest, SnapshotRoundTripsAtEveryWidth) {
+  const VertexId n = 40;
+  const VertexId centre = n - 1;
+  const auto params = SmallArbF2Params(n);
+  Rng rng(69);
+  const EdgeList graph = ErdosRenyiGnm(n, 150, rng);
+  const auto round_trip = [&](const ArbF2FourCycleCounter& live,
+                              SlotWidth width) {
+    EXPECT_EQ(live.slot_width(), width);
+    const std::string bytes = SaveBytes(live);
+    ASSERT_GT(bytes.size(), kArbF2TagOffset);
+    EXPECT_EQ(bytes[kArbF2TagOffset], static_cast<char>(width));
+    ArbF2FourCycleCounter restored(params);
+    ASSERT_TRUE(Restore(restored, bytes));
+    EXPECT_EQ(restored.slot_width(), width);
+    EXPECT_EQ(restored.F2Estimate(), live.F2Estimate());
+    EXPECT_EQ(SaveBytes(restored), bytes);
+  };
+
+  ArbF2Oracle oracle(params);
+  std::size_t copy = 0;
+  while (oracle.alpha(centre, copy) < 0) ++copy;
+  ArbF2FourCycleCounter counter(params);
+  ApplyInBlocks(counter, oracle, graph.edges());
+  round_trip(counter, SlotWidth::kInt16);
+  ExpectMatchesOracle(counter, oracle);
+
+  ApplyInBlocks(counter, oracle, StarEdges(oracle, n, centre, copy, 32768));
+  round_trip(counter, SlotWidth::kInt32);
+  ExpectMatchesOracle(counter, oracle);
+
+  counter.Rescale(0.5);
+  oracle.Rescale(0.5);
+  round_trip(counter, SlotWidth::kDouble);
+  ExpectMatchesOracle(counter, oracle);
+}
+
+// Slots never narrow in memory, but the snapshot does: an int32 counter
+// whose star was deleted again, and a counter moved to double by a
+// rescale by one, both hold only small integers and save as int16.
+TEST(ArbF2CounterTest, WiderLiveSlotsThatFitInt16SaveAsInt16) {
+  const VertexId n = 40;
+  const VertexId centre = n - 1;
+  const auto params = SmallArbF2Params(n);
+  ArbF2Oracle oracle(params);
+  std::size_t copy = 0;
+  while (oracle.alpha(centre, copy) < 0) ++copy;
+  const std::vector<Edge> star = StarEdges(oracle, n, centre, copy, 32768);
+  ArbF2FourCycleCounter counter(params);
+  ApplyInBlocks(counter, oracle, star);
+  ASSERT_EQ(counter.slot_width(), SlotWidth::kInt32);
+  for (std::size_t i = 0; i < star.size() - 10; ++i) {
+    counter.Delete(star[i]);
+    oracle.Apply(star[i], -1.0);
+  }
+  EXPECT_EQ(counter.slot_width(), SlotWidth::kInt32);
+  ExpectMatchesOracle(counter, oracle);
+  const std::string bytes = SaveBytes(counter);
+  EXPECT_EQ(bytes[kArbF2TagOffset], static_cast<char>(SlotWidth::kInt16));
+  ArbF2FourCycleCounter restored(params);
+  ASSERT_TRUE(Restore(restored, bytes));
+  EXPECT_EQ(restored.slot_width(), SlotWidth::kInt16);
+  EXPECT_EQ(restored.F2Estimate(), counter.F2Estimate());
+
+  counter.Rescale(1.0);
+  EXPECT_TRUE(counter.double_slots());
+  EXPECT_EQ(SaveBytes(counter), bytes);
+}
+
+// RestoreState accepts exactly one encoding per state and refuses every
+// other blob without touching the counter: an unknown tag, a wrong slot
+// count, a short or long payload, a slot whose magnitude the tagged width
+// cannot hold (−32,768 at int16, INT32_MIN at int32), a non-finite
+// double, and a blob wider than its slots need. −0.0 needs a double.
+TEST(ArbF2CounterTest, RestoreRefusesEveryOtherEncoding) {
+  const VertexId n = 20;
+  Rng rng(70);
+  const EdgeList graph = ErdosRenyiGnm(n, 50, rng);
+  const auto params = SmallArbF2Params(n);
+  ArbF2Oracle oracle(params);
+  for (const Edge& e : graph.edges()) oracle.Apply(e, +1.0);
+  ArbF2FourCycleCounter counter(params);
+  const std::string valid = oracle.Save();
+  ASSERT_TRUE(Restore(counter, valid));
+  const auto refused = [&](const std::string& bytes, const std::string& why) {
+    EXPECT_FALSE(Restore(counter, bytes)) << why;
+    EXPECT_EQ(SaveBytes(counter), valid) << why << " changed the counter";
+  };
+
+  for (const int tag : {3, 255}) {
+    std::string bytes = valid;
+    bytes[kArbF2TagOffset] = static_cast<char>(tag);
+    refused(bytes, "tag " + std::to_string(tag));
+  }
+  const std::uint64_t slots = 3 * n * oracle.copies();
+  for (const std::uint64_t count : {slots - 1, slots + 1, std::uint64_t{0}}) {
+    std::string bytes = valid;
+    PutLE(bytes.data() + kArbF2TagOffset + 1, count, 8);
+    refused(bytes, "count " + std::to_string(count));
+  }
+  refused(valid.substr(0, valid.size() - 1), "short payload");
+  refused(valid + '\0', "trailing byte");
+  refused(oracle.Save(1), "int16 state at int32");
+  refused(oracle.Save(2), "int16 state at double");
+
+  const double a35 = oracle.a(3, 5);
+  oracle.a(3, 5) = -32768.0;
+  refused(oracle.Save(0), "-32768 at int16");
+  refused(oracle.Save(2), "int32 state at double");
+  oracle.a(3, 5) = -2147483648.0;
+  refused(oracle.Save(1), "INT32_MIN at int32");
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    oracle.a(3, 5) = bad;
+    refused(oracle.Save(), "non-finite " + std::to_string(bad));
+  }
+
+  // The narrowest encodings of the same states load.
+  for (const double slot : {-32768.0, -2147483648.0, -0.0}) {
+    SCOPED_TRACE(slot);
+    oracle.a(3, 5) = slot;
+    ArbF2FourCycleCounter wide(params);
+    ASSERT_TRUE(Restore(wide, oracle.Save()));
+    EXPECT_EQ(wide.slot_width(), slot == -32768.0 ? SlotWidth::kInt32
+                                                  : SlotWidth::kDouble);
+    ExpectMatchesOracle(wide, oracle);
+  }
+  oracle.a(3, 5) = a35;
+  EXPECT_EQ(oracle.Save(), valid);
 }
 
 // A turnstile stream of deletions only drives the slots negative: the

@@ -313,10 +313,12 @@ std::string Pin(std::string_view bytes) {
 
 // The codec's output, pinned: shard 1 of a W = 2 run of two seeded
 // arb-f2 queries over G(60, 0.2), with one epoch checkpoint, plus a
-// CYCLSNP snapshot of query 0's final state. The values were produced by
-// a bytewise CRC-32 and a buffer-per-frame encoder, so they hold the
-// sliced CRC and the one-copy encode to the same bytes. Any change to a
-// frame, the arbf2/1 blob layout or the CRC changes one of these lines.
+// CYCLSNP snapshot of query 0's final state. The frames were first pinned
+// with a bytewise CRC-32 and a buffer-per-frame encoder, and the two state
+// files' CRCs agree with zlib's crc32, so the lines hold the sliced CRC and
+// the one-copy encode; ArbF2CounterTest pins the arbf2/2 blob inside them
+// against a slot-by-slot encoder. Any change to a frame, the blob layout
+// or the CRC changes one of these lines.
 TEST(ShardStateTest, EncodedBytesArePinned) {
   Rng gen(41);
   const EdgeList graph = ErdosRenyiGnp(60, 0.2, gen);
@@ -346,7 +348,7 @@ TEST(ShardStateTest, EncodedBytesArePinned) {
   ShardState final_state;
   ASSERT_TRUE(DecodeShardState(final_bytes, &final_state, &error)) << error;
   Snapshot snap;
-  snap.algorithm_id = "arbf2/1";
+  snap.algorithm_id = "arbf2/2";
   snap.stream_fingerprint = config.stream_fingerprint;
   snap.stream_length = stream.size();
   snap.pass = 1;
@@ -355,9 +357,9 @@ TEST(ShardStateTest, EncodedBytesArePinned) {
 
   EXPECT_EQ(stream.size(), 317u);
   EXPECT_EQ(Pin(ReadBytes(config.checkpoint_path)),
-            "466912 bytes, crc 52cc4c5b");
-  EXPECT_EQ(Pin(final_bytes), "466912 bytes, crc 712829e5");
-  EXPECT_EQ(Pin(EncodeSnapshot(snap)), "298236 bytes, crc 9c0b75d7");
+            "116962 bytes, crc 21125230");
+  EXPECT_EQ(Pin(final_bytes), "116962 bytes, crc cd0bd315");
+  EXPECT_EQ(Pin(EncodeSnapshot(snap)), "74661 bytes, crc dcc4249b");
 }
 
 // ---------------------------------------------------------------------------

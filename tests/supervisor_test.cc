@@ -645,6 +645,27 @@ TEST(SupervisedBatchTest, ResumeRelaunchesOnlyTheMissingShard) {
   ExpectStatsIdentical(broker_stats, resumed.stats);
 }
 
+// Rewrites the shard state file at `path` with query 1's first accumulator
+// slot forged to −32,768 in its int16 arbf2/2 blob: frames and CRCs valid,
+// but RestoreState refuses the blob. Query 0 restores fine, so a reader
+// that restored query by query would take half the file.
+void ForgeRefusedBlob(const std::string& path) {
+  ShardState forged;
+  std::string error;
+  ASSERT_TRUE(LoadShardState(path, &forged, &error)) << error;
+  ASSERT_GE(forged.query_states.size(), 2u);
+  std::string& blob = forged.query_states[1].second;
+  const std::size_t tag = 4 + 5 * 8;  // After the config fields.
+  const std::size_t first_slot = tag + 1 + 8;  // After the slot count.
+  ASSERT_GT(blob.size(), first_slot + 2);
+  ASSERT_EQ(blob[tag], 0) << "expected an int16 blob";
+  blob[first_slot] = 0x00;
+  blob[first_slot + 1] = static_cast<char>(0x80);
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << EncodeShardState(forged);
+  ASSERT_TRUE(LoadShardState(path, &forged, &error)) << error;
+}
+
 TEST(SupervisedBatchTest, ResumeDropsACheckpointWhoseBlobIsRefused) {
   DrainLatchGuard guard;
   VertexId n = 0;
@@ -662,24 +683,44 @@ TEST(SupervisedBatchTest, ResumeDropsACheckpointWhoseBlobIsRefused) {
   ASSERT_TRUE(RunSupervisedBatch(specs, stream, options, &first, &error))
       << error;
 
-  // Lose shard 1's wave-0 state and forge its checkpoint: frames and CRCs
-  // valid, but query 1's first accumulator slot is NaN, which RestoreState
-  // refuses. Query 0 restores fine, so a worker that restored query by
-  // query would resume half its queries mid-slice.
+  // Lose shard 1's wave-0 state and forge its checkpoint: a worker that
+  // restored query by query would resume half its queries mid-slice.
   ASSERT_TRUE(std::filesystem::remove(dir + "/w0-s1.state"));
-  const std::string path = dir + "/w0-s1.ckpt";
-  ShardState forged;
-  ASSERT_TRUE(LoadShardState(path, &forged, &error)) << error;
-  ASSERT_GT(forged.header.edges_done, 0u);
-  ASSERT_GE(forged.query_states.size(), 2u);
-  std::string& blob = forged.query_states[1].second;
-  const std::size_t first_slot = 4 + 5 * 8 + 8;  // Config, then A's length.
-  ASSERT_GT(blob.size(), first_slot + sizeof(double));
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::memcpy(blob.data() + first_slot, &nan, sizeof(nan));
-  std::ofstream(path, std::ios::binary | std::ios::trunc)
-      << EncodeShardState(forged);
-  ASSERT_TRUE(LoadShardState(path, &forged, &error)) << error;
+  ShardState checkpoint;
+  ASSERT_TRUE(LoadShardState(dir + "/w0-s1.ckpt", &checkpoint, &error))
+      << error;
+  ASSERT_GT(checkpoint.header.edges_done, 0u);
+  ForgeRefusedBlob(dir + "/w0-s1.ckpt");
+
+  options.resume = true;
+  SupervisedBatchResult resumed;
+  ASSERT_TRUE(RunSupervisedBatch(specs, stream, options, &resumed, &error))
+      << error;
+  EXPECT_EQ(resumed.counters.workers_launched, 1u);
+  ExpectOutcomesIdentical(oracle, resumed.outcomes);
+  ExpectStatsIdentical(broker_stats, resumed.stats);
+}
+
+// A final state file whose header matches its launch but whose blob
+// RestoreState refuses is not collected: the worker is relaunched (from
+// its checkpoint) instead of the fold aborting on the blob.
+TEST(SupervisedBatchTest, ResumeRelaunchesAWorkerWhoseFinalBlobIsRefused) {
+  DrainLatchGuard guard;
+  VertexId n = 0;
+  const EdgeStream stream = SupervisorStream(&n);
+  const std::vector<QuerySpec> specs = SupervisedSpecs(n);
+
+  EngineStats broker_stats;
+  const std::vector<QueryOutcome> oracle =
+      BrokerOracle(specs, stream, SupervisedBudget(), &broker_stats);
+
+  const std::string dir = TestDir("refused_final_blob");
+  SupervisorOptions options = InProcessOptions(dir, 2);
+  SupervisedBatchResult first;
+  std::string error;
+  ASSERT_TRUE(RunSupervisedBatch(specs, stream, options, &first, &error))
+      << error;
+  ForgeRefusedBlob(dir + "/w0-s1.state");
 
   options.resume = true;
   SupervisedBatchResult resumed;

@@ -306,7 +306,16 @@ int RunCount(FlagParser& flags, RunManifest& manifest) {
   const Graph g(graph);
   const std::string target = flags.GetString("target", "triangles");
   const std::string algo = flags.GetString("algorithm", "exact");
-  const double epsilon = flags.GetDouble("epsilon", 0.2);
+  ApproxConfig base;
+  base.epsilon = flags.GetDouble("epsilon", 0.2);
+  base.c = flags.GetDouble("c", 2.0);
+  // The estimators CHECK these; refuse bad flags as a spec would be.
+  base.t_guess = flags.GetDouble("t-guess", 1.0);
+  std::string param_error;
+  if (!engine::ValidateApproxConfig(base, &param_error)) {
+    std::cerr << "error: " << param_error << "\n";
+    return 1;
+  }
   const std::uint64_t seed = flags.GetCount("seed", 1);
   const bool show_exact = !flags.GetBool("no-exact", false);
   // --delta > 0 amplifies: median over ~2·ln(1/δ) copies, run in parallel
@@ -323,11 +332,8 @@ int RunCount(FlagParser& flags, RunManifest& manifest) {
   const double t_guess =
       flags.GetDouble("t-guess", std::max(1.0, exact));
 
-  ApproxConfig base;
-  base.epsilon = epsilon;
   base.t_guess = std::max(1.0, t_guess);
   base.seed = seed;
-  base.c = flags.GetDouble("c", 2.0);
 
   Rng order_rng(seed ^ 0x5eedULL);
   Estimate est;
