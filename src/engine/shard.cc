@@ -105,22 +105,6 @@ std::uint64_t TotalRangeEdges(const std::vector<ShardRange>& ranges) {
   return total;
 }
 
-std::vector<ShardRange> AdvanceRanges(const std::vector<ShardRange>& ranges,
-                                      std::uint64_t edges_done) {
-  std::vector<ShardRange> left;
-  std::uint64_t skip = edges_done;
-  for (const ShardRange& r : ranges) {
-    if (skip >= r.size()) {
-      skip -= r.size();
-      continue;
-    }
-    left.push_back({r.begin + skip, r.end});
-    skip = 0;
-  }
-  CHECK_EQ(skip, 0u) << "edges_done exceeds the ranges' total";
-  return left;
-}
-
 std::string EncodeShardState(const ShardState& state) {
   StateWriter h;
   h.U32(state.header.worker_id);

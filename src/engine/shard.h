@@ -88,12 +88,6 @@ std::vector<ShardRange> PartitionStream(std::uint64_t stream_length,
 /// Total edges across `ranges`.
 std::uint64_t TotalRangeEdges(const std::vector<ShardRange>& ranges);
 
-/// The ranges left after a worker has processed its first `edges_done`
-/// edges (ranges are consumed as one flat sequence): what a worker that
-/// resumes from its checkpoint still has to stream.
-std::vector<ShardRange> AdvanceRanges(const std::vector<ShardRange>& ranges,
-                                      std::uint64_t edges_done);
-
 // ---------------------------------------------------------------------------
 // Shard state files (worker output + per-shard epoch checkpoints)
 // ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@
 
 namespace cyclestream::engine {
 
-/// The sharded wave loop (DESIGN.md §14): every sharded batch — `shard`
-/// through RunShardedBatch, `serve --daemon` directly — runs here. Waves
+/// The sharded wave loop (DESIGN.md §14): every sharded batch — the CLI's
+/// `shard` and `serve --daemon`, and RunShardedBatch — runs here. Waves
 /// come from the one admission plan (PlanWaves); each wave launches one
 /// worker per shard range, collects and validates their state files, and
 /// merges them in fixed shard order.

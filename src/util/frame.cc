@@ -59,11 +59,16 @@ bool ParseFrame(const FrameFormat& format, std::string_view data,
   p += format.magic.size();
   const auto raw_tag = static_cast<std::uint32_t>(GetLE(p, 4));
   if (raw_tag < format.min_tag || raw_tag > format.max_tag) {
-    return reject(" " + std::string(format.tag_name) + " " +
-                  std::to_string(raw_tag) +
-                  " is unsupported (this build reads " +
-                  std::to_string(format.min_tag) + ".." +
-                  std::to_string(format.max_tag) + ")");
+    std::string why = " ";
+    why.append(format.tag_name)
+        .append(" ")
+        .append(std::to_string(raw_tag))
+        .append(" is unsupported (this build reads ")
+        .append(std::to_string(format.min_tag))
+        .append("..")
+        .append(std::to_string(format.max_tag))
+        .append(")");
+    return reject(why);
   }
   const std::uint64_t size = GetLE(p + 4, 8);
   const auto crc = static_cast<std::uint32_t>(GetLE(p + 12, 4));

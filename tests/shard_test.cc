@@ -191,20 +191,6 @@ TEST(PartitionTest, MoreWorkersThanEdgesYieldsEmptyTails) {
   for (int i = 5; i < 8; ++i) EXPECT_EQ(ranges[i].size(), 0u);
 }
 
-TEST(PartitionTest, AdvanceRangesSkipsConsumedPrefix) {
-  const std::vector<ShardRange> ranges = {{0, 10}, {20, 25}, {30, 40}};
-  EXPECT_EQ(AdvanceRanges(ranges, 0), ranges);
-  EXPECT_EQ(AdvanceRanges(ranges, 10),
-            (std::vector<ShardRange>{{20, 25}, {30, 40}}));
-  EXPECT_EQ(AdvanceRanges(ranges, 12),
-            (std::vector<ShardRange>{{22, 25}, {30, 40}}));
-  // edges_done counts consumed edges, not stream positions: the three
-  // ranges hold 10 + 5 + 10 = 25 edges in total.
-  EXPECT_EQ(AdvanceRanges(ranges, 15), (std::vector<ShardRange>{{30, 40}}));
-  EXPECT_EQ(AdvanceRanges(ranges, 20), (std::vector<ShardRange>{{35, 40}}));
-  EXPECT_TRUE(AdvanceRanges(ranges, 25).empty());
-}
-
 TEST(PartitionTest, RangeListFormatRoundTrips) {
   const std::vector<ShardRange> ranges = {{0, 10}, {20, 25}, {30, 30}};
   std::vector<ShardRange> parsed;

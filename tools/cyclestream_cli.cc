@@ -13,17 +13,22 @@
 //                            --queries 16 [--order shuffled|file]
 //                            [--per-query-budget W] [--aggregate-budget W]
 //   cyclestream_cli serve    --graph g.txt|g.bin --spec queries.txt
+//   cyclestream_cli shard    --graph g.bin --shard-dir DIR --shards W
 //
 // Graphs are SNAP-format text edge lists, or binary edge streams (.bin,
 // see graph/binary_io.h and tools/edge2bin). All estimators print the
 // estimate, the exact count (unless --no-exact), and the peak space.
 //
-// `sweep` and `serve` run many estimators over ONE shared stream read per
-// logical pass via the engine's StreamBroker: sweep generates a query
-// matrix (round-robin over --algorithms, seeds S, S+1, ...), serve reads
-// explicit QuerySpecs from a file of `key=value` lines.
+// `count` builds its one estimator from a QuerySpec, through the engine's
+// factories. `sweep`, `serve`, `shard` and `serve --daemon` are one batch
+// front end: the specs come from a --spec file of `key=value` lines or
+// from a generated matrix (round-robin over --algorithms, seeds S, S+1,
+// ...); the batch runs over one stream of the family its kinds consume;
+// and it executes on the StreamBroker (one shared stream read per logical
+// pass) or on the supervised sharded wave loop.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -37,10 +42,8 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/bera_chakrabarti.h"
-#include "baselines/cormode_jowhari.h"
-#include "baselines/triest.h"
 #include "baselines/wedge_sampler.h"
+#include "core/amplify.h"
 #include "engine/broker.h"
 #include "engine/budget.h"
 #include "engine/coordinator.h"
@@ -48,13 +51,6 @@
 #include "engine/shard.h"
 #include "engine/spec.h"
 #include "engine/supervisor.h"
-#include "core/adj_f2_counter.h"
-#include "core/adj_l2_counter.h"
-#include "core/amplify.h"
-#include "core/arb_f2_counter.h"
-#include "core/arb_three_pass.h"
-#include "core/diamond_counter.h"
-#include "core/random_order_triangles.h"
 #include "gen/generators.h"
 #include "graph/binary_io.h"
 #include "graph/datasets.h"
@@ -91,48 +87,48 @@ int Usage() {
       "            [--kill_after N]]   snapshot/resume (see DESIGN.md §10)\n"
       "  generate --model er|gnp|ba|chung-lu|ws|grid --n N\n"
       "           [--m M | --p P | --deg D] [--seed S] --out FILE\n"
-      "  sweep    --graph FILE --algorithms a,b,... --queries N\n"
-      "           [--order shuffled|file] [--epsilon E] [--t-guess T]\n"
-      "           [--seed S] [--budget-words W] [--per-query-budget W]\n"
-      "           [--aggregate-budget W] [--block-edges B] [--no-exact]\n"
-      "           one shared stream read serves all N queries per pass;\n"
-      "           kinds: random-order triest cormode-jowhari arb-f2\n"
-      "                  arb-three-pass bera-chakrabarti (edge family)\n"
-      "                  adj-diamond adj-f2 adj-l2 (adjacency family)\n"
-      "                  turnstile-f2-triangle turnstile-f2-c4 (turnstile\n"
-      "                  family: dynamic insert/delete streams; a .bin v2\n"
-      "                  file from `edge2bin --turnstile` streams in file\n"
-      "                  order, any insert-only graph is wrapped)\n"
-      "           turnstile-only time-decay knobs (mutually exclusive):\n"
-      "           [--window W --window-buckets B]   estimate over the last\n"
-      "           W updates via B merged sketch buckets (B divides W)\n"
-      "           [--decay-epoch K --decay-log2 D]   multiply the sketch by\n"
-      "           2^-D every K updates (exact power-of-two decay)\n"
-      "  serve    --graph FILE --spec FILE   QuerySpecs from key=value lines\n"
-      "           (name= kind= [seed=] [budget=] [epsilon=] [c=] [t_guess=]\n"
-      "            [level_rate=] [prefix_rate=] [reservoir=]\n"
-      "            [num_vertices=] [window=] [window_buckets=]\n"
-      "            [decay_epoch=] [decay_log2=])\n"
-      "           --daemon   supervised always-on mode over the sharded\n"
-      "           engine (takes the `shard` flags, plus):\n"
-      "           [--max-retries N] [--backoff-ms B] [--backoff-cap-ms C]\n"
-      "           [--shard-deadline-ms D] [--wave-deadline-ms D]\n"
-      "           [--heartbeat-edges K] [--throttle-ms T] [--resume]\n"
+      "  sweep, serve, shard and serve --daemon: one batch front end\n"
+      "    --graph FILE [--order shuffled|file] [--seed S] [--no-exact]\n"
+      "    [--per-query-budget W] [--aggregate-budget W] [--block-edges B]\n"
+      "    specs: --spec FILE of QuerySpec lines (name= kind= [seed=]\n"
+      "      [budget=] [epsilon=] [c=] [t_guess=] [level_rate=]\n"
+      "      [prefix_rate=] [reservoir=] [num_vertices=] [window=]\n"
+      "      [window_buckets=] [decay_epoch=] [decay_log2=]), else the\n"
+      "      matrix --algorithms a,b,... --queries N, round-robin over the\n"
+      "      kinds with seeds S, S+1, ...: [--epsilon E] [--c C]\n"
+      "      [--t-guess T] [--budget-words W] [--reservoir M]\n"
+      "      [--level-rate R] [--prefix-rate R], and for turnstile kinds\n"
+      "      [--window W --window-buckets B] (the last W updates in B\n"
+      "      merged buckets, B divides W) or [--decay-epoch K\n"
+      "      --decay-log2 D] (the sketch times 2^-D every K updates)\n"
+      "    stream: one batch = one stream, of the family all kinds share:\n"
+      "      edge (random-order triest cormode-jowhari arb-f2\n"
+      "      arb-three-pass bera-chakrabarti), adjacency (adj-diamond\n"
+      "      adj-f2 adj-l2) or turnstile (turnstile-f2-triangle\n"
+      "      turnstile-f2-c4; a .bin v2 file from `edge2bin --turnstile`\n"
+      "      streams in file order, any insert-only graph is wrapped)\n"
+      "    executor: sweep and serve run the broker, one shared stream\n"
+      "      read per pass; shard and serve --daemon run the supervised\n"
+      "      sharded loop\n"
+      "  sweep    the matrix, default random-order,triest,cormode-jowhari x16\n"
+      "  serve    --spec FILE (required)\n"
+      "  shard    --shard-dir DIR [--shards W]; the matrix defaults to\n"
+      "           arb-f2 x4. W workers each sketch one contiguous slice;\n"
+      "           the merge is bit-identical to --shards 1 at any W; kinds\n"
+      "           must be shard-mergeable (arb-f2)\n"
+      "           [--launch inprocess|subprocess] [--worker-binary BIN]\n"
+      "           (subprocess needs a .bin graph and --order file)\n"
+      "           [--epoch-edges K] [--kill-shard I --kill-edges E]\n"
+      "           [--max-retries N]   launch attempts per worker, the first\n"
+      "           included (default 2) [--backoff-ms B] [--backoff-cap-ms C]\n"
+      "           (default 0) [--shard-deadline-ms D] [--wave-deadline-ms D]\n"
+      "           [--heartbeat-edges K] [--throttle-ms T]\n"
       "           [--hang-shard I --hang-edges E]   fault injection\n"
       "           SIGTERM/SIGINT drain at the next epoch boundary (exit 3);\n"
       "           --resume finishes a drained or crashed batch with a\n"
       "           byte-identical deterministic manifest\n"
-      "  shard    --graph FILE --shard-dir DIR [--shards W]\n"
-      "           [--spec FILE | --algorithms arb-f2 --queries N]\n"
-      "           [--launch inprocess|subprocess] [--worker-binary BIN]\n"
-      "           [--epoch-edges K] [--kill-shard I --kill-edges E]\n"
-      "           [--order shuffled|file] [--per-query-budget W]\n"
-      "           [--aggregate-budget W] [--block-edges B] [--no-exact]\n"
-      "           multi-process engine: W workers each sketch one\n"
-      "           contiguous stream slice; the coordinator merges the\n"
-      "           shard states (bit-identical to --shards 1 at any W);\n"
-      "           subprocess launch needs a .bin graph and --order file;\n"
-      "           kinds must be shard-mergeable (arb-f2)\n"
+      "  serve --daemon   always-on shard: the same flags, with defaults\n"
+      "           --max-retries 3 --backoff-ms 50 --backoff-cap-ms 2000\n"
       "  common:  --threads N   worker threads (0 = all cores, 1 = serial)\n"
       "           --json_out FILE   write a structured run manifest\n"
       "           --json_det_out FILE   write the deterministic manifest\n"
@@ -144,30 +140,48 @@ bool IsBinaryGraphPath(const std::string& path) {
   return path.size() > 4 && path.compare(path.size() - 4, 4, ".bin") == 0;
 }
 
-EdgeList LoadGraph(FlagParser& flags, bool* ok) {
-  *ok = true;
-  if (flags.GetBool("karate", false)) return KarateClub();
+// The input graph of a run: --karate, a text edge list, or a .bin edge
+// stream. A .bin file stays mapped in `reader`, so a file-order edge batch
+// streams straight from the mapping.
+struct GraphInput {
+  BinaryEdgeReader reader;
+  EdgeList graph;
+  bool binary = false;
+};
+
+bool LoadGraph(FlagParser& flags, GraphInput* input) {
+  if (flags.GetBool("karate", false)) {
+    input->graph = KarateClub();
+    return true;
+  }
   const std::string path = flags.GetString("graph", "");
   if (path.empty()) {
     std::cerr << "error: --graph FILE (or --karate) is required\n";
-    *ok = false;
-    return EdgeList();
+    return false;
   }
-  auto loaded = IsBinaryGraphPath(path) ? LoadEdgeListBinary(path)
-                                        : LoadEdgeListText(path);
+  if (IsBinaryGraphPath(path)) {
+    std::string error;
+    if (!input->reader.Open(path, &error)) {
+      std::cerr << "error: " << error << "\n";
+      return false;
+    }
+    input->binary = true;
+    input->graph = input->reader.ToEdgeList();
+    return true;
+  }
+  auto loaded = LoadEdgeListText(path);
   if (!loaded) {
     std::cerr << "error: cannot load " << path << "\n";
-    *ok = false;
-    return EdgeList();
+    return false;
   }
-  return std::move(*loaded);
+  input->graph = std::move(*loaded);
+  return true;
 }
 
 int RunStats(FlagParser& flags, RunManifest& manifest) {
-  bool ok = false;
-  const EdgeList graph = LoadGraph(flags, &ok);
-  if (!ok) return 1;
-  const Graph g(graph);
+  GraphInput input;
+  if (!LoadGraph(flags, &input)) return 1;
+  const Graph g(input.graph);
   Table t({"statistic", "value"});
   t.AddRow({"vertices", Table::Int(g.num_vertices())});
   t.AddRow({"edges", Table::Int(static_cast<std::int64_t>(g.num_edges()))});
@@ -221,12 +235,7 @@ int RunExact(FlagParser& flags, RunManifest& manifest) {
     const std::string path = flags.GetString("graph", "");
     Timer build_timer;
     DodgGraph dodg;
-    if (flags.GetBool("karate", false)) {
-      dodg = DodgGraph::Build(KarateClub(), options);
-    } else if (path.empty()) {
-      std::cerr << "error: --graph FILE (or --karate) is required\n";
-      return 1;
-    } else if (IsBinaryGraphPath(path)) {
+    if (!flags.GetBool("karate", false) && IsBinaryGraphPath(path)) {
       BinaryEdgeReader reader;
       std::string error;
       if (!reader.Open(path, &error)) {
@@ -236,12 +245,9 @@ int RunExact(FlagParser& flags, RunManifest& manifest) {
       dodg = DodgGraph::Build(reader.edges(), reader.num_edges(),
                               reader.num_vertices(), options);
     } else {
-      auto loaded = LoadEdgeListText(path);
-      if (!loaded) {
-        std::cerr << "error: cannot load " << path << "\n";
-        return 1;
-      }
-      dodg = DodgGraph::Build(*loaded, options);
+      GraphInput input;
+      if (!LoadGraph(flags, &input)) return 1;
+      dodg = DodgGraph::Build(input.graph, options);
     }
     build_seconds = build_timer.Seconds();
     std::cerr << "exact backend: dodg (kernels: " << ActiveExactKernels()
@@ -253,11 +259,10 @@ int RunExact(FlagParser& flags, RunManifest& manifest) {
     if (want_c4) four_cycles = dodg.CountFourCycles();
     count_seconds = count_timer.Seconds();
   } else {
-    bool ok = false;
-    const EdgeList graph = LoadGraph(flags, &ok);
-    if (!ok) return 1;
+    GraphInput input;
+    if (!LoadGraph(flags, &input)) return 1;
     Timer build_timer;
-    const Graph g(graph);
+    const Graph g(input.graph);
     build_seconds = build_timer.Seconds();
     std::cerr << "exact backend: naive\n";
     num_vertices = g.num_vertices();
@@ -299,10 +304,29 @@ int RunExact(FlagParser& flags, RunManifest& manifest) {
   return 0;
 }
 
+// `count`'s algorithm names and the QueryKind the engine's factory builds
+// for each; the name's target must match --target. `wedge` (a baseline with
+// no kind) and `exact` have their own branches.
+struct CountAlgorithm {
+  const char* name;
+  engine::QueryKind kind;
+};
+constexpr CountAlgorithm kCountAlgorithms[] = {
+    {"random-order", engine::QueryKind::kRandomOrderTriangles},
+    {"triest", engine::QueryKind::kTriest},
+    {"cj", engine::QueryKind::kCormodeJowhari},
+    {"diamonds", engine::QueryKind::kAdjDiamond},
+    {"f2", engine::QueryKind::kAdjF2},
+    {"l2", engine::QueryKind::kAdjL2},
+    {"three-pass", engine::QueryKind::kArbThreePass},
+    {"arb-f2", engine::QueryKind::kArbF2},
+    {"bc", engine::QueryKind::kBeraChakrabarti},
+};
+
 int RunCount(FlagParser& flags, RunManifest& manifest) {
-  bool ok = false;
-  const EdgeList graph = LoadGraph(flags, &ok);
-  if (!ok) return 1;
+  GraphInput input;
+  if (!LoadGraph(flags, &input)) return 1;
+  const EdgeList& graph = input.graph;
   const Graph g(graph);
   const std::string target = flags.GetString("target", "triangles");
   const std::string algo = flags.GetString("algorithm", "exact");
@@ -316,6 +340,22 @@ int RunCount(FlagParser& flags, RunManifest& manifest) {
     std::cerr << "error: " << param_error << "\n";
     return 1;
   }
+  if (target != "triangles" && target != "c4") {
+    std::cerr << "unknown target: " << target << "\n";
+    return Usage();
+  }
+  std::optional<engine::QueryKind> kind;
+  for (const CountAlgorithm& a : kCountAlgorithms) {
+    if (algo == a.name && engine::QueryKindTarget(a.kind) == target) {
+      kind = a.kind;
+    }
+  }
+  const bool wedge = algo == "wedge" && target == "c4";
+  if (algo != "exact" && !kind.has_value() && !wedge) {
+    std::cerr << "unknown " << (target == "c4" ? "c4" : "triangle")
+              << " algorithm: " << algo << "\n";
+    return Usage();
+  }
   const std::uint64_t seed = flags.GetCount("seed", 1);
   const bool show_exact = !flags.GetBool("no-exact", false);
   // --delta > 0 amplifies: median over ~2·ln(1/δ) copies, run in parallel
@@ -324,7 +364,7 @@ int RunCount(FlagParser& flags, RunManifest& manifest) {
   const double delta = flags.GetDouble("delta", 0.0);
 
   double exact = -1.0;
-  if (show_exact || flags.GetDouble("t-guess", 0) <= 0) {
+  if (show_exact || algo == "exact" || flags.GetDouble("t-guess", 0) <= 0) {
     exact = target == "triangles"
                 ? static_cast<double>(CountTriangles(g))
                 : static_cast<double>(CountFourCycles(g));
@@ -335,145 +375,70 @@ int RunCount(FlagParser& flags, RunManifest& manifest) {
   base.t_guess = std::max(1.0, t_guess);
   base.seed = seed;
 
-  Rng order_rng(seed ^ 0x5eedULL);
   Estimate est;
-  int passes = 1;
+  // Set by the runner to the algorithm's NumPasses(); 0 for `exact`.
+  std::atomic<int> passes = 0;
   // Each estimator becomes a seed -> Estimate runner over a stream that is
   // materialized once, up front, and shared read-only — so an amplified
   // count (--delta) can replay the same stream from many threads at once.
   std::function<Estimate(std::uint64_t)> runner;
+  Rng order_rng(seed ^ 0x5eedULL);
   EdgeStream edge_stream;
   AdjacencyStream adj_stream;
-  const VertexId num_vertices = g.num_vertices();
   if (algo == "exact") {
-    est.value = target == "triangles"
-                    ? static_cast<double>(CountTriangles(g))
-                    : static_cast<double>(CountFourCycles(g));
+    est.value = exact;
     est.space_words = 2 * g.num_edges();
-    passes = 0;
-  } else if (target == "triangles") {
-    edge_stream = MakeRandomOrderStream(graph, order_rng);
-    const EdgeStream& stream = edge_stream;
-    if (algo == "random-order") {
-      if (RandomOrderTriangleCounter::NumLevels(base.t_guess) >
-          RandomOrderTriangleCounter::kMaxLevels) {
-        std::cerr << "error: --t-guess " << base.t_guess
-                  << " must be no larger than 2^126: random-order keeps one "
-                     "mask bit per level, and at most "
-                  << RandomOrderTriangleCounter::kMaxLevels
-                  << " levels fit\n";
-        return 2;
-      }
-      runner = [&stream, base, num_vertices](std::uint64_t s) {
-        RandomOrderTriangleCounter::Params params;
-        params.base = base;
-        params.base.seed = s;
-        params.num_vertices = num_vertices;
-        return CountTrianglesRandomOrder(stream, params);
-      };
-    } else if (algo == "triest") {
-      const std::size_t reservoir = static_cast<std::size_t>(
-          flags.GetCount("reservoir", g.num_edges() / 4));
-      runner = [&stream, reservoir](std::uint64_t s) {
-        Triest::Params params;
-        params.reservoir_capacity = reservoir;
-        params.seed = s;
-        Triest t(params);
-        RunEdgeStream(t, stream);
-        return t.Result();
-      };
-    } else if (algo == "cj") {
-      runner = [&stream, base](std::uint64_t s) {
-        CormodeJowhariCounter::Params params;
-        params.base = base;
-        params.base.seed = s;
-        return CountTrianglesCormodeJowhari(stream, params);
-      };
-    } else {
-      std::cerr << "unknown triangle algorithm: " << algo << "\n";
-      return Usage();
-    }
-  } else if (target == "c4") {
-    if (algo == "diamonds" || algo == "f2" || algo == "l2" ||
-        algo == "wedge") {
-      adj_stream = MakeAdjacencyStream(g, order_rng);
-      const AdjacencyStream& stream = adj_stream;
-      passes = algo == "diamonds" || algo == "wedge" ? 2 : 1;
-      if (algo == "diamonds") {
-        runner = [&stream, base, num_vertices](std::uint64_t s) {
-          DiamondFourCycleCounter::Params params;
-          params.base = base;
-          params.base.seed = s;
-          params.num_vertices = num_vertices;
-          return CountFourCyclesDiamond(stream, params);
-        };
-      } else if (algo == "f2") {
-        runner = [&stream, base, num_vertices](std::uint64_t s) {
-          AdjF2FourCycleCounter::Params params;
-          params.base = base;
-          params.base.seed = s;
-          params.num_vertices = num_vertices;
-          return CountFourCyclesAdjF2(stream, params);
-        };
-      } else if (algo == "l2") {
-        runner = [&stream, base, num_vertices](std::uint64_t s) {
-          AdjL2FourCycleCounter::Params params;
-          params.base = base;
-          params.base.seed = s;
-          params.num_vertices = num_vertices;
-          return CountFourCyclesAdjL2(stream, params);
-        };
-      } else {
-        const double vertex_rate = flags.GetDouble("vertex-rate", 0.5);
-        const double edge_rate = flags.GetDouble("edge-rate", 0.5);
-        runner = [&stream, base, num_vertices, vertex_rate,
-                  edge_rate](std::uint64_t s) {
-          WedgeSamplingFourCycleCounter::Params params;
-          params.base = base;
-          params.base.seed = s;
-          params.num_vertices = num_vertices;
-          params.vertex_rate = vertex_rate;
-          params.edge_rate = edge_rate;
-          return CountFourCyclesWedgeSampling(stream, params);
-        };
-      }
-    } else {
-      edge_stream = graph.edges();
-      order_rng.Shuffle(edge_stream);
-      const EdgeStream& stream = edge_stream;
-      if (algo == "three-pass") {
-        runner = [&stream, base, num_vertices](std::uint64_t s) {
-          ArbThreePassFourCycleCounter::Params params;
-          params.base = base;
-          params.base.seed = s;
-          params.num_vertices = num_vertices;
-          return CountFourCyclesArbThreePass(stream, params);
-        };
-        passes = 3;
-      } else if (algo == "arb-f2") {
-        runner = [&stream, base, num_vertices](std::uint64_t s) {
-          ArbF2FourCycleCounter::Params params;
-          params.base = base;
-          params.base.seed = s;
-          params.num_vertices = num_vertices;
-          return CountFourCyclesArbF2(stream, params);
-        };
-      } else if (algo == "bc") {
-        runner = [&stream, base](std::uint64_t s) {
-          BeraChakrabartiCounter::Params params;
-          params.base = base;
-          params.base.seed = s;
-          return CountFourCyclesBeraChakrabarti(stream, params);
-        };
-        passes = 2;
-      } else {
-        std::cerr << "unknown c4 algorithm: " << algo << "\n";
-        return Usage();
-      }
-    }
+  } else if (wedge) {
+    adj_stream = MakeAdjacencyStream(g, order_rng);
+    const double vertex_rate = flags.GetDouble("vertex-rate", 0.5);
+    const double edge_rate = flags.GetDouble("edge-rate", 0.5);
+    runner = [&, vertex_rate, edge_rate](std::uint64_t s) {
+      WedgeSamplingFourCycleCounter::Params params;
+      params.base = base;
+      params.base.seed = s;
+      params.num_vertices = g.num_vertices();
+      params.vertex_rate = vertex_rate;
+      params.edge_rate = edge_rate;
+      WedgeSamplingFourCycleCounter counter(params);
+      passes = counter.NumPasses();
+      RunAdjacencyStream(counter, adj_stream);
+      return counter.Result();
+    };
   } else {
-    std::cerr << "unknown target: " << target << "\n";
-    return Usage();
+    engine::QuerySpec spec;
+    spec.name = algo;
+    spec.kind = *kind;
+    spec.base = base;
+    spec.num_vertices = g.num_vertices();
+    if (spec.kind == engine::QueryKind::kTriest) {
+      spec.reservoir_capacity = static_cast<std::size_t>(
+          flags.GetCount("reservoir", g.num_edges() / 4));
+    }
+    std::string spec_error;
+    if (!engine::ValidateSpec(spec, &spec_error)) {
+      std::cerr << "error: " << spec_error << "\n";
+      return 2;
+    }
+    const bool edge_kind = engine::IsEdgeKind(spec.kind);
+    if (edge_kind) {
+      edge_stream = MakeRandomOrderStream(graph, order_rng);
+    } else {
+      adj_stream = MakeAdjacencyStream(g, order_rng);
+    }
+    runner = [&, spec, edge_kind](std::uint64_t s) {
+      engine::QuerySpec copy = spec;
+      copy.base.seed = s;
+      if (edge_kind) {
+        const engine::EdgeQuery q = engine::MakeEdgeQuery(copy);
+        passes = q.algorithm->NumPasses();
+        RunEdgeStream(*q.algorithm, edge_stream);
+        return q.result();
+      }
+      const engine::AdjacencyQuery q = engine::MakeAdjacencyQuery(copy);
+      passes = q.algorithm->NumPasses();
+      RunAdjacencyStream(*q.algorithm, adj_stream);
+      return q.result();
+    };
   }
   if (runner != nullptr) {
     est = delta > 0 ? AmplifyMedian(delta, seed, runner) : runner(seed);
@@ -506,38 +471,6 @@ int RunCount(FlagParser& flags, RunManifest& manifest) {
   return 0;
 }
 
-// Loads the batch graph for the engine front ends (text, .bin, or karate).
-// On success `*graph` holds the edges, and when the source was a .bin file
-// `*binary` is true and `*reader` keeps the mmap open so file-order
-// streaming stays zero-copy.
-bool LoadBatchGraph(FlagParser& flags, BinaryEdgeReader* reader,
-                    EdgeList* graph, bool* binary) {
-  const std::string path = flags.GetString("graph", "");
-  const bool karate = flags.GetBool("karate", false);
-  *binary = !karate && IsBinaryGraphPath(path);
-  if (karate) {
-    *graph = KarateClub();
-  } else if (path.empty()) {
-    std::cerr << "error: --graph FILE (or --karate) is required\n";
-    return false;
-  } else if (*binary) {
-    std::string error;
-    if (!reader->Open(path, &error)) {
-      std::cerr << "error: " << error << "\n";
-      return false;
-    }
-    *graph = reader->ToEdgeList();
-  } else {
-    auto loaded = LoadEdgeListText(path);
-    if (!loaded) {
-      std::cerr << "error: cannot load " << path << "\n";
-      return false;
-    }
-    *graph = std::move(*loaded);
-  }
-  return true;
-}
-
 // Exact counts computed lazily per target: the default t_guess, and the
 // reference for the printed relative errors.
 class ExactCache {
@@ -562,10 +495,9 @@ class ExactCache {
   double c4_ = -1.0;
 };
 
-// The shared tail of every engine front end (`sweep`, `serve`, `shard`):
-// the per-query outcome table plus the manifest export. Identical printing
-// and export keep the sharded engine's manifests comparable with the
-// broker's.
+// The tail of the batch front end: the per-query outcome table plus the
+// manifest export. One printer for both executors keeps the sharded
+// engine's manifests comparable with the broker's.
 void PrintEngineOutcomes(const std::vector<engine::QueryOutcome>& outcomes,
                          const engine::EngineStats& stats, bool show_exact,
                          ExactCache& exact, RunManifest& manifest) {
@@ -605,209 +537,71 @@ void PrintEngineOutcomes(const std::vector<engine::QueryOutcome>& outcomes,
   }
 }
 
-// Which of the three stream families a kind consumes (one batch = one
-// stream, so every spec in a batch must agree).
-int StreamFamily(engine::QueryKind kind) {
-  if (engine::IsTurnstileKind(kind)) return 2;
-  return engine::IsEdgeKind(kind) ? 0 : 1;
-}
+// The four batch subcommands differ only in these defaults: where the
+// specs come from when there is no --spec file, and which executor runs
+// the batch. `shard` and `serve --daemon` both run the supervised sharded
+// loop; `shard`'s retry defaults are RunShardedBatch's policy (two
+// attempts per worker, no backoff).
+struct BatchFrontEnd {
+  const char* name;                // Prefix of the supervised log lines.
+  const char* default_algorithms;  // nullptr: --spec FILE is required.
+  std::uint64_t default_queries;
+  bool supervised;
+  std::uint64_t default_attempts;
+  std::uint64_t default_backoff_ms;
+  std::uint64_t default_backoff_cap_ms;
+};
+constexpr BatchFrontEnd kSweepFrontEnd{
+    "sweep", "random-order,triest,cormode-jowhari", 16, false, 0, 0, 0};
+constexpr BatchFrontEnd kServeFrontEnd{"serve", nullptr, 0, false, 0, 0, 0};
+constexpr BatchFrontEnd kShardFrontEnd{"shard", "arb-f2", 4, true, 2, 0, 0};
+constexpr BatchFrontEnd kDaemonFrontEnd{"daemon", "arb-f2", 4, true,
+                                        3, 50, 2000};
 
-// Turnstile half of the engine-batch driver. A .bin v2 file (edge2bin
-// --turnstile) streams its insert/delete records in file order — the update
-// order is semantic (strict ingest requires every delete to follow a live
-// insert), so --order does not apply to it. Any insert-only source (text,
-// .bin v1, karate) is wrapped via TurnstileFromEdges with the usual --order
-// handling. Ground truth is the *live* graph after every update (LiveEdges),
-// which is what the estimates approximate.
-int RunTurnstileBatch(FlagParser& flags, RunManifest& manifest,
-                      std::vector<engine::QuerySpec> specs) {
-  const std::string path = flags.GetString("graph", "");
-  const bool karate = flags.GetBool("karate", false);
-  const std::uint64_t seed = flags.GetCount("seed", 1);
-  const std::string order = flags.GetString("order", "shuffled");
-  if (order != "shuffled" && order != "file") {
-    std::cerr << "error: --order must be shuffled or file\n";
-    return 1;
-  }
-
-  TurnstileStream stream;
-  VertexId stream_vertices = 0;
-  std::uint32_t format_version = 0;
-  if (!karate && !path.empty() && IsBinaryGraphPath(path) &&
-      SniffBinaryFormatVersion(path) == kBinaryTurnstileVersion) {
-    TurnstileBinaryReader turnstile_reader;
+// The batch's specs: the --spec file (the engine's strict parser: trailing
+// garbage and wrapped negatives are `file:line:` errors), else the matrix
+// round-robin over --algorithms with seeds S, S+1, .... Returns -1 on
+// success, else the exit code.
+int BuildSpecs(FlagParser& flags, const BatchFrontEnd& front,
+               std::vector<engine::QuerySpec>* specs) {
+  engine::QuerySpec base;
+  base.base.epsilon = flags.GetDouble("epsilon", 0.2);
+  base.base.c = flags.GetDouble("c", 2.0);
+  base.base.t_guess = flags.GetDouble("t-guess", 0.0);
+  base.base.seed = flags.GetCount("seed", 1);
+  const std::string spec_path = flags.GetString("spec", "");
+  if (!spec_path.empty()) {
     std::string error;
-    if (!turnstile_reader.Open(path, &error)) {
+    if (!engine::ParseSpecFile(spec_path, base, specs, &error)) {
       std::cerr << "error: " << error << "\n";
       return 1;
     }
-    stream_vertices = turnstile_reader.num_vertices();
-    format_version = turnstile_reader.format_version();
-    stream = turnstile_reader.TakeStream();
-  } else {
-    BinaryEdgeReader reader;
-    EdgeList graph;
-    bool binary = false;
-    if (!LoadBatchGraph(flags, &reader, &graph, &binary)) return 1;
-    if (binary) format_version = reader.format_version();
-    stream_vertices = graph.num_vertices();
-    if (order == "file") {
-      stream = TurnstileFromEdges(graph.edges());
-    } else {
-      Rng order_rng(seed ^ 0x5eedULL);
-      const EdgeStream shuffled = MakeRandomOrderStream(graph, order_rng);
-      stream = TurnstileFromEdges(shuffled);
-    }
+    return -1;
   }
-  if (format_version != 0) {
-    manifest.metrics().SetInt("stream.format_version",
-                              static_cast<std::int64_t>(format_version));
-  }
-  manifest.metrics().SetInt("stream.updates",
-                            static_cast<std::int64_t>(stream.size()));
-
-  const std::vector<Edge> live = LiveEdges(stream);
-  EdgeList live_list(stream_vertices);
-  for (const Edge& e : live) live_list.Add(e.u, e.v);
-  live_list.Finalize();
-  const Graph g(live_list);
-  const bool show_exact = !flags.GetBool("no-exact", false);
-  ExactCache exact(g);
-
-  engine::BrokerOptions options;
-  options.block_size = static_cast<std::size_t>(
-      flags.GetCount("block-edges", kDefaultBlockSize));
-  options.budget.per_query_words =
-      static_cast<std::size_t>(flags.GetCount("per-query-budget", 0));
-  options.budget.aggregate_words =
-      static_cast<std::size_t>(flags.GetCount("aggregate-budget", 0));
-  engine::StreamBroker broker(options);
-  for (engine::QuerySpec& spec : specs) {
-    if (spec.num_vertices == 0) spec.num_vertices = stream_vertices;
-    if (spec.base.t_guess <= 1.0) {
-      spec.base.t_guess = std::max(1.0, exact.For(spec.kind));
-    }
-    broker.AddQuery(spec);
+  if (front.default_algorithms == nullptr) {
+    std::cerr << "error: --spec FILE is required\n";
+    return Usage();
   }
 
-  const std::vector<engine::QueryOutcome> outcomes =
-      broker.RunTurnstileQueries(stream);
-  PrintEngineOutcomes(outcomes, broker.stats(), show_exact, exact, manifest);
-  return 0;
-}
-
-// Shared engine-batch driver behind `sweep` and `serve`: loads the graph
-// (text, .bin, or karate), fills spec defaults (n, t_guess from the exact
-// count of each query's target), builds the stream of the batch's family,
-// runs the broker, and prints/exports per-query outcomes. Everything
-// printed and exported is deterministic at any --threads.
-int RunEngineBatch(FlagParser& flags, RunManifest& manifest,
-                   std::vector<engine::QuerySpec> specs) {
-  if (specs.empty()) {
-    std::cerr << "error: no queries to run\n";
-    return 1;
-  }
-  const int family = StreamFamily(specs[0].kind);
-  for (const engine::QuerySpec& spec : specs) {
-    if (StreamFamily(spec.kind) != family) {
-      std::cerr << "error: query '" << spec.name << "' ("
-                << engine::QueryKindName(spec.kind)
-                << ") mixes stream families; one batch = one stream\n";
-      return 1;
-    }
-  }
-  if (family == 2) return RunTurnstileBatch(flags, manifest, std::move(specs));
-  const bool edge_family = family == 0;
-
-  BinaryEdgeReader reader;
-  EdgeList graph;
-  bool binary = false;
-  if (!LoadBatchGraph(flags, &reader, &graph, &binary)) return 1;
-  if (binary) {
-    manifest.metrics().SetInt("stream.format_version",
-                              static_cast<std::int64_t>(reader.format_version()));
-  }
-  const Graph g(graph);
-
-  const std::uint64_t seed = flags.GetCount("seed", 1);
-  const std::string order = flags.GetString("order", "shuffled");
-  if (order != "shuffled" && order != "file") {
-    std::cerr << "error: --order must be shuffled or file\n";
-    return 1;
-  }
-  const bool show_exact = !flags.GetBool("no-exact", false);
-  ExactCache exact(g);
-
-  engine::BrokerOptions options;
-  options.block_size = static_cast<std::size_t>(
-      flags.GetCount("block-edges", kDefaultBlockSize));
-  options.budget.per_query_words =
-      static_cast<std::size_t>(flags.GetCount("per-query-budget", 0));
-  options.budget.aggregate_words =
-      static_cast<std::size_t>(flags.GetCount("aggregate-budget", 0));
-  engine::StreamBroker broker(options);
-  for (engine::QuerySpec& spec : specs) {
-    if (spec.num_vertices == 0) spec.num_vertices = g.num_vertices();
-    if (spec.base.t_guess <= 1.0) {
-      spec.base.t_guess = std::max(1.0, exact.For(spec.kind));
-    }
-    broker.AddQuery(spec);
-  }
-
-  std::vector<engine::QueryOutcome> outcomes;
-  if (edge_family) {
-    if (binary && order == "file") {
-      // Zero-copy: blocks point straight into the mmap'd .bin payload.
-      engine::BinaryEdgeSource source(reader);
-      outcomes = broker.RunEdgeQueries(source);
-    } else if (order == "file") {
-      EdgeStream stream = graph.edges();
-      outcomes = broker.RunEdgeQueries(stream);
-    } else {
-      Rng order_rng(seed ^ 0x5eedULL);
-      const EdgeStream stream = MakeRandomOrderStream(graph, order_rng);
-      outcomes = broker.RunEdgeQueries(stream);
-    }
-  } else {
-    Rng order_rng(seed ^ 0x5eedULL);
-    const AdjacencyStream stream = MakeAdjacencyStream(g, order_rng);
-    outcomes = broker.RunAdjacencyQueries(stream);
-  }
-
-  PrintEngineOutcomes(outcomes, broker.stats(), show_exact, exact, manifest);
-  return 0;
-}
-
-int RunSweep(FlagParser& flags, RunManifest& manifest) {
-  const std::string algos =
-      flags.GetString("algorithms", "random-order,triest,cormode-jowhari");
   std::vector<engine::QueryKind> kinds;
-  std::size_t start = 0;
-  while (start <= algos.size()) {
-    std::size_t comma = algos.find(',', start);
-    if (comma == std::string::npos) comma = algos.size();
-    const std::string name = algos.substr(start, comma - start);
-    if (!name.empty()) {
-      const auto kind = engine::ParseQueryKind(name);
-      if (!kind.has_value()) {
-        std::cerr << "error: unknown algorithm '" << name << "'\n";
-        return Usage();
-      }
-      kinds.push_back(*kind);
+  std::istringstream algos(
+      flags.GetString("algorithms", front.default_algorithms));
+  for (std::string name; std::getline(algos, name, ',');) {
+    if (name.empty()) continue;
+    const auto kind = engine::ParseQueryKind(name);
+    if (!kind.has_value()) {
+      std::cerr << "error: unknown algorithm '" << name << "'\n";
+      return Usage();
     }
-    start = comma + 1;
+    kinds.push_back(*kind);
   }
   if (kinds.empty()) {
     std::cerr << "error: --algorithms must name at least one algorithm\n";
     return Usage();
   }
 
-  const int num_queries =
-      static_cast<int>(flags.GetCount("queries", 16));
-  engine::QuerySpec base;
-  base.base.epsilon = flags.GetDouble("epsilon", 0.2);
-  base.base.c = flags.GetDouble("c", 2.0);
-  base.base.t_guess = flags.GetDouble("t-guess", 0.0);
+  const std::uint64_t num_queries =
+      flags.GetCount("queries", front.default_queries);
   base.reservoir_capacity =
       static_cast<std::size_t>(flags.GetCount("reservoir", 1000));
   base.level_rate = flags.GetDouble("level-rate", -1.0);
@@ -819,306 +613,302 @@ int RunSweep(FlagParser& flags, RunManifest& manifest) {
   base.decay_epoch_edges = flags.GetCount("decay-epoch", 0);
   base.decay_log2 =
       static_cast<std::uint32_t>(flags.GetCount("decay-log2", 0));
-  const std::uint64_t seed = flags.GetCount("seed", 1);
-
-  std::vector<engine::QuerySpec> specs;
-  for (int i = 0; i < num_queries; ++i) {
+  for (std::uint64_t i = 0; i < num_queries; ++i) {
     engine::QuerySpec spec = base;
-    spec.kind = kinds[static_cast<std::size_t>(i) % kinds.size()];
+    spec.kind = kinds[i % kinds.size()];
     spec.name =
         std::string(engine::QueryKindName(spec.kind)) + "-" + std::to_string(i);
-    spec.base.seed = seed + static_cast<std::uint64_t>(i);
+    spec.base.seed = base.base.seed + i;
     std::string spec_error;
     if (!engine::ValidateSpec(spec, &spec_error)) {
       std::cerr << "error: " << spec_error << "\n";
       return 1;
     }
-    specs.push_back(std::move(spec));
+    specs->push_back(std::move(spec));
   }
-  return RunEngineBatch(flags, manifest, std::move(specs));
+  return -1;
 }
 
-// Spec-file front end shared by `serve` and `shard` (the engine's strict
-// parser: trailing garbage and wrapped negatives are hard errors with a
-// `file:line:` message, not silently mangled values).
-bool LoadSpecFile(FlagParser& flags, const std::string& spec_path,
-                  std::vector<engine::QuerySpec>* specs) {
-  engine::QuerySpec defaults;
-  defaults.base.epsilon = flags.GetDouble("epsilon", 0.2);
-  defaults.base.c = flags.GetDouble("c", 2.0);
-  defaults.base.t_guess = flags.GetDouble("t-guess", 0.0);
-  defaults.base.seed = flags.GetCount("seed", 1);
-  std::string error;
-  if (!engine::ParseSpecFile(spec_path, defaults, specs, &error)) {
-    std::cerr << "error: " << error << "\n";
-    return false;
-  }
-  return true;
-}
-
-int RunDaemon(FlagParser& flags, RunManifest& manifest);
-
-int RunServe(FlagParser& flags, RunManifest& manifest) {
-  // --daemon: supervised always-on mode over the sharded engine (retries,
-  // deadlines, drain/resume) — the shard front end handles --spec itself.
-  if (flags.GetBool("daemon", false)) return RunDaemon(flags, manifest);
-  const std::string spec_path = flags.GetString("spec", "");
-  if (spec_path.empty()) {
-    std::cerr << "error: --spec FILE is required\n";
-    return Usage();
-  }
-  std::vector<engine::QuerySpec> specs;
-  if (!LoadSpecFile(flags, spec_path, &specs)) return 1;
-  return RunEngineBatch(flags, manifest, std::move(specs));
-}
-
-// Everything the sharded front ends (`shard`, `serve --daemon`) need
-// prepared before execution: resolved specs, the stream (mmap'd .bin or
-// materialized), the execution plan, and the exact-count cache for
-// printing. Owns the graph/reader so `edges` stays valid.
-struct ShardSetup {
-  std::vector<engine::QuerySpec> specs;
-  BinaryEdgeReader reader;
-  EdgeList graph;
-  std::optional<Graph> g;
-  std::optional<ExactCache> exact;
-  EdgeStream materialized;
-  std::span<const Edge> edges;
-  engine::ShardPlanOptions plan;
-  bool show_exact = true;
-};
-
-// Shared `shard`/`serve --daemon` front end: parses the spec/graph/stream
-// flags into `setup`. Returns -1 on success, else the exit code to return.
-int PrepareShardRun(FlagParser& flags, ShardSetup* setup) {
-  const int num_workers = static_cast<int>(flags.GetCount("shards", 1));
-  if (num_workers < 1) {
+// The supervised executor's options from the flags, with `front`'s retry
+// defaults. Creates --shard-dir. Returns -1 on success, else the exit code.
+int ReadSupervision(FlagParser& flags, const BatchFrontEnd& front,
+                    engine::SupervisorOptions* opt) {
+  engine::ShardPlanOptions& plan = opt->plan;
+  plan.num_workers = static_cast<int>(flags.GetCount("shards", 1));
+  if (plan.num_workers < 1) {
     std::cerr << "error: --shards must be >= 1\n";
     return 1;
   }
-  const std::string shard_dir = flags.GetString("shard-dir", "");
-  if (shard_dir.empty()) {
+  plan.shard_dir = flags.GetString("shard-dir", "");
+  if (plan.shard_dir.empty()) {
     std::cerr << "error: --shard-dir DIR is required\n";
     return Usage();
   }
   std::error_code ec;
-  std::filesystem::create_directories(shard_dir, ec);
-
+  std::filesystem::create_directories(plan.shard_dir, ec);
+  if (ec) {
+    std::cerr << "error: cannot create --shard-dir " << plan.shard_dir << ": "
+              << ec.message() << "\n";
+    return 1;
+  }
   const std::string launch = flags.GetString("launch", "inprocess");
   if (launch != "inprocess" && launch != "subprocess") {
     std::cerr << "error: --launch must be inprocess or subprocess\n";
     return 1;
   }
+  plan.launch = launch == "subprocess" ? engine::ShardLaunch::kSubprocess
+                                       : engine::ShardLaunch::kInProcess;
+  plan.epoch_edges = flags.GetCount("epoch-edges", 0);
+  plan.worker_binary = flags.GetString("worker-binary", "");
+  plan.kill_worker = static_cast<int>(flags.GetInt("kill-shard", -1));
+  plan.kill_after_edges = flags.GetCount("kill-edges", 0);
 
-  // Specs: an explicit file, or a sweep-style generated matrix (defaults
-  // to arb-f2, the shard-mergeable kind).
-  std::vector<engine::QuerySpec>& specs = setup->specs;
-  const std::string spec_path = flags.GetString("spec", "");
-  if (!spec_path.empty()) {
-    if (!LoadSpecFile(flags, spec_path, &specs)) return 1;
-  } else {
-    const int num_queries = static_cast<int>(flags.GetCount("queries", 4));
-    engine::QuerySpec base;
-    base.base.epsilon = flags.GetDouble("epsilon", 0.2);
-    base.base.c = flags.GetDouble("c", 2.0);
-    base.base.t_guess = flags.GetDouble("t-guess", 0.0);
-    base.space_budget_words =
-        static_cast<std::size_t>(flags.GetCount("budget-words", 0));
-    const std::uint64_t seed = flags.GetCount("seed", 1);
-    const std::string algos = flags.GetString("algorithms", "arb-f2");
-    std::vector<engine::QueryKind> kinds;
-    std::size_t start = 0;
-    while (start <= algos.size()) {
-      std::size_t comma = algos.find(',', start);
-      if (comma == std::string::npos) comma = algos.size();
-      const std::string name = algos.substr(start, comma - start);
-      if (!name.empty()) {
-        const auto kind = engine::ParseQueryKind(name);
-        if (!kind.has_value()) {
-          std::cerr << "error: unknown algorithm '" << name << "'\n";
-          return Usage();
-        }
-        kinds.push_back(*kind);
-      }
-      start = comma + 1;
-    }
-    if (kinds.empty()) kinds.push_back(engine::QueryKind::kArbF2);
-    for (int i = 0; i < num_queries; ++i) {
-      engine::QuerySpec spec = base;
-      spec.kind = kinds[static_cast<std::size_t>(i) % kinds.size()];
-      spec.name = std::string(engine::QueryKindName(spec.kind)) + "-" +
-                  std::to_string(i);
-      spec.base.seed = seed + static_cast<std::uint64_t>(i);
-      std::string spec_error;
-      if (!engine::ValidateSpec(spec, &spec_error)) {
-        std::cerr << "error: " << spec_error << "\n";
-        return 1;
-      }
-      specs.push_back(std::move(spec));
-    }
+  opt->retry.max_attempts = static_cast<int>(std::max<std::uint64_t>(
+      1, flags.GetCount("max-retries", front.default_attempts)));
+  opt->retry.base_backoff_ms =
+      flags.GetCount("backoff-ms", front.default_backoff_ms);
+  opt->retry.backoff_cap_ms =
+      flags.GetCount("backoff-cap-ms", front.default_backoff_cap_ms);
+  opt->deadline.shard_deadline_ms = flags.GetCount("shard-deadline-ms", 0);
+  opt->deadline.wave_deadline_ms = flags.GetCount("wave-deadline-ms", 0);
+  opt->heartbeat_edges = flags.GetCount("heartbeat-edges", 0);
+  opt->resume = flags.GetBool("resume", false);
+  opt->hang_worker = static_cast<int>(flags.GetInt("hang-shard", -1));
+  opt->hang_after_edges = flags.GetCount("hang-edges", 0);
+  opt->throttle_ms_per_block = flags.GetCount("throttle-ms", 0);
+  return -1;
+}
+
+// The three stream families; one batch = one stream, so every spec in a
+// batch must consume the same one.
+enum class StreamFamily { kEdge, kAdjacency, kTurnstile };
+
+StreamFamily FamilyOf(engine::QueryKind kind) {
+  if (engine::IsTurnstileKind(kind)) return StreamFamily::kTurnstile;
+  return engine::IsEdgeKind(kind) ? StreamFamily::kEdge
+                                  : StreamFamily::kAdjacency;
+}
+
+// One batch's stream, in its family, and the graph whose exact counts fill
+// the default t_guess and score the estimates.
+struct BatchStream {
+  GraphInput input;
+  std::optional<Graph> graph;
+  std::uint32_t format_version = 0;  // Of a .bin input; 0 otherwise.
+  EdgeStream shuffled;
+  std::span<const Edge> edges;  // Edge family: the stream in --order.
+  AdjacencyStream adjacency;
+  TurnstileStream turnstile;
+};
+
+// Loads the stream of `family`. Edge order (--order): `shuffled` is one
+// seeded permutation; `file` is the graph's canonical order, except that an
+// edge batch streams a .bin straight from its mapping. A turnstile batch
+// streams a .bin v2 file (edge2bin --turnstile) in file order, because its
+// update order is semantic (a delete must follow a live insert), and wraps
+// any insert-only source in the edge order; its graph is the live graph
+// after every update, which is what the estimates approximate. An
+// adjacency stream is grouped by vertex in a seeded vertex order.
+bool LoadBatchStream(FlagParser& flags, StreamFamily family,
+                     BatchStream* s) {
+  const std::string order = flags.GetString("order", "shuffled");
+  if (order != "shuffled" && order != "file") {
+    std::cerr << "error: --order must be shuffled or file\n";
+    return false;
   }
+  Rng order_rng(flags.GetCount("seed", 1) ^ 0x5eedULL);
+  const std::string path = flags.GetString("graph", "");
+  VertexId num_vertices = 0;
+  if (family == StreamFamily::kTurnstile && !flags.GetBool("karate", false) &&
+      IsBinaryGraphPath(path) &&
+      SniffBinaryFormatVersion(path) == kBinaryTurnstileVersion) {
+    TurnstileBinaryReader reader;
+    std::string error;
+    if (!reader.Open(path, &error)) {
+      std::cerr << "error: " << error << "\n";
+      return false;
+    }
+    num_vertices = reader.num_vertices();
+    s->format_version = reader.format_version();
+    s->turnstile = reader.TakeStream();
+  } else {
+    if (!LoadGraph(flags, &s->input)) return false;
+    const EdgeList& graph = s->input.graph;
+    if (s->input.binary) s->format_version = s->input.reader.format_version();
+    num_vertices = graph.num_vertices();
+    if (family == StreamFamily::kAdjacency) {
+      s->graph.emplace(graph);
+      s->adjacency = MakeAdjacencyStream(*s->graph, order_rng);
+      return true;
+    }
+    if (order == "shuffled") {
+      s->shuffled = MakeRandomOrderStream(graph, order_rng);
+      s->edges = s->shuffled;
+    } else if (s->input.binary && family == StreamFamily::kEdge) {
+      s->edges = {s->input.reader.edges(), s->input.reader.num_edges()};
+    } else {
+      s->edges = graph.edges();
+    }
+    if (family == StreamFamily::kEdge) {
+      s->graph.emplace(graph);
+      return true;
+    }
+    s->turnstile = TurnstileFromEdges(s->edges);
+  }
+  EdgeList live(num_vertices);
+  for (const Edge& e : LiveEdges(s->turnstile)) live.Add(e.u, e.v);
+  live.Finalize();
+  s->graph.emplace(live);
+  return true;
+}
+
+// Runs the batch on the supervised sharded loop. Returns -1 with the
+// outcomes on success, else the exit code: 1 on a resume that does not
+// match the batch, 3 on a drain (no manifest: partial results must never
+// be mistaken for the batch's, so Main skips --json_out/--json_det_out).
+int RunSupervised(const BatchFrontEnd& front,
+                  const std::vector<engine::QuerySpec>& specs,
+                  std::span<const Edge> edges,
+                  const engine::SupervisorOptions& opt, RunManifest& manifest,
+                  std::vector<engine::QueryOutcome>* outcomes,
+                  engine::EngineStats* stats) {
+  engine::InstallDrainHandlers();
+  engine::SupervisedBatchResult result;
+  std::string error;
+  if (!engine::RunSupervisedBatch(specs, edges, opt, &result, &error)) {
+    std::cerr << "error: " << error << "\n";
+    return 1;
+  }
+  const engine::SupervisorCounters& c = result.counters;
+  engine::ExportSupervisorCounters(c, manifest);
+  std::cerr << front.name << ": " << c.waves_completed
+            << " wave(s) completed, " << c.retries << " retr(ies), "
+            << c.deadline_kills << " deadline kill(s); "
+            << opt.plan.num_workers << " worker(s), " << c.workers_launched
+            << " launch(es), " << c.retries << " recovered\n";
+  if (result.drained) {
+    std::cerr << front.name
+              << ": drained mid-batch; rerun with --resume to finish (state "
+                 "in "
+              << opt.plan.shard_dir << ")\n";
+    return 3;
+  }
+  for (int wave : result.poisoned_waves) {
+    std::cerr << front.name << ": wave " << wave
+              << " poisoned (retry budget exhausted)\n";
+  }
+  *outcomes = std::move(result.outcomes);
+  *stats = result.stats;
+  return -1;
+}
+
+// The one batch front end behind `sweep`, `serve`, `shard` and
+// `serve --daemon`: specs (BuildSpecs), the stream of the batch's family
+// (LoadBatchStream), the spec defaults (n, and t_guess from the exact count
+// of each query's target), then the broker or the supervised sharded loop,
+// and the per-query outcome table and manifest export. Everything printed
+// and exported is deterministic at any --threads, and the sharded loop's
+// results are bit-identical to the broker's at any --shards.
+int RunBatch(FlagParser& flags, RunManifest& manifest,
+             const BatchFrontEnd& front) {
+  engine::SupervisorOptions supervision;
+  int rc = front.supervised ? ReadSupervision(flags, front, &supervision) : -1;
+  if (rc >= 0) return rc;
+  std::vector<engine::QuerySpec> specs;
+  rc = BuildSpecs(flags, front, &specs);
+  if (rc >= 0) return rc;
   if (specs.empty()) {
     std::cerr << "error: no queries to run\n";
     return 1;
   }
+  const StreamFamily family = FamilyOf(specs[0].kind);
   for (const engine::QuerySpec& spec : specs) {
-    if (engine::IsTurnstileKind(spec.kind)) {
-      // Honest scoping, not an oversight: the coordinator's slices, state
-      // files, and resume protocol are built around the v1 edge stream.
-      // Turnstile batches run single-process through `serve`/`sweep`.
-      std::cerr << "error: query '" << spec.name << "' ("
-                << engine::QueryKindName(spec.kind)
-                << ") is a turnstile kind; the multi-process shard "
+    const std::string what = "query '" + spec.name + "' (" +
+                             std::string(engine::QueryKindName(spec.kind)) +
+                             ")";
+    if (front.supervised && engine::IsTurnstileKind(spec.kind)) {
+      // Honest scoping, not an oversight: the shard slices, state files,
+      // and resume protocol are built around the v1 edge stream.
+      std::cerr << "error: " << what
+                << " is a turnstile kind; the multi-process shard "
                    "coordinator and `serve --daemon` do not support "
                    "turnstile streams — use `serve` or `sweep`\n";
       return 1;
     }
-    if (!engine::IsEdgeKind(spec.kind) ||
-        !engine::IsShardMergeableKind(spec.kind)) {
-      std::cerr << "error: query '" << spec.name << "' ("
-                << engine::QueryKindName(spec.kind)
-                << ") is not shard-mergeable; `shard` supports arb-f2\n";
+    if (front.supervised && !engine::IsShardMergeableKind(spec.kind)) {
+      std::cerr << "error: " << what
+                << " is not shard-mergeable; `shard` supports arb-f2\n";
+      return 1;
+    }
+    if (FamilyOf(spec.kind) != family) {
+      std::cerr << "error: " << what
+                << " mixes stream families; one batch = one stream\n";
       return 1;
     }
   }
 
-  BinaryEdgeReader& reader = setup->reader;
-  EdgeList& graph = setup->graph;
-  bool binary = false;
-  if (!LoadBatchGraph(flags, &reader, &graph, &binary)) return 1;
-  setup->g.emplace(graph);
-  const Graph& g = *setup->g;
-  const std::uint64_t seed = flags.GetCount("seed", 1);
-  const std::string order = flags.GetString("order", "shuffled");
-  if (order != "shuffled" && order != "file") {
-    std::cerr << "error: --order must be shuffled or file\n";
-    return 1;
+  BatchStream stream;
+  if (!LoadBatchStream(flags, family, &stream)) return 1;
+  engine::ShardPlanOptions& plan = supervision.plan;
+  if (front.supervised && plan.launch == engine::ShardLaunch::kSubprocess) {
+    // Subprocess workers mmap the .bin themselves, so the loop must stream
+    // the same bytes in the same order: binary file order only.
+    if (!stream.input.binary || flags.GetString("order", "") != "file") {
+      std::cerr << "error: --launch subprocess needs a .bin graph and "
+                   "--order file (workers stream the file directly)\n";
+      return 1;
+    }
+    plan.stream_path = flags.GetString("graph", "");
   }
-  setup->show_exact = !flags.GetBool("no-exact", false);
-  setup->exact.emplace(g);
-  ExactCache& exact = *setup->exact;
+  const bool show_exact = !flags.GetBool("no-exact", false);
+  ExactCache exact(*stream.graph);
   for (engine::QuerySpec& spec : specs) {
-    if (spec.num_vertices == 0) spec.num_vertices = g.num_vertices();
+    if (spec.num_vertices == 0) {
+      spec.num_vertices = stream.graph->num_vertices();
+    }
     if (spec.base.t_guess <= 1.0) {
       spec.base.t_guess = std::max(1.0, exact.For(spec.kind));
     }
   }
 
-  engine::ShardPlanOptions& options = setup->plan;
-  options.num_workers = num_workers;
-  options.block_edges =
-      static_cast<std::size_t>(flags.GetCount("block-edges", 4096));
-  options.budget.per_query_words =
+  const std::size_t block_edges = static_cast<std::size_t>(
+      flags.GetCount("block-edges", kDefaultBlockSize));
+  engine::BudgetPolicy budget;
+  budget.per_query_words =
       static_cast<std::size_t>(flags.GetCount("per-query-budget", 0));
-  options.budget.aggregate_words =
+  budget.aggregate_words =
       static_cast<std::size_t>(flags.GetCount("aggregate-budget", 0));
-  options.epoch_edges = flags.GetCount("epoch-edges", 0);
-  options.shard_dir = shard_dir;
-  options.launch = launch == "subprocess" ? engine::ShardLaunch::kSubprocess
-                                          : engine::ShardLaunch::kInProcess;
-  options.worker_binary = flags.GetString("worker-binary", "");
-  options.kill_worker = static_cast<int>(flags.GetInt("kill-shard", -1));
-  options.kill_after_edges = flags.GetCount("kill-edges", 0);
-
-  // The stream. Subprocess workers mmap the .bin themselves, so the
-  // coordinator must stream the same bytes in the same order: binary
-  // file-order only.
-  if (options.launch == engine::ShardLaunch::kSubprocess) {
-    if (!binary || order != "file") {
-      std::cerr << "error: --launch subprocess needs a .bin graph and "
-                   "--order file (workers stream the file directly)\n";
-      return 1;
-    }
-    options.stream_path = flags.GetString("graph", "");
-    setup->edges = std::span<const Edge>(reader.edges(), reader.num_edges());
-  } else if (order == "file") {
-    setup->materialized = graph.edges();
-    setup->edges = setup->materialized;
+  std::vector<engine::QueryOutcome> outcomes;
+  engine::EngineStats stats;
+  if (front.supervised) {
+    plan.block_edges = block_edges;
+    plan.budget = budget;
+    rc = RunSupervised(front, specs, stream.edges, supervision, manifest,
+                       &outcomes, &stats);
+    if (rc >= 0) return rc;
   } else {
-    Rng order_rng(seed ^ 0x5eedULL);
-    setup->materialized = MakeRandomOrderStream(graph, order_rng);
-    setup->edges = setup->materialized;
+    engine::BrokerOptions options;
+    options.block_size = block_edges;
+    options.budget = budget;
+    engine::StreamBroker broker(options);
+    for (const engine::QuerySpec& spec : specs) broker.AddQuery(spec);
+    if (family == StreamFamily::kEdge) {
+      outcomes = broker.RunEdgeQueries(stream.edges);
+    } else if (family == StreamFamily::kAdjacency) {
+      outcomes = broker.RunAdjacencyQueries(stream.adjacency);
+    } else {
+      outcomes = broker.RunTurnstileQueries(stream.turnstile);
+      manifest.metrics().SetInt(
+          "stream.updates", static_cast<std::int64_t>(stream.turnstile.size()));
+    }
+    stats = broker.stats();
+    if (stream.format_version != 0) {
+      manifest.metrics().SetInt(
+          "stream.format_version",
+          static_cast<std::int64_t>(stream.format_version));
+    }
   }
-  return -1;
-}
-
-// `shard`: the multi-process engine front end. Same spec preparation and
-// output as `sweep`/`serve`, but execution goes through the sharded wave
-// loop — results are bit-identical to --shards 1 at any worker
-// count, so the deterministic manifest is too (the shard execution-policy
-// flags are excluded from it like --threads).
-int RunShard(FlagParser& flags, RunManifest& manifest) {
-  ShardSetup setup;
-  const int rc = PrepareShardRun(flags, &setup);
-  if (rc >= 0) return rc;
-
-  const engine::ShardBatchResult result =
-      engine::RunShardedBatch(setup.specs, setup.edges, setup.plan);
-  std::cerr << "shard: " << setup.plan.num_workers << " worker(s), "
-            << result.workers_launched << " launch(es), "
-            << result.workers_recovered << " recovered\n";
-  manifest.metrics().SetExecution(
-      "shard.workers_launched",
-      static_cast<std::int64_t>(result.workers_launched));
-  manifest.metrics().SetExecution(
-      "shard.workers_recovered",
-      static_cast<std::int64_t>(result.workers_recovered));
-  PrintEngineOutcomes(result.outcomes, result.stats, setup.show_exact,
-                      *setup.exact, manifest);
-  return 0;
-}
-
-// `serve --daemon`: the supervised always-on serving mode (DESIGN.md §14).
-// Same front end as `shard`, executed under engine/supervisor: per-worker
-// retry with deterministic backoff, watchdog deadlines for hung
-// subprocesses, graceful SIGTERM/SIGINT drain, and `--resume` to finish a
-// drained or crashed batch with a byte-identical deterministic manifest.
-int RunDaemon(FlagParser& flags, RunManifest& manifest) {
-  ShardSetup setup;
-  const int rc = PrepareShardRun(flags, &setup);
-  if (rc >= 0) return rc;
-
-  engine::SupervisorOptions opt;
-  opt.plan = setup.plan;
-  opt.retry.max_attempts =
-      std::max(1, static_cast<int>(flags.GetCount("max-retries", 3)));
-  opt.retry.base_backoff_ms = flags.GetCount("backoff-ms", 50);
-  opt.retry.backoff_cap_ms = flags.GetCount("backoff-cap-ms", 2000);
-  opt.deadline.shard_deadline_ms = flags.GetCount("shard-deadline-ms", 0);
-  opt.deadline.wave_deadline_ms = flags.GetCount("wave-deadline-ms", 0);
-  opt.heartbeat_edges = flags.GetCount("heartbeat-edges", 0);
-  opt.resume = flags.GetBool("resume", false);
-  opt.hang_worker = static_cast<int>(flags.GetInt("hang-shard", -1));
-  opt.hang_after_edges = flags.GetCount("hang-edges", 0);
-  opt.throttle_ms_per_block = flags.GetCount("throttle-ms", 0);
-
-  engine::InstallDrainHandlers();
-  engine::SupervisedBatchResult result;
-  std::string error;
-  if (!engine::RunSupervisedBatch(setup.specs, setup.edges, opt, &result,
-                                  &error)) {
-    std::cerr << "error: " << error << "\n";
-    return 1;
-  }
-  ExportSupervisorCounters(result.counters, manifest);
-  std::cerr << "daemon: " << result.counters.waves_completed
-            << " wave(s) completed, " << result.counters.retries
-            << " retr(ies), " << result.counters.deadline_kills
-            << " deadline kill(s)\n";
-  if (result.drained) {
-    // No manifest on a drained run: partial results must never be mistaken
-    // for the batch's. Exit 3 so Main skips --json_out/--json_det_out.
-    std::cerr << "daemon: drained mid-batch; rerun with --resume to finish "
-                 "(state in "
-              << setup.plan.shard_dir << ")\n";
-    return 3;
-  }
-  for (int wave : result.poisoned_waves) {
-    std::cerr << "daemon: wave " << wave
-              << " poisoned (retry budget exhausted)\n";
-  }
-  PrintEngineOutcomes(result.outcomes, result.stats, setup.show_exact,
-                      *setup.exact, manifest);
+  PrintEngineOutcomes(outcomes, stats, show_exact, exact, manifest);
   return 0;
 }
 
@@ -1295,11 +1085,13 @@ int Main(int argc, char** argv) {
   } else if (command == "generate") {
     rc = RunGenerate(flags, manifest);
   } else if (command == "sweep") {
-    rc = RunSweep(flags, manifest);
+    rc = RunBatch(flags, manifest, kSweepFrontEnd);
   } else if (command == "serve") {
-    rc = RunServe(flags, manifest);
+    rc = RunBatch(flags, manifest,
+                  flags.GetBool("daemon", false) ? kDaemonFrontEnd
+                                                 : kServeFrontEnd);
   } else if (command == "shard") {
-    rc = RunShard(flags, manifest);
+    rc = RunBatch(flags, manifest, kShardFrontEnd);
   } else {
     return Usage();
   }
