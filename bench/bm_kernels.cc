@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -197,6 +198,36 @@ void BM_TurnstileUpdate(benchmark::State& state) {
                           static_cast<std::int64_t>(stream.size()));
 }
 BENCHMARK(BM_TurnstileUpdate);
+
+// Signed update throughput of turnstile-f2-c4 (the Thm 5.7 rows), plain
+// (Arg 0) and under 2^-1 decay every 16,384 updates (Arg 1): a rescale
+// raises the integer slots' exponent, so the decayed counter runs on the
+// same slot width as the plain one. The sign caches are built once,
+// outside the timed loop.
+void BM_TurnstileC4Update(benchmark::State& state) {
+  const bool decayed = state.range(0) != 0;
+  ArbF2FourCycleCounter::Params p;
+  p.base.epsilon = 0.3;
+  p.base.seed = 79;
+  TurnstileStream stream = BenchTurnstileStream(&p.num_vertices);
+  const auto signs = ArbF2FourCycleCounter::MakeSigns(p);
+  for (auto _ : state) {
+    std::unique_ptr<TurnstileStreamAlgorithm> alg =
+        std::make_unique<TurnstileF2FourCycleCounter>(p, signs);
+    if (decayed) {
+      alg = std::make_unique<DecayAlgorithm>(std::move(alg),
+                                             /*epoch_edges=*/16384,
+                                             /*decay_log2=*/1);
+    }
+    alg->StartPass(0, stream.size());
+    alg->ProcessUpdateBlock(0, std::span<const TurnstileUpdate>(stream), 0);
+    alg->EndPass(0);
+    benchmark::DoNotOptimize(alg->Result());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.size()));
+}
+BENCHMARK(BM_TurnstileC4Update)->Arg(0)->Arg(1);
 
 // Cost of a sliding-window Result(): a fresh factory instance plus
 // MergeFrom folds of the live buckets (oldest -> newest). Arg = bucket

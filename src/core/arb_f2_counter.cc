@@ -23,6 +23,9 @@ namespace {
 constexpr std::uint64_t kInt16SlotMax = 32767;       // 2^15 − 1
 constexpr std::uint64_t kInt32SlotMax = 2147483647;  // 2^31 − 1
 constexpr std::uint64_t kAnyBound = ~std::uint64_t{0};
+// The largest exponent integer slots carry: one update then moves a slot
+// by 2^30, which still fits an int32 slot.
+constexpr int kMaxExponent = 30;
 
 // Derives the copy counts left to the counter.
 ArbF2FourCycleCounter::Params Normalized(ArbF2FourCycleCounter::Params params) {
@@ -67,22 +70,33 @@ constexpr std::size_t SlotBytes(ArbF2FourCycleCounter::SlotWidth width) {
   return 8;
 }
 
-// Appends `rows` as To slots: one Bytes call when To is the live type,
-// otherwise row by row through one converted row (exact: SaveState picks a
-// To that holds every slot).
+// Appends the values of `rows`, whose slots hold value·2^exponent (a
+// nonzero exponent only on integer slots), as To slots: one Bytes call
+// when To is the live type and the exponent is zero, otherwise row by row
+// through one converted row (exact: SaveState picks a To that holds every
+// value).
 template <typename To, typename From>
 void WriteSlots(StateWriter& w, const std::vector<From>& rows,
-                std::size_t row_slots) {
+                std::size_t row_slots, int exponent) {
   if constexpr (std::is_same_v<To, From>) {
-    w.Bytes(rows.data(), rows.size() * sizeof(From));
-  } else {
-    std::vector<To> row(row_slots);
-    for (std::size_t at = 0; at < rows.size(); at += row_slots) {
-      for (std::size_t i = 0; i < row_slots; ++i) {
-        row[i] = static_cast<To>(rows[at + i]);
-      }
-      w.Bytes(row.data(), row_slots * sizeof(To));
+    if (exponent == 0) {
+      w.Bytes(rows.data(), rows.size() * sizeof(From));
+      return;
     }
+  }
+  const double scale = std::ldexp(1.0, -exponent);
+  std::vector<To> row(row_slots);
+  for (std::size_t at = 0; at < rows.size(); at += row_slots) {
+    for (std::size_t i = 0; i < row_slots; ++i) {
+      if constexpr (std::is_same_v<To, double>) {
+        row[i] = static_cast<double>(rows[at + i]) * scale;
+      } else if constexpr (std::is_same_v<From, double>) {
+        row[i] = static_cast<To>(rows[at + i]);
+      } else {
+        row[i] = static_cast<To>(rows[at + i] >> exponent);
+      }
+    }
+    w.Bytes(row.data(), row_slots * sizeof(To));
   }
 }
 
@@ -127,16 +141,25 @@ bool LoadSlots(std::string_view payload, std::size_t n, std::size_t row_slots,
 }
 
 // Replaces the live row vector with a vector of To holding the same
-// values, unless it is already at least as wide (int16 < int32 < double,
+// slots, unless it is already at least as wide (int16 < int32 < double,
 // the order of their sizes). Every slot is an exact integer within the
-// narrower type's range, so the conversion is exact.
+// narrower type's range, so the conversion is exact; a `double` row holds
+// each slot times `scale` (2^−exponent), which is exact while |slot| <
+// 2^31 and the exponent is at most kMaxExponent.
 template <typename To, typename Rows>
-void WidenRows(Rows& rows) {
+void WidenRows(Rows& rows, double scale) {
   std::visit(
-      [&rows](auto& from) {
+      [&rows, scale](auto& from) {
         using From = typename std::decay_t<decltype(from)>::value_type;
         if constexpr (sizeof(From) < sizeof(To)) {
-          std::vector<To> wide(from.begin(), from.end());
+          std::vector<To> wide(from.size());
+          for (std::size_t i = 0; i < from.size(); ++i) {
+            if constexpr (std::is_same_v<To, double>) {
+              wide[i] = static_cast<double>(from[i]) * scale;
+            } else {
+              wide[i] = from[i];
+            }
+          }
           rows = std::move(wide);
         }
       },
@@ -210,36 +233,49 @@ ArbF2FourCycleCounter::ArbF2FourCycleCounter(
 
 void ArbF2FourCycleCounter::WidenFor(std::uint64_t bound) {
   if (bound > kInt32SlotMax) {
-    WidenRows<double>(rows_);
+    // `double` rows hold the values themselves: the exponent is folded
+    // into the slots once and dropped with the bounds.
+    WidenRows<double>(rows_, std::ldexp(1.0, -exponent_));
+    exponent_ = 0;
     row_bound_ = std::vector<std::uint32_t>();
   } else if (bound > kInt16SlotMax) {
-    WidenRows<std::int32_t>(rows_);
+    WidenRows<std::int32_t>(rows_, 1.0);
   }
 }
 
 void ArbF2FourCycleCounter::ApplyBlock(std::span<const Edge> edges,
                                        const double* signs) {
   if (!double_slots()) {
-    // Each endpoint's update moves every slot of its row by at most one, so
-    // the rows' bounds grow by one per endpoint (two for a self-loop)
-    // before any slot moves. Once one passes int32 the rows go to double
-    // and the rest are not needed; stopping there keeps every bound at or
-    // below 2^31 + 1, so none wraps.
+    // Each endpoint's update moves every slot of its row by at most
+    // 2^exponent_, so the rows' bounds grow by that step per endpoint (two
+    // steps for a self-loop) before any slot moves. Once one passes int32
+    // the rows go to double and the rest are not needed; stopping there
+    // keeps every bound at or below 2^31 − 1 + 2·2^30 = 2^32 − 1, so none
+    // wraps.
+    const std::uint32_t step = std::uint32_t{1} << exponent_;
     std::uint64_t peak = 0;
     for (const Edge& e : edges) {
-      peak = std::max<std::uint64_t>(peak, ++row_bound_[e.u]);
-      peak = std::max<std::uint64_t>(peak, ++row_bound_[e.v]);
+      peak = std::max<std::uint64_t>(peak, row_bound_[e.u] += step);
+      peak = std::max<std::uint64_t>(peak, row_bound_[e.v] += step);
       if (peak > kInt32SlotMax) break;
     }
     WidenFor(peak);
   }
+  // One update adds ±1 to a value, so ±2^exponent_ to its slot (the
+  // exponent is zero on `double` rows).
+  const std::int64_t step = std::int64_t{1} << exponent_;
   std::visit(
       [&](auto& rows) {
         using T = typename std::decay_t<decltype(rows)>::value_type;
+        // Modular for an empty block whose step an int16 cannot hold; a
+        // nonempty block has widened the rows to fit it.
+        const T unit = static_cast<T>(step);
         for (std::size_t i = 0; i < edges.size(); ++i) {
           ApplyEdge(rows.data(), signs_->alpha.data(), signs_->beta.data(),
                     num_copies_, edges[i],
-                    signs == nullptr ? T{1} : static_cast<T>(signs[i]));
+                    signs == nullptr
+                        ? unit
+                        : static_cast<T>(static_cast<T>(signs[i]) * unit));
         }
       },
       rows_);
@@ -273,6 +309,15 @@ void ArbF2FourCycleCounter::ProcessSignedEdgeBlock(
 }
 
 void ArbF2FourCycleCounter::Rescale(double factor) {
+  // factor = mantissa·2^exp with mantissa in [0.5, 1): a power of two
+  // 2^−k, k >= 0, has mantissa 0.5 and k = 1 − exp.
+  int exp = 0;
+  const double mantissa = std::frexp(factor, &exp);
+  if (!double_slots() && mantissa == 0.5 && exp <= 1 &&
+      exponent_ + (1 - exp) <= kMaxExponent) {
+    exponent_ += 1 - exp;
+    return;
+  }
   WidenFor(kAnyBound);
   for (double& x : std::get<std::vector<double>>(rows_)) x *= factor;
 }
@@ -284,17 +329,19 @@ double ArbF2FourCycleCounter::F2Estimate() const {
   const std::size_t c = num_copies_;
   // One vertex-outer sweep over the rows. Copy i still sums its terms in
   // vertex order 0..n−1, so z_i is bit-identical to a copy-outer walk.
+  // Each slot converts to its value, slot·2^−exponent_, exactly.
   std::vector<double>& z = square_scratch_;
   z.assign(c, 0.0);
+  const double scale = std::ldexp(1.0, -exponent_);
   std::visit(
       [&](const auto& rows) {
         for (std::size_t t = 0; t < n; ++t) {
           const auto* row = rows.data() + t * 3 * c;
           for (std::size_t i = 0; i < c; ++i) {
-            z[i] += (static_cast<double>(row[i]) *
-                         static_cast<double>(row[c + i]) -
-                     static_cast<double>(row[2 * c + i])) /
-                    2.0;
+            const double a = static_cast<double>(row[i]) * scale;
+            const double b = static_cast<double>(row[c + i]) * scale;
+            const double cc = static_cast<double>(row[2 * c + i]) * scale;
+            z[i] += (a * b - cc) / 2.0;
           }
         }
       },
@@ -317,19 +364,29 @@ Estimate ArbF2FourCycleCounter::Result() const {
 ArbF2FourCycleCounter::SlotWidth ArbF2FourCycleCounter::NarrowestWidth()
     const {
   return std::visit(
-      [](const auto& rows) {
+      [this](const auto& rows) {
         using T = typename std::decay_t<decltype(rows)>::value_type;
-        if constexpr (std::is_same_v<T, std::int16_t>) {
-          return SlotWidth::kInt16;
+        if constexpr (std::is_same_v<T, double>) {
+          bool int16 = true;
+          for (const double x : rows) {
+            if (!FitsInt32Slot(x)) return SlotWidth::kDouble;
+            int16 &= std::fabs(x) <= static_cast<double>(kInt16SlotMax);
+          }
+          return int16 ? SlotWidth::kInt16 : SlotWidth::kInt32;
         } else {
-          // A live int32 slot is never INT32_MIN (its row bound is at most
+          if (std::is_same_v<T, std::int16_t> && exponent_ == 0) {
+            return SlotWidth::kInt16;
+          }
+          // A value slot·2^−exponent_ is an integer iff the slot's low
+          // exponent_ bits are zero, and then it is slot >> exponent_. A
+          // live slot is never INT32_MIN (its row bound is at most
           // 2^31 − 1), so std::abs is exact on it.
+          const std::int32_t fraction = (std::int32_t{1} << exponent_) - 1;
           bool int16 = true;
           for (const T x : rows) {
-            if constexpr (std::is_same_v<T, double>) {
-              if (!FitsInt32Slot(x)) return SlotWidth::kDouble;
-            }
-            int16 &= std::abs(x) <= static_cast<T>(kInt16SlotMax);
+            if ((x & fraction) != 0) return SlotWidth::kDouble;
+            int16 &= std::abs(x >> exponent_) <=
+                     static_cast<std::int32_t>(kInt16SlotMax);
           }
           return int16 ? SlotWidth::kInt16 : SlotWidth::kInt32;
         }
@@ -355,13 +412,13 @@ bool ArbF2FourCycleCounter::SaveState(StateWriter& w) const {
       [&](const auto& rows) {
         switch (width) {
           case SlotWidth::kInt16:
-            WriteSlots<std::int16_t>(w, rows, 3 * num_copies_);
+            WriteSlots<std::int16_t>(w, rows, 3 * num_copies_, exponent_);
             break;
           case SlotWidth::kInt32:
-            WriteSlots<std::int32_t>(w, rows, 3 * num_copies_);
+            WriteSlots<std::int32_t>(w, rows, 3 * num_copies_, exponent_);
             break;
           case SlotWidth::kDouble:
-            WriteSlots<double>(w, rows, 3 * num_copies_);
+            WriteSlots<double>(w, rows, 3 * num_copies_, exponent_);
             break;
         }
       },
@@ -404,6 +461,7 @@ bool ArbF2FourCycleCounter::RestoreState(StateReader& r) {
   }
   if (!loaded) return r.Fail();
   row_bound_ = std::move(bound);
+  exponent_ = 0;
   return true;
 }
 
@@ -422,8 +480,9 @@ bool ArbF2FourCycleCounter::MergeFrom(const EdgeStreamAlgorithm& other) {
     return false;
   }
   // Row by row the bounds add: both are at most 2^31 − 1, so their sum
-  // fits a uint32. The sum widens the slots as an update block would.
-  if (rhs.double_slots()) {
+  // fits a uint32. The sum widens the slots as an update block would. A
+  // side with a nonzero exponent moves the sum to `double` values.
+  if (rhs.double_slots() || exponent_ != 0 || rhs.exponent_ != 0) {
     WidenFor(kAnyBound);
   } else if (!double_slots()) {
     std::uint64_t peak = 0;
@@ -433,11 +492,16 @@ bool ArbF2FourCycleCounter::MergeFrom(const EdgeStreamAlgorithm& other) {
     }
     WidenFor(peak);
   }
+  const double rhs_scale = std::ldexp(1.0, -rhs.exponent_);
   std::visit(
-      [](auto& dst, const auto& src) {
+      [rhs_scale](auto& dst, const auto& src) {
         using T = typename std::decay_t<decltype(dst)>::value_type;
         for (std::size_t i = 0; i < dst.size(); ++i) {
-          dst[i] = static_cast<T>(dst[i] + static_cast<T>(src[i]));
+          if constexpr (std::is_same_v<T, double>) {
+            dst[i] += static_cast<double>(src[i]) * rhs_scale;
+          } else {
+            dst[i] = static_cast<T>(dst[i] + static_cast<T>(src[i]));
+          }
         }
       },
       rows_, rhs.rows_);

@@ -33,29 +33,38 @@ namespace cyclestream {
 /// copy-minor bytes (alpha[v·C + c]) and can be shared read-only between
 /// counters of one configuration (`Signs`).
 ///
-/// Slot width: every slot of row v is a signed sum of one ±1 term per
-/// update touching v, so |slot| is at most that row's update count. The
+/// Slot width: an integer slot holds its value·2^e, where e (`exponent_`)
+/// starts at zero and grows by k with each Rescale(2^−k); a Rescale
+/// touches no slot. Every update adds ±2^e to each slot of its rows, so
+/// |slot| is at most 2^e summed over the updates touching that row. The
 /// counter keeps that bound per row (one uint32 per vertex) and stores all
 /// slots at the narrowest width every row's bound fits: int16, then int32,
 /// then `double`, the representation that holds any state. A row's bound
-/// grows by one per edge endpoint before the slots are touched (two for a
-/// self-loop), adds the other side's on a merge and is the row's largest
-/// |slot| after a restore; the slots widen as soon as one bound would pass
-/// the width's maximum. They go to `double` on the first Rescale and when a
-/// restored slot is non-integral or −0.0, and the bounds are then dropped.
-/// The estimate and the snapshot bytes depend only on the slot values,
-/// which are the same at every width (DESIGN.md §8).
+/// grows by 2^e per edge endpoint before the slots are touched (two steps
+/// for a self-loop), adds the other side's on a merge and is the row's
+/// largest |slot| after a restore; the slots widen as soon as one bound
+/// would pass the width's maximum. They go to `double` when a bound would
+/// pass 2^31 − 1, when e would pass 30, on any other Rescale factor, on a
+/// merge where either side has e > 0, and when a restored slot is
+/// non-integral or −0.0; a `double` slot holds the value itself (e is
+/// folded in once and reset to zero) and the bounds are dropped. While
+/// integer, every value has at most 31 significant bits, so `double`
+/// slots updated and rescaled the same way would hold the same values
+/// exactly. The estimate and the snapshot bytes depend only on the values,
+/// which are the same at every width and every e (DESIGN.md §8).
 ///
 /// Snapshot layout `arbf2/2`: the six config fields (u32 n, u64 C, i64
 /// groups, f64 ε, u64 seed, f64 F₁ correction), a u8 width tag (0 = int16,
 /// 1 = int32, 2 = `double`), a u64 slot count n·3C, then the slots in the
 /// row-major order above, little-endian at the tagged width. SaveState
-/// writes the narrowest width that holds every slot exactly (int16 when
-/// every |slot| ≤ 32,767, int32 when every slot is an int32 value other
-/// than −0.0, else `double`), whatever width the counter holds, and
-/// RestoreState refuses any other encoding: an unknown tag, a wrong count,
-/// a short payload, an int16 slot of −32,768, an int32 slot of INT32_MIN,
-/// a non-finite `double`, or a blob wider than it needs to be.
+/// writes the values at the narrowest width that holds each exactly
+/// (int16 when every |value| ≤ 32,767, int32 when every value is an int32
+/// other than −0.0, else `double`), whatever width and exponent the
+/// counter holds, converting row by row without a full-size copy, and
+/// RestoreState (which resets the exponent to zero) refuses any other
+/// encoding: an unknown tag, a wrong count, a short payload, an int16 slot
+/// of −32,768, an int32 slot of INT32_MIN, a non-finite `double`, or a
+/// blob wider than it needs to be.
 class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
  public:
   struct Params {
@@ -102,8 +111,9 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   void ProcessSignedEdgeBlock(std::span<const Edge> edges,
                               std::span<const double> signs);
   /// Multiplies every accumulator by `factor` — the exponential-decay hook.
-  /// Switches the slots to `double` first; with an exact power-of-two
-  /// factor the multiply is a pure exponent shift, lossless on every slot.
+  /// On integer slots a factor 2^−k (k >= 0) only raises the exponent by k,
+  /// while it stays at most 30; any other factor, or one past that cap,
+  /// moves the slots to `double` values and multiplies each.
   void Rescale(double factor);
   void EndPass(int pass) override;
   std::string_view CheckpointId() const override { return "arbf2/2"; }
@@ -115,7 +125,7 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   /// stream reproduces the whole-stream counters exactly — every slot is
   /// an exact integer, making the addition exact and associative (integer
   /// adds at the width the row-by-row sums of both sides' bounds fit,
-  /// `double` past int32).
+  /// `double` past int32 or when either side carries a rescale exponent).
   /// False (no mutation) unless `other` is an ArbF2FourCycleCounter with
   /// identical result-affecting configuration.
   bool MergeFrom(const EdgeStreamAlgorithm& other) override;
@@ -161,6 +171,9 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   // row_bound_[v] >= |slot| over row v's 3C slots, always at most 2^31 − 1;
   // empty once the slots are `double`.
   std::vector<std::uint32_t> row_bound_;
+  // An integer slot holds value·2^exponent_, 0 <= exponent_ <= 30; always
+  // zero on `double` slots.
+  int exponent_ = 0;
   mutable std::vector<double> square_scratch_;
 };
 

@@ -92,13 +92,17 @@ class SlidingWindowAlgorithm : public TurnstileStreamAlgorithm {
 /// position p where p > 0 and p % epoch_edges == 0, the hosted sketch is
 /// multiplied by 2^(−decay_log2), so an update that is k epochs old
 /// contributes with weight 2^(−k·decay_log2). The factor is an exact
-/// power of two: rescaling is a pure IEEE exponent shift (lossless per
-/// slot), and epochs are fixed stream positions, so blocks are split at
-/// epoch boundaries and the decayed state is bit-identical at any thread /
-/// shard / block-size configuration. Exactness of subsequent additions
-/// holds while each counter's integer span plus accumulated shift stays
-/// within the 53-bit significand — comfortably true for every supported
-/// stream size at the capped decay_log2 (spec validation caps it at 32).
+/// power of two, and epochs are fixed stream positions, so blocks are
+/// split at epoch boundaries and every slot sees the same operations in
+/// the same order: the decayed state is bit-identical at any thread /
+/// shard / block-size configuration. It is not always exact: the rescale
+/// is exact until a value goes subnormal, but adding an update's ±1 to a
+/// decayed `double` value rounds once the sum spans more than 53 bits
+/// (at decay_log2 = 32, spec validation's cap, 1 + 2^−32 + 2^−64 after
+/// three epochs already rounds to 1 + 2^−32). turnstile-f2-c4 counts
+/// rescales in an exponent on its integer slots and moves to `double`
+/// before any value could round, so it rounds exactly where an
+/// all-`double` counter does (DESIGN.md §15.4).
 class DecayAlgorithm : public TurnstileStreamAlgorithm {
  public:
   DecayAlgorithm(std::unique_ptr<TurnstileStreamAlgorithm> inner,

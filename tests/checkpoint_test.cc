@@ -809,6 +809,25 @@ TEST(CrashResumeTest, NonFiniteArbF2SlotIsRejectedWithScratchFallback) {
   ASSERT_EQ(snap.state.size(),
             kDecay + kSlots + 3 * graph.num_vertices() * copies * 8);
   ASSERT_EQ(snap.state[kDecay + kTag], 2) << "expected a double blob";
+  {
+    // Unpoisoned, the snapshot resumes (into double slots, while the
+    // uninterrupted run keeps integer slots) to the same final bytes.
+    const std::string path = dir + "/decayed.ckpt";
+    std::string error;
+    ASSERT_TRUE(SaveSnapshot(path, snap, &error)) << error;
+    RunOptions resume_options;
+    resume_options.resume_from = path;
+    const auto resumed = decayed();
+    const RunOutcome outcome =
+        RunTurnstileStream(*resumed, updates, resume_options);
+    EXPECT_TRUE(outcome.resumed);
+    EXPECT_TRUE(outcome.completed);
+    StateWriter golden_state, resumed_state;
+    ASSERT_TRUE(golden_decayed->SaveState(golden_state));
+    ASSERT_TRUE(resumed->SaveState(resumed_state));
+    EXPECT_EQ(resumed_state.str(), golden_state.str());
+    EXPECT_EQ(resumed->Result().value, golden_decayed->Result().value);
+  }
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity(),
                            -std::numeric_limits<double>::infinity()}) {

@@ -10,6 +10,10 @@
 #      linear sketches' states are equal bit for bit.
 #   4. A sliding-window sweep's deterministic manifest is byte-identical at
 #      --threads 1 and 8.
+#   5. A decayed sweep's deterministic manifest, at 2^-1 (the counters
+#      stay on integer slots) and at 2^-32 (they go to double at the first
+#      epoch), is byte-identical at --threads 1 and 8, and equal at
+#      --block-edges 64 and 4096 but for the recorded block-edges flag.
 # The exhaustive variants (kill points at every bucket boundary, decay
 # oracles, the thread x shard cancellation matrix) are in
 # tests/turnstile_test.cc.
@@ -79,3 +83,22 @@ W="$S --graph cancel.bin --window 4000 --window-buckets 8"
 "$CLI" $W --threads 1 --json_det_out det_w1.json
 "$CLI" $W --threads 8 --json_det_out det_w8.json
 cmp det_w1.json det_w8.json
+
+# 5. Decay manifests across thread counts and block sizes.
+for log2 in 1 32; do
+  X="$S --graph cancel.bin --decay-epoch 1000 --decay-log2 $log2"
+  "$CLI" $X --threads 1 --json_det_out "det_d${log2}_t1.json"
+  "$CLI" $X --threads 8 --json_det_out "det_d${log2}_t8.json"
+  "$CLI" $X --threads 4 --block-edges 64 --json_det_out "det_d${log2}_b64.json"
+  "$CLI" $X --threads 4 --block-edges 4096 \
+    --json_det_out "det_d${log2}_b4096.json"
+  cmp "det_d${log2}_t1.json" "det_d${log2}_t8.json"
+  "$PY" - "det_d${log2}_t1.json" "det_d${log2}_b64.json" \
+    "det_d${log2}_b4096.json" << 'EOF'
+import json, sys
+runs = [json.load(open(path)) for path in sys.argv[1:]]
+for run in runs:
+    run['config'].pop('block-edges', None)
+assert runs[0] == runs[1] == runs[2], 'decayed manifests differ'
+EOF
+done

@@ -122,8 +122,10 @@ ArbF2FourCycleCounter::Params BlobParams() {
 }
 
 // A blob at `width`: a 4-cycle (int16), then 16,384 self-loops on vertex
-// 0 whose A slots pass 32,767 (int32), or a rescale by 1/2 that leaves
-// half-integers (double).
+// 0 whose A slots pass 32,767 (int32), or a rescale by 1/4 that leaves
+// halves (double; every 4-cycle slot is a sum of two ±1 terms, so a
+// rescale by 1/2 would leave integers). The blob's width tag follows the
+// 44 bytes of config fields.
 std::string ArbF2Blob(ArbF2FourCycleCounter::SlotWidth width) {
   using SlotWidth = ArbF2FourCycleCounter::SlotWidth;
   ArbF2FourCycleCounter counter(BlobParams());
@@ -133,12 +135,15 @@ std::string ArbF2Blob(ArbF2FourCycleCounter::SlotWidth width) {
   if (width == SlotWidth::kInt32) {
     for (int i = 0; i < 16384; ++i) counter.Insert(Edge(0, 0));
   } else if (width == SlotWidth::kDouble) {
-    counter.Rescale(0.5);
+    counter.Rescale(0.25);
   }
-  EXPECT_EQ(counter.slot_width(), width);
   StateWriter w;
   EXPECT_TRUE(counter.SaveState(w));
-  return w.Take();
+  std::string blob = w.Take();
+  constexpr std::size_t kTagOffset = 4 + 5 * 8;
+  EXPECT_GT(blob.size(), kTagOffset);
+  EXPECT_EQ(blob[kTagOffset], static_cast<char>(width));
+  return blob;
 }
 
 // Restores a decoded blob into a fresh counter. A refusal rejects the

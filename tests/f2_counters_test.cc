@@ -624,9 +624,10 @@ TEST(ArbF2CounterTest, RestoredSlotLoadsAtTheWidthItNeeds) {
 // The width tag of an arbf2/2 blob follows the six config fields.
 constexpr std::size_t kArbF2TagOffset = 4 + 5 * 8;
 
-// A live counter at each width saves at that width, and the blob restores
-// into a fresh counter at the same width, with the same estimate, and
-// re-saves to the same bytes.
+// A blob at each width restores into a fresh counter at that width, with
+// the same estimate, and re-saves to the same bytes. The blob's width is
+// the values' narrowest, not the live one's: a rescale by 1/2 keeps the
+// int32 slots, and its half-integral values save as double.
 TEST(ArbF2CounterTest, SnapshotRoundTripsAtEveryWidth) {
   const VertexId n = 40;
   const VertexId centre = n - 1;
@@ -635,7 +636,6 @@ TEST(ArbF2CounterTest, SnapshotRoundTripsAtEveryWidth) {
   const EdgeList graph = ErdosRenyiGnm(n, 150, rng);
   const auto round_trip = [&](const ArbF2FourCycleCounter& live,
                               SlotWidth width) {
-    EXPECT_EQ(live.slot_width(), width);
     const std::string bytes = SaveBytes(live);
     ASSERT_GT(bytes.size(), kArbF2TagOffset);
     EXPECT_EQ(bytes[kArbF2TagOffset], static_cast<char>(width));
@@ -651,22 +651,69 @@ TEST(ArbF2CounterTest, SnapshotRoundTripsAtEveryWidth) {
   while (oracle.alpha(centre, copy) < 0) ++copy;
   ArbF2FourCycleCounter counter(params);
   ApplyInBlocks(counter, oracle, graph.edges());
+  EXPECT_EQ(counter.slot_width(), SlotWidth::kInt16);
   round_trip(counter, SlotWidth::kInt16);
   ExpectMatchesOracle(counter, oracle);
+  const std::string int16_blob = SaveBytes(counter);
 
   ApplyInBlocks(counter, oracle, StarEdges(oracle, n, centre, copy, 32768));
+  EXPECT_EQ(counter.slot_width(), SlotWidth::kInt32);
   round_trip(counter, SlotWidth::kInt32);
   ExpectMatchesOracle(counter, oracle);
 
   counter.Rescale(0.5);
   oracle.Rescale(0.5);
+  EXPECT_EQ(counter.slot_width(), SlotWidth::kInt32);
   round_trip(counter, SlotWidth::kDouble);
   ExpectMatchesOracle(counter, oracle);
+
+  // A restore replaces the rescaled state, exponent included.
+  ASSERT_TRUE(Restore(counter, int16_blob));
+  EXPECT_EQ(SaveBytes(counter), int16_blob);
+}
+
+// A rescaled counter whose values are all integers saves them as
+// integers: every update goes in twice, so every slot is even and a
+// rescale by 1/2 leaves integral values, int16 ones and then, with a
+// 32,768-edge star doubled, an int32 one.
+TEST(ArbF2CounterTest, ScaledIntegralValuesSaveAsIntegers) {
+  const VertexId n = 40;
+  const VertexId centre = n - 1;
+  const auto params = SmallArbF2Params(n);
+  Rng rng(82);
+  const EdgeList graph = ErdosRenyiGnm(n, 120, rng);
+  ArbF2Oracle oracle(params);
+  std::size_t copy = 0;
+  while (oracle.alpha(centre, copy) < 0) ++copy;
+  const auto doubled = [](const std::vector<Edge>& edges) {
+    std::vector<Edge> twice = edges;
+    twice.insert(twice.end(), edges.begin(), edges.end());
+    return twice;
+  };
+  for (const bool star : {false, true}) {
+    SCOPED_TRACE(star ? "with the star" : "graph only");
+    ArbF2Oracle expected(params);
+    ArbF2FourCycleCounter counter(params);
+    ApplyInBlocks(counter, expected, doubled(graph.edges()));
+    if (star) {
+      ApplyInBlocks(counter, expected,
+                    doubled(StarEdges(oracle, n, centre, copy, 32768)));
+    }
+    counter.Rescale(0.5);
+    expected.Rescale(0.5);
+    EXPECT_FALSE(counter.double_slots());
+    const std::string bytes = SaveBytes(counter);
+    EXPECT_EQ(bytes[kArbF2TagOffset],
+              static_cast<char>(star ? SlotWidth::kInt32 : SlotWidth::kInt16));
+    EXPECT_EQ(bytes, expected.Save());
+    EXPECT_EQ(counter.F2Estimate(), expected.F2Estimate());
+  }
 }
 
 // Slots never narrow in memory, but the snapshot does: an int32 counter
 // whose star was deleted again, and a counter moved to double by a
-// rescale by one, both hold only small integers and save as int16.
+// rescale past the exponent cap and scaled back, both hold only small
+// integers and save as int16. A rescale by one leaves the slots alone.
 TEST(ArbF2CounterTest, WiderLiveSlotsThatFitInt16SaveAsInt16) {
   const VertexId n = 40;
   const VertexId centre = n - 1;
@@ -692,7 +739,11 @@ TEST(ArbF2CounterTest, WiderLiveSlotsThatFitInt16SaveAsInt16) {
   EXPECT_EQ(restored.F2Estimate(), counter.F2Estimate());
 
   counter.Rescale(1.0);
+  EXPECT_EQ(counter.slot_width(), SlotWidth::kInt32);
+  EXPECT_EQ(SaveBytes(counter), bytes);
+  counter.Rescale(std::ldexp(1.0, -31));
   EXPECT_TRUE(counter.double_slots());
+  counter.Rescale(std::ldexp(1.0, 31));
   EXPECT_EQ(SaveBytes(counter), bytes);
 }
 
@@ -851,9 +902,14 @@ TEST(ArbF2CounterTest, NonIntegralSnapshotLoadsAsDoubleSlots) {
   EXPECT_EQ(SaveBytes(counter), oracle.Save());
 }
 
-// Decayed turnstile-f2-c4 across epoch boundaries: the first rescale moves
-// the counter to double slots, and every estimate and the final state
-// equal the oracle's bit for bit.
+// Decayed turnstile-f2-c4 across epoch boundaries, at decay_log2 in {1, 2,
+// 30, 31, 32} and blocks of 1, 24 and one epoch: after every block the
+// estimate and the snapshot bytes equal the double oracle's bit for bit.
+// A rescale raises the integer slots' exponent, so at 2^−1 and 2^−2 the
+// counter never leaves integer slots, while 2^−31 and 2^−32 pass the
+// exponent cap at the first epoch and 2^−30 passes int32 at its first
+// updates after it; the blob goes to double with the first non-integral
+// value all the same.
 TEST(ArbF2CounterTest, DecayedTurnstileC4MatchesDoubleOracle) {
   const VertexId n = 30;
   Rng rng(65);
@@ -863,29 +919,186 @@ TEST(ArbF2CounterTest, DecayedTurnstileC4MatchesDoubleOracle) {
     stream.emplace_back(graph.edges()[i], TurnstileOp::kDelete);
   }
   constexpr std::uint64_t kEpoch = 64;
-  constexpr std::uint32_t kLog2 = 2;
-  constexpr std::size_t kBlock = 24;
   const auto params = SmallArbF2Params(n);
-  auto owned = std::make_unique<TurnstileF2FourCycleCounter>(params);
-  const TurnstileF2FourCycleCounter* c4 = owned.get();
-  DecayAlgorithm decayed(std::move(owned), kEpoch, kLog2);
-  ArbF2Oracle oracle(params);
+  for (const std::uint32_t log2 : {1u, 2u, 30u, 31u, 32u}) {
+    for (const std::size_t block : {std::size_t{1}, std::size_t{24},
+                                    static_cast<std::size_t>(kEpoch)}) {
+      SCOPED_TRACE("decay_log2 " + std::to_string(log2) + ", block " +
+                   std::to_string(block));
+      auto owned = std::make_unique<TurnstileF2FourCycleCounter>(params);
+      const TurnstileF2FourCycleCounter* c4 = owned.get();
+      DecayAlgorithm decayed(std::move(owned), kEpoch, log2);
+      ArbF2Oracle oracle(params);
+      const double factor = std::ldexp(1.0, -static_cast<int>(log2));
+      decayed.StartPass(0, stream.size());
+      for (std::size_t pos = 0; pos < stream.size(); pos += block) {
+        const std::size_t len = std::min(block, stream.size() - pos);
+        decayed.ProcessUpdateBlock(
+            0, std::span<const TurnstileUpdate>(stream.data() + pos, len),
+            pos);
+        for (std::size_t i = pos; i < pos + len; ++i) {
+          if (i > 0 && i % kEpoch == 0) oracle.Rescale(factor);
+          oracle.Apply(stream[i].edge, TurnstileSign(stream[i].op));
+        }
+        const bool rescaled = pos + len > kEpoch;
+        if (log2 <= 2) {
+          EXPECT_FALSE(c4->inner().double_slots());
+        } else if (log2 > 30) {
+          EXPECT_EQ(c4->inner().double_slots(), rescaled);
+        }
+        const std::string bytes = SaveBytes(c4->inner());
+        EXPECT_EQ(bytes[kArbF2TagOffset] == 2, rescaled);
+        ASSERT_EQ(c4->inner().F2Estimate(), oracle.F2Estimate())
+            << "after position " << pos + len;
+        ASSERT_EQ(bytes, oracle.Save()) << "after position " << pos + len;
+      }
+      decayed.EndPass(0);
+      EXPECT_EQ(SaveBytes(c4->inner()), oracle.Save());
+    }
+  }
+}
 
-  decayed.StartPass(0, stream.size());
-  for (std::size_t pos = 0; pos < stream.size(); pos += kBlock) {
+// At decay_log2 = 32 the double values round, exactly where the oracle's
+// do: one edge per epoch adds ±1 to a slot that already holds
+// ±(1 + 2^−32), and ±(1 + 2^−32 + 2^−64) needs 65 significant bits, so
+// the 2^−64 term is lost. The counter, past the exponent cap, rounds the
+// same way.
+TEST(ArbF2CounterTest, DecayLog2Of32RoundsLikeTheDoubleOracle) {
+  const auto params = SmallArbF2Params(10);
+  ArbF2Oracle oracle(params);
+  ArbF2FourCycleCounter counter(params);
+  const Edge e(2, 7);
+  const double factor = std::ldexp(1.0, -32);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    if (epoch > 0) {
+      counter.Rescale(factor);
+      oracle.Rescale(factor);
+    }
+    counter.Insert(e);
+    oracle.Apply(e, +1.0);
+    ExpectMatchesOracle(counter, oracle);
+  }
+  // Kept exactly, A − α would be α·(2^−32 + 2^−64); the subtraction
+  // itself is exact.
+  const double alpha = oracle.alpha(7, 0);
+  EXPECT_EQ(oracle.a(2, 0) - alpha, alpha * factor);
+}
+
+// A rescaled counter's updates move its slots by 2^exponent: at 2^29 a
+// star centre's row bound passes int32 at the fourth star edge, in the
+// middle of one block, and the counter goes to double values there and
+// keeps matching the oracle. Fed edge by edge, three edges still fit
+// int32.
+TEST(ArbF2CounterTest, ScaledRowPastInt32MidBlockFallsBackToDouble) {
+  const VertexId n = 40;
+  const VertexId centre = n - 1;
+  Rng rng(79);
+  const EdgeList graph = ErdosRenyiGnm(n, 100, rng);
+  const auto params = SmallArbF2Params(n);
+  const ArbF2Oracle signs(params);
+  const std::vector<Edge> star = StarEdges(signs, n, centre, 0, 8);
+  const double factor = std::ldexp(1.0, -29);
+  for (const bool per_edge : {false, true}) {
+    SCOPED_TRACE(per_edge ? "per edge" : "one block");
+    ArbF2Oracle oracle(params);
+    ArbF2FourCycleCounter counter(params);
+    ApplyInBlocks(counter, oracle, graph.edges());
+    counter.Rescale(factor);
+    oracle.Rescale(factor);
+    EXPECT_EQ(counter.slot_width(), SlotWidth::kInt16);
+    ExpectMatchesOracle(counter, oracle);
+    if (per_edge) {
+      for (std::size_t i = 0; i < star.size(); ++i) {
+        counter.Insert(star[i]);
+        oracle.Apply(star[i], +1.0);
+        EXPECT_EQ(counter.slot_width(),
+                  i < 3 ? SlotWidth::kInt32 : SlotWidth::kDouble);
+        ExpectMatchesOracle(counter, oracle);
+      }
+    } else {
+      ApplyInBlocks(counter, oracle, star);
+      EXPECT_TRUE(counter.double_slots());
+      ExpectMatchesOracle(counter, oracle);
+    }
+  }
+}
+
+// A merge where one side carries a rescale exponent adds the values as
+// doubles, whichever side is scaled, and matches the oracle that applied
+// both sides' updates in turn.
+TEST(ArbF2CounterTest, MergeOfScaledAndUnscaledCountersMatchesOracle) {
+  const VertexId n = 30;
+  Rng rng(80);
+  const EdgeList graph = ErdosRenyiGnm(n, 150, rng);
+  const auto params = SmallArbF2Params(n);
+  const std::span<const Edge> edges(graph.edges());
+  const std::span<const Edge> early = edges.subspan(0, 50);
+  const std::span<const Edge> late = edges.subspan(50, 50);
+  const std::span<const Edge> other = edges.subspan(100);
+  for (const bool scaled_lhs : {true, false}) {
+    SCOPED_TRACE(scaled_lhs ? "scaled lhs" : "scaled rhs");
+    ArbF2Oracle oracle(params);
+    ArbF2FourCycleCounter scaled(params), unscaled(params);
+    scaled.ProcessEdgeBlock(0, early, 0);
+    scaled.Rescale(0.5);
+    scaled.ProcessEdgeBlock(0, late, 0);
+    unscaled.ProcessEdgeBlock(0, other, 0);
+    EXPECT_FALSE(scaled.double_slots());
+    for (const Edge& e : early) oracle.Apply(e, +1.0);
+    oracle.Rescale(0.5);
+    for (const Edge& e : late) oracle.Apply(e, +1.0);
+    for (const Edge& e : other) oracle.Apply(e, +1.0);
+    ArbF2FourCycleCounter& lhs = scaled_lhs ? scaled : unscaled;
+    ASSERT_TRUE(lhs.MergeFrom(scaled_lhs ? unscaled : scaled));
+    EXPECT_TRUE(lhs.double_slots());
+    ExpectMatchesOracle(lhs, oracle);
+  }
+}
+
+// A double blob as a decayed counter has always written it restores into
+// double slots and keeps decaying and streaming in step with the oracle,
+// block by block.
+TEST(ArbF2CounterTest, DecayedDoubleBlobRestoresAndStreamsOn) {
+  const VertexId n = 30;
+  Rng rng(81);
+  const EdgeList graph = ErdosRenyiGnm(n, 160, rng);
+  TurnstileStream stream = TurnstileFromEdges(graph.edges());
+  for (std::size_t i = 0; i < graph.num_edges(); i += 4) {
+    stream.emplace_back(graph.edges()[i], TurnstileOp::kDelete);
+  }
+  const auto params = SmallArbF2Params(n);
+  constexpr std::size_t kEpoch = 40;
+  constexpr std::size_t kBlock = 16;
+  constexpr std::size_t kResumeAt = 2 * kEpoch + 8;
+  ArbF2Oracle oracle(params);
+  for (std::size_t i = 0; i < kResumeAt; ++i) {
+    if (i > 0 && i % kEpoch == 0) oracle.Rescale(0.5);
+    oracle.Apply(stream[i].edge, TurnstileSign(stream[i].op));
+  }
+  const std::string blob = oracle.Save();
+  ASSERT_EQ(blob[kArbF2TagOffset], 2) << "expected a double blob";
+  ArbF2FourCycleCounter counter(params);
+  ASSERT_TRUE(Restore(counter, blob));
+  EXPECT_TRUE(counter.double_slots());
+  for (std::size_t pos = kResumeAt; pos < stream.size(); pos += kBlock) {
     const std::size_t len = std::min(kBlock, stream.size() - pos);
-    decayed.ProcessUpdateBlock(
-        0, std::span<const TurnstileUpdate>(stream.data() + pos, len), pos);
+    std::vector<Edge> edges;
+    std::vector<double> weights;
     for (std::size_t i = pos; i < pos + len; ++i) {
-      if (i > 0 && i % kEpoch == 0) oracle.Rescale(0.25);
+      if (i % kEpoch == 0) {
+        counter.ProcessSignedEdgeBlock(edges, weights);
+        edges.clear();
+        weights.clear();
+        counter.Rescale(0.5);
+        oracle.Rescale(0.5);
+      }
+      edges.push_back(stream[i].edge);
+      weights.push_back(TurnstileSign(stream[i].op));
       oracle.Apply(stream[i].edge, TurnstileSign(stream[i].op));
     }
-    EXPECT_EQ(c4->inner().double_slots(), pos + len > kEpoch);
-    EXPECT_EQ(c4->inner().F2Estimate(), oracle.F2Estimate())
-        << "after position " << pos + len;
+    counter.ProcessSignedEdgeBlock(edges, weights);
+    ExpectMatchesOracle(counter, oracle);
   }
-  decayed.EndPass(0);
-  EXPECT_EQ(SaveBytes(c4->inner()), oracle.Save());
 }
 
 // The seed-fixed estimates of the four sign-sketch kinds on one small
