@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/arb_f2_counter.h"
 #include "graph/dodg.h"
 #include "graph/exact.h"
 #include "graph/graph.h"
@@ -265,6 +266,20 @@ inline double LogLogSlope(const std::vector<double>& xs,
   }
   const double denom = n * sxx - sx * sx;
   return denom == 0.0 ? 0.0 : (n * sxy - sx * sy) / denom;
+}
+
+/// The memory one arb-f2 edge update touches at `counter`'s current slot
+/// width: the two endpoints' rows, 2·(2C+1) slots, plus the α and β bytes
+/// of the other endpoint of each, 4·C. C is read off the sign caches.
+inline double ArbF2BytesPerEdge(
+    const ArbF2FourCycleCounter& counter,
+    const ArbF2FourCycleCounter::Signs& signs, std::size_t num_vertices) {
+  const std::size_t copies = signs.alpha.size() / num_vertices;
+  // int16, int32, double: 2, 4, 8 bytes.
+  const std::size_t slot_bytes = std::size_t{2}
+                                 << static_cast<int>(counter.slot_width());
+  return static_cast<double>(
+      2 * ArbF2FourCycleCounter::RowSlots(copies) * slot_bytes + 4 * copies);
 }
 
 }  // namespace cyclestream::bench

@@ -203,7 +203,8 @@ BENCHMARK(BM_TurnstileUpdate);
 // (Arg 0) and under 2^-1 decay every 16,384 updates (Arg 1): a rescale
 // raises the integer slots' exponent, so the decayed counter runs on the
 // same slot width as the plain one. The sign caches are built once,
-// outside the timed loop.
+// outside the timed loop. `bytes_per_edge` is the memory each update
+// touches at the width the run ends on (two rows and their sign bytes).
 void BM_TurnstileC4Update(benchmark::State& state) {
   const bool decayed = state.range(0) != 0;
   ArbF2FourCycleCounter::Params p;
@@ -211,9 +212,11 @@ void BM_TurnstileC4Update(benchmark::State& state) {
   p.base.seed = 79;
   TurnstileStream stream = BenchTurnstileStream(&p.num_vertices);
   const auto signs = ArbF2FourCycleCounter::MakeSigns(p);
+  double bytes_per_edge = 0;
   for (auto _ : state) {
-    std::unique_ptr<TurnstileStreamAlgorithm> alg =
-        std::make_unique<TurnstileF2FourCycleCounter>(p, signs);
+    auto owned = std::make_unique<TurnstileF2FourCycleCounter>(p, signs);
+    const TurnstileF2FourCycleCounter* c4 = owned.get();
+    std::unique_ptr<TurnstileStreamAlgorithm> alg = std::move(owned);
     if (decayed) {
       alg = std::make_unique<DecayAlgorithm>(std::move(alg),
                                              /*epoch_edges=*/16384,
@@ -223,9 +226,12 @@ void BM_TurnstileC4Update(benchmark::State& state) {
     alg->ProcessUpdateBlock(0, std::span<const TurnstileUpdate>(stream), 0);
     alg->EndPass(0);
     benchmark::DoNotOptimize(alg->Result());
+    bytes_per_edge =
+        bench::ArbF2BytesPerEdge(c4->inner(), *signs, p.num_vertices);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(stream.size()));
+  state.counters["bytes_per_edge"] = bytes_per_edge;
 }
 BENCHMARK(BM_TurnstileC4Update)->Arg(0)->Arg(1);
 

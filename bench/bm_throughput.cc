@@ -212,6 +212,8 @@ BENCHMARK(BM_ArbThreePass);
 // in 4096-edge blocks, whose rows do not fit in L3. A row's bound grows by
 // its degree per pass over the stream, so the counter is rebuilt, untimed,
 // before one could reach 32,767: every run times int16 slots only.
+// `bytes_per_edge` is the memory each edge's update touches (two rows and
+// their sign bytes), to read the time per edge against.
 void BM_ArbF2PerEdge(benchmark::State& state) {
   const auto n = static_cast<VertexId>(state.range(1));
   const auto block = static_cast<std::size_t>(state.range(2));
@@ -251,6 +253,8 @@ void BM_ArbF2PerEdge(benchmark::State& state) {
     items += static_cast<std::int64_t>(len);
   }
   state.SetItemsProcessed(items);
+  state.counters["bytes_per_edge"] =
+      bench::ArbF2BytesPerEdge(*counter, *signs, n);
 }
 BENCHMARK(BM_ArbF2PerEdge)
     ->Args({64, 200, 1})

@@ -53,11 +53,11 @@ bool FitsInt32Slot(double x) {
              std::bit_cast<std::uint64_t>(x);
 }
 
-// arbf2/2 stores its slots as the rows lie in memory.
+// arbf2/3 stores its slots as the rows lie in memory.
 static_assert(std::endian::native == std::endian::little,
-              "arbf2/2 slots are little-endian");
+              "arbf2/3 slots are little-endian");
 
-// The arbf2/2 blob: six config fields (a u32 and five 8-byte words), a u8
+// The arbf2/3 blob: six config fields (a u32 and five 8-byte words), a u8
 // width tag, a u64 slot count, then the slots at that width.
 constexpr std::size_t kConfigBytes = 4 + 5 * 8;
 
@@ -167,11 +167,11 @@ void WidenRows(Rows& rows, double scale) {
 }
 
 // Adds edge e's deltas, weighted by sign, into the accumulator rows: A_u +=
-// α_v, B_u += β_v, C_u += α_v·β_v (the wedge centered at u gains neighbor
-// v), then the same for v; each is one unit-stride sweep over a 3C-slot row.
-// Row u is finished before row v, so even a self-loop adds into each slot
-// in the historical order. The caller's row bounds keep every integer sum
-// inside T.
+// α_v, B_u += β_v (the wedge centered at u gains neighbor v) and D_u += 1,
+// then the same for v; each is one unit-stride sweep over a (2C+1)-slot
+// row. Row u is finished before row v, so even a self-loop adds into each
+// slot in the historical order (and adds 2 to its D). The caller's row
+// bounds keep every integer sum inside T.
 template <typename T>
 void ApplyEdge(T* rows, const signed char* alpha, const signed char* beta,
                std::size_t c, const Edge& e, T sign) {
@@ -179,17 +179,16 @@ void ApplyEdge(T* rows, const signed char* alpha, const signed char* beta,
                                const signed char* __restrict a,
                                const signed char* __restrict b) {
     for (std::size_t i = 0; i < c; ++i) {
-      const T ai = static_cast<T>(a[i]);
-      const T bi = static_cast<T>(b[i]);
-      row[i] = static_cast<T>(row[i] + sign * ai);
-      row[c + i] = static_cast<T>(row[c + i] + sign * bi);
-      row[2 * c + i] = static_cast<T>(row[2 * c + i] + sign * ai * bi);
+      row[i] = static_cast<T>(row[i] + sign * static_cast<T>(a[i]));
+      row[c + i] = static_cast<T>(row[c + i] + sign * static_cast<T>(b[i]));
     }
+    row[2 * c] = static_cast<T>(row[2 * c] + sign);
   };
+  const std::size_t stride = ArbF2FourCycleCounter::RowSlots(c);
   const std::size_t u = e.u;
   const std::size_t v = e.v;
-  sweep(rows + u * 3 * c, alpha + v * c, beta + v * c);
-  sweep(rows + v * 3 * c, alpha + u * c, beta + u * c);
+  sweep(rows + u * stride, alpha + v * c, beta + v * c);
+  sweep(rows + v * stride, alpha + u * c, beta + u * c);
 }
 
 }  // namespace
@@ -224,7 +223,7 @@ ArbF2FourCycleCounter::ArbF2FourCycleCounter(
       num_copies_(NumCopies(params_)),
       signs_(signs != nullptr ? std::move(signs) : MakeSigns(params_)),
       rows_(std::in_place_type<std::vector<std::int16_t>>,
-            params_.num_vertices * 3 * num_copies_),
+            SlotCount(params_.num_vertices, num_copies_)),
       row_bound_(params_.num_vertices, 0) {
   const std::size_t table = params_.num_vertices * num_copies_;
   CHECK_EQ(signs_->alpha.size(), table);
@@ -329,19 +328,27 @@ double ArbF2FourCycleCounter::F2Estimate() const {
   const std::size_t c = num_copies_;
   // One vertex-outer sweep over the rows. Copy i still sums its terms in
   // vertex order 0..n−1, so z_i is bit-identical to a copy-outer walk.
-  // Each slot converts to its value, slot·2^−exponent_, exactly.
+  // Each slot converts to its value, slot·2^−exponent_, exactly. Row t's
+  // term is (A·B − D·α_t·β_t)/2: summed over t, D_t·α_t·β_t is Σ_t C_t,
+  // since every update of row t adds α_t·β_t to the C of the row at its
+  // other endpoint.
   std::vector<double>& z = square_scratch_;
   z.assign(c, 0.0);
   const double scale = std::ldexp(1.0, -exponent_);
+  const signed char* alpha = signs_->alpha.data();
+  const signed char* beta = signs_->beta.data();
   std::visit(
       [&](const auto& rows) {
         for (std::size_t t = 0; t < n; ++t) {
-          const auto* row = rows.data() + t * 3 * c;
+          const auto* row = rows.data() + t * RowSlots(c);
+          const signed char* alpha_t = alpha + t * c;
+          const signed char* beta_t = beta + t * c;
+          const double d = static_cast<double>(row[2 * c]) * scale;
           for (std::size_t i = 0; i < c; ++i) {
             const double a = static_cast<double>(row[i]) * scale;
             const double b = static_cast<double>(row[c + i]) * scale;
-            const double cc = static_cast<double>(row[2 * c + i]) * scale;
-            z[i] += (a * b - cc) / 2.0;
+            const double ab = alpha_t[i] * beta_t[i];
+            z[i] += (a * b - d * ab) / 2.0;
           }
         }
       },
@@ -355,7 +362,10 @@ Estimate ArbF2FourCycleCounter::Result() const {
   Estimate result;
   result.value =
       std::max(0.0, (F2Estimate() - params_.f1_correction) / 4.0);
-  // 3n accumulator words plus the two byte-packed ±1 sign caches per copy.
+  // 3n accumulator words (the paper's A, B and C; see the class note)
+  // plus the two byte-packed ±1 sign caches per copy. The rows hold
+  // 2n + 1 slots per copy (D in place of C); the paper's 3n is kept so
+  // manifests stay comparable until the space accounting is re-derived.
   const std::size_t n = params_.num_vertices;
   result.space_words = num_copies_ * (3 * n + 2 * n / 8 + 2);
   return result;
@@ -398,7 +408,8 @@ bool ArbF2FourCycleCounter::SaveState(StateWriter& w) const {
   // Only the accumulators are stream-dependent; the sign caches are
   // constructor-derived from the fingerprinted seed.
   const SlotWidth width = NarrowestWidth();
-  const std::size_t slots = params_.num_vertices * 3 * num_copies_;
+  const std::size_t row_slots = RowSlots(num_copies_);
+  const std::size_t slots = SlotCount(params_.num_vertices, num_copies_);
   w.Reserve(kConfigBytes + 1 + 8 + slots * SlotBytes(width));
   w.U32(params_.num_vertices);
   w.Size(num_copies_);
@@ -412,13 +423,13 @@ bool ArbF2FourCycleCounter::SaveState(StateWriter& w) const {
       [&](const auto& rows) {
         switch (width) {
           case SlotWidth::kInt16:
-            WriteSlots<std::int16_t>(w, rows, 3 * num_copies_, exponent_);
+            WriteSlots<std::int16_t>(w, rows, row_slots, exponent_);
             break;
           case SlotWidth::kInt32:
-            WriteSlots<std::int32_t>(w, rows, 3 * num_copies_, exponent_);
+            WriteSlots<std::int32_t>(w, rows, row_slots, exponent_);
             break;
           case SlotWidth::kDouble:
-            WriteSlots<double>(w, rows, 3 * num_copies_, exponent_);
+            WriteSlots<double>(w, rows, row_slots, exponent_);
             break;
         }
       },
@@ -433,7 +444,7 @@ bool ArbF2FourCycleCounter::RestoreState(StateReader& r) {
     return r.Fail();
   }
   const std::uint8_t tag = r.U8();
-  const std::size_t slots = params_.num_vertices * 3 * num_copies_;
+  const std::size_t slots = SlotCount(params_.num_vertices, num_copies_);
   if (!r.ok() || tag > static_cast<std::uint8_t>(SlotWidth::kDouble) ||
       r.U64() != slots) {
     return r.Fail();
@@ -446,17 +457,16 @@ bool ArbF2FourCycleCounter::RestoreState(StateReader& r) {
   std::vector<std::uint32_t> bound;
   bool loaded = false;
   const std::size_t n = params_.num_vertices;
+  const std::size_t row_slots = RowSlots(num_copies_);
   switch (width) {
     case SlotWidth::kInt16:
-      loaded = LoadSlots<std::int16_t>(payload, n, 3 * num_copies_, &bound,
-                                       &rows_);
+      loaded = LoadSlots<std::int16_t>(payload, n, row_slots, &bound, &rows_);
       break;
     case SlotWidth::kInt32:
-      loaded = LoadSlots<std::int32_t>(payload, n, 3 * num_copies_, &bound,
-                                       &rows_);
+      loaded = LoadSlots<std::int32_t>(payload, n, row_slots, &bound, &rows_);
       break;
     case SlotWidth::kDouble:
-      loaded = LoadSlots<double>(payload, n, 3 * num_copies_, &bound, &rows_);
+      loaded = LoadSlots<double>(payload, n, row_slots, &bound, &rows_);
       break;
   }
   if (!loaded) return r.Fail();

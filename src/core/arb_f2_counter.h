@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -17,21 +18,33 @@ namespace cyclestream {
 /// T = Ω(n²/ε²). Also correct in the dynamic (insert/delete) setting.
 ///
 /// Same F₂-of-the-wedge-vector reduction as §4.2, but because lists are not
-/// grouped, each basic estimator maintains the three per-vertex accumulators
-/// A_t, B_t, C_t for *every* vertex (3n counters): when edge (u,v) arrives,
-/// A_u += α_v, B_u += β_v, C_u += α_v·β_v and symmetrically for v (deletions
-/// subtract). At the end, Z = Σ_t (A_t·B_t − C_t)/2 and E[Z²] = F₂(x).
+/// grouped, each basic estimator maintains the paper's three per-vertex
+/// accumulators A_t, B_t, C_t for *every* vertex (3n counters): when edge
+/// (u,v) arrives, A_u += α_v, B_u += β_v, C_u += α_v·β_v and symmetrically
+/// for v (deletions subtract). At the end, Z = Σ_t (A_t·B_t − C_t)/2 and
+/// E[Z²] = F₂(x).
+///
+/// The counter keeps A_t and B_t per copy but no C_t: it keeps instead one
+/// D_t per vertex, shared by all copies, t's signed degree (each update
+/// adds its sign at both endpoints, twice at a self-loop; decay scales it
+/// with the rest). Regrouping Σ_t C_t by the endpoint each α·β term comes
+/// from gives, per copy, Σ_t C_t = Σ_t D_t·α_t·β_t, so Z = Σ_t (A_t·B_t −
+/// D_t·α_t·β_t)/2 is the same estimator at 2n + 1 counters per copy
+/// instead of 3n. Where every partial sum is an exact `double` (integer
+/// values below 2^53, as in every pinned estimate), Z is bit-identical to
+/// the C form; elsewhere only its rounding differs (DESIGN.md §8).
 ///
 /// In the theorem's regime the capped-F₁ term of Lemma 4.4 satisfies
 /// F₁(z) ≤ n²/ε ≤ O(ε)·T, so the estimate T̂ = F̂₂/4 is already (1+O(ε));
 /// the implementation therefore omits the F₁ correction (callers may
 /// subtract a known F₁ via `f1_correction` for out-of-regime studies).
 ///
-/// Memory layout: one row per vertex holding all three accumulators of all
-/// C copies, acc[v·3C + {0, C, 2C} + c] = {A_v, B_v, C_v} of copy c, so an
-/// edge touches two contiguous 3C-slot rows. The ±1 sign caches stay
-/// copy-minor bytes (alpha[v·C + c]) and can be shared read-only between
-/// counters of one configuration (`Signs`).
+/// Memory layout: one row of 2C + 1 slots per vertex holding both
+/// accumulators of all C copies and the vertex's D, acc[v·(2C+1) + {0, C}
+/// + c] = {A_v, B_v} of copy c and acc[v·(2C+1) + 2C] = D_v, so an edge
+/// touches two contiguous rows. The ±1 sign caches stay copy-minor bytes
+/// (alpha[v·C + c]) and can be shared read-only between counters of one
+/// configuration (`Signs`).
 ///
 /// Slot width: an integer slot holds its value·2^e, where e (`exponent_`)
 /// starts at zero and grows by k with each Rescale(2^−k); a Rescale
@@ -53,18 +66,18 @@ namespace cyclestream {
 /// exactly. The estimate and the snapshot bytes depend only on the values,
 /// which are the same at every width and every e (DESIGN.md §8).
 ///
-/// Snapshot layout `arbf2/2`: the six config fields (u32 n, u64 C, i64
+/// Snapshot layout `arbf2/3`: the six config fields (u32 n, u64 C, i64
 /// groups, f64 ε, u64 seed, f64 F₁ correction), a u8 width tag (0 = int16,
-/// 1 = int32, 2 = `double`), a u64 slot count n·3C, then the slots in the
-/// row-major order above, little-endian at the tagged width. SaveState
-/// writes the values at the narrowest width that holds each exactly
-/// (int16 when every |value| ≤ 32,767, int32 when every value is an int32
-/// other than −0.0, else `double`), whatever width and exponent the
-/// counter holds, converting row by row without a full-size copy, and
-/// RestoreState (which resets the exponent to zero) refuses any other
-/// encoding: an unknown tag, a wrong count, a short payload, an int16 slot
-/// of −32,768, an int32 slot of INT32_MIN, a non-finite `double`, or a
-/// blob wider than it needs to be.
+/// 1 = int32, 2 = `double`), a u64 slot count n·(2C+1) (`SlotCount`),
+/// then the slots in the row-major order above, little-endian at the
+/// tagged width. SaveState writes the values at the narrowest width that
+/// holds each exactly (int16 when every |value| ≤ 32,767, int32 when every
+/// value is an int32 other than −0.0, else `double`), whatever width and
+/// exponent the counter holds, converting row by row without a full-size
+/// copy, and RestoreState (which resets the exponent to zero) refuses any
+/// other encoding: an unknown tag, a wrong count, a short payload, an
+/// int16 slot of −32,768, an int32 slot of INT32_MIN, a non-finite
+/// `double`, or a blob wider than it needs to be.
 class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
  public:
   struct Params {
@@ -116,12 +129,22 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   /// moves the slots to `double` values and multiplies each.
   void Rescale(double factor);
   void EndPass(int pass) override;
-  std::string_view CheckpointId() const override { return "arbf2/2"; }
+  /// The snapshot's id; it moves with the layout above.
+  static constexpr std::string_view kCheckpointId = "arbf2/3";
+  std::string_view CheckpointId() const override { return kCheckpointId; }
+  /// Slots in one vertex's row (A and B of each of `copies` copies, then
+  /// D) and in a whole state of `n` rows, the snapshot's slot count.
+  static constexpr std::size_t RowSlots(std::size_t copies) {
+    return 2 * copies + 1;
+  }
+  static constexpr std::size_t SlotCount(std::size_t n, std::size_t copies) {
+    return n * RowSlots(copies);
+  }
   bool SaveState(StateWriter& w) const override;
   bool RestoreState(StateReader& r) override;
   /// Shard-merge: adds `other`'s accumulators into this counter's. The
-  /// state is linear in the stream (every edge contributes fixed ±1 /
-  /// ±1·±1 deltas), so merging shard-local counters over a partitioned
+  /// state is linear in the stream (every edge contributes fixed ±1
+  /// deltas), so merging shard-local counters over a partitioned
   /// stream reproduces the whole-stream counters exactly — every slot is
   /// an exact integer, making the addition exact and associative (integer
   /// adds at the width the row-by-row sums of both sides' bounds fit,
@@ -168,8 +191,8 @@ class ArbF2FourCycleCounter : public EdgeStreamAlgorithm {
   std::size_t num_copies_ = 0;
   std::shared_ptr<const Signs> signs_;
   Rows rows_;
-  // row_bound_[v] >= |slot| over row v's 3C slots, always at most 2^31 − 1;
-  // empty once the slots are `double`.
+  // row_bound_[v] >= |slot| over row v's 2C + 1 slots, always at most
+  // 2^31 − 1; empty once the slots are `double`.
   std::vector<std::uint32_t> row_bound_;
   // An integer slot holds value·2^exponent_, 0 <= exponent_ <= 30; always
   // zero on `double` slots.

@@ -48,7 +48,7 @@ class TurnstileF2FourCycleCounter : public TurnstileStreamAlgorithm {
   Estimate Result() const override { return inner_.Result(); }
   bool Rescale(double factor) override;
   /// The blob is the inner counter's, so the id moves with its layout.
-  static constexpr std::string_view kCheckpointId = "turnstile-c4/2";
+  static constexpr std::string_view kCheckpointId = "turnstile-c4/3";
   std::string_view CheckpointId() const override { return kCheckpointId; }
   bool SaveState(StateWriter& w) const override;
   bool RestoreState(StateReader& r) override;

@@ -754,10 +754,10 @@ void ExpectResumeFallsBackToScratch(const Snapshot& snap,
 
 // A snapshot whose CRC is valid but whose state carries a slot RestoreState
 // refuses would silently poison every later estimate: −32,768 in an int16
-// arbf2/2 blob, and NaN or ±inf in the double blob of a decayed
-// turnstile-f2-c4, each in row 0's A, B and C segment. Restore must reject
-// it and the run must fall back to a from-scratch execution that still
-// produces the golden result.
+// arb-f2 blob, and NaN or ±inf in the double blob of a decayed
+// turnstile-f2-c4, each at the head of row 0's A and B segments and in its
+// D slot. Restore must reject it and the run must fall back to a
+// from-scratch execution that still produces the golden result.
 TEST(CrashResumeTest, NonFiniteArbF2SlotIsRejectedWithScratchFallback) {
   Rng gen_rng(35);
   const EdgeList graph = ErdosRenyiGnm(24, 60, gen_rng);
@@ -765,12 +765,14 @@ TEST(CrashResumeTest, NonFiniteArbF2SlotIsRejectedWithScratchFallback) {
   Rng order_rng(36);
   order_rng.Shuffle(stream);
   const auto params = ArbF2Params(graph.num_vertices());
-  // arbf2/2: 44 config bytes, the width tag, the u64 slot count n·3C, then
-  // row-major rows of A | B | C, each C slots.
+  // arbf2/3: 44 config bytes, the width tag, the u64 slot count
+  // n·(2C+1), then row-major rows of A | B | D, C + C + 1 slots.
   constexpr std::size_t kTag = 44;
   constexpr std::size_t kSlots = kTag + 1 + 8;
   // C = 9 groups of ⌈2/ε²⌉ = 8 copies at ε = 0.5.
   constexpr std::size_t copies = 9 * 8;
+  const std::size_t slot_count =
+      ArbF2FourCycleCounter::SlotCount(graph.num_vertices(), copies);
 
   ArbF2FourCycleCounter golden(params);
   RunEdgeStream(golden, stream);
@@ -778,8 +780,7 @@ TEST(CrashResumeTest, NonFiniteArbF2SlotIsRejectedWithScratchFallback) {
   {
     ArbF2FourCycleCounter victim(params);
     const Snapshot snap = KilledHalfwaySnapshot(victim, stream, dir);
-    ASSERT_EQ(snap.state.size(),
-              kSlots + 3 * graph.num_vertices() * copies * 2);
+    ASSERT_EQ(snap.state.size(), kSlots + slot_count * 2);
     ASSERT_EQ(snap.state[kTag], 0) << "expected an int16 blob";
     for (std::size_t segment = 0; segment < 3; ++segment) {
       SCOPED_TRACE("-32768 in segment " + std::to_string(segment));
@@ -806,8 +807,7 @@ TEST(CrashResumeTest, NonFiniteArbF2SlotIsRejectedWithScratchFallback) {
   const auto victim = decayed();
   const Snapshot snap = KilledHalfwaySnapshot(*victim, updates, dir);
   constexpr std::size_t kDecay = 8 + 4;
-  ASSERT_EQ(snap.state.size(),
-            kDecay + kSlots + 3 * graph.num_vertices() * copies * 8);
+  ASSERT_EQ(snap.state.size(), kDecay + kSlots + slot_count * 8);
   ASSERT_EQ(snap.state[kDecay + kTag], 2) << "expected a double blob";
   {
     // Unpoisoned, the snapshot resumes (into double slots, while the
@@ -844,9 +844,12 @@ TEST(CrashResumeTest, NonFiniteArbF2SlotIsRejectedWithScratchFallback) {
   }
 }
 
-// arbf2/2 keeps no reader for the arbf2/1 layout: a snapshot that carries
-// the old id is refused by its id and the run starts from scratch.
-TEST(CrashResumeTest, ArbF2V1SnapshotFallsBackToScratch) {
+// arb-f2 keeps no reader for an older layout (arbf2/1's double slots,
+// arbf2/2's C block): a snapshot that carries an old id is refused by its
+// id and the run starts from scratch. The current id is pinned here too:
+// the tests elsewhere read it from the constant.
+static_assert(ArbF2FourCycleCounter::kCheckpointId == "arbf2/3");
+TEST(CrashResumeTest, OldArbF2SnapshotsFallBackToScratch) {
   Rng gen_rng(37);
   const EdgeList graph = ErdosRenyiGnm(24, 60, gen_rng);
   EdgeStream stream = graph.edges();
@@ -858,11 +861,15 @@ TEST(CrashResumeTest, ArbF2V1SnapshotFallsBackToScratch) {
   const std::string dir = MakeTempDir("crash_resume_arbf2_v1");
   ArbF2FourCycleCounter victim(params);
   Snapshot snap = KilledHalfwaySnapshot(victim, stream, dir);
-  ASSERT_EQ(snap.algorithm_id, "arbf2/2");
-  snap.algorithm_id = "arbf2/1";
-  ExpectResumeFallsBackToScratch(
-      snap, dir, std::make_unique<ArbF2FourCycleCounter>(params), stream,
-      golden.Result().value);
+  ASSERT_EQ(snap.algorithm_id, ArbF2FourCycleCounter::kCheckpointId);
+  for (const char* old_id : {"arbf2/1", "arbf2/2"}) {
+    SCOPED_TRACE(old_id);
+    Snapshot old = snap;
+    old.algorithm_id = old_id;
+    ExpectResumeFallsBackToScratch(
+        old, dir, std::make_unique<ArbF2FourCycleCounter>(params), stream,
+        golden.Result().value);
+  }
 }
 
 // A simulated EIO on a checkpoint write must not disturb the run: the

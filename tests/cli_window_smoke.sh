@@ -14,6 +14,9 @@
 #      stay on integer slots) and at 2^-32 (they go to double at the first
 #      epoch), is byte-identical at --threads 1 and 8, and equal at
 #      --block-edges 64 and 4096 but for the recorded block-edges flag.
+#      Such estimates are a fixed function of the build, not of the
+#      paper's C_t layout: there the counter's signed-degree form can
+#      round apart from it by up to 2.5e-15 relative (DESIGN.md §8).
 # The exhaustive variants (kill points at every bucket boundary, decay
 # oracles, the thread x shard cancellation matrix) are in
 # tests/turnstile_test.cc.

@@ -4,7 +4,7 @@
 // seeded bit flips, every truncation, splices (two valid files
 // concatenated, frames swapped between kinds) and forged counts and sizes,
 // all through one entry point, Decode(). The snapshot and the shard state
-// carry arbf2/2 blobs at all three widths, restored once the frames
+// carry arb-f2 blobs at all three widths, restored once the frames
 // decode, so a forgery behind a valid CRC also reaches RestoreState. A
 // damaged file must be rejected with a non-empty error; a heartbeat log
 // must instead yield the last beacon wholly before the damage. Forgeries
@@ -109,8 +109,8 @@ void PutU64(std::string* bytes, std::size_t at, std::uint64_t v) {
   PutLE(bytes->data() + at, v, 8);
 }
 
-// The arb-f2 counter whose arbf2/2 blobs the snapshot and shard state
-// carry: 4 vertices, 2 copies, 24 slots.
+// The arb-f2 counter whose blobs the snapshot and shard state carry: 4
+// vertices, 2 copies, 20 slots.
 ArbF2FourCycleCounter::Params BlobParams() {
   ArbF2FourCycleCounter::Params params;
   params.base.epsilon = 0.5;
@@ -147,13 +147,13 @@ std::string ArbF2Blob(ArbF2FourCycleCounter::SlotWidth width) {
 }
 
 // Restores a decoded blob into a fresh counter. A refusal rejects the
-// file; an accepted blob must re-save to its own bytes, since arbf2/2 has
-// one encoding per state.
+// file; an accepted blob must re-save to its own bytes, since the arb-f2
+// blob has one encoding per state.
 bool RestoreArbF2(const std::string& blob, Verdict* v) {
   ArbF2FourCycleCounter counter(BlobParams());
   StateReader r(blob);
   if (!counter.RestoreState(r) || !r.AtEnd()) {
-    v->error = "arbf2/2 blob refused";
+    v->error = "arb-f2 blob refused";
     return false;
   }
   StateWriter w;
@@ -280,7 +280,7 @@ class DecoderMutationTest : public ::testing::Test {
       }
       case Kind::kSnapshot: {
         Snapshot snap;
-        snap.algorithm_id = "arbf2/2";
+        snap.algorithm_id = ArbF2FourCycleCounter::kCheckpointId;
         snap.stream_fingerprint = 0x1234567890abcdefULL;
         snap.stream_length = 100;
         snap.pass = 1;

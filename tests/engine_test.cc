@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/turnstile_f2.h"
 #include "engine/broker.h"
 #include "engine/budget.h"
 #include "engine/query.h"
@@ -298,7 +299,9 @@ TEST(EngineTest, LoneArbF2QueryBitIdenticalToStandalone) {
 }
 
 // A windowed turnstile query's id names the window layer and the hosted
-// estimator. Snapshots are matched against it, so it must not drift.
+// estimator's own id. Snapshots are matched against it, so it must not
+// drift.
+static_assert(TurnstileF2FourCycleCounter::kCheckpointId == "turnstile-c4/3");
 TEST(EngineTest, WindowedTurnstileCheckpointIdsArePinned) {
   QuerySpec spec;
   spec.name = "windowed";
@@ -309,7 +312,8 @@ TEST(EngineTest, WindowedTurnstileCheckpointIdsArePinned) {
   spec.window_buckets = 2;
   spec.kind = QueryKind::kTurnstileF2C4;
   EXPECT_EQ(MakeTurnstileQuery(spec).algorithm->CheckpointId(),
-            "window/1+turnstile-c4/2");
+            "window/1+" +
+                std::string(TurnstileF2FourCycleCounter::kCheckpointId));
   spec.kind = QueryKind::kTurnstileF2Triangle;
   EXPECT_EQ(MakeTurnstileQuery(spec).algorithm->CheckpointId(),
             "window/1+turnstile-tri/1");

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/arb_f2_counter.h"
 #include "engine/broker.h"
 #include "engine/coordinator.h"
 #include "engine/query.h"
@@ -302,7 +303,7 @@ std::string Pin(std::string_view bytes) {
 // CYCLSNP snapshot of query 0's final state. The frames were first pinned
 // with a bytewise CRC-32 and a buffer-per-frame encoder, and the two state
 // files' CRCs agree with zlib's crc32, so the lines hold the sliced CRC and
-// the one-copy encode; ArbF2CounterTest pins the arbf2/2 blob inside them
+// the one-copy encode; ArbF2CounterTest pins the arb-f2 blob inside them
 // against a slot-by-slot encoder. Any change to a frame, the blob layout
 // or the CRC changes one of these lines.
 TEST(ShardStateTest, EncodedBytesArePinned) {
@@ -334,7 +335,7 @@ TEST(ShardStateTest, EncodedBytesArePinned) {
   ShardState final_state;
   ASSERT_TRUE(DecodeShardState(final_bytes, &final_state, &error)) << error;
   Snapshot snap;
-  snap.algorithm_id = "arbf2/2";
+  snap.algorithm_id = ArbF2FourCycleCounter::kCheckpointId;
   snap.stream_fingerprint = config.stream_fingerprint;
   snap.stream_length = stream.size();
   snap.pass = 1;
@@ -343,9 +344,9 @@ TEST(ShardStateTest, EncodedBytesArePinned) {
 
   EXPECT_EQ(stream.size(), 317u);
   EXPECT_EQ(Pin(ReadBytes(config.checkpoint_path)),
-            "116962 bytes, crc 21125230");
-  EXPECT_EQ(Pin(final_bytes), "116962 bytes, crc cd0bd315");
-  EXPECT_EQ(Pin(EncodeSnapshot(snap)), "74661 bytes, crc dcc4249b");
+            "78322 bytes, crc 1dd7c3a6");
+  EXPECT_EQ(Pin(final_bytes), "78322 bytes, crc 10252a3e");
+  EXPECT_EQ(Pin(EncodeSnapshot(snap)), "49941 bytes, crc a6ab5847");
 }
 
 // ---------------------------------------------------------------------------

@@ -646,7 +646,7 @@ TEST(SupervisedBatchTest, ResumeRelaunchesOnlyTheMissingShard) {
 }
 
 // Rewrites the shard state file at `path` with query 1's first accumulator
-// slot forged to −32,768 in its int16 arbf2/2 blob: frames and CRCs valid,
+// slot forged to −32,768 in its int16 arb-f2 blob: frames and CRCs valid,
 // but RestoreState refuses the blob. Query 0 restores fine, so a reader
 // that restored query by query would take half the file.
 void ForgeRefusedBlob(const std::string& path) {
