@@ -302,10 +302,10 @@ void BM_AdjF2List(benchmark::State& state) {
 }
 BENCHMARK(BM_AdjF2List);
 
-// Engine fan-out: one physical pass over the shared stream feeding Arg
-// concurrent Triest estimators. items/s counts *delivered* edges
-// (stream × queries), so flat items/s across Args means the broker adds
-// no per-query overhead beyond the estimators themselves.
+// Engine batch: Arg Triest estimators over one stream, each run whole on
+// its broker thread. items/s counts *delivered* edges (stream × queries),
+// so flat items/s across Args means the broker adds no per-query overhead
+// beyond the estimators themselves.
 void BM_BrokerFanout(benchmark::State& state) {
   const EdgeList& graph = BaGraph();
   Rng rng(12);

@@ -5,8 +5,8 @@
 // (expect slope ≈ +1).
 //
 // The trials of each configuration run as one engine batch: a StreamBroker
-// fans a single shared random-order stream out to all trial estimators at
-// once (one physical stream read per pass instead of one per trial), with
+// runs every trial estimator over one shared random-order stream (the
+// streaming model charges one pass per batch, not one per trial), with
 // per-trial randomness carried entirely by the algorithm seeds. The
 // manifest's engine.source_items_read counter documents the sharing.
 

@@ -1,49 +1,62 @@
 #include "engine/broker.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "stream/driver.h"
 #include "util/check.h"
 #include "util/metrics.h"
+#include "util/parallel.h"
 
 namespace cyclestream::engine {
 namespace {
 
-// Runs one wave: constructs the admitted queries, runs every logical pass
-// through the one pass loop (a single physical read of `stream` per pass),
-// and fills the outcomes. The loop audits and credits each query; the
-// read counters follow from the pass counts.
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+// Runs one wave: thread t of min(slots, threads) runs slots t, t+T, ... in
+// order, each whole (construct, every pass through the one pass loop,
+// result) and releases it before building the next. The pass loop audits
+// and credits each query; the caller fills the rest of the outcomes in
+// registration order, and the read counters follow from the pass counts.
 template <typename Item, typename Make>
 void RunWave(std::span<const Item> stream, Make make,
              const BrokerOptions& options, const std::vector<QuerySpec>& specs,
              const std::vector<std::size_t>& slots, int wave,
              std::vector<QueryOutcome>& outcomes, EngineStats& stats) {
-  using Query = decltype(make(specs[0]));
-  using Alg = typename decltype(Query::algorithm)::element_type;
-  std::vector<Query> queries;
-  std::vector<Alg*> algs;
-  queries.reserve(slots.size());
-  for (std::size_t slot : slots) {
-    queries.push_back(make(specs[slot]));
-    algs.push_back(queries.back().algorithm.get());
-  }
-  RunPasses(std::span<Alg* const>(algs), stream, options.block_size);
+  const std::size_t threads =
+      std::min(slots.size(), static_cast<std::size_t>(DefaultThreads()));
+  ParallelFor(threads, [&](std::size_t t) {
+    for (std::size_t i = t; i < slots.size(); i += threads) {
+      QueryOutcome& out = outcomes[slots[i]];
+      out.thread = static_cast<int>(t);
+      auto start = std::chrono::steady_clock::now();
+      auto q = make(specs[slots[i]]);
+      out.construct_s = SecondsSince(start);
+      start = std::chrono::steady_clock::now();
+      RunPasses(*q.algorithm, stream, options.block_size);
+      out.run_s = SecondsSince(start);
+      start = std::chrono::steady_clock::now();
+      out.estimate = q.result();
+      out.passes = q.algorithm->NumPasses();
+      if (const SpaceTracker* tracker = q.algorithm->space_tracker()) {
+        out.space_peak_components = tracker->PeakComponents();
+      }
+      out.finalize_s = SecondsSince(start);
+    }
+  });
 
-  // Finalize in registration order on the caller thread.
   int max_passes = 0;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    Query& q = queries[i];
-    QueryOutcome& out = outcomes[slots[i]];
+  for (std::size_t slot : slots) {
+    QueryOutcome& out = outcomes[slot];
     out.admission = AdmissionOutcome::kAdmitted;
     out.wave = wave;
-    out.estimate = q.result();
-    out.passes = q.algorithm->NumPasses();
     out.items_delivered =
         static_cast<std::uint64_t>(out.passes) * stream.size();
-    if (const SpaceTracker* tracker = q.algorithm->space_tracker()) {
-      out.space_peak_components = tracker->PeakComponents();
-    }
     max_passes = std::max(max_passes, out.passes);
     stats.items_delivered += out.items_delivered;
   }
@@ -163,6 +176,15 @@ void ExportToManifest(const std::vector<QueryOutcome>& outcomes,
       q.SetInt("decay_epoch",
                static_cast<std::int64_t>(out.spec.decay_epoch_edges));
       q.SetInt("decay_log2", static_cast<std::int64_t>(out.spec.decay_log2));
+    }
+    if (out.thread >= 0) {
+      // How the query ran, not what it computed: outside the deterministic
+      // section.
+      const std::string prefix = "query." + out.spec.name + ".";
+      m.SetTiming(prefix + "construct_s", out.construct_s);
+      m.SetTiming(prefix + "run_s", out.run_s);
+      m.SetTiming(prefix + "finalize_s", out.finalize_s);
+      m.SetExecution(prefix + "thread", out.thread);
     }
     if (out.poisoned) {
       // A poisoned wave has no trustworthy estimate; publish the marker and

@@ -38,9 +38,9 @@ class BinaryEdgeSource {
 
 /// Broker tuning.
 struct BrokerOptions {
-  /// Edges (or adjacency lists, or updates) per fan-out block. Blocks
-  /// amortize the per-dispatch synchronization without affecting results:
-  /// per-query delivery order is the stream order regardless of block size.
+  /// Edges (or adjacency lists, or updates) per delivered block. Blocks
+  /// amortize the per-call dispatch without affecting results: per-query
+  /// delivery order is the stream order regardless of block size.
   std::size_t block_size = kDefaultBlockSize;
   /// Admission policy; default (zeros) admits everything in one wave.
   BudgetPolicy budget;
@@ -67,16 +67,25 @@ struct QueryOutcome {
   /// was abandoned without a result (estimate is zero-initialized). The
   /// single-process broker never poisons.
   bool poisoned = false;
+  /// Broker runs only: the broker thread that ran the query (-1 when it did
+  /// not run, and on sharded runs), and the wall time of its construction,
+  /// its passes and its result() on that thread. Not deterministic.
+  int thread = -1;
+  double construct_s = 0.0;
+  double run_s = 0.0;
+  double finalize_s = 0.0;
 };
 
-/// Aggregate accounting for one broker batch.
+/// Aggregate accounting for one broker batch. `physical_passes` and
+/// `source_items_read` count the passes over the source that the streaming
+/// model charges (per wave, the deepest query's NumPasses()), not memory
+/// reads: each broker thread walks the in-memory stream for its own
+/// queries.
 struct EngineStats {
-  std::uint64_t source_items_read = 0;  // Edges (or lists) read from the
-                                        // source, summed over physical
-                                        // passes — the "one read serves N
-                                        // queries" claim is this counter.
+  std::uint64_t source_items_read = 0;  // Edges (or lists) charged, summed
+                                        // over physical passes.
   std::uint64_t items_delivered = 0;    // Process* calls across queries.
-  std::uint64_t physical_passes = 0;    // Stream reads (all waves).
+  std::uint64_t physical_passes = 0;    // Source passes (all waves).
   std::uint64_t waves = 0;
   std::uint64_t queries_admitted = 0;
   std::uint64_t queries_queued = 0;   // Admitted in a wave after their first
@@ -85,24 +94,27 @@ struct EngineStats {
   std::uint64_t budget_peak_words = 0;  // Peak reserved words at any moment.
 };
 
-/// Multi-query stream engine: registers N QuerySpecs, then makes a single
-/// physical pass (per logical pass number, per wave) over the stream and
-/// fans each block out to every admitted query. Each wave is one RunPasses
-/// call (stream/driver.h), the same pass loop a standalone run uses.
+/// Multi-query stream engine: registers N QuerySpecs and runs the admitted
+/// ones over one stream, in waves. Each wave is one ParallelFor over
+/// T = min(queries, DefaultThreads()) broker threads; thread t runs the
+/// wave's slots t, t+T, ... in order, each whole: construction, every pass
+/// through RunPasses (stream/driver.h, the pass loop a standalone run
+/// uses), then result(), releasing the algorithm before building the next.
+/// There is no barrier between queries, so one query's construction
+/// overlaps another's pass.
 ///
 /// Determinism contract: each query's state is private and its edges arrive
 /// in stream order with the same positions RunEdgeStream would use, so each
 /// query is bit-identical to a standalone run of the same spec over the same
-/// stream — at any thread count and any block size. Parallelism comes from
-/// pinning queries to shards (query slot s → shard s mod num_shards, each
-/// shard processed serially by one ParallelFor index), which parallelizes
-/// *across* queries, never within one.
+/// stream — at any thread count and any block size. Parallelism is *across*
+/// queries, never within one.
 ///
-/// Scheduling: queries run in waves. Wave 0 takes every spec the admission
-/// controller admits immediately; queued specs retry (in registration
-/// order) each time a wave completes and releases its reservations. Each
-/// wave costs max(NumPasses among its queries) physical stream reads.
-/// Rejected specs never run and report zeroed estimates.
+/// Scheduling: wave 0 takes every spec the admission controller admits
+/// immediately; queued specs retry (in registration order) each time a
+/// wave completes and releases its reservations. The streaming model
+/// charges each wave max(NumPasses among its queries) passes over the
+/// source (EngineStats). Rejected specs never run and report zeroed
+/// estimates.
 ///
 /// One-shot: Run*Queries may be called once per broker instance.
 class StreamBroker {
@@ -146,8 +158,11 @@ class StreamBroker {
 
 /// Exports a batch into a manifest: aggregate counters under "engine." in
 /// the main metrics, plus one per-query section (estimate, space breakdown,
-/// admission outcome) keyed by the query's name. Everything exported here
-/// is deterministic — it survives DeterministicJson().
+/// admission outcome) keyed by the query's name — all deterministic, so it
+/// survives DeterministicJson(). For each query a broker thread ran, the
+/// timings "query.<name>.{construct,run,finalize}_s" and the execution
+/// counter "query.<name>.thread" go to the main metrics' non-deterministic
+/// sections.
 void ExportToManifest(const std::vector<QueryOutcome>& outcomes,
                       const EngineStats& stats, RunManifest& manifest);
 

@@ -20,8 +20,8 @@ struct BudgetPolicy {
   std::size_t per_query_words = 0;
   /// Upper bound on the sum of declared budgets running concurrently. A
   /// query that fits the policy but not the currently free headroom is
-  /// queued to a later wave (each wave is one more physical read of the
-  /// stream, traded for staying under the cap).
+  /// queued to a later wave (each wave is one more pass over the source,
+  /// traded for staying under the cap).
   std::size_t aggregate_words = 0;
 };
 

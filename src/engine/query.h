@@ -16,9 +16,9 @@
 namespace cyclestream::engine {
 
 /// The estimators the multi-query engine can host. A "query" is one small-
-/// memory estimator riding the shared pass; the engine fans the same edge
-/// (or adjacency) blocks out to every registered query, so N queries cost
-/// one stream read per logical pass instead of N.
+/// memory estimator over the batch's one stream; the engine runs every
+/// registered query over it, and the streaming model charges a wave one
+/// pass over the source per logical pass number, not one per query.
 enum class QueryKind {
   // Edge-stream algorithms (triangles).
   kRandomOrderTriangles,

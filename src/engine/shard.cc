@@ -440,8 +440,8 @@ ShardWorkerOutcome RunShardWorker(const ShardWorkerConfig& config,
       const std::size_t global = static_cast<std::size_t>(range.begin + offset);
       const std::span<const Edge> block =
           config.edges.subspan(global, static_cast<std::size_t>(n));
-      // Same fan-out order as the broker's serial path: slot order per
-      // block.
+      // Each query sees the block at its stream positions, as in a
+      // standalone run.
       for (EdgeQuery& q : queries) {
         q.algorithm->ProcessEdgeBlock(0, block, global);
       }

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <string>
 #include <system_error>
-#include <vector>
 
 #include "stream/checkpoint.h"
 #include "stream/dynamic/turnstile.h"
@@ -240,29 +239,18 @@ void TryResume(typename Kind::Alg& alg, std::size_t stream_length,
 
 // The one pass loop (RunPasses in driver.h).
 template <typename Kind>
-RunOutcome RunPassLoop(std::span<typename Kind::Alg* const> algs,
+RunOutcome RunPassLoop(typename Kind::Alg& alg,
                        std::span<const typename Kind::Item> stream,
                        std::size_t block_size, const RunOptions& options) {
-  using Alg = typename Kind::Alg;
   CHECK_GT(block_size, 0u) << "block size must be > 0";
-  CHECK(algs.size() == 1 || (options.checkpoint == nullptr &&
-                             options.faults == nullptr &&
-                             options.resume_from.empty()))
-      << "checkpoint, resume and fault options need exactly one algorithm "
-         "(a snapshot holds one state)";
   RunOutcome out;
-  int num_passes = 0;
-  for (const Alg* alg : algs) {
-    num_passes = std::max(num_passes, alg->NumPasses());
-  }
+  const int num_passes = alg.NumPasses();
 
-  // Snapshot state: set only for a lone algorithm that can checkpoint.
-  Alg* const lone = algs.size() == 1 && !algs[0]->CheckpointId().empty()
-                        ? algs[0]
-                        : nullptr;
+  // Snapshot state: set only for an algorithm that can checkpoint.
+  const bool can_snapshot = !alg.CheckpointId().empty();
   const CheckpointPolicy* policy =
-      lone != nullptr ? options.checkpoint : nullptr;
-  const bool resume = lone != nullptr && !options.resume_from.empty();
+      can_snapshot ? options.checkpoint : nullptr;
+  const bool resume = can_snapshot && !options.resume_from.empty();
   const std::uint64_t fingerprint =
       policy != nullptr || resume ? Kind::Fingerprint(stream) : 0;
   const std::uint64_t every = policy != nullptr ? policy->every_elements : 0;
@@ -274,32 +262,19 @@ RunOutcome RunPassLoop(std::span<typename Kind::Alg* const> algs,
   std::uint64_t start_pos = 0;
   std::uint64_t elements_done = 0;
   if (resume) {
-    TryResume<Kind>(*lone, stream.size(), options, fingerprint, &start_pass,
-                      &start_pos, &elements_done, &out);
+    TryResume<Kind>(alg, stream.size(), options, fingerprint, &start_pass,
+                    &start_pos, &elements_done, &out);
   }
 
-  std::vector<Alg*> active;
   for (int pass = static_cast<int>(start_pass); pass < num_passes; ++pass) {
     const auto start = std::chrono::steady_clock::now();
     const std::size_t begin =
         pass == static_cast<int>(start_pass)
             ? static_cast<std::size_t>(start_pos)
             : 0;
-    // Algorithms with fewer passes drop out of later passes.
-    active.clear();
-    for (Alg* alg : algs) {
-      if (pass < alg->NumPasses()) active.push_back(alg);
-    }
     // A mid-pass resume skips StartPass: it already ran before the
     // snapshot was taken and its effects are part of the restored state.
-    if (begin == 0) {
-      for (Alg* alg : active) alg->StartPass(pass, stream.size());
-    }
-    // Slot s on shard s mod shards, each shard serial: every algorithm's
-    // call sequence is its lone-run sequence, so the barrier per block only
-    // bounds how far the algorithms drift apart in the stream.
-    const std::size_t shards = std::min(
-        active.size(), static_cast<std::size_t>(DefaultThreads()));
+    if (begin == 0) alg.StartPass(pass, stream.size());
     for (std::size_t i = begin; i < stream.size();) {
       std::size_t n = std::min(block_size, stream.size() - i);
       if (every > 0) {
@@ -308,23 +283,13 @@ RunOutcome RunPassLoop(std::span<typename Kind::Alg* const> algs,
       if (options.faults != nullptr) {
         n = std::min<std::uint64_t>(n, options.faults->ElementsBeforeKill());
       }
-      const auto block = stream.subspan(i, n);
-      if (shards <= 1) {
-        for (Alg* alg : active) Kind::ProcessBlock(*alg, pass, block, i);
-      } else {
-        ParallelFor(shards, [&](std::size_t shard) {
-          for (std::size_t s = shard; s < active.size(); s += shards) {
-            Kind::ProcessBlock(*active[s], pass, block, i);
-          }
-        });
-      }
+      Kind::ProcessBlock(alg, pass, stream.subspan(i, n), i);
       i += n;
       elements_done += n;
       if (every > 0 && elements_done % every == 0) {
-        WriteCheckpoint<Kind>(*lone, options, path, fingerprint,
-                                stream.size(),
-                                static_cast<std::uint64_t>(pass), i,
-                                elements_done, &out);
+        WriteCheckpoint<Kind>(alg, options, path, fingerprint, stream.size(),
+                              static_cast<std::uint64_t>(pass), i,
+                              elements_done, &out);
       }
       if (options.faults != nullptr && options.faults->OnElementsProcessed(n)) {
         out.completed = false;
@@ -332,17 +297,15 @@ RunOutcome RunPassLoop(std::span<typename Kind::Alg* const> algs,
         return out;
       }
     }
-    for (Alg* alg : active) alg->EndPass(pass);
+    alg.EndPass(pass);
     AddPassTime(pass, start);
     if (policy != nullptr && pass + 1 < num_passes) {
-      WriteCheckpoint<Kind>(*lone, options, path, fingerprint, stream.size(),
-                              static_cast<std::uint64_t>(pass) + 1, 0,
-                              elements_done, &out);
+      WriteCheckpoint<Kind>(alg, options, path, fingerprint, stream.size(),
+                            static_cast<std::uint64_t>(pass) + 1, 0,
+                            elements_done, &out);
     }
   }
-  for (const Alg* alg : algs) {
-    FinishRun(*alg, stream.size(), Kind::Processed());
-  }
+  FinishRun(alg, stream.size(), Kind::Processed());
   return out;
 }
 
@@ -355,10 +318,9 @@ RunOutcome RunPassLoop(std::span<typename Kind::Alg* const> algs,
 template <typename Kind>
 void RunLone(typename Kind::Alg& alg,
              std::span<const typename Kind::Item> stream) {
-  typename Kind::Alg* const algs[] = {&alg};
   GlobalCheckpointState& global = GlobalCkpt();
   if (!global.active.load(kRelaxed)) {
-    RunPassLoop<Kind>(algs, stream, kDefaultBlockSize, RunOptions{});
+    RunPassLoop<Kind>(alg, stream, kDefaultBlockSize, RunOptions{});
     return;
   }
   const std::uint64_t seq = global.run_seq.fetch_add(1, kRelaxed);
@@ -381,7 +343,7 @@ void RunLone(typename Kind::Alg& alg,
     options.faults = &kill;
   }
   const RunOutcome out =
-      RunPassLoop<Kind>(algs, stream, kDefaultBlockSize, options);
+      RunPassLoop<Kind>(alg, stream, kDefaultBlockSize, options);
   // Simulated crash: no cleanup, no further output.
   if (!out.completed) std::_Exit(kKilledExitCode);
   global.elements.fetch_add(kill.elements_seen(), kRelaxed);
@@ -479,22 +441,21 @@ void AuditAndCreditRun(const EdgeStreamAlgorithm& alg,
   FinishRun(alg, stream_length, EdgeKind::Processed());
 }
 
-RunOutcome RunPasses(std::span<EdgeStreamAlgorithm* const> algs,
-                     std::span<const Edge> stream, std::size_t block_size,
-                     const RunOptions& options) {
-  return RunPassLoop<EdgeKind>(algs, stream, block_size, options);
+RunOutcome RunPasses(EdgeStreamAlgorithm& alg, std::span<const Edge> stream,
+                     std::size_t block_size, const RunOptions& options) {
+  return RunPassLoop<EdgeKind>(alg, stream, block_size, options);
 }
 
-RunOutcome RunPasses(std::span<AdjacencyStreamAlgorithm* const> algs,
+RunOutcome RunPasses(AdjacencyStreamAlgorithm& alg,
                      std::span<const AdjacencyList> stream,
                      std::size_t block_size, const RunOptions& options) {
-  return RunPassLoop<AdjacencyKind>(algs, stream, block_size, options);
+  return RunPassLoop<AdjacencyKind>(alg, stream, block_size, options);
 }
 
-RunOutcome RunPasses(std::span<TurnstileStreamAlgorithm* const> algs,
+RunOutcome RunPasses(TurnstileStreamAlgorithm& alg,
                      std::span<const TurnstileUpdate> stream,
                      std::size_t block_size, const RunOptions& options) {
-  return RunPassLoop<TurnstileKind>(algs, stream, block_size, options);
+  return RunPassLoop<TurnstileKind>(alg, stream, block_size, options);
 }
 
 void RunEdgeStream(EdgeStreamAlgorithm& alg, const EdgeStream& stream) {
@@ -513,22 +474,19 @@ void RunTurnstileStream(TurnstileStreamAlgorithm& alg,
 
 RunOutcome RunEdgeStream(EdgeStreamAlgorithm& alg, const EdgeStream& stream,
                          const RunOptions& options) {
-  EdgeStreamAlgorithm* const algs[] = {&alg};
-  return RunPasses(algs, stream, kDefaultBlockSize, options);
+  return RunPasses(alg, stream, kDefaultBlockSize, options);
 }
 
 RunOutcome RunAdjacencyStream(AdjacencyStreamAlgorithm& alg,
                               const AdjacencyStream& stream,
                               const RunOptions& options) {
-  AdjacencyStreamAlgorithm* const algs[] = {&alg};
-  return RunPasses(algs, stream, kDefaultBlockSize, options);
+  return RunPasses(alg, stream, kDefaultBlockSize, options);
 }
 
 RunOutcome RunTurnstileStream(TurnstileStreamAlgorithm& alg,
                               const TurnstileStream& stream,
                               const RunOptions& options) {
-  TurnstileStreamAlgorithm* const algs[] = {&alg};
-  return RunPasses(algs, stream, kDefaultBlockSize, options);
+  return RunPasses(alg, stream, kDefaultBlockSize, options);
 }
 
 }  // namespace cyclestream

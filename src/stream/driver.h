@@ -172,39 +172,32 @@ struct RunOutcome {
 };
 
 /// Items (edges, adjacency lists or turnstile updates) per delivered block:
-/// the block size of the single-algorithm Run*Stream wrappers and the
-/// default of the engine's BrokerOptions::block_size. Results never depend
-/// on it (the Process*Block contract).
+/// the block size of the Run*Stream wrappers and the default of the
+/// engine's BrokerOptions::block_size. Results never depend on it (the
+/// Process*Block contract).
 inline constexpr std::size_t kDefaultBlockSize = 4096;
 
-/// The one pass loop behind every Run*Stream call and every engine broker
-/// wave. For each pass p < max NumPasses() over `algs`: StartPass(p) on the
-/// algorithms with more than p passes (the others have dropped out), then
-/// the stream in blocks of at most `block_size` items, then EndPass(p).
-/// With two or more active algorithms and DefaultThreads() > 1, each block
-/// fans out over a ParallelFor of min(active, threads) shards, slot s on
-/// shard s mod shards; every algorithm still sees its own stream order.
-/// After the final pass each algorithm is audited and credited
-/// (AuditAndCreditRun).
+/// The one pass loop behind every Run*Stream call and every query a broker
+/// thread runs. For each pass p < alg.NumPasses(): StartPass(p), the stream
+/// in blocks of at most `block_size` items, then EndPass(p). After the
+/// final pass the algorithm is audited and credited (AuditAndCreditRun).
 ///
-/// Checkpoint, resume and fault options need exactly one algorithm (a
-/// Snapshot holds one state; CHECKed). Blocks are then also cut at every
-/// snapshot point and at the FaultPlan's kill point. Resume semantics: the
-/// restored snapshot records (pass, position) of the first unprocessed
-/// element; the loop skips StartPass for a mid-pass resume (it already ran
-/// before the snapshot) and replays the stream from the recorded position.
-/// A resumed run that completes is bit-identical to an uninterrupted run of
-/// a freshly constructed algorithm with the same Params over the same
-/// stream.
-RunOutcome RunPasses(std::span<EdgeStreamAlgorithm* const> algs,
-                     std::span<const Edge> stream, std::size_t block_size,
-                     const RunOptions& options = {});
-RunOutcome RunPasses(std::span<AdjacencyStreamAlgorithm* const> algs,
+/// With checkpoint or fault options, blocks are also cut at every snapshot
+/// point and at the FaultPlan's kill point; snapshots need an algorithm
+/// with a CheckpointId. Resume semantics: the restored snapshot records
+/// (pass, position) of the first unprocessed element; the loop skips
+/// StartPass for a mid-pass resume (it already ran before the snapshot)
+/// and replays the stream from the recorded position. A resumed run that
+/// completes is bit-identical to an uninterrupted run of a freshly
+/// constructed algorithm with the same Params over the same stream.
+RunOutcome RunPasses(EdgeStreamAlgorithm& alg, std::span<const Edge> stream,
+                     std::size_t block_size, const RunOptions& options = {});
+RunOutcome RunPasses(AdjacencyStreamAlgorithm& alg,
                      std::span<const AdjacencyList> stream,
                      std::size_t block_size, const RunOptions& options = {});
 
-/// Runs all passes of `alg` over `stream` (RunPasses with one algorithm and
-/// kDefaultBlockSize, checkpointed per the process-wide configuration).
+/// Runs all passes of `alg` over `stream` (RunPasses with kDefaultBlockSize,
+/// checkpointed per the process-wide configuration).
 void RunEdgeStream(EdgeStreamAlgorithm& alg, const EdgeStream& stream);
 
 /// Runs all passes of `alg` over the adjacency stream.
@@ -229,7 +222,7 @@ RunOutcome RunAdjacencyStream(AdjacencyStreamAlgorithm& alg,
 /// _Exit(kKilledExitCode) once that many elements have been processed
 /// across all runs — the crash half of the crash/resume tests. Each run
 /// gets the remaining count as a FaultPlan kill point. Engine broker waves
-/// (several algorithms) do not read this configuration.
+/// call RunPasses directly and do not read this configuration.
 struct GlobalCheckpointOptions {
   std::string directory;
   std::uint64_t every_elements = 0;

@@ -51,8 +51,9 @@ using TurnstileStream = std::vector<TurnstileUpdate>;
 /// Interface for algorithms over turnstile streams. Deliberately mirrors
 /// EdgeStreamAlgorithm method-for-method (NumPasses/StartPass/Process*/
 /// EndPass plus the checkpoint and merge hooks) so the one pass loop
-/// (RunPasses, which serves both the standalone driver and the engine
-/// broker's waves) hosts all three stream families through one template.
+/// (RunPasses, which serves both the standalone driver and every query a
+/// broker thread runs) hosts all three stream families through one
+/// template.
 /// Turnstile algorithms are single-pass by construction: their state is a
 /// linear sketch of the signed stream, so one pass is all the model ever
 /// needs (and a deletion-bearing stream has no meaningful "replay for
@@ -125,12 +126,12 @@ class TurnstileStreamAlgorithm {
 
 /// The turnstile family's RunPasses (stream/driver.h): the same pass loop,
 /// block cuts and checkpoint semantics, with snapshots tagged stream kind 2.
-RunOutcome RunPasses(std::span<TurnstileStreamAlgorithm* const> algs,
+RunOutcome RunPasses(TurnstileStreamAlgorithm& alg,
                      std::span<const TurnstileUpdate> stream,
                      std::size_t block_size, const RunOptions& options = {});
 
-/// Runs the single pass of `alg` over `stream` (RunPasses with one
-/// algorithm and kDefaultBlockSize).
+/// Runs the single pass of `alg` over `stream` (RunPasses with
+/// kDefaultBlockSize).
 void RunTurnstileStream(TurnstileStreamAlgorithm& alg,
                         const TurnstileStream& stream);
 

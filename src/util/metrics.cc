@@ -1,8 +1,8 @@
 #include "util/metrics.h"
 
-#include <fstream>
 #include <sstream>
 
+#include "util/io.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/table.h"
@@ -232,15 +232,13 @@ void RunManifest::Write(std::ostream& os) const {
   WriteImpl(os, /*deterministic_only=*/false);
 }
 
-bool RunManifest::WriteFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    LOG(WARNING) << "cannot open manifest output file: " << path;
-    return false;
-  }
-  Write(out);
-  if (!out) {
-    LOG(WARNING) << "failed writing manifest to: " << path;
+bool RunManifest::WriteFile(const std::string& path,
+                            bool deterministic_only) const {
+  std::ostringstream os;
+  WriteImpl(os, deterministic_only);
+  std::string error;
+  if (!io::WriteFileAtomic(path, os.str(), &error)) {
+    LOG(WARNING) << "failed writing manifest to " << path << ": " << error;
     return false;
   }
   return true;

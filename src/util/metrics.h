@@ -121,9 +121,11 @@ class RunManifest {
   /// Writes the full manifest JSON.
   void Write(std::ostream& os) const;
 
-  /// Writes the full manifest to `path`; false (with a logged warning) on
-  /// I/O failure.
-  bool WriteFile(const std::string& path) const;
+  /// Writes the full manifest (with `deterministic_only`, the
+  /// DeterministicJson() payload) to `path` through io::WriteFileAtomic;
+  /// false (with a logged warning) on I/O failure.
+  bool WriteFile(const std::string& path,
+                 bool deterministic_only = false) const;
 
   /// Thread-count-invariant serialization (tests, diffing).
   std::string DeterministicJson() const;

@@ -1154,12 +1154,10 @@ template <typename Query, typename Item>
 void ExpectBlockCutKillPointsResumeBitIdentical(
     const std::function<Query()>& make, std::span<const Item> stream,
     const std::string& dir) {
-  using Alg = typename decltype(Query::algorithm)::element_type;
   constexpr std::uint64_t kPeriod = 2999;
   ASSERT_GT(stream.size(), 2 * kDefaultBlockSize + 1);
   auto run = [&](Query& q, const RunOptions& options) {
-    Alg* const algs[] = {q.algorithm.get()};
-    return RunPasses(algs, stream, kDefaultBlockSize, options);
+    return RunPasses(*q.algorithm, stream, kDefaultBlockSize, options);
   };
   Query golden = make();
   run(golden, RunOptions{});

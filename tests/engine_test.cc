@@ -4,7 +4,9 @@
 // reject/queue semantics, the shared-pass accounting, and the manifest
 // export.
 
+#include <algorithm>
 #include <cstddef>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -79,17 +81,22 @@ TEST(EngineTest, MixedSweepBitIdenticalToStandaloneAtAnyThreadCount) {
     standalone.push_back(query.result());
   }
 
-  for (const int threads : {1, 4}) {
+  // 3 splits the 16 queries unevenly; 20 is more threads than queries.
+  for (const int threads : {1, 3, 4, 20}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ScopedThreads scoped(threads);
     StreamBroker broker;
     for (const QuerySpec& spec : specs) broker.AddQuery(spec);
     const std::vector<QueryOutcome> outcomes = broker.RunEdgeQueries(stream);
     ASSERT_EQ(outcomes.size(), specs.size());
+    const std::size_t broker_threads =
+        std::min<std::size_t>(specs.size(), threads);
     for (std::size_t i = 0; i < specs.size(); ++i) {
       SCOPED_TRACE(specs[i].name);
       EXPECT_EQ(outcomes[i].admission, AdmissionOutcome::kAdmitted);
       EXPECT_EQ(outcomes[i].wave, 0);
+      // Slot s runs on broker thread s mod min(queries, threads).
+      EXPECT_EQ(outcomes[i].thread, static_cast<int>(i % broker_threads));
       // Bit-identical, not approximately equal.
       EXPECT_EQ(outcomes[i].estimate.value, standalone[i].value);
       EXPECT_EQ(outcomes[i].estimate.space_words, standalone[i].space_words);
@@ -98,8 +105,8 @@ TEST(EngineTest, MixedSweepBitIdenticalToStandaloneAtAnyThreadCount) {
                     stream.size());
     }
 
-    // Shared-pass accounting: one physical read per logical pass number —
-    // the deepest query (arb-three-pass) sets the read count for the wave.
+    // The streaming model charges one source pass per logical pass number:
+    // the deepest query (arb-three-pass) sets the wave's count.
     const EngineStats& stats = broker.stats();
     EXPECT_EQ(stats.waves, 1u);
     EXPECT_EQ(stats.physical_passes, 3u);
@@ -144,7 +151,7 @@ TEST(EngineTest, AdjacencyQueriesBitIdenticalToStandalone) {
     standalone.push_back(query.result());
   }
 
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 3, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ScopedThreads scoped(threads);
     StreamBroker broker;
@@ -173,7 +180,9 @@ TEST(EngineTest, SingleSharedReadForOnePassQueries) {
     broker.AddQuery(std::move(spec));
   }
   broker.RunEdgeQueries(stream);
-  // Five one-pass queries, one physical read: the point of the engine.
+  // Five one-pass queries cost the streaming model one pass over the
+  // source: the point of the engine. The counters charge model passes, not
+  // memory reads — each broker thread walks the stream for its own queries.
   EXPECT_EQ(broker.stats().physical_passes, 1u);
   EXPECT_EQ(broker.stats().source_items_read, stream.size());
   EXPECT_EQ(broker.stats().items_delivered, 5 * stream.size());
@@ -266,13 +275,13 @@ TEST(EngineTest, QueuedQueryRunsInLaterWaveWithIdenticalResult) {
   EXPECT_EQ(stats.queries_queued, 1u);
   EXPECT_EQ(stats.queries_rejected, 0u);
   EXPECT_EQ(stats.budget_peak_words, 800u);
-  // Two waves, one-pass queries: two physical reads of the stream.
+  // Two waves, one-pass queries: two passes over the source.
   EXPECT_EQ(stats.source_items_read, 2 * stream.size());
 }
 
 TEST(EngineTest, LoneArbF2QueryBitIdenticalToStandalone) {
-  // A lone query skips the broker's per-query ParallelFor; its blocks must
-  // still reproduce, bit for bit, the plain per-edge driver's estimate.
+  // A lone query runs on one broker thread at any thread count; its blocks
+  // must still reproduce, bit for bit, the plain driver's estimate.
   EdgeList graph;
   const EdgeStream stream = MixedSweepStream(&graph);
 
@@ -333,6 +342,17 @@ TEST(EngineTest, ManifestExportIsThreadCountInvariant) {
     RunManifest manifest("engine_test");
     ExportToManifest(outcomes, broker.stats(), manifest);
     jsons.push_back(manifest.DeterministicJson());
+
+    // Per-query timings and threads are in the full manifest only.
+    std::ostringstream full;
+    manifest.Write(full);
+    for (const char* key :
+         {"\"query.triest-1.construct_s\"", "\"query.triest-1.run_s\"",
+          "\"query.triest-1.finalize_s\"", "\"query.triest-1.thread\""}) {
+      SCOPED_TRACE(key);
+      EXPECT_NE(full.str().find(key), std::string::npos);
+      EXPECT_EQ(jsons.back().find(key), std::string::npos);
+    }
   }
   EXPECT_EQ(jsons[0], jsons[1]);
   // The per-query sections must actually be there.

@@ -19,6 +19,7 @@
 #include "stream/checkpoint.h"
 #include "stream/dynamic/turnstile_io.h"
 #include "util/io.h"
+#include "util/metrics.h"
 
 namespace cyclestream::io {
 namespace {
@@ -142,8 +143,9 @@ TEST(IoTest, WriteFileAtomicFsyncsFileThenParentDirectory) {
   EXPECT_EQ(faults.fsynced[1], dir);
 }
 
-// The v1 edge stream, v2 turnstile stream and spec file writers go through
-// WriteFileAtomic too: the same [file, dir] fsync order.
+// The v1 edge stream, v2 turnstile stream, spec file and run manifest
+// writers (--json_out and --json_det_out) go through WriteFileAtomic too:
+// the same [file, dir] fsync order.
 TEST(IoTest, StreamAndSpecWritersFsyncFileThenParentDirectory) {
   const std::string dir = TestDir("writers");
   const auto fsyncs = [](const std::function<bool(std::string*)>& write) {
@@ -179,6 +181,21 @@ TEST(IoTest, StreamAndSpecWritersFsyncFileThenParentDirectory) {
               return cyclestream::engine::WriteSpecFile(specs, {spec}, error);
             }),
             (Synced{specs + ".tmp", dir}));
+
+  cyclestream::RunManifest manifest("io_test");
+  manifest.metrics().SetInt("answer", 42);
+  const std::string full = dir + "/run.json";
+  EXPECT_EQ(fsyncs([&](std::string*) { return manifest.WriteFile(full); }),
+            (Synced{full + ".tmp", dir}));
+  const std::string det = dir + "/run.det.json";
+  EXPECT_EQ(fsyncs([&](std::string*) {
+              return manifest.WriteFile(det, /*deterministic_only=*/true);
+            }),
+            (Synced{det + ".tmp", dir}));
+  std::string error;
+  std::string got;
+  ASSERT_TRUE(ReadFileToString(det, &got, &error)) << error;
+  EXPECT_EQ(got, manifest.DeterministicJson());
 }
 
 TEST(IoTest, WriteFileAtomicSurvivesFaultsAndReplacesAtomically) {

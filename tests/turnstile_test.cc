@@ -578,8 +578,10 @@ TEST(DecayTest, BlockSizeInvariance) {
   }
 }
 
-// The broker's turnstile path must be bit-identical to standalone runs and
-// export the window/decay knobs into the per-query manifest sections.
+// The broker's turnstile path must be bit-identical to standalone runs at
+// any thread count (2 splits the three queries unevenly, 3 gives each its
+// own thread) and export the window/decay knobs into the per-query
+// manifest sections.
 TEST(EngineTurnstileTest, BrokerMatchesStandaloneAndExportsKnobs) {
   Rng gen_rng(59);
   const EdgeList graph = ErdosRenyiGnm(40, 160, gen_rng);
@@ -601,26 +603,39 @@ TEST(EngineTurnstileTest, BrokerMatchesStandaloneAndExportsKnobs) {
   decayed.decay_epoch_edges = 50;
   decayed.decay_log2 = 2;
 
-  engine::StreamBroker broker;
-  broker.AddQuery(windowed);
-  broker.AddQuery(decayed);
-  const std::vector<engine::QueryOutcome> outcomes =
-      broker.RunTurnstileQueries(stream);
-  ASSERT_EQ(outcomes.size(), 2u);
+  engine::QuerySpec plain;
+  plain.name = "plain";
+  plain.kind = engine::QueryKind::kTurnstileF2C4;
+  plain.base = TestBase(9);
+  plain.num_vertices = graph.num_vertices();
 
-  {
-    engine::TurnstileQuery standalone = engine::MakeTurnstileQuery(windowed);
-    RunTurnstileStream(*standalone.algorithm, stream);
-    EXPECT_EQ(outcomes[0].estimate.value, standalone.result().value);
+  const std::vector<engine::QuerySpec> specs = {windowed, decayed, plain};
+  std::vector<double> standalone;
+  for (const engine::QuerySpec& spec : specs) {
+    engine::TurnstileQuery query = engine::MakeTurnstileQuery(spec);
+    RunTurnstileStream(*query.algorithm, stream);
+    standalone.push_back(query.result().value);
   }
-  {
-    engine::TurnstileQuery standalone = engine::MakeTurnstileQuery(decayed);
-    RunTurnstileStream(*standalone.algorithm, stream);
-    EXPECT_EQ(outcomes[1].estimate.value, standalone.result().value);
+
+  const int saved_threads = DefaultThreads();
+  std::vector<engine::QueryOutcome> outcomes;
+  engine::EngineStats stats;
+  for (int threads : {1, 2, 3}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SetDefaultThreads(threads);
+    engine::StreamBroker broker;
+    for (const engine::QuerySpec& spec : specs) broker.AddQuery(spec);
+    outcomes = broker.RunTurnstileQueries(stream);
+    stats = broker.stats();
+    ASSERT_EQ(outcomes.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(outcomes[i].estimate.value, standalone[i]) << specs[i].name;
+    }
   }
+  SetDefaultThreads(saved_threads);
 
   RunManifest manifest("turnstile_test");
-  engine::ExportToManifest(outcomes, broker.stats(), manifest);
+  engine::ExportToManifest(outcomes, stats, manifest);
   const std::string json = manifest.DeterministicJson();
   EXPECT_NE(json.find("\"window\""), std::string::npos);
   EXPECT_NE(json.find("\"window_buckets\""), std::string::npos);

@@ -24,15 +24,14 @@
 // front end: the specs come from a --spec file of `key=value` lines or
 // from a generated matrix (round-robin over --algorithms, seeds S, S+1,
 // ...); the batch runs over one stream of the family its kinds consume;
-// and it executes on the StreamBroker (one shared stream read per logical
-// pass) or on the supervised sharded wave loop.
+// and it executes on the StreamBroker (each query run whole on one of the
+// --threads broker threads) or on the supervised sharded wave loop.
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -107,9 +106,9 @@ int Usage() {
       "      adj-f2 adj-l2) or turnstile (turnstile-f2-triangle\n"
       "      turnstile-f2-c4; a .bin v2 file from `edge2bin --turnstile`\n"
       "      streams in file order, any insert-only graph is wrapped)\n"
-      "    executor: sweep and serve run the broker, one shared stream\n"
-      "      read per pass; shard and serve --daemon run the supervised\n"
-      "      sharded loop\n"
+      "    executor: sweep and serve run the broker, each query whole\n"
+      "      on one of the --threads threads; shard and serve --daemon\n"
+      "      run the supervised sharded loop\n"
       "  sweep    the matrix, default random-order,triest,cormode-jowhari x16\n"
       "  serve    --spec FILE (required)\n"
       "  shard    --shard-dir DIR [--shards W]; the matrix defaults to\n"
@@ -1118,9 +1117,7 @@ int Main(int argc, char** argv) {
     std::cerr << "run manifest written to " << json_out << "\n";
   }
   if (rc == 0 && !json_det_out.empty()) {
-    std::ofstream out(json_det_out);
-    if (out) out << manifest.DeterministicJson();
-    if (!out) {
+    if (!manifest.WriteFile(json_det_out, /*deterministic_only=*/true)) {
       std::cerr << "error: cannot write " << json_det_out << "\n";
       return 1;
     }
